@@ -103,6 +103,21 @@ def conjugate_posteriors(
     )
 
 
+def _posterior_conditioning(post: GammaPosteriors) -> float:
+    """Posterior probability of s >= 0, the CDF's normalizer."""
+    (kn, wn), (kb, wb) = post.ln, post.lb
+    den = conditioning_probability(kn, wn, kb, wb)
+    if den <= 0:
+        raise NumericalError("posterior mass on s >= 0 underflows")
+    return den
+
+
+def _posterior_cdf(post: GammaPosteriors, x, den, method, quad):
+    (kn, wn), (kb, wb), (ke, we) = post.ln, post.lb, post.le
+    s = survival(x, kn, wn, kb, wb, ke, we, method, quad)
+    return clamp_unit(1.0 - s / den)
+
+
 def bayes_posterior_cdf(
     post: GammaPosteriors,
     x,
@@ -112,12 +127,7 @@ def bayes_posterior_cdf(
     """Posterior CDF of the signal at x >= 0 (scalar or array)."""
     if np.any(np.asarray(x) < 0):
         raise ValueError("x must be >= 0")
-    (kn, wn), (kb, wb), (ke, we) = post.ln, post.lb, post.le
-    den = conditioning_probability(kn, wn, kb, wb)
-    if den <= 0:
-        raise NumericalError("posterior mass on s >= 0 underflows")
-    s = survival(x, kn, wn, kb, wb, ke, we, method, quad)
-    return clamp_unit(1.0 - s / den)
+    return _posterior_cdf(post, x, _posterior_conditioning(post), method, quad)
 
 
 def posterior_quantile(
@@ -130,15 +140,16 @@ def posterior_quantile(
     """Root of CDF(x) = q by bracketing plus bisection."""
     if not 0.0 < q < 1.0:
         raise ValueError("quantile must lie strictly inside (0, 1)")
+    den = _posterior_conditioning(post)
     lo, hi = 0.0, 1.0
-    while bayes_posterior_cdf(post, hi, method, quad) < q:
+    while _posterior_cdf(post, hi, den, method, quad) < q:
         lo = hi
         hi *= 2.0
         if hi > 1e15:
             raise NumericalError("posterior quantile bracket exceeded 1e15")
     while hi - lo > rel_tol * max(hi, 1e-300):
         mid = 0.5 * (lo + hi)
-        if bayes_posterior_cdf(post, mid, method, quad) >= q:
+        if _posterior_cdf(post, mid, den, method, quad) >= q:
             hi = mid
         else:
             lo = mid

@@ -190,13 +190,19 @@ def _write_csv(path, header, rows) -> None:
 def _limit_row(dataset: Dataset, quantiles, grid: GridConfig):
     try:
         lims = dataset_limits(dataset, quantiles, grid)
-        return (dataset.label, *lims, "ok")
     except UnboundedLimit:
         return (dataset.label, *([None] * len(quantiles)), "unbounded")
+    except (NumericalError, IntegrationError) as exc:
+        raise type(exc)(f"dataset row {dataset.label}: {exc}") from exc
+    return (dataset.label, *lims, "ok")
 
 
 def _bayes_row(dataset: Dataset, quantiles, method):
-    return (dataset.label, *[method(dataset, q) for q in quantiles], "ok")
+    try:
+        lims = [method(dataset, q) for q in quantiles]
+    except (NumericalError, IntegrationError) as exc:
+        raise type(exc)(f"dataset row {dataset.label}: {exc}") from exc
+    return (dataset.label, *lims, "ok")
 
 
 def cmd_limits(cfg: RunConfig) -> int:

@@ -30,6 +30,7 @@ channels are all improper has no finite limit and raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,10 +104,11 @@ class Dataset:
 class GridConfig:
     """Shared evaluation-grid policy.
 
-    The grid upper end x_max is found by doubling until every proper
-    channel has F_upper(x_max) >= 1 - tail_eps (capped at hard_cap);
-    the knots are half linearly and half logarithmically spaced on
-    (0, x_max], plus x = 0.
+    The grid upper end x_max is the smallest power of two on the ladder
+    1, 2, 4, ..., 2**k <= hard_cap at which every proper channel has
+    F_upper(x_max) >= 1 - tail_eps.  The rung 1 is always on the
+    ladder, even when hard_cap < 1.  The knots are half linearly and
+    half logarithmically spaced on (0, x_max], plus x = 0.
     """
 
     points: int = 512
@@ -118,8 +120,8 @@ class GridConfig:
             raise ValueError("points must be >= 16")
         if not (0 < self.tail_eps < 1e-3):
             raise ValueError("tail_eps must lie in (0, 1e-3)")
-        if self.hard_cap <= 0:
-            raise ValueError("hard_cap must be positive")
+        if not (0 < self.hard_cap < math.inf):
+            raise ValueError("hard_cap must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -148,13 +150,22 @@ class PlausibilityDensity:
     normalization: float
 
 
-def _channel_cdf(ch: ChannelObservation, x, num_shapes, method, quad):
-    kn, kb, ke = num_shapes
+def _conditioning(ch: ChannelObservation) -> float:
+    """P(N_upper >= Y_lower / t), the event both endpoint CDFs condition on."""
     den = conditioning_probability(ch.n + 1, 1.0, ch.y, 1.0 / ch.t)
     if den < _MIN_CONDITIONING:
         raise NumericalError(
             f"conditioning probability underflows for channel {ch}"
         )
+    return den
+
+
+def _channel_cdf(ch: ChannelObservation, x, num_shapes, method, quad, den):
+    if np.any(np.asarray(x) < 0):
+        raise ValueError("x must be >= 0")
+    if den is None:
+        den = _conditioning(ch)
+    kn, kb, ke = num_shapes
     s = survival(x, kn, 1.0, kb, 1.0 / ch.t, ke, 1.0 / ch.u, method, quad)
     return clamp_unit(1.0 - s / den)
 
@@ -164,16 +175,17 @@ def channel_cdf_lower(
     x,
     method: str = "auto",
     quad: QuadratureConfig | None = None,
+    *,
+    den: float | None = None,
 ):
     """CDF of the truncated interval's lower end at x (scalar or array).
 
     With n == 0 the lower end is pinned at 0 and the CDF is 1
     everywhere; that case falls out of the degenerate-shape
-    conventions rather than a branch here.
+    conventions rather than a branch here.  ``den`` is the channel's
+    conditioning probability when the caller already holds it.
     """
-    if np.any(np.asarray(x) < 0):
-        raise ValueError("x must be >= 0")
-    return _channel_cdf(ch, x, (ch.n, ch.y + 1, ch.z + 1), method, quad)
+    return _channel_cdf(ch, x, (ch.n, ch.y + 1, ch.z + 1), method, quad, den)
 
 
 def channel_cdf_upper(
@@ -181,15 +193,16 @@ def channel_cdf_upper(
     x,
     method: str = "auto",
     quad: QuadratureConfig | None = None,
+    *,
+    den: float | None = None,
 ):
     """CDF of the interval's upper end at x (scalar or array).
 
     Identically 0 for finite x when z == 0: with no efficiency
     information the upper end is infinite and the channel is improper.
+    ``den`` is as for :func:`channel_cdf_lower`.
     """
-    if np.any(np.asarray(x) < 0):
-        raise ValueError("x must be >= 0")
-    return _channel_cdf(ch, x, (ch.n + 1, ch.y, ch.z), method, quad)
+    return _channel_cdf(ch, x, (ch.n + 1, ch.y, ch.z), method, quad, den)
 
 
 def shared_grid(
@@ -200,25 +213,38 @@ def shared_grid(
 ) -> np.ndarray:
     """Evaluation knots shared by every channel of a dataset.
 
+    x_max is the first rung of the power-of-two ladder 1, 2, 4, ...,
+    2**k <= grid.hard_cap (see :class:`GridConfig`) at which every
+    proper channel's F_upper reaches 1 - tail_eps.  Each proper channel
+    is evaluated once on the whole ladder: a series pass costs about
+    the same at the ladder's width as at a single point.
+
     Raises UnboundedLimit when no channel is proper (every z == 0), as
-    no finite grid can capture the evidence.
+    no finite grid can capture the evidence, and NumericalError naming
+    the channels still short of 1 - tail_eps when no rung passes.
     """
     proper = [ch for ch in channels if ch.z > 0]
     if not proper:
         raise UnboundedLimit(
             "all channels have z == 0: the upper limit is infinite"
         )
-    x_max = 1.0
-    while any(
-        channel_cdf_upper(ch, x_max, method, quad) < 1.0 - grid.tail_eps
-        for ch in proper
-    ):
-        x_max *= 2.0
-        if x_max > grid.hard_cap:
-            raise NumericalError(
-                f"grid search exceeded hard_cap={grid.hard_cap} before the "
-                f"upper-end CDFs reached 1 - tail_eps"
-            )
+    top = max(math.frexp(grid.hard_cap)[1] - 1, 0)
+    ladder = np.ldexp(1.0, np.arange(top + 1))
+    passed = np.array(
+        [
+            channel_cdf_upper(ch, ladder, method, quad) >= 1.0 - grid.tail_eps
+            for ch in proper
+        ]
+    )
+    ok = passed.all(axis=0)
+    if not ok.any():
+        short = [ch for ch, p in zip(proper, passed) if not p[-1]]
+        raise NumericalError(
+            f"grid search exceeded hard_cap={grid.hard_cap} before the "
+            f"upper-end CDFs reached 1 - tail_eps; still short at "
+            f"x={ladder[-1]:g}: {', '.join(map(str, short))}"
+        )
+    x_max = float(ladder[np.argmax(ok)])
     k_lin = grid.points // 2
     k_log = grid.points - k_lin
     lin = np.linspace(x_max / k_lin, x_max, k_lin)
@@ -241,8 +267,9 @@ def channel_curves(
     """
     if xs is None:
         xs = shared_grid([ch], grid, method, quad)
-    f_lower = np.asarray(channel_cdf_lower(ch, xs, method, quad))
-    f_upper = np.asarray(channel_cdf_upper(ch, xs, method, quad))
+    den = _conditioning(ch)
+    f_lower = np.asarray(channel_cdf_lower(ch, xs, method, quad, den=den))
+    f_upper = np.asarray(channel_cdf_upper(ch, xs, method, quad, den=den))
     r = np.maximum(f_lower - f_upper, 0.0)
     return ChannelCurves(
         xs=xs, f_lower=f_lower, f_upper=f_upper, r=r, improper=(ch.z == 0)

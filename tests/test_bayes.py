@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dsplim._gamma_ratio import conditioning_probability
 from dsplim.bayes import (
     GammaPosteriors,
     PriorConfig,
@@ -152,6 +153,19 @@ class TestUpperLimitQuantile:
     def test_quantile_domain(self):
         with pytest.raises(ValueError):
             bayes_upper_limit(CH, prior_preset("B1"), 1.0)
+
+    def test_one_conditioning_probability_per_quantile(self, monkeypatch):
+        import dsplim.bayes as bayes
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return conditioning_probability(*args)
+
+        monkeypatch.setattr(bayes, "conditioning_probability", counted)
+        bayes_upper_limit(CH, prior_preset("B1"), 0.9)
+        assert len(calls) == 1
 
 
 class TestCrossModuleIdentity:

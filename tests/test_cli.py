@@ -122,6 +122,21 @@ class TestLimitsCommand:
         out = str(tmp_path / "limits.csv")
         assert main(["limits", "--input", inp, "--output", out]) == 2
 
+    def test_numerical_failure_names_row_and_channel(self, tmp_path, capsys):
+        inp = _write_input(tmp_path, "channels 1\nscales 1 1e8\n5 2 40\n0 0 1\n")
+        out = str(tmp_path / "limits.csv")
+        assert main(["limits", "--input", inp, "--output", out]) == 3
+        err = capsys.readouterr().err
+        assert "dataset row 1:" in err
+        assert "hard_cap" in err and "n=0, y=0, z=1" in err
+
+    def test_bayes_numerical_failure_names_row(self, tmp_path, capsys):
+        inp = _write_input(tmp_path, "channels 1\nscales 0.05 10\n3 2 5\n0 5000 1\n")
+        out = str(tmp_path / "limits.csv")
+        rc = main(["limits", "--input", inp, "--output", out, "--method", "bayes:B1"])
+        assert rc == 3
+        assert "dataset row 1: posterior mass" in capsys.readouterr().err
+
     def test_bytes_identical_across_worker_counts(self, tmp_path):
         inp = _write_input(
             tmp_path,

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import dsplim.ds_limits as ds_limits
+from dsplim._gamma_ratio import NumericalError
 from dsplim.ds_limits import (
     ChannelObservation,
     Dataset,
@@ -142,20 +144,126 @@ class TestCurves:
             GridConfig(tail_eps=0.5)
 
     def test_hard_cap_is_a_hard_error(self):
-        from dsplim._gamma_ratio import NumericalError
-
         # u this large pushes the upper-end tail beyond the cap
         ch = ChannelObservation(0, 0, 1, 1.0, 1e11)
-        with pytest.raises(NumericalError):
-            shared_grid([ch], GridConfig(hard_cap=1e12))
+        with pytest.raises(NumericalError, match="still short") as err:
+            shared_grid([TASK1A, ch], GridConfig(hard_cap=1e12))
+        assert str(ch) in str(err.value)
+        assert str(TASK1A) not in str(err.value)
+
+    def test_grid_config_rejects_unbounded_cap(self):
+        for cap in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                GridConfig(hard_cap=cap)
 
     def test_clamp_policy(self):
-        from dsplim._gamma_ratio import NumericalError, clamp_unit
+        from dsplim._gamma_ratio import clamp_unit
 
         assert clamp_unit(1.0 + 1e-10) == 1.0
         assert clamp_unit(-1e-10) == 0.0
         with pytest.raises(NumericalError):
             clamp_unit(1.0 + 1e-8)
+
+
+def _doubling_grid(channels, grid):
+    """Reference x_max search: one scalar upper-CDF probe per doubling."""
+    proper = [ch for ch in channels if ch.z > 0]
+    x_max = 1.0
+    while any(
+        channel_cdf_upper(ch, x_max) < 1.0 - grid.tail_eps for ch in proper
+    ):
+        x_max *= 2.0
+        if x_max > grid.hard_cap:
+            raise NumericalError("grid search exceeded hard_cap")
+    k_lin = grid.points // 2
+    k_log = grid.points - k_lin
+    lin = np.linspace(x_max / k_lin, x_max, k_lin)
+    log = np.geomspace(x_max * 1e-9, x_max, k_log)
+    return np.unique(np.concatenate([[0.0], lin, log]))
+
+
+def _assert_same_grid(channels, grid=GridConfig()):
+    assert np.array_equal(shared_grid(channels, grid), _doubling_grid(channels, grid))
+
+
+class TestGridLadder:
+    """The vectorized ladder picks the x_max the doubling loop picked."""
+
+    def test_criterion4_box_slice(self):
+        cells = [
+            (n, y, z)
+            for n in range(20)
+            for y in range(13)
+            for z in range(1, 13)
+        ]
+        for n, y, z in cells[::7]:
+            _assert_same_grid([ChannelObservation(n, y, z, 3.3, 10.0)])
+
+    def test_multi_channel(self):
+        a = ChannelObservation(5, 10, 100, 33.0, 100.0)
+        b = ChannelObservation(3, 4, 40, 15.0, 53.0)
+        c = ChannelObservation(0, 2, 1, 3.3, 10.0)
+        d = ChannelObservation(9, 1, 0, 2.0, 20.0)
+        e = ChannelObservation(14, 3, 6, 1.0, 4.0)
+        for chans in ((a, b), (b, c), (a, c, d), (a, b, c, e), (d, e)):
+            _assert_same_grid(list(chans))
+
+    def test_heavy_tailed_channels(self):
+        for z in (1, 2):
+            for n in (0, 3, 12, 40):
+                for u in (10.0, 100.0):
+                    _assert_same_grid([ChannelObservation(n, 2, z, 3.3, u)])
+
+    def test_cap_at_a_power_of_two_allows_that_rung(self):
+        ch = ChannelObservation(12, 2, 1, 3.3, 100.0)
+        top = _doubling_grid([ch], GridConfig())[-1]
+        assert top > 1.0
+        at_cap = GridConfig(hard_cap=top)
+        _assert_same_grid([ch], at_cap)
+        assert shared_grid([ch], at_cap)[-1] == top
+        below = GridConfig(hard_cap=np.nextafter(top, 0.0))
+        with pytest.raises(NumericalError):
+            _doubling_grid([ch], below)
+        with pytest.raises(NumericalError):
+            shared_grid([ch], below)
+
+    def test_cap_below_one_still_checks_rung_one(self):
+        grid = GridConfig(hard_cap=0.5)
+        easy = ChannelObservation(0, 0, 200, 1.0, 1.0)
+        _assert_same_grid([easy], grid)
+        assert shared_grid([easy], grid)[-1] == 1.0
+        with pytest.raises(NumericalError):
+            shared_grid([TASK1B], grid)
+
+
+class TestEvaluationCount:
+    """One series pass per proper channel for the grid, one conditioning
+    probability per channel for its curves."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        tally = {"survival": 0, "conditioning_probability": 0}
+        for name in tally:
+            fn = getattr(ds_limits, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                tally[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(ds_limits, name, counted)
+        return tally
+
+    def test_shared_grid_one_survival_per_proper_channel(self, counts):
+        improper = ChannelObservation(2, 3, 0, 3.3, 10.0)
+        heavy = ChannelObservation(12, 2, 1, 3.3, 100.0)
+        shared_grid([TASK1A, improper, heavy, TASK1B])
+        assert counts == {"survival": 3, "conditioning_probability": 3}
+
+    def test_channel_curves_one_conditioning(self, counts):
+        xs = shared_grid([TASK1A])
+        counts.update(survival=0, conditioning_probability=0)
+        channel_curves(TASK1A, xs=xs)
+        assert counts == {"survival": 2, "conditioning_probability": 1}
 
 
 class TestCombine:
