@@ -20,7 +20,11 @@ integer kn, and averaging the tail over the B and E laws yields
     pb = wb / (wn + wb),    pe(x) = x * we / (wn + x * we),
 
 a finite convolution of negative binomial masses.  Every term is
-positive, so no cancellation occurs; cost is O(kn) per point.
+positive, so no cancellation occurs; cost is O(kn) per point.  The
+shapes are shared scalars (channel CDFs, one posterior) or arrays with
+one row per point of x (batched posteriors); both run one broadcast
+recurrence, in linear space, so one rule marks where its start value
+underflows: there "auto" uses quadrature and "series" raises.
 
 "quadrature" (any positive real shapes).  The beta-CDF form
 
@@ -36,6 +40,7 @@ the substitution g = alpha * v.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import betaincinv
@@ -57,62 +62,72 @@ class NumericalError(RuntimeError):
     """A numerical result fell outside its mathematically valid range."""
 
 
-def _validate(kn, wn, kb, wb, ke, we) -> None:
-    if min(kn, kb, ke) < 0:
+def _validate(kn, wn, kb, wb, ke, we) -> np.ndarray:
+    """Check shapes and scales; return the shapes as one (3, ...) array."""
+    shapes = np.array([kn, kb, ke], dtype=float)
+    if shapes.min() < 0:
         raise ValueError("gamma shapes must be >= 0")
     if min(wn, wb, we) <= 0:
         raise ValueError("gamma scales must be positive")
+    return shapes
 
 
-def _is_integral(k: float) -> bool:
-    return abs(k - round(k)) <= 1e-9
+def _is_integral(shapes: np.ndarray) -> bool:
+    return np.abs(shapes - np.rint(shapes)).max() <= 1e-9
 
 
-def _nb_pmf_block(r: float, p, count: int):
-    """Negative binomial pmf values at 0..count-1, vectorized over p.
+def _series_underflows(kb: np.ndarray, wn, wb) -> bool:
+    """Whether some start value (1 - pb)**kb of the background block
+    lies below exp(_SERIES_LOG_START_MIN)."""
+    return kb.max() * math.log1p(-wb / (wn + wb)) < _SERIES_LOG_START_MIN
 
-    p may be a scalar or a 1-d array; the result has shape
-    (count, len(p)).  r == 0 is the degenerate distribution at 0.
-    Start values that underflow are returned as exact zeros, which is
-    the correct limit for this module's use (the mass below ``count``
-    is then negligible relative to double precision).
+
+def _nb_pmf_block(r, p, count: int) -> np.ndarray:
+    """Negative binomial pmf values at 0..count-1, broadcast over r and p.
+
+    The result has shape (count,) + the broadcast shape of r and p.
+    r == 0 is the exact point mass at 0, also at p == 1.  Start values
+    that underflow are returned as exact zeros, which is the correct
+    limit here (the mass below ``count`` is then negligible).  The
+    caller silences the warnings of log1p(-1) and 0 * inf.
     """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    out = np.zeros((count, p.size))
-    if r == 0:
-        out[0] = 1.0
-        return out
-    with np.errstate(divide="ignore"):
-        log_start = r * np.log1p(-p)
-    out[0] = np.exp(log_start)
-    for m in range(1, count):
-        out[m] = out[m - 1] * p * ((r + m - 1.0) / m)
+    start = np.exp(np.where(r == 0, 0.0, r * np.log1p(-p)))
+    out = np.empty((count,) + start.shape)
+    out[0] = start
+    for i in range(1, count):
+        out[i] = out[i - 1] * p * ((r + i - 1.0) / i)
     return out
 
 
 def survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
-    """Exact evaluation of P(A > B + x*E) for integer shapes."""
-    _validate(kn, wn, kb, wb, ke, we)
+    """Exact P(A > B + x*E) for integer shapes: kn, kb, ke are shared
+    scalars or 1-d arrays with one entry per point of x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0):
+    shapes = _validate(kn, wn, kb, wb, ke, we)
+    if (x < 0).any():
         raise ValueError("x must be >= 0")
-    for k in (kn, kb, ke):
-        if not _is_integral(k):
-            raise ValueError("series route requires integer shapes")
-    kn, kb, ke = int(round(kn)), int(round(kb)), int(round(ke))
-    if kn == 0:
+    if not _is_integral(shapes):
+        raise ValueError("series route requires integer shapes")
+    kn, kb, ke = np.rint(shapes)
+    count = int(kn.max())
+    if count == 0:
         return np.zeros(x.shape)
-    pb = wb / (wn + wb)
-    if kb > 0 and kb * math.log1p(-pb) < _SERIES_LOG_START_MIN:
+    if _series_underflows(kb, wn, wb):
         raise NumericalError(
             "background block underflows in the series route; "
             "use the quadrature route"
         )
-    nb_b = _nb_pmf_block(kb, pb, kn)[:, 0]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         pe = np.where(np.isinf(x), 1.0, x * we / (wn + x * we))
-    cum_e = np.cumsum(_nb_pmf_block(ke, pe, kn), axis=0)
-    return nb_b[::-1] @ cum_e
+        nb_b = _nb_pmf_block(kb, wb / (wn + wb), count)
+        cum_e = np.cumsum(_nb_pmf_block(ke, pe, count), axis=0)
+    if shapes.ndim == 1:
+        return nb_b[::-1] @ cum_e
+    # Row i sums nb_b[m, i] * cum_e[kn_i - 1 - m, i] over m < kn_i.
+    # (A flat gather is faster here than np.take_along_axis.)
+    lag = kn.astype(int) - 1 - np.arange(count)[:, None]
+    rows = cum_e.ravel()[np.maximum(lag, 0) * x.size + np.arange(x.size)]
+    return np.einsum("mi,mi->i", nb_b, np.where(lag >= 0, rows, 0.0))
 
 
 _BREAK_LEVELS = np.array(
@@ -164,13 +179,7 @@ def survival_quadrature(
             )
 
         pts = _inner_breakpoints(alpha, kn, wn, kb, wb, ke)
-        piece_cfg = QuadratureConfig(
-            rel_tol=quad.rel_tol,
-            abs_tol=quad.abs_tol / max(len(pts) - 1, 1),
-            max_subdivisions=quad.max_subdivisions,
-            rule=quad.rule,
-            rectangle_points=quad.rectangle_points,
-        )
+        piece_cfg = replace(quad, abs_tol=quad.abs_tol / max(len(pts) - 1, 1))
         inner = sum(
             integrate(integrand, float(a), float(b), piece_cfg)
             for a, b in zip(pts[:-1], pts[1:])
@@ -195,13 +204,12 @@ def survival(
     integers in range, falling back to quadrature otherwise.
     """
     if method == "auto":
-        series_ok = all(
-            _is_integral(k) and k <= _SERIES_MAX_SHAPE for k in (kn, kb, ke)
+        shapes = np.array([kn, kb, ke], dtype=float)
+        series_ok = (
+            _is_integral(shapes)
+            and shapes.max() <= _SERIES_MAX_SHAPE
+            and not _series_underflows(shapes[1], wn, wb)
         )
-        if series_ok:
-            pb = wb / (wn + wb)
-            if kb > 0 and kb * math.log1p(-pb) < _SERIES_LOG_START_MIN:
-                series_ok = False
         method = "series" if series_ok else "quadrature"
     scalar = np.ndim(x) == 0
     if method == "series":

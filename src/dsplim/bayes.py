@@ -6,7 +6,10 @@ shapes are count + prior shape and the scales are (1, 1/t, 1/u).
 The signal posterior is the law of (L_n - B) / E restricted to the
 nonnegative half-line, with L_n, B, E the three posterior gammas, and
 its CDF shares the evaluation engine used by the belief-interval
-channel CDFs.
+channel CDFs: :func:`dsplim._gamma_ratio.survival_series`, with shared
+shapes for one posterior and per-row shapes for a batch.  Every
+quantile, scalar or batched, is one call of
+:func:`dsplim.specfun.bisect_monotone`.
 
 Note on the scale convention: a proper unit-scale gamma prior combined
 with the Poisson likelihood would put scale 1/2 (and 1/(2t), 1/(2u))
@@ -18,7 +21,6 @@ variant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +31,10 @@ from ._gamma_ratio import (
     clamp_unit,
     conditioning_probability,
     survival,
+    survival_series,
 )
 from .ds_limits import ChannelObservation
-from .specfun import QuadratureConfig
+from .specfun import QuadratureConfig, bisect_monotone
 
 __all__ = [
     "PriorConfig",
@@ -141,19 +144,14 @@ def posterior_quantile(
     if not 0.0 < q < 1.0:
         raise ValueError("quantile must lie strictly inside (0, 1)")
     den = _posterior_conditioning(post)
-    lo, hi = 0.0, 1.0
-    while _posterior_cdf(post, hi, den, method, quad) < q:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e15:
-            raise NumericalError("posterior quantile bracket exceeded 1e15")
-    while hi - lo > rel_tol * max(hi, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if _posterior_cdf(post, mid, den, method, quad) >= q:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(
+        bisect_monotone(
+            lambda x: _posterior_cdf(post, x, den, method, quad) >= q,
+            (),
+            rel_tol,
+            NumericalError,
+        )
+    )
 
 
 def bayes_upper_limit(
@@ -169,36 +167,6 @@ def bayes_upper_limit(
     return posterior_quantile(post, q, method, quad, rel_tol)
 
 
-def _survival_series_rows(x, kn, kb, ke, wn, wb, we):
-    """Series survival evaluated row-wise: one x per (kn, kb, ke) row.
-
-    Shapes vary per row but the scales are shared scalars.  Used by
-    the batched quantile search; all-positive recurrences as in the
-    scalar series route.
-    """
-    rows = x.size
-    kmax = int(kn.max())
-    m = np.arange(kmax, dtype=float)
-    pb = wb / (wn + wb)
-    if np.any(kb * math.log1p(-pb) < -600.0):
-        raise NumericalError("background block underflows in batched series")
-    nb_b = np.empty((rows, kmax))
-    nb_b[:, 0] = np.exp(kb * math.log1p(-pb))
-    for j in range(1, kmax):
-        nb_b[:, j] = nb_b[:, j - 1] * (pb * (kb + j - 1.0) / j)
-    pe = x * we / (wn + x * we)
-    nb_e = np.empty((rows, kmax))
-    with np.errstate(divide="ignore"):
-        nb_e[:, 0] = np.exp(ke * np.log1p(-pe))
-    for j in range(1, kmax):
-        nb_e[:, j] = nb_e[:, j - 1] * (pe * (ke + j - 1.0) / j)
-    cum_e = np.cumsum(nb_e, axis=1)
-    mask = m[None, :] < kn[:, None]
-    take = np.clip(kn[:, None] - 1 - m[None, :].astype(int), 0, kmax - 1)
-    rev = np.take_along_axis(cum_e, take.astype(int), axis=1)
-    return np.sum(nb_b * rev * mask, axis=1)
-
-
 def bayes_upper_limits_batch(
     ns,
     ys,
@@ -212,9 +180,13 @@ def bayes_upper_limits_batch(
     """Upper limits for many single-channel datasets at once.
 
     Returns an array of shape (len(quantiles), len(ns)).  Requires the
-    integer-shape prior presets; each dataset's bisection trajectory is
-    independent of the batch composition, so results are identical to
-    the scalar routine and to any re-batching.
+    integer-shape prior presets.  One (dataset, quantile) pair is one
+    row of the per-row series engine, and all rows are bisected
+    together by the same rule as :func:`posterior_quantile`.  Each
+    row's trajectory is independent of the batch composition, so
+    results are identical under any re-batching; they agree with the
+    scalar routine to rounding, as the per-row sum runs in another
+    order.  Raises NumericalError when a limit exceeds the bracket cap.
     """
     ns = np.asarray(ns, dtype=int)
     ys = np.asarray(ys, dtype=int)
@@ -233,25 +205,10 @@ def bayes_upper_limits_batch(
     # F(x) >= q  <=>  survival(x) <= (1 - q) * den
     thresh = (1.0 - q_rows) * den
 
-    lo = np.zeros(kn.size)
-    hi = np.ones(kn.size)
-    for _ in range(64):
-        s_hi = _survival_series_rows(hi, kn, kb, ke, wn, wb, we)
-        need = s_hi > thresh
-        if not need.any():
-            break
-        lo = np.where(need, hi, lo)
-        hi = np.where(need, hi * 2.0, hi)
-    else:
-        raise NumericalError("batched quantile bracket did not close")
-
-    active = np.ones(kn.size, dtype=bool)
-    while active.any():
-        mid = 0.5 * (lo + hi)
-        s_mid = _survival_series_rows(mid, kn, kb, ke, wn, wb, we)
-        ok = s_mid <= thresh
-        hi = np.where(active & ok, mid, hi)
-        lo = np.where(active & ~ok, mid, lo)
-        active = (hi - lo) > rel_tol * np.maximum(hi, 1e-300)
-    limits = 0.5 * (lo + hi)
+    limits = bisect_monotone(
+        lambda x: survival_series(x, kn, wn, kb, wb, ke, we) <= thresh,
+        kn.shape,
+        rel_tol,
+        NumericalError,
+    )
     return limits.reshape(nd, quantiles.size).T

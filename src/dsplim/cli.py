@@ -38,6 +38,8 @@ from .ds_limits import (
 )
 from .evalharness import (
     CredibilityConfig,
+    EnumerationTooLarge,
+    NoPosteriorMass,
     coverage_enumerate,
     coverage_importance,
     credibility,
@@ -378,6 +380,15 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return a, b
 
 
+def _int_at_least(low: int):
+    def count(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}")
+        return int(text)
+
+    return count
+
+
 def _threads_value(arg_value: int | None) -> int:
     value = arg_value
     if value is None:
@@ -429,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--s-grid", type=_parse_s_grid, default=_parse_s_grid("0:25:0.25"))
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_int_at_least(2), default=10000,
+                   help="importance-sampling draws (>= 2 for a standard error)")
     p.add_argument("--s-ref", type=float, default=None)
     p.add_argument("--enum-tail-eps", type=float, default=1e-10)
 
@@ -439,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gamma prior on b as mean:sd")
     p.add_argument("--e-prior", type=_parse_pair, default=(1.0, 0.1),
                    help="gamma prior on eps as mean:sd")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_int_at_least(1), default=10000)
 
     p = sub.add_parser("simulate", help="coverage simulation study")
     common(p, needs_input=False)
@@ -515,10 +527,10 @@ def main(argv=None) -> int:
     try:
         cfg = _to_config(args)
         return _COMMANDS[args.command](cfg)
-    except (DatasetFormatError, ValueError, OSError) as exc:
+    except (DatasetFormatError, ValueError, OSError, EnumerationTooLarge) as exc:
         print(f"dsplim: error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationError, NumericalError) as exc:
+    except (IntegrationError, NumericalError, NoPosteriorMass) as exc:
         print(f"dsplim: numerical failure: {exc}", file=sys.stderr)
         return 3
     except UnboundedLimit as exc:

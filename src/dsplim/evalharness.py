@@ -34,6 +34,7 @@ from .ds_limits import (
     dataset_limits,
 )
 from .sampling import DEFAULT_SEED, RngHandle, derive_stream_id
+from .specfun import bisect_monotone
 
 __all__ = [
     "NuisanceTruth",
@@ -373,19 +374,14 @@ def credibility_limit(
     if not 0.0 < q < 1.0:
         raise ValueError("quantile must lie strictly inside (0, 1)")
     bs, es = _posterior_nuisance_draws(ch, cfg, n_samples, rng)
-    lo, hi = 0.0, 1.0
-    while _credibility_from_draws(hi, ch.n, bs, es) < q:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e15:
-            raise NoPosteriorMass("credibility quantile bracket exceeded 1e15")
-    while hi - lo > rel_tol * max(hi, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if _credibility_from_draws(mid, ch.n, bs, es) >= q:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(
+        bisect_monotone(
+            lambda r: _credibility_from_draws(float(r), ch.n, bs, es) >= q,
+            (),
+            rel_tol,
+            NoPosteriorMass,
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Special functions and one-dimensional quadrature.
+"""Special functions, one-dimensional quadrature and root bracketing.
 
 Everything downstream (interval laws, channel CDFs, posterior CDFs,
 coverage weights) is built from the regularized incomplete gamma and
-beta functions plus a deterministic quadrature rule.  The functions
-here wrap scipy.special for the nondegenerate cases and add the
-degenerate shape conventions this package relies on:
+beta functions plus a deterministic quadrature rule; every quantile
+search (posterior, batched posterior, credibility) is one call of
+:func:`bisect_monotone`.  The functions here wrap scipy.special for the
+nondegenerate cases and add the degenerate shape conventions this
+package relies on:
 
 * gamma shape 0   -> point mass at 0 (CDF identically 1 for x >= 0)
 * beta a = 0      -> point mass at 0 (CDF identically 1 on [0, 1])
@@ -29,29 +31,22 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance and rule selection for :func:`integrate`.
+    """Tolerances of the adaptive Simpson rule in :func:`integrate`.
 
     rel_tol / abs_tol: the integral estimate I satisfies
     |I - true| <= max(abs_tol, rel_tol * |I|) for smooth integrands.
-    max_subdivisions bounds the number of interval splits of the
-    adaptive rule.  rule selects "simpson" (adaptive composite
-    Simpson, the default) or "rectangle" (fixed midpoint rule with
-    rectangle_points panels, no error control).
+    max_subdivisions bounds the number of interval splits.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_subdivisions: int = 2**16
-    rule: str = "simpson"
-    rectangle_points: int = 100
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.rule not in ("simpson", "rectangle"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
 
 def log_gamma(x):
@@ -145,12 +140,10 @@ def integrate(
     hi: float,
     cfg: QuadratureConfig = QuadratureConfig(),
 ) -> float:
-    """Integrate f over [lo, hi].
+    """Integrate f over [lo, hi] by adaptive composite Simpson.
 
-    The default rule is adaptive composite Simpson with local error
-    control; the "rectangle" rule is a fixed midpoint rule kept for
-    comparisons against the historical procedure.  Deterministic:
-    identical inputs produce bitwise-identical results.
+    Iterative, with an explicit interval stack and local error control.
+    Deterministic: identical inputs produce bitwise-identical results.
 
     Raises IntegrationError when the subdivision budget is exhausted
     before the tolerance is met.
@@ -159,15 +152,6 @@ def integrate(
         raise ValueError("integrate requires lo <= hi")
     if lo == hi:
         return 0.0
-    if cfg.rule == "rectangle":
-        n = cfg.rectangle_points
-        xs = lo + (np.arange(n) + 0.5) * (hi - lo) / n
-        return float(sum(f(float(x)) for x in xs) * (hi - lo) / n)
-    return _adaptive_simpson(f, lo, hi, cfg)
-
-
-def _adaptive_simpson(f, lo, hi, cfg: QuadratureConfig) -> float:
-    """Iterative adaptive Simpson with an explicit interval stack."""
     flo, fhi = f(lo), f(hi)
     mid = 0.5 * (lo + hi)
     fmid = f(mid)
@@ -199,3 +183,31 @@ def _adaptive_simpson(f, lo, hi, cfg: QuadratureConfig) -> float:
         stack.append((a, m, fa, flm, fm, s_left, half))
         stack.append((m, b, fm, frm, fb, s_right, half))
     return total
+
+
+# The largest bracket end :func:`bisect_monotone` may reach.
+BRACKET_CAP = 1e15
+
+
+def bisect_monotone(reached, shape, rel_tol: float, error: type[Exception]):
+    """Roots of monotone predicates on x >= 0, vectorized.
+
+    ``reached(x)`` maps an array x of ``shape`` (``()`` for one root)
+    to booleans, False below each element's root and True from it on.
+    The bracket starts at [0, 1] and doubles where it falls short;
+    ``error`` is raised once an upper end would pass BRACKET_CAP.  Each
+    element is then bisected until hi - lo <= rel_tol * max(hi, 1e-300)
+    and its bracket midpoint returned.
+    """
+    lo, hi = np.zeros(shape), np.ones(shape)
+    while (short := ~np.asarray(reached(hi), dtype=bool)).any():
+        lo = np.where(short, hi, lo)
+        hi = np.where(short, 2.0 * hi, hi)
+        if (hi > BRACKET_CAP).any():
+            raise error(f"root bracket exceeded {BRACKET_CAP:g}")
+    while (active := hi - lo > rel_tol * np.maximum(hi, 1e-300)).any():
+        mid = 0.5 * (lo + hi)
+        ok = np.asarray(reached(mid), dtype=bool)
+        hi = np.where(active & ok, mid, hi)
+        lo = np.where(active & ~ok, mid, lo)
+    return 0.5 * (lo + hi)

@@ -45,6 +45,8 @@ from dsplim.poisson_dsm import ARandomIntervalLaw, sample_intervals, singleton_p
 from dsplim.sampling import RngHandle
 from oracles import mc_channel_cdfs, mc_posterior_ratio_cdf
 
+pytestmark = pytest.mark.acceptance
+
 ORACLE_CHANNELS = [
     ChannelObservation(5, 10, 100, 33.0, 100.0),
     ChannelObservation(0, 3, 10, 3.3, 10.0),

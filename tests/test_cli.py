@@ -212,6 +212,30 @@ class TestCoverageCommand:
         assert all(0.0 <= float(r[1]) <= 1.0 for r in rows[1:])
         assert all(r[3] == "" for r in rows[1:])
 
+    def test_box_beyond_cell_budget_is_an_error(self, tmp_path, capsys):
+        out = str(tmp_path / "cov.csv")
+        rc = main(
+            [
+                "coverage", "--output", out, "--mode", "enumerate",
+                "--t", "33", "--u", "100", "--eps", "1", "--b", "3",
+                "--s-grid", "0:40:5",
+            ]
+        )
+        assert rc == 2
+        assert "dsplim: error:" in capsys.readouterr().err
+
+    def test_importance_needs_two_samples(self, tmp_path):
+        out = str(tmp_path / "cov.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "coverage", "--output", out, "--mode", "importance",
+                    "--t", "3.3", "--u", "10", "--eps", "0.1", "--b", "0.3",
+                    "--samples", "1",
+                ]
+            )
+        assert exc.value.code == 2
+
 
 class TestCredibilityCommand:
     def test_credibility_in_unit_interval(self, tmp_path):
@@ -235,6 +259,25 @@ class TestCredibilityCommand:
         inp = _write_input(tmp_path, text)
         out = str(tmp_path / "cred.csv")
         assert main(["credibility", "--input", inp, "--output", out]) == 2
+
+    def test_zero_samples_rejected(self, tmp_path):
+        inp = _write_input(tmp_path, GOOD)
+        out = str(tmp_path / "cred.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["credibility", "--input", inp, "--output", out, "--samples", "0"])
+        assert exc.value.code == 2
+
+    def test_no_posterior_mass_is_a_numerical_failure(self, tmp_path, capsys):
+        inp = _write_input(tmp_path, "channels 1\nscales 1 100\n0 0 100\n")
+        out = str(tmp_path / "cred.csv")
+        rc = main(
+            [
+                "credibility", "--input", inp, "--output", out,
+                "--b-prior", "900:1", "--samples", "100", "--quantiles", "0.9",
+            ]
+        )
+        assert rc == 3
+        assert "dsplim: numerical failure:" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -160,13 +160,6 @@ class TestIntegrate:
         b = integrate(f, 0.0, 4.0)
         assert a == b
 
-    def test_rectangle_rule(self):
-        cfg = QuadratureConfig(rule="rectangle", rectangle_points=100)
-        # midpoint rule integrates linear functions exactly
-        assert integrate(lambda x: x, 0.0, 2.0, cfg) == pytest.approx(2.0, rel=1e-14)
-        val = integrate(lambda x: x * x, 0.0, 1.0, cfg)
-        assert val == pytest.approx(1.0 / 3.0, rel=1e-3)
-
     def test_nonconvergence_reported(self):
         cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=8)
         with pytest.raises(IntegrationError):
@@ -181,5 +174,3 @@ class TestIntegrate:
             QuadratureConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(rule="gauss")
