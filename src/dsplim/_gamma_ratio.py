@@ -78,8 +78,10 @@ def _is_integral(shapes: np.ndarray) -> bool:
 
 def _series_underflows(kb: np.ndarray, wn, wb) -> bool:
     """Whether some start value (1 - pb)**kb of the background block
-    lies below exp(_SERIES_LOG_START_MIN)."""
-    return kb.max() * math.log1p(-wb / (wn + wb)) < _SERIES_LOG_START_MIN
+    lies below exp(_SERIES_LOG_START_MIN).  When pb rounds to 1 the
+    start value is 0 for every kb > 0, which counts as underflow."""
+    pb, top = wb / (wn + wb), kb.max()
+    return top > 0 and (pb == 1.0 or top * math.log1p(-pb) < _SERIES_LOG_START_MIN)
 
 
 def _nb_pmf_block(r, p, count: int) -> np.ndarray:

@@ -115,7 +115,7 @@ def _posterior_conditioning(post: GammaPosteriors) -> float:
     return den
 
 
-def _posterior_cdf(post: GammaPosteriors, x, den, method, quad):
+def _posterior_cdf(post: GammaPosteriors, x, den, method="auto", quad=None):
     (kn, wn), (kb, wb), (ke, we) = post.ln, post.lb, post.le
     s = survival(x, kn, wn, kb, wb, ke, we, method, quad)
     return clamp_unit(1.0 - s / den)
@@ -133,20 +133,14 @@ def bayes_posterior_cdf(
     return _posterior_cdf(post, x, _posterior_conditioning(post), method, quad)
 
 
-def posterior_quantile(
-    post: GammaPosteriors,
-    q: float,
-    method: str = "auto",
-    quad: QuadratureConfig | None = None,
-    rel_tol: float = 1e-8,
-) -> float:
+def posterior_quantile(post: GammaPosteriors, q: float, rel_tol: float = 1e-8) -> float:
     """Root of CDF(x) = q by bracketing plus bisection."""
     if not 0.0 < q < 1.0:
         raise ValueError("quantile must lie strictly inside (0, 1)")
     den = _posterior_conditioning(post)
     return float(
         bisect_monotone(
-            lambda x: _posterior_cdf(post, x, den, method, quad) >= q,
+            lambda x: _posterior_cdf(post, x, den) >= q,
             (),
             rel_tol,
             NumericalError,
@@ -155,16 +149,10 @@ def posterior_quantile(
 
 
 def bayes_upper_limit(
-    ch: ChannelObservation,
-    prior: PriorConfig,
-    q: float,
-    method: str = "auto",
-    quad: QuadratureConfig | None = None,
-    rel_tol: float = 1e-8,
+    ch: ChannelObservation, prior: PriorConfig, q: float, rel_tol: float = 1e-8
 ) -> float:
     """One-sided upper limit: the q-quantile of the signal posterior."""
-    post = conjugate_posteriors(ch, prior)
-    return posterior_quantile(post, q, method, quad, rel_tol)
+    return posterior_quantile(conjugate_posteriors(ch, prior), q, rel_tol)
 
 
 def bayes_upper_limits_batch(
@@ -186,7 +174,8 @@ def bayes_upper_limits_batch(
     row's trajectory is independent of the batch composition, so
     results are identical under any re-batching; they agree with the
     scalar routine to rounding, as the per-row sum runs in another
-    order.  Raises NumericalError when a limit exceeds the bracket cap.
+    order.  Raises NumericalError when a row's posterior mass on s >= 0
+    underflows or a limit exceeds the bracket cap.
     """
     ns = np.asarray(ns, dtype=int)
     ys = np.asarray(ys, dtype=int)
@@ -202,6 +191,8 @@ def bayes_upper_limits_batch(
     ke = np.repeat(zs + int(round(prior.a_e)), quantiles.size).astype(float)
     q_rows = np.tile(quantiles, nd)
     den = sp.betainc(kb, kn.astype(float), wn / (wn + wb))
+    if not np.all(den > 0):
+        raise NumericalError("posterior mass on s >= 0 underflows")
     # F(x) >= q  <=>  survival(x) <= (1 - q) * den
     thresh = (1.0 - q_rows) * den
 

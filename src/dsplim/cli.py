@@ -9,7 +9,8 @@ Format (self-describing header, ``#`` comments allowed):
 
 All CSV output uses '.' decimals, 17 significant digits, LF line
 endings, and a fixed header row.  Exit codes: 0 success, 2 parse or
-validation error, 3 numerical failure, 4 unbounded-only results.
+validation error, 3 numerical failure (for ``limits``: some row has
+status ``failed``), 4 unbounded-only results.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .evalharness import (
     make_ds_method,
     simulate_study,
     _parallel_map,
+    _row_limits,
 )
 from .sampling import DEFAULT_SEED, RngHandle, derive_stream_id
 from .specfun import IntegrationError
@@ -189,36 +191,46 @@ def _write_csv(path, header, rows) -> None:
 # commands
 
 
-def _limit_row(dataset: Dataset, quantiles, grid: GridConfig):
+def _limit_row(dataset: Dataset, quantiles, grid: GridConfig, bayes):
+    """One dataset's CSV row and, for a failed row, its error message.
+
+    ``bayes`` is a single-channel Bayes limit method, or None for the
+    belief-interval limits of a dataset with any number of channels.
+    """
+    blank = [None] * len(quantiles)
     try:
-        lims = dataset_limits(dataset, quantiles, grid)
+        if bayes is None:
+            lims = dataset_limits(dataset, quantiles, grid)
+        else:
+            (ch,) = dataset.channels
+            lims = bayes(np.array([[ch.n, ch.y, ch.z]]), ch.t, ch.u, quantiles)[:, 0]
     except UnboundedLimit:
-        return (dataset.label, *([None] * len(quantiles)), "unbounded")
+        return (dataset.label, *blank, "unbounded"), None
     except (NumericalError, IntegrationError) as exc:
-        raise type(exc)(f"dataset row {dataset.label}: {exc}") from exc
-    return (dataset.label, *lims, "ok")
-
-
-def _bayes_row(dataset: Dataset, quantiles, method):
-    try:
-        lims = [method(dataset, q) for q in quantiles]
-    except (NumericalError, IntegrationError) as exc:
-        raise type(exc)(f"dataset row {dataset.label}: {exc}") from exc
-    return (dataset.label, *lims, "ok")
+        return (dataset.label, *blank, "failed"), f"dataset row {dataset.label}: {exc}"
+    return (dataset.label, *lims, "ok"), None
 
 
 def cmd_limits(cfg: RunConfig) -> int:
     with open(cfg.input) as fh:
         datasets = parse_dataset_file(fh)
-    if cfg.method == "ds":
-        worker = partial(_limit_row, quantiles=cfg.quantiles, grid=cfg.grid)
-    else:
-        method = make_bayes_method(cfg.method.split(":", 1)[1])
-        worker = partial(_bayes_row, quantiles=cfg.quantiles, method=method)
-    rows = _parallel_map(worker, datasets, cfg.threads)
+    bayes = None
+    if cfg.method != "ds":
+        if len(datasets[0].channels) != 1:
+            raise ValueError("the Bayesian comparison method is single-channel")
+        bayes = make_bayes_method(cfg.method.split(":", 1)[1])
+    worker = partial(_limit_row, quantiles=cfg.quantiles, grid=cfg.grid, bayes=bayes)
+    results = _parallel_map(worker, datasets, cfg.threads)
+    for _, message in results:
+        if message is not None:
+            print(f"dsplim: numerical failure: {message}", file=sys.stderr)
+    rows = [row for row, _ in results]
     header = ["dataset_id"] + [f"limit_{q:g}" for q in cfg.quantiles] + ["status"]
     _write_csv(cfg.output, header, rows)
-    if all(row[-1] == "unbounded" for row in rows):
+    statuses = {row[-1] for row in rows}
+    if "failed" in statuses:
+        return 3
+    if statuses == {"unbounded"}:
         return 4
     return 0
 
@@ -306,18 +318,20 @@ def cmd_credibility(cfg: RunConfig) -> int:
     x = cfg.extra
     with open(cfg.input) as fh:
         datasets = parse_dataset_file(fh)
-    for ds in datasets:
-        if len(ds.channels) != 1:
-            raise ValueError("credibility is defined for single-channel datasets")
+    if len(datasets[0].channels) != 1:
+        raise ValueError("credibility is defined for single-channel datasets")
     method = _select_method(cfg.method, cfg.grid)
     ccfg = CredibilityConfig(b_prior=x["b_prior"], e_prior=x["e_prior"])
-    q = cfg.quantiles[0]
+    channels = [ds.channels[0] for ds in datasets]
+    counts = np.array([(ch.n, ch.y, ch.z) for ch in channels])
+    limits = _row_limits(
+        method, counts, channels[0].t, channels[0].u, cfg.quantiles[:1], cfg.threads
+    )[0]
     rows = []
-    for i, ds in enumerate(datasets):
-        limit = method(ds, q)
+    for i, (ds, ch, limit) in enumerate(zip(datasets, channels, limits)):
         rng = RngHandle(cfg.seed, derive_stream_id("credibility", i))
-        cred = credibility(limit, ds.channels[0], ccfg, x["samples"], rng)
-        rows.append((ds.label, limit, cred))
+        cred = credibility(float(limit), ch, ccfg, x["samples"], rng)
+        rows.append((ds.label, float(limit), cred))
     _write_csv(cfg.output, ["dataset_id", "limit", "credibility"], rows)
     return 0
 

@@ -205,12 +205,7 @@ def channel_cdf_upper(
     return _channel_cdf(ch, x, (ch.n + 1, ch.y, ch.z), method, quad, den)
 
 
-def shared_grid(
-    channels,
-    grid: GridConfig = GridConfig(),
-    method: str = "auto",
-    quad: QuadratureConfig | None = None,
-) -> np.ndarray:
+def shared_grid(channels, grid: GridConfig = GridConfig()) -> np.ndarray:
     """Evaluation knots shared by every channel of a dataset.
 
     x_max is the first rung of the power-of-two ladder 1, 2, 4, ...,
@@ -232,7 +227,7 @@ def shared_grid(
     ladder = np.ldexp(1.0, np.arange(top + 1))
     passed = np.array(
         [
-            channel_cdf_upper(ch, ladder, method, quad) >= 1.0 - grid.tail_eps
+            channel_cdf_upper(ch, ladder) >= 1.0 - grid.tail_eps
             for ch in proper
         ]
     )
@@ -256,8 +251,6 @@ def channel_curves(
     ch: ChannelObservation,
     grid: GridConfig = GridConfig(),
     xs: np.ndarray | None = None,
-    method: str = "auto",
-    quad: QuadratureConfig | None = None,
 ) -> ChannelCurves:
     """Evaluate both endpoint CDFs and r = F_lower - F_upper on a grid.
 
@@ -266,10 +259,10 @@ def channel_curves(
     products are exact at the knots.
     """
     if xs is None:
-        xs = shared_grid([ch], grid, method, quad)
+        xs = shared_grid([ch], grid)
     den = _conditioning(ch)
-    f_lower = np.asarray(channel_cdf_lower(ch, xs, method, quad, den=den))
-    f_upper = np.asarray(channel_cdf_upper(ch, xs, method, quad, den=den))
+    f_lower = np.asarray(channel_cdf_lower(ch, xs, den=den))
+    f_upper = np.asarray(channel_cdf_upper(ch, xs, den=den))
     r = np.maximum(f_lower - f_upper, 0.0)
     return ChannelCurves(
         xs=xs, f_lower=f_lower, f_upper=f_upper, r=r, improper=(ch.z == 0)
@@ -310,17 +303,11 @@ def combine_channels(
 
 
 def dataset_density(
-    dataset: Dataset,
-    grid: GridConfig = GridConfig(),
-    method: str = "auto",
-    quad: QuadratureConfig | None = None,
+    dataset: Dataset, grid: GridConfig = GridConfig()
 ) -> PlausibilityDensity:
     """Shared grid -> channel curves -> combined normalized density."""
-    xs = shared_grid(dataset.channels, grid, method, quad)
-    curves = [
-        channel_curves(ch, grid, xs=xs, method=method, quad=quad)
-        for ch in dataset.channels
-    ]
+    xs = shared_grid(dataset.channels, grid)
+    curves = [channel_curves(ch, grid, xs) for ch in dataset.channels]
     return combine_channels(curves, grid)
 
 
@@ -345,12 +332,8 @@ def upper_limit(density: PlausibilityDensity, q: float) -> float:
 
 
 def dataset_limits(
-    dataset: Dataset,
-    quantiles,
-    grid: GridConfig = GridConfig(),
-    method: str = "auto",
-    quad: QuadratureConfig | None = None,
+    dataset: Dataset, quantiles, grid: GridConfig = GridConfig()
 ) -> list[float]:
     """Upper limits of one dataset at each requested quantile."""
-    density = dataset_density(dataset, grid, method, quad)
+    density = dataset_density(dataset, grid)
     return [upper_limit(density, q) for q in quantiles]

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special as sp
 from scipy import stats
 
-from .bayes import PriorConfig, bayes_upper_limit, bayes_upper_limits_batch, prior_preset
+from .bayes import PriorConfig, bayes_upper_limits_batch, prior_preset
 from .ds_limits import (
     ChannelObservation,
     Dataset,
@@ -118,32 +118,46 @@ class CredibilityConfig:
 
 
 # ---------------------------------------------------------------------------
-# limit-method callables (picklable for process pools)
+# limit methods and the one (n, y, z) -> limit path
+#
+# A limit method is a picklable callable
+#     method(counts, t, u, quantiles) -> (len(quantiles), len(counts)) array
+# over an (N, 3) int array of single-channel (n, y, z) rows sharing the
+# scales (t, u); an unbounded limit is +inf.  Every row's limits depend
+# on that row alone, not on the other rows passed with it.
+
+# Most distinct rows handed to a method in one call.  The rows arrive
+# sorted by n, so a block's Bayes batch runs a series only about as long
+# as its own largest kn.
+_BLOCK_ROWS = 1024
 
 
-def _ds_limit(dataset: Dataset, q: float, grid: GridConfig, method: str) -> float:
-    try:
-        return dataset_limits(dataset, [q], grid, method)[0]
-    except UnboundedLimit:
-        return math.inf
+def _ds_limits_of_counts(counts, t, u, quantiles, grid: GridConfig) -> np.ndarray:
+    out = np.empty((len(quantiles), len(counts)))
+    for j, (n, y, z) in enumerate(counts):
+        dataset = Dataset((ChannelObservation(int(n), int(y), int(z), t, u),))
+        try:
+            out[:, j] = dataset_limits(dataset, quantiles, grid)
+        except UnboundedLimit:
+            out[:, j] = math.inf
+    return out
 
 
-def _bayes_limit(dataset: Dataset, q: float, prior: PriorConfig) -> float:
-    if len(dataset.channels) != 1:
-        raise ValueError("the Bayesian comparison method is single-channel")
-    return bayes_upper_limit(dataset.channels[0], prior, q)
+def _bayes_limits_of_counts(counts, t, u, quantiles, prior: PriorConfig) -> np.ndarray:
+    ns, ys, zs = np.asarray(counts).T
+    return bayes_upper_limits_batch(ns, ys, zs, t, u, prior, quantiles)
 
 
-def make_ds_method(grid: GridConfig = GridConfig(), method: str = "auto"):
-    """Callable (dataset, q) -> upper limit; +inf when unbounded."""
-    return partial(_ds_limit, grid=grid, method=method)
+def make_ds_method(grid: GridConfig = GridConfig()):
+    """Belief-interval limit method; +inf where the limit is unbounded."""
+    return partial(_ds_limits_of_counts, grid=grid)
 
 
 def make_bayes_method(prior: PriorConfig | str):
-    """Callable (dataset, q) -> Bayesian upper limit for one prior."""
+    """Bayesian limit method for one integer-shape prior."""
     if isinstance(prior, str):
         prior = prior_preset(prior)
-    return partial(_bayes_limit, prior=prior)
+    return partial(_bayes_limits_of_counts, prior=prior)
 
 
 def _parallel_map(fn, items, threads: int):
@@ -152,6 +166,28 @@ def _parallel_map(fn, items, threads: int):
     chunk = max(1, len(items) // (4 * threads))
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
+
+
+def _row_limits(method, counts, t, u, quantiles, threads: int = 1) -> np.ndarray:
+    """Limits of every (n, y, z) row of ``counts``, evaluating each
+    distinct row once: shape (len(quantiles), len(counts)).
+
+    The distinct rows (sorted by n) are cut into at least 4 * threads
+    contiguous blocks of at most _BLOCK_ROWS rows, mapped over the
+    workers, and scattered back to the input order.  Since each row's
+    limits depend on that row alone, the result is the same for any
+    worker count.
+    """
+    distinct, inverse = np.unique(
+        np.asarray(counts, dtype=int).reshape(-1, 3), axis=0, return_inverse=True
+    )
+    if not len(distinct):
+        return np.empty((len(quantiles), 0))
+    n_blocks = max(4 * threads, -(-len(distinct) // _BLOCK_ROWS))
+    blocks = np.array_split(distinct, min(n_blocks, len(distinct)))
+    task = partial(method, t=t, u=u, quantiles=tuple(quantiles))
+    limits = np.concatenate(_parallel_map(task, blocks, threads), axis=1)
+    return limits[:, inverse.reshape(-1)]
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +237,10 @@ def coverage_enumerate(
             f"(n, y, z) box has {cells} cells, beyond the budget {cell_budget}"
         )
 
-    datasets = [
-        Dataset(
-            (ChannelObservation(n, y, z, t, u),), label=f"{n}-{y}-{z}"
-        )
-        for n in range(n_max + 1)
-        for y in range(y_max + 1)
-        for z in range(z_max + 1)
-    ]
-    limits = np.array(
-        _parallel_map(partial(_apply_method, method=method, q=q), datasets, threads)
-    ).reshape(n_max + 1, y_max + 1, z_max + 1)
+    counts = np.indices((n_max + 1, y_max + 1, z_max + 1)).reshape(3, -1).T
+    limits = _row_limits(method, counts, t, u, (q,), threads)[0].reshape(
+        n_max + 1, y_max + 1, z_max + 1
+    )
 
     py = _poisson_pmf(np.arange(y_max + 1, dtype=float), nu)
     pz = _poisson_pmf(np.arange(z_max + 1, dtype=float), rho)
@@ -231,10 +260,6 @@ def coverage_enumerate(
         cutoff=tail_eps,
         truncation_bound=3.0 * tail_eps,
     )
-
-
-def _apply_method(dataset: Dataset, method, q: float) -> float:
-    return method(dataset, q)
 
 
 def coverage_importance(
@@ -268,15 +293,8 @@ def coverage_importance(
     ns = gen.poisson(mu_ref, n_samples)
     ys = gen.poisson(t * b, n_samples)
     zs = gen.poisson(u * eps, n_samples)
-    datasets = [
-        Dataset(
-            (ChannelObservation(int(n), int(y), int(z), t, u),), label=str(i)
-        )
-        for i, (n, y, z) in enumerate(zip(ns, ys, zs))
-    ]
-    limits = np.array(
-        _parallel_map(partial(_apply_method, method=method, q=q), datasets, threads)
-    )
+    counts = np.stack([ns, ys, zs], axis=1)
+    limits = _row_limits(method, counts, t, u, (q,), threads)[0]
 
     estimate = np.empty(s_grid.size)
     std_err = np.empty(s_grid.size)
@@ -323,15 +341,24 @@ def _posterior_nuisance_draws(ch, cfg: CredibilityConfig, n_samples, rng: RngHan
     return bs, es
 
 
-def _credibility_from_draws(limit: float, n: int, bs, es) -> float:
-    tail = 1.0 - sp.gammainc(n + 1.0, bs)
-    den = float(np.mean(tail / es))
+def _credibility_curve(n: int, bs, es):
+    """R -> posterior P(S <= R) for one shared (b, eps) draw set.
+
+    P(n+1, b) and the denominator do not depend on R, so they are
+    computed once here rather than on every evaluation.
+    """
+    base = sp.gammainc(n + 1.0, bs)
+    den = float(np.mean((1.0 - base) / es))
     if not den > 0.0:
         raise NoPosteriorMass("posterior denominator underflowed")
-    if math.isinf(limit):
-        return 1.0
-    num = (sp.gammainc(n + 1.0, bs + es * limit) - sp.gammainc(n + 1.0, bs)) / es
-    return float(np.mean(num) / den)
+
+    def curve(limit: float) -> float:
+        if math.isinf(limit):
+            return 1.0
+        num = (sp.gammainc(n + 1.0, bs + es * limit) - base) / es
+        return float(np.mean(num) / den)
+
+    return curve
 
 
 def credibility(
@@ -357,7 +384,7 @@ def credibility(
     if limit < 0:
         raise ValueError("limit must be >= 0")
     bs, es = _posterior_nuisance_draws(ch, cfg, n_samples, rng)
-    return _credibility_from_draws(limit, ch.n, bs, es)
+    return _credibility_curve(ch.n, bs, es)(limit)
 
 
 def credibility_limit(
@@ -373,10 +400,10 @@ def credibility_limit(
     one shared (b, eps) sample so the bisection target is monotone."""
     if not 0.0 < q < 1.0:
         raise ValueError("quantile must lie strictly inside (0, 1)")
-    bs, es = _posterior_nuisance_draws(ch, cfg, n_samples, rng)
+    curve = _credibility_curve(ch.n, *_posterior_nuisance_draws(ch, cfg, n_samples, rng))
     return float(
         bisect_monotone(
-            lambda r: _credibility_from_draws(float(r), ch.n, bs, es) >= q,
+            lambda r: curve(float(r)) >= q,
             (),
             rel_tol,
             NoPosteriorMass,
@@ -408,45 +435,6 @@ class StudyResult:
         return rows
 
 
-def _study_cell(
-    idx: int,
-    s: float,
-    t: float,
-    u: float,
-    eps: float,
-    b: float,
-    reps: int,
-    methods,
-    quantiles,
-    grid: GridConfig,
-    seed: int,
-):
-    rng = RngHandle(seed, derive_stream_id("simulate", idx))
-    gen = rng.generator
-    ns = gen.poisson(eps * s + b, reps)
-    ys = gen.poisson(t * b, reps)
-    zs = gen.poisson(u * eps, reps)
-    out = {}
-    for m in methods:
-        if m == "ds":
-            lims = np.empty((len(quantiles), reps))
-            for j in range(reps):
-                ds = Dataset(
-                    (ChannelObservation(int(ns[j]), int(ys[j]), int(zs[j]), t, u),),
-                    label=str(j),
-                )
-                try:
-                    lims[:, j] = dataset_limits(ds, quantiles, grid)
-                except UnboundedLimit:
-                    lims[:, j] = math.inf
-        else:
-            lims = bayes_upper_limits_batch(
-                ns, ys, zs, t, u, prior_preset(m), quantiles
-            )
-        out[m] = lims
-    return out
-
-
 def simulate_study(
     t: float,
     u: float,
@@ -465,32 +453,30 @@ def simulate_study(
 
     Coverage uses the strict event s < limit.  Each s value owns an
     independent random stream keyed by its grid index, so results do
-    not depend on scheduling or the worker count.
+    not depend on scheduling or the worker count.  Each method
+    evaluates every distinct (n, y, z) of the whole study once.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     s_grid = np.asarray(s_grid, dtype=float)
     methods = tuple(methods)
     quantiles = tuple(float(q) for q in quantiles)
-    cell = partial(
-        _study_cell_star,
-        t=t,
-        u=u,
-        eps=eps,
-        b=b,
-        reps=reps,
-        methods=methods,
-        quantiles=quantiles,
-        grid=grid,
-        seed=seed,
-    )
-    cells = _parallel_map(cell, list(enumerate(s_grid)), threads)
+    draws = []
+    for idx, s in enumerate(s_grid):
+        gen = RngHandle(seed, derive_stream_id("simulate", idx)).generator
+        ns = gen.poisson(eps * s + b, reps)
+        ys = gen.poisson(t * b, reps)
+        zs = gen.poisson(u * eps, reps)
+        draws.append(np.stack([ns, ys, zs], axis=1))
+    counts = np.concatenate(draws)
 
     coverage = {}
     limits = {}
     for m in methods:
+        method = make_ds_method(grid) if m == "ds" else make_bayes_method(m)
+        lims = _row_limits(method, counts, t, u, quantiles, threads)
         for qi, q in enumerate(quantiles):
-            lim = np.stack([c[m][qi] for c in cells])
+            lim = lims[qi].reshape(s_grid.size, reps)
             limits[(m, q)] = lim
             coverage[(m, q)] = (lim > s_grid[:, None]).mean(axis=1)
     return StudyResult(
@@ -500,11 +486,6 @@ def simulate_study(
         coverage=coverage,
         limits=limits,
     )
-
-
-def _study_cell_star(item, **kw):
-    idx, s = item
-    return _study_cell(idx, float(s), **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,34 @@ class TestLimitsCommand:
         assert rc == 3
         assert "dataset row 1: posterior mass" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["ds", "bayes:B1"])
+    def test_failed_row_keeps_the_other_rows(self, tmp_path, capsys, method):
+        # (0, 5000, 1) at t = 0.05: the conditioning probability underflows
+        inp = _write_input(tmp_path, "channels 1\nscales 0.05 10\n3 2 5\n0 5000 1\n")
+        out = str(tmp_path / "limits.csv")
+        rc = main(["limits", "--input", inp, "--output", out, "--method", method])
+        assert rc == 3
+        rows = _read_csv(out)
+        assert rows[1][0] == "0" and rows[1][3] == "ok"
+        assert 0.0 < float(rows[1][1]) < float(rows[1][2])
+        assert rows[2] == ["1", "", "", "failed"]
+        err = capsys.readouterr().err
+        assert "dataset row 1:" in err and "dataset row 0" not in err
+
+    def test_background_probability_rounding_to_one_fails_row(self, tmp_path):
+        inp = _write_input(tmp_path, "channels 1\nscales 1e-17 10\n5 3 10\n")
+        out = str(tmp_path / "limits.csv")
+        assert main(["limits", "--input", inp, "--output", out]) == 3
+        assert _read_csv(out)[1] == ["0", "", "", "failed"]
+
+    def test_bayes_method_rejects_multichannel(self, tmp_path, capsys):
+        text = "channels 2\nscales 33 100\nscales 17 55\n5 10 100 1 2 3\n"
+        inp = _write_input(tmp_path, text)
+        out = str(tmp_path / "limits.csv")
+        rc = main(["limits", "--input", inp, "--output", out, "--method", "bayes:B1"])
+        assert rc == 2
+        assert "single-channel" in capsys.readouterr().err
+
     def test_bytes_identical_across_worker_counts(self, tmp_path):
         inp = _write_input(
             tmp_path,

@@ -22,11 +22,16 @@ from dsplim.bayes import (
     conjugate_posteriors,
     prior_preset,
 )
-from dsplim.ds_limits import ChannelObservation, GridConfig, shared_grid
+from dsplim.ds_limits import (
+    ChannelObservation,
+    Dataset,
+    GridConfig,
+    dataset_limits,
+    shared_grid,
+)
 from dsplim.evalharness import (
     CredibilityConfig,
     NoPosteriorMass,
-    _credibility_from_draws,
     _posterior_nuisance_draws,
     credibility_limit,
 )
@@ -131,6 +136,17 @@ def _ref_limits_batch(ns, ys, zs, t, u, prior, quantiles, rel_tol=1e-8):
     return (0.5 * (lo + hi)).reshape(ns.size, quantiles.size).T
 
 
+def _credibility_from_draws(limit, n, bs, es):
+    tail = 1.0 - sp.gammainc(n + 1.0, bs)
+    den = float(np.mean(tail / es))
+    if not den > 0.0:
+        raise NoPosteriorMass("posterior denominator underflowed")
+    if math.isinf(limit):
+        return 1.0
+    num = (sp.gammainc(n + 1.0, bs + es * limit) - sp.gammainc(n + 1.0, bs)) / es
+    return float(np.mean(num) / den)
+
+
 def _ref_credibility_limit(ch, cfg, q, n_samples, rng, rel_tol=1e-6):
     bs, es = _posterior_nuisance_draws(ch, cfg, n_samples, rng)
     lo, hi = 0.0, 1.0
@@ -202,6 +218,17 @@ class TestSeriesEngine:
         with pytest.raises(NumericalError):
             bayes_upper_limits_batch([3, 0], [2, 5000], [5, 1], 0.05, 10.0,
                                      prior_preset("B1"), (0.9,))
+
+    def test_background_probability_rounding_to_one(self):
+        # At t ~ 1e-17, pb = (1/t) / (1 + 1/t) rounds to 1: the start
+        # value (1 - pb)**kb is 0, which is underflow, not a domain error.
+        ch = ChannelObservation(5, 3, 10, 1e-17, 10.0)
+        with pytest.raises(NumericalError):
+            survival_series(np.array([1.0]), 6, 1.0, 3, 1e17, 10, 0.1)
+        with pytest.raises(NumericalError):
+            dataset_limits(Dataset((ch,)), [0.9])
+        with pytest.raises(NumericalError):
+            bayes_upper_limit(ch, prior_preset("B1"), 0.9)
 
     def test_per_row_validation(self):
         x = np.array([1.0, 2.0])

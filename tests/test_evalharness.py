@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dsplim.ds_limits import ChannelObservation, Dataset, GridConfig
+from dsplim.ds_limits import ChannelObservation, GridConfig
 from dsplim.evalharness import (
     CredibilityConfig,
     EnumerationTooLarge,
@@ -20,7 +20,7 @@ from dsplim.evalharness import (
     make_ds_method,
     simulate_study,
 )
-from dsplim.evalharness import _credibility_from_draws, _posterior_nuisance_draws
+from dsplim.evalharness import _credibility_curve, _posterior_nuisance_draws
 from dsplim.sampling import RngHandle
 from oracles import mc_credibility
 
@@ -28,8 +28,8 @@ TASK1B = dict(t=3.3, u=10.0, truth_nuisance=(0.1, 0.3))
 
 
 def _const_method(value):
-    def method(dataset, q):
-        return value
+    def method(counts, t, u, quantiles):
+        return np.full((len(quantiles), len(counts)), value)
 
     return method
 
@@ -138,10 +138,8 @@ class TestCredibility:
 
     def test_monotone_in_limit_with_shared_draws(self):
         bs, es = _posterior_nuisance_draws(CRED_CH, CRED_CFG, 4000, RngHandle(53))
-        vals = [
-            _credibility_from_draws(lim, CRED_CH.n, bs, es)
-            for lim in (0.0, 1.0, 3.0, 6.0, 12.0, 30.0)
-        ]
+        curve = _credibility_curve(CRED_CH.n, bs, es)
+        vals = [curve(lim) for lim in (0.0, 1.0, 3.0, 6.0, 12.0, 30.0)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_against_full_monte_carlo_oracle(self):
@@ -261,16 +259,13 @@ class TestLengthQuantiles:
 class TestMethodFactories:
     def test_ds_method_returns_inf_when_unbounded(self):
         method = make_ds_method()
-        ds = Dataset((ChannelObservation(3, 2, 0, 3.3, 10.0),))
-        assert method(ds, 0.9) == math.inf
+        lims = method(np.array([[3, 2, 0], [3, 2, 4]]), 3.3, 10.0, (0.9, 0.99))
+        assert lims.shape == (2, 2)
+        assert np.all(lims[:, 0] == math.inf)
+        assert np.all(np.isfinite(lims[:, 1])) and lims[0, 1] < lims[1, 1]
 
-    def test_bayes_method_single_channel_only(self):
+    def test_bayes_method_shape(self):
         method = make_bayes_method("B1")
-        two = Dataset(
-            (
-                ChannelObservation(1, 1, 1, 1.0, 1.0),
-                ChannelObservation(1, 1, 1, 1.0, 1.0),
-            )
-        )
-        with pytest.raises(ValueError):
-            method(two, 0.9)
+        lims = method(np.array([[3, 2, 0], [3, 2, 4], [0, 0, 1]]), 3.3, 10.0, (0.9,))
+        assert lims.shape == (1, 3)
+        assert np.all(np.isfinite(lims)) and np.all(lims > 0)
