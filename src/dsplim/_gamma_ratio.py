@@ -76,12 +76,15 @@ def _is_integral(shapes: np.ndarray) -> bool:
     return np.abs(shapes - np.rint(shapes)).max() <= 1e-9
 
 
-def _series_underflows(kb: np.ndarray, wn, wb) -> bool:
-    """Whether some start value (1 - pb)**kb of the background block
-    lies below exp(_SERIES_LOG_START_MIN).  When pb rounds to 1 the
-    start value is 0 for every kb > 0, which counts as underflow."""
-    pb, top = wb / (wn + wb), kb.max()
-    return top > 0 and (pb == 1.0 or top * math.log1p(-pb) < _SERIES_LOG_START_MIN)
+def _series_underflows(kb, wn, wb) -> np.ndarray:
+    """Per background shape in kb: whether the start value (1 - pb)**kb
+    of its block lies below exp(_SERIES_LOG_START_MIN).  When pb rounds
+    to 1 the start value is 0 for every kb > 0, which counts as
+    underflow."""
+    kb, pb = np.asarray(kb, dtype=float), wb / (wn + wb)
+    if pb == 1.0:
+        return kb > 0
+    return kb * math.log1p(-pb) < _SERIES_LOG_START_MIN
 
 
 def _nb_pmf_block(r, p, count: int) -> np.ndarray:
@@ -114,7 +117,7 @@ def survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
     count = int(kn.max())
     if count == 0:
         return np.zeros(x.shape)
-    if _series_underflows(kb, wn, wb):
+    if _series_underflows(kb, wn, wb).any():
         raise NumericalError(
             "background block underflows in the series route; "
             "use the quadrature route"

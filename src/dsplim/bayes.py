@@ -7,9 +7,10 @@ The signal posterior is the law of (L_n - B) / E restricted to the
 nonnegative half-line, with L_n, B, E the three posterior gammas, and
 its CDF shares the evaluation engine used by the belief-interval
 channel CDFs: :func:`dsplim._gamma_ratio.survival_series`, with shared
-shapes for one posterior and per-row shapes for a batch.  Every
-quantile, scalar or batched, is one call of
-:func:`dsplim.specfun.bisect_monotone`.
+shapes for one posterior and per-row shapes for a batch.  A batch
+sends the datasets the series cannot carry to the scalar route, which
+falls back to quadrature.  Every quantile, scalar or batched, is one
+call of :func:`dsplim.specfun.bisect_monotone`.
 
 Note on the scale convention: a proper unit-scale gamma prior combined
 with the Poisson likelihood would put scale 1/2 (and 1/(2t), 1/(2u))
@@ -27,7 +28,9 @@ import numpy as np
 from scipy import special as sp
 
 from ._gamma_ratio import (
+    _SERIES_MAX_SHAPE,
     NumericalError,
+    _series_underflows,
     clamp_unit,
     conditioning_probability,
     survival,
@@ -35,6 +38,10 @@ from ._gamma_ratio import (
 )
 from .ds_limits import ChannelObservation
 from .specfun import QuadratureConfig, bisect_monotone
+
+# Most series terms (rows x series length) one batched survival_series
+# call builds: 2**22 terms keep each of its arrays near 32 MB.
+_SERIES_TERMS = 1 << 22
 
 __all__ = [
     "PriorConfig",
@@ -168,10 +175,12 @@ def bayes_upper_limits_batch(
     """Upper limits for many single-channel datasets at once.
 
     Returns an array of shape (len(quantiles), len(ns)).  Requires the
-    integer-shape prior presets.  One (dataset, quantile) pair is one
-    row of the per-row series engine, and all rows are bisected
-    together by the same rule as :func:`posterior_quantile`.  Each
-    row's trajectory is independent of the batch composition, so
+    integer-shape prior presets.  Datasets the series cannot carry (the
+    rule of ``survival(method="auto")``) take the scalar route, which
+    falls back to quadrature.  For the others one (dataset, quantile)
+    pair is one row of the per-row series engine, at most _SERIES_TERMS
+    terms per call, bisected by the rule of :func:`posterior_quantile`.
+    Each row's trajectory is independent of the batch composition, so
     results are identical under any re-batching; they agree with the
     scalar routine to rounding, as the per-row sum runs in another
     order.  Raises NumericalError when a row's posterior mass on s >= 0
@@ -185,21 +194,33 @@ def bayes_upper_limits_batch(
         if abs(a - round(a)) > 1e-9:
             raise ValueError("batched limits require integer prior shapes")
     wn, wb, we = 1.0, 1.0 / t, 1.0 / u
-    nd = ns.size
-    kn = np.repeat(ns + int(round(prior.a_n)), quantiles.size)
-    kb = np.repeat(ys + int(round(prior.a_b)), quantiles.size).astype(float)
-    ke = np.repeat(zs + int(round(prior.a_e)), quantiles.size).astype(float)
-    q_rows = np.tile(quantiles, nd)
-    den = sp.betainc(kb, kn.astype(float), wn / (wn + wb))
-    if not np.all(den > 0):
-        raise NumericalError("posterior mass on s >= 0 underflows")
-    # F(x) >= q  <=>  survival(x) <= (1 - q) * den
-    thresh = (1.0 - q_rows) * den
-
-    limits = bisect_monotone(
-        lambda x: survival_series(x, kn, wn, kb, wb, ke, we) <= thresh,
-        kn.shape,
-        rel_tol,
-        NumericalError,
+    nq = quantiles.size
+    kn = ns + int(round(prior.a_n))
+    kb = (ys + int(round(prior.a_b))).astype(float)
+    ke = (zs + int(round(prior.a_e))).astype(float)
+    scalar = (np.maximum(np.maximum(kn, kb), ke) > _SERIES_MAX_SHAPE) | (
+        _series_underflows(kb, wn, wb)
     )
-    return limits.reshape(nd, quantiles.size).T
+    limits = np.empty((nq, ns.size))
+    for j in np.flatnonzero(scalar):
+        ch = ChannelObservation(int(ns[j]), int(ys[j]), int(zs[j]), t, u)
+        limits[:, j] = [bayes_upper_limit(ch, prior, q, rel_tol) for q in quantiles]
+    rows = np.flatnonzero(~scalar)
+    step = max(1, _SERIES_TERMS // (nq * kn[rows].max(initial=0) + 1))
+    for start in range(0, rows.size, step):
+        part = rows[start : start + step]
+        r = np.repeat(part, nq)
+        kn_r, kb_r, ke_r = kn[r], kb[r], ke[r]
+        den = sp.betainc(kb_r, kn_r.astype(float), wn / (wn + wb))
+        if not np.all(den > 0):
+            raise NumericalError("posterior mass on s >= 0 underflows")
+        # F(x) >= q  <=>  survival(x) <= (1 - q) * den
+        thresh = (1.0 - np.tile(quantiles, part.size)) * den
+        lims = bisect_monotone(
+            lambda x: survival_series(x, kn_r, wn, kb_r, wb, ke_r, we) <= thresh,
+            r.shape,
+            rel_tol,
+            NumericalError,
+        )
+        limits[:, part] = lims.reshape(part.size, nq).T
+    return limits

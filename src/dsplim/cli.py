@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from ._gamma_ratio import NumericalError
-from .bayes import prior_preset
+from .bayes import bayes_upper_limit, prior_preset
 from .ds_limits import (
     ChannelObservation,
     Dataset,
@@ -191,19 +191,20 @@ def _write_csv(path, header, rows) -> None:
 # commands
 
 
-def _limit_row(dataset: Dataset, quantiles, grid: GridConfig, bayes):
+def _limit_row(dataset: Dataset, quantiles, grid: GridConfig, prior):
     """One dataset's CSV row and, for a failed row, its error message.
 
-    ``bayes`` is a single-channel Bayes limit method, or None for the
-    belief-interval limits of a dataset with any number of channels.
+    ``prior`` is the Bayes prior of a single-channel dataset, or None
+    for the belief-interval limits of a dataset with any number of
+    channels.
     """
     blank = [None] * len(quantiles)
     try:
-        if bayes is None:
+        if prior is None:
             lims = dataset_limits(dataset, quantiles, grid)
         else:
             (ch,) = dataset.channels
-            lims = bayes(np.array([[ch.n, ch.y, ch.z]]), ch.t, ch.u, quantiles)[:, 0]
+            lims = [bayes_upper_limit(ch, prior, q) for q in quantiles]
     except UnboundedLimit:
         return (dataset.label, *blank, "unbounded"), None
     except (NumericalError, IntegrationError) as exc:
@@ -214,12 +215,12 @@ def _limit_row(dataset: Dataset, quantiles, grid: GridConfig, bayes):
 def cmd_limits(cfg: RunConfig) -> int:
     with open(cfg.input) as fh:
         datasets = parse_dataset_file(fh)
-    bayes = None
+    prior = None
     if cfg.method != "ds":
         if len(datasets[0].channels) != 1:
             raise ValueError("the Bayesian comparison method is single-channel")
-        bayes = make_bayes_method(cfg.method.split(":", 1)[1])
-    worker = partial(_limit_row, quantiles=cfg.quantiles, grid=cfg.grid, bayes=bayes)
+        prior = prior_preset(cfg.method.split(":", 1)[1])
+    worker = partial(_limit_row, quantiles=cfg.quantiles, grid=cfg.grid, prior=prior)
     results = _parallel_map(worker, datasets, cfg.threads)
     for _, message in results:
         if message is not None:

@@ -154,6 +154,36 @@ class TestUpperLimitQuantile:
         with pytest.raises(ValueError):
             bayes_upper_limit(CH, prior_preset("B1"), 1.0)
 
+    def test_batch_sends_oversized_shapes_to_scalar_route(self, monkeypatch):
+        import dsplim.bayes as bayes
+
+        calls = []
+
+        def recorded(ch, prior, q, rel_tol=1e-8):
+            calls.append((ch.n, ch.y, ch.z, q))
+            return -1.0
+
+        ns, ys, zs = [5, 20_000, 7], [10, 3, 12], [100, 90, 110]
+        want = bayes_upper_limits_batch(
+            [5, 7], [10, 12], [100, 110], 33.0, 100.0, prior_preset("B1"), (0.9, 0.99)
+        )
+        monkeypatch.setattr(bayes, "bayes_upper_limit", recorded)
+        got = bayes_upper_limits_batch(ns, ys, zs, 33.0, 100.0, prior_preset("B1"), (0.9, 0.99))
+        assert calls == [(20_000, 3, 90, 0.9), (20_000, 3, 90, 0.99)]
+        assert np.all(got[:, 1] == -1.0)
+        assert np.array_equal(got[:, [0, 2]], want)
+
+    def test_batch_term_budget_keeps_bits(self, monkeypatch):
+        import dsplim.bayes as bayes
+
+        rng = RngHandle(35).generator
+        ns, ys, zs = rng.poisson(20.0, 40), rng.poisson(99.0, 40), rng.poisson(100.0, 40)
+        prior = prior_preset("lower")
+        want = bayes_upper_limits_batch(ns, ys, zs, 33.0, 100.0, prior, (0.9, 0.99))
+        monkeypatch.setattr(bayes, "_SERIES_TERMS", 200)
+        got = bayes_upper_limits_batch(ns, ys, zs, 33.0, 100.0, prior, (0.9, 0.99))
+        assert np.array_equal(got, want)
+
     def test_one_conditioning_probability_per_quantile(self, monkeypatch):
         import dsplim.bayes as bayes
 

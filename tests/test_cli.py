@@ -5,12 +5,15 @@ import io
 
 import pytest
 
+from dsplim.bayes import bayes_upper_limit, prior_preset
 from dsplim.cli import (
     DatasetFormatError,
     main,
     parse_dataset_file,
     write_dataset_file,
 )
+from dsplim.ds_limits import ChannelObservation
+
 GOOD = """# example file
 channels 1
 scales 33 100
@@ -150,6 +153,18 @@ class TestLimitsCommand:
         assert rows[2] == ["1", "", "", "failed"]
         err = capsys.readouterr().err
         assert "dataset row 1:" in err and "dataset row 0" not in err
+
+    def test_bayes_limit_past_series_underflow(self, tmp_path):
+        # B1 at (870, 870, 1), t = u = 1: the series underflows, so the
+        # limit comes from the quadrature fallback of the scalar route.
+        inp = _write_input(tmp_path, "channels 1\nscales 1 1\n3 2 5\n870 870 1\n")
+        out = str(tmp_path / "limits.csv")
+        args = ["--method", "bayes:B1", "--quantiles", "0.9"]
+        assert main(["limits", "--input", inp, "--output", out, *args]) == 0
+        rows = _read_csv(out)
+        ch = ChannelObservation(870, 870, 1, 1.0, 1.0)
+        want = bayes_upper_limit(ch, prior_preset("B1"), 0.9)
+        assert rows[2] == ["1", f"{want:.17g}", "ok"]
 
     def test_background_probability_rounding_to_one_fails_row(self, tmp_path):
         inp = _write_input(tmp_path, "channels 1\nscales 1e-17 10\n5 3 10\n")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dsplim.bayes import bayes_upper_limit, prior_preset
 from dsplim.ds_limits import ChannelObservation, GridConfig
 from dsplim.evalharness import (
     CredibilityConfig,
@@ -25,6 +26,17 @@ from dsplim.sampling import RngHandle
 from oracles import mc_credibility
 
 TASK1B = dict(t=3.3, u=10.0, truth_nuisance=(0.1, 0.3))
+
+# (n, y, z) at t = u = 1 whose B1 background block underflows the series
+# (871 * log(1/2) < -600), although its posterior mass on s >= 0 is
+# about 1/2; the scalar route reaches its limit by quadrature.
+UNDERFLOW_ROW = (870, 870, 1)
+
+
+@pytest.fixture(scope="module")
+def underflow_limit():
+    ch = ChannelObservation(*UNDERFLOW_ROW, 1.0, 1.0)
+    return bayes_upper_limit(ch, prior_preset("B1"), 0.9)
 
 
 def _const_method(value):
@@ -269,3 +281,16 @@ class TestMethodFactories:
         lims = method(np.array([[3, 2, 0], [3, 2, 4], [0, 0, 1]]), 3.3, 10.0, (0.9,))
         assert lims.shape == (1, 3)
         assert np.all(np.isfinite(lims)) and np.all(lims > 0)
+
+    def test_bayes_method_underflowing_row_alone(self, underflow_limit):
+        method = make_bayes_method("B1")
+        lims = method(np.array([UNDERFLOW_ROW]), 1.0, 1.0, (0.9,))
+        assert lims[0, 0] == underflow_limit
+
+    def test_bayes_method_underflowing_row_in_block(self, underflow_limit):
+        method = make_bayes_method("B1")
+        counts = np.array([(3, 2, 5), UNDERFLOW_ROW, (10, 4, 0), (3, 2, 5)])
+        lims = method(counts, 1.0, 1.0, (0.9,))
+        assert lims[0, 1] == underflow_limit
+        others = method(counts[[0, 2]], 1.0, 1.0, (0.9,))
+        assert np.array_equal(lims[0, [0, 2, 3]], others[0, [0, 1, 0]])
