@@ -24,7 +24,10 @@ positive, so no cancellation occurs; cost is O(kn) per point.  The
 shapes are shared scalars (channel CDFs, one posterior) or arrays with
 one row per point of x (batched posteriors); both run one broadcast
 recurrence, in linear space, so one rule marks where its start value
-underflows: there "auto" uses quadrature and "series" raises.
+underflows: there "auto" uses quadrature and "series" raises.  The same
+pass also gives the integral of the survival over [0, x] for ke >= 2
+(:func:`integrated_survival_series`), on which the grid-free
+single-channel DS limits rest.
 
 "quadrature" (any positive real shapes).  The beta-CDF form
 
@@ -52,6 +55,10 @@ from .specfun import QuadratureConfig, beta_cdf, beta_pdf, integrate
 # anyway, so "auto" falls back to quadrature.
 _SERIES_MAX_SHAPE = 20_000
 _SERIES_LOG_START_MIN = -600.0
+
+# Most series terms (rows x series length) one batched call builds:
+# 2**22 terms keep each of its arrays near 32 MB.
+_SERIES_TERMS = 1 << 22
 
 # CDF values may stray outside [0, 1] by quadrature noise up to this
 # slack and are clamped; larger excursions indicate a numerical failure.
@@ -87,6 +94,14 @@ def _series_underflows(kb, wn, wb) -> np.ndarray:
     return kb * math.log1p(-pb) < _SERIES_LOG_START_MIN
 
 
+def _series_carries(kn, kb, ke, wn, wb) -> np.ndarray:
+    """Per integer shape triple: whether survival(method="auto") takes
+    the series route, i.e. no shape exceeds _SERIES_MAX_SHAPE and the
+    background block does not underflow."""
+    top = np.maximum(np.maximum(kn, kb), ke)
+    return (top <= _SERIES_MAX_SHAPE) & ~_series_underflows(kb, wn, wb)
+
+
 def _nb_pmf_block(r, p, count: int) -> np.ndarray:
     """Negative binomial pmf values at 0..count-1, broadcast over r and p.
 
@@ -98,41 +113,81 @@ def _nb_pmf_block(r, p, count: int) -> np.ndarray:
     """
     start = np.exp(np.where(r == 0, 0.0, r * np.log1p(-p)))
     out = np.empty((count,) + start.shape)
-    out[0] = start
+    out[:1] = start
     for i in range(1, count):
         out[i] = out[i - 1] * p * ((r + i - 1.0) / i)
     return out
 
 
-def survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
-    """Exact P(A > B + x*E) for integer shapes: kn, kb, ke are shared
-    scalars or 1-d arrays with one entry per point of x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _prepared_series(kn, wn, kb, wb, ke, we, integrated: bool = False):
+    """The series route with everything that does not depend on x built
+    once: returns x -> survival at x, or its integral over [0, x] when
+    ``integrated``.  Shapes as for :func:`survival_series`; with per-row
+    shapes, x must have one entry per row."""
     shapes = _validate(kn, wn, kb, wb, ke, we)
-    if (x < 0).any():
-        raise ValueError("x must be >= 0")
     if not _is_integral(shapes):
         raise ValueError("series route requires integer shapes")
     kn, kb, ke = np.rint(shapes)
+    if integrated and np.min(ke) < 2:
+        raise ValueError("integrated survival requires ke >= 2")
     count = int(kn.max())
-    if count == 0:
-        return np.zeros(x.shape)
-    if _series_underflows(kb, wn, wb).any():
+    if count and _series_underflows(kb, wn, wb).any():
         raise NumericalError(
             "background block underflows in the series route; "
             "use the quadrature route"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
-        pe = np.where(np.isinf(x), 1.0, x * we / (wn + x * we))
         nb_b = _nb_pmf_block(kb, wb / (wn + wb), count)
-        cum_e = np.cumsum(_nb_pmf_block(ke, pe, count), axis=0)
-    if shapes.ndim == 1:
-        return nb_b[::-1] @ cum_e
-    # Row i sums nb_b[m, i] * cum_e[kn_i - 1 - m, i] over m < kn_i.
-    # (A flat gather is faster here than np.take_along_axis.)
-    lag = kn.astype(int) - 1 - np.arange(count)[:, None]
-    rows = cum_e.ravel()[np.maximum(lag, 0) * x.size + np.arange(x.size)]
-    return np.einsum("mi,mi->i", nb_b, np.where(lag >= 0, rows, 0.0))
+    if shapes.ndim == 2:
+        # Row i sums nb_b[m, i] * cum_e[kn_i - 1 - m, i] over m < kn_i.
+        # (A flat gather is faster here than np.take_along_axis, and
+        # einsum sums each row in the same order for any batch.)
+        lag = kn.astype(int) - 1 - np.arange(count)[:, None]
+        flat = np.maximum(lag, 0) * kn.size + np.arange(kn.size)
+    # J(x) = c / (ke - 1) * E[min(K, (kn - B)^+)] with K ~ NB(ke - 1, pe(x))
+    # (see integrated_survival_series): the same contraction over K's
+    # summed tail in place of E's CDF.
+    e_shape, factor = (ke - 1.0, wn / we / (ke - 1.0)) if integrated else (ke, 1.0)
+
+    def values(x) -> np.ndarray:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if (x < 0).any():
+            raise ValueError("x must be >= 0")
+        if count == 0:
+            return np.zeros(x.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pe = np.where(np.isinf(x), 1.0, x * we / (wn + x * we))
+            cum_e = np.cumsum(_nb_pmf_block(e_shape, pe, count), axis=0)
+        if integrated:
+            cum_e = np.cumsum(1.0 - cum_e, axis=0)
+        if shapes.ndim == 1:
+            out = nb_b[::-1] @ cum_e
+        else:
+            rows = np.where(lag >= 0, cum_e.ravel()[flat], 0.0)
+            out = np.einsum("mi,mi->i", nb_b, rows)
+        return out * factor if integrated else out
+
+    return values
+
+
+def survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
+    """Exact P(A > B + x*E) for integer shapes: kn, kb, ke are shared
+    scalars or 1-d arrays with one entry per point of x."""
+    return _prepared_series(kn, wn, kb, wb, ke, we)(x)
+
+
+def integrated_survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
+    """Exact J(x) = int_0^x P(A > B + v*E) dv for integer shapes, ke >= 2;
+    shapes as for :func:`survival_series`.
+
+    With c = wn / we, K ~ NB(ke - 1, pe(x)) and B ~ NB(kb, pb),
+
+        J(x) = c / (ke - 1) * E[min(K, (kn - B)^+)],
+
+    which at x = inf is c * E[(kn - B)^+] / (ke - 1).  (Under
+    w = c / (c + v) the survival is w**ke times a polynomial in 1 - w.)
+    """
+    return _prepared_series(kn, wn, kb, wb, ke, we, integrated=True)(x)
 
 
 _BREAK_LEVELS = np.array(

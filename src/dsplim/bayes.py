@@ -28,20 +28,16 @@ import numpy as np
 from scipy import special as sp
 
 from ._gamma_ratio import (
-    _SERIES_MAX_SHAPE,
+    _SERIES_TERMS,
     NumericalError,
-    _series_underflows,
+    _prepared_series,
+    _series_carries,
     clamp_unit,
     conditioning_probability,
     survival,
-    survival_series,
 )
 from .ds_limits import ChannelObservation
 from .specfun import QuadratureConfig, bisect_monotone
-
-# Most series terms (rows x series length) one batched survival_series
-# call builds: 2**22 terms keep each of its arrays near 32 MB.
-_SERIES_TERMS = 1 << 22
 
 __all__ = [
     "PriorConfig",
@@ -198,9 +194,7 @@ def bayes_upper_limits_batch(
     kn = ns + int(round(prior.a_n))
     kb = (ys + int(round(prior.a_b))).astype(float)
     ke = (zs + int(round(prior.a_e))).astype(float)
-    scalar = (np.maximum(np.maximum(kn, kb), ke) > _SERIES_MAX_SHAPE) | (
-        _series_underflows(kb, wn, wb)
-    )
+    scalar = ~_series_carries(kn, kb, ke, wn, wb)
     limits = np.empty((nq, ns.size))
     for j in np.flatnonzero(scalar):
         ch = ChannelObservation(int(ns[j]), int(ys[j]), int(zs[j]), t, u)
@@ -216,8 +210,9 @@ def bayes_upper_limits_batch(
             raise NumericalError("posterior mass on s >= 0 underflows")
         # F(x) >= q  <=>  survival(x) <= (1 - q) * den
         thresh = (1.0 - np.tile(quantiles, part.size)) * den
+        surv = _prepared_series(kn_r, wn, kb_r, wb, ke_r, we)
         lims = bisect_monotone(
-            lambda x: survival_series(x, kn_r, wn, kb_r, wb, ke_r, we) <= thresh,
+            lambda x: surv(x) <= thresh,
             r.shape,
             rel_tol,
             NumericalError,

@@ -517,6 +517,11 @@ def _to_config(args: argparse.Namespace) -> RunConfig:
         for m in methods:
             if m != "ds":
                 prior_preset(m)
+        lo, hi = args.summary_range
+        if not ((args.s_grid >= lo) & (args.s_grid <= hi)).any():
+            raise ValueError(
+                f"--summary-range {lo:g}:{hi:g} holds no point of --s-grid"
+            )
         extra = dict(
             t=args.t, u=args.u, eps=args.eps, b=args.b, s_grid=args.s_grid,
             reps=args.reps, methods=methods,

@@ -20,6 +20,8 @@ r(x) = F_lower(x) - F_upper(x): the probability that the channel's
 interval covers x.  Channels multiply, so the combined (plausibility-
 transform) density is f(x) proportional to the product of the r_i(x),
 normalized on a shared grid; upper limits are quantiles of its CDF.
+For one channel the CDF also has a grid-free closed form, which
+:func:`ds_upper_limits_batch` inverts for many datasets at once.
 
 A channel with z == 0 carries no information about the efficiency, so
 every signal value stays fully plausible (F_upper is identically 0 for
@@ -36,12 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._gamma_ratio import (
+    _SERIES_TERMS,
     NumericalError,
+    _prepared_series,
+    _series_carries,
     clamp_unit,
     conditioning_probability,
     survival,
 )
-from .specfun import QuadratureConfig
+from .specfun import QuadratureConfig, bisect_monotone
 
 __all__ = [
     "ChannelObservation",
@@ -59,6 +64,8 @@ __all__ = [
     "dataset_density",
     "upper_limit",
     "dataset_limits",
+    "exact_rows",
+    "ds_upper_limits_batch",
 ]
 
 _MIN_CONDITIONING = 1e-250
@@ -337,3 +344,77 @@ def dataset_limits(
     """Upper limits of one dataset at each requested quantile."""
     density = dataset_density(dataset, grid)
     return [upper_limit(density, q) for q in quantiles]
+
+
+# Largest n + 1 of the grid-free route.  Its NB(z - 1, pe(X)) block
+# starts from (1 - pe)**(z - 1), which underflows to 0 at large X.  Up
+# to this length the mass that start carries below n + 1 is under
+# e**-150 for every z <= 20,000; far beyond it the mass is lost and the
+# limit is wrong: (5000, 0, 5000) at t = u = 1 gives 0.16, not about 1.
+_EXACT_MAX_KN = 300
+
+
+def exact_rows(ns, ys, zs, t: float) -> np.ndarray:
+    """Single-channel rows :func:`ds_upper_limits_batch` can take: z >= 2,
+    n + 1 <= _EXACT_MAX_KN, and both endpoint shape triples on the series
+    route of ``survival(method="auto")``."""
+    ns, ys, zs = (np.asarray(a) for a in (ns, ys, zs))
+    carried = _series_carries(ns + 1, ys + 1, zs + 1, 1.0, 1.0 / t)
+    return (zs >= 2) & (ns + 1 <= _EXACT_MAX_KN) & carried
+
+
+def ds_upper_limits_batch(
+    ns, ys, zs, t: float, u: float, quantiles, rel_tol: float = 1e-10
+) -> np.ndarray:
+    """Grid-free upper limits of many single-channel datasets.
+
+    Returns an array of shape (len(quantiles), len(ns)).  For one channel
+    the plausibility CDF has a closed form: with J_up and J_lo the
+    integrated survival functions of the upper-end shapes (n+1, y, z)
+    and the lower-end shapes (n, y+1, z+1) (see
+    :func:`dsplim._gamma_ratio.integrated_survival_series`),
+
+        G(X) = (J_up(X) - J_lo(X)) / (J_up(inf) - J_lo(inf)),
+
+    and the conditioning probability cancels.  Every row must be one of
+    :func:`exact_rows`.  One (dataset, quantile) pair is one row of the
+    per-row series, at most _SERIES_TERMS terms per call, and G(X) = q
+    is bisected to ``rel_tol`` by :func:`dsplim.specfun.bisect_monotone`,
+    so each limit is independent of the rows batched with it.
+    """
+    ns = np.asarray(ns, dtype=int)
+    ys = np.asarray(ys, dtype=int)
+    zs = np.asarray(zs, dtype=int)
+    quantiles = np.asarray(quantiles, dtype=float)
+    if not np.all((quantiles > 0.0) & (quantiles < 1.0)):
+        raise ValueError("quantile must lie strictly inside (0, 1)")
+    if not (t > 0 and u > 0):
+        raise ValueError("scales t and u must be positive")
+    if not exact_rows(ns, ys, zs, t).all():
+        raise ValueError("rows must be exact_rows: z >= 2, n < 300, series shapes")
+    wb, we = 1.0 / t, 1.0 / u
+    nq = quantiles.size
+    limits = np.empty((nq, ns.size))
+    step = max(1, _SERIES_TERMS // (2 * nq * (ns.max(initial=0) + 1)))
+    for start in range(0, ns.size, step):
+        r = np.repeat(np.arange(start, min(start + step, ns.size)), nq)
+        # One series pass carries both ends: rows (n+1, y, z), then (n, y+1, z+1).
+        kn = np.concatenate([ns[r] + 1, ns[r]])
+        kb = np.concatenate([ys[r], ys[r] + 1])
+        ke = np.concatenate([zs[r], zs[r] + 1])
+        integral = _prepared_series(kn, 1.0, kb, wb, ke, we, integrated=True)
+
+        def mass(x):
+            """J_up(x) - J_lo(x), the unnormalized G(x) of every row."""
+            j = integral(np.tile(x, 2))
+            return j[: r.size] - j[r.size :]
+
+        norm = mass(np.full(r.size, np.inf))
+        if not np.all(norm > 0):
+            raise NumericalError("plausibility mass on s >= 0 underflows")
+        target = np.tile(quantiles, r.size // nq) * norm
+        lims = bisect_monotone(
+            lambda x: mass(x) >= target, r.shape, rel_tol, NumericalError
+        )
+        limits[:, r[::nq]] = lims.reshape(-1, nq).T
+    return limits

@@ -32,6 +32,8 @@ from .ds_limits import (
     GridConfig,
     UnboundedLimit,
     dataset_limits,
+    ds_upper_limits_batch,
+    exact_rows,
 )
 from .sampling import DEFAULT_SEED, RngHandle, derive_stream_id
 from .specfun import bisect_monotone
@@ -132,10 +134,24 @@ class CredibilityConfig:
 _BLOCK_ROWS = 1024
 
 
+# Rows with z >= _EXACT_MIN_Z take the grid-free ds_upper_limits_batch.
+# z = 2 is exact there too, but stays on the grid until the stored
+# 16,384-knot references (perfbench/refs), which truncate its heavy
+# tail, are regenerated.
+_EXACT_MIN_Z = 3
+
+
 def _ds_limits_of_counts(counts, t, u, quantiles, grid: GridConfig) -> np.ndarray:
+    counts = np.asarray(counts, dtype=int).reshape(-1, 3)
     out = np.empty((len(quantiles), len(counts)))
-    for j, (n, y, z) in enumerate(counts):
-        dataset = Dataset((ChannelObservation(int(n), int(y), int(z), t, u),))
+    ns, ys, zs = counts.T
+    exact = (zs >= _EXACT_MIN_Z) & exact_rows(ns, ys, zs, t)
+    out[:, exact] = ds_upper_limits_batch(
+        ns[exact], ys[exact], zs[exact], t, u, quantiles
+    )
+    for j in np.flatnonzero(~exact):
+        ch = ChannelObservation(int(ns[j]), int(ys[j]), int(zs[j]), t, u)
+        dataset = Dataset((ch,))
         try:
             out[:, j] = dataset_limits(dataset, quantiles, grid)
         except UnboundedLimit:
@@ -149,7 +165,12 @@ def _bayes_limits_of_counts(counts, t, u, quantiles, prior: PriorConfig) -> np.n
 
 
 def make_ds_method(grid: GridConfig = GridConfig()):
-    """Belief-interval limit method; +inf where the limit is unbounded."""
+    """Belief-interval limit method; +inf where the limit is unbounded.
+
+    Rows with z >= 3 that the series route carries take the grid-free
+    :func:`ds_upper_limits_batch`, so ``grid`` does not affect them; the
+    other rows take :func:`dataset_limits` on ``grid``.
+    """
     return partial(_ds_limits_of_counts, grid=grid)
 
 
@@ -426,6 +447,8 @@ class StudyResult:
     def summary(self, s_lo: float = 20.0, s_hi: float = 40.0):
         """Rows (method, level, mean, stdev) over the s subrange."""
         sel = (self.s_grid >= s_lo) & (self.s_grid <= s_hi)
+        if not sel.any():
+            raise ValueError(f"no s-grid point lies in [{s_lo:g}, {s_hi:g}]")
         rows = []
         for m in self.methods:
             for q in self.quantiles:

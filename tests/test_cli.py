@@ -351,6 +351,19 @@ class TestSimulateCommand:
         )
         assert rc == 2
 
+    def test_empty_summary_range_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        rc = main(
+            ["simulate", "--output", str(out), "--t", "3.3", "--u", "10",
+             "--eps", "0.1", "--b", "0.3", "--s-grid", "5:6:1", "--reps", "3",
+             "--methods", "ds"]
+        )
+        assert rc == 2
+        assert "--summary-range 20:40 holds no point of --s-grid" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
 
 class TestCsvFormatting:
     def test_seventeen_significant_digits_and_lf(self, tmp_path):

@@ -222,6 +222,11 @@ class TestSimulateStudy:
         assert method == "B1" and level == 0.9
         assert 0.0 <= mean <= 1.0 and sd >= 0.0
 
+    def test_summary_range_without_grid_points(self):
+        res = simulate_study(3.3, 10.0, 0.1, 0.3, [5.0, 6.0], reps=3, methods=("B1",))
+        with pytest.raises(ValueError, match="no s-grid point"):
+            res.summary(20.0, 40.0)
+
     def test_reps_validation(self):
         with pytest.raises(ValueError):
             simulate_study(3.3, 10.0, 0.1, 0.3, [1.0], reps=0)

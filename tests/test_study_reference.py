@@ -2,9 +2,10 @@
 
 The reference functions below are the per-dataset coverage estimators,
 the per-cell simulation study and the credibility ratio as they stood
-before every study went through one deduplicated, blocked path.  Limits
-and coverage estimates must agree bitwise, and each distinct (n, y, z)
-must be evaluated once.
+before every study went through one deduplicated, blocked path.  Their
+DS limits come from the same limit method called on one row at a time,
+so limits and coverage estimates must agree bitwise, and each distinct
+(n, y, z) must be evaluated once.
 """
 
 import math
@@ -15,7 +16,7 @@ from scipy import special as sp
 
 from dsplim import evalharness
 from dsplim.bayes import bayes_upper_limit, bayes_upper_limits_batch, prior_preset
-from dsplim.ds_limits import ChannelObservation, Dataset, GridConfig, UnboundedLimit
+from dsplim.ds_limits import ChannelObservation, Dataset, GridConfig
 from dsplim.evalharness import (
     CredibilityConfig,
     NoPosteriorMass,
@@ -35,11 +36,15 @@ from dsplim.specfun import bisect_monotone
 # reference implementations
 
 
+def _ref_ds_row(ch, quantiles, grid):
+    """DS limits of one channel: the study's limit method on one row."""
+    row = np.array([[ch.n, ch.y, ch.z]])
+    return make_ds_method(grid)(row, ch.t, ch.u, tuple(quantiles))[:, 0]
+
+
 def _ref_ds_limit(dataset, q, grid):
-    try:
-        return evalharness.dataset_limits(dataset, [q], grid)[0]
-    except UnboundedLimit:
-        return math.inf
+    (ch,) = dataset.channels
+    return _ref_ds_row(ch, [q], grid)[0]
 
 
 def _ref_bayes_limit(dataset, q, prior):
@@ -114,14 +119,8 @@ def _ref_study_cell(idx, s, t, u, eps, b, reps, methods, quantiles, grid, seed):
         if m == "ds":
             lims = np.empty((len(quantiles), reps))
             for j in range(reps):
-                ds = Dataset(
-                    (ChannelObservation(int(ns[j]), int(ys[j]), int(zs[j]), t, u),),
-                    label=str(j),
-                )
-                try:
-                    lims[:, j] = evalharness.dataset_limits(ds, quantiles, grid)
-                except UnboundedLimit:
-                    lims[:, j] = math.inf
+                ch = ChannelObservation(int(ns[j]), int(ys[j]), int(zs[j]), t, u)
+                lims[:, j] = _ref_ds_row(ch, quantiles, grid)
         else:
             lims = bayes_upper_limits_batch(ns, ys, zs, t, u, prior_preset(m), quantiles)
         out[m] = lims
@@ -163,6 +162,37 @@ def _ref_credibility_limit(ch, cfg, q, n_samples, rng, rel_tol=1e-6):
     )
 
 
+def _count_ds_rows(monkeypatch):
+    """Record the (n, y, z) of every dataset_limits call and of every row
+    handed to ds_upper_limits_batch."""
+    grid_rows, batch_rows = [], []
+    real_grid = evalharness.dataset_limits
+    real_exact = evalharness.ds_upper_limits_batch
+
+    def counting_grid(dataset, quantiles, grid):
+        (ch,) = dataset.channels
+        grid_rows.append((ch.n, ch.y, ch.z))
+        return real_grid(dataset, quantiles, grid)
+
+    def counting_exact(ns, ys, zs, *args):
+        batch_rows.extend(zip(ns.tolist(), ys.tolist(), zs.tolist()))
+        return real_exact(ns, ys, zs, *args)
+
+    monkeypatch.setattr(evalharness, "dataset_limits", counting_grid)
+    monkeypatch.setattr(evalharness, "ds_upper_limits_batch", counting_exact)
+    return grid_rows, batch_rows
+
+
+def _assert_once_per_triple(grid_rows, batch_rows, draws):
+    """Each distinct triple is evaluated once: z <= 2 on the grid, z >= 3
+    (all carried by the series here) by the exact batch."""
+    assert len(grid_rows) == len(set(grid_rows))
+    assert len(batch_rows) == len(set(batch_rows))
+    assert set(grid_rows) == {d for d in draws if d[2] <= 2}
+    assert set(batch_rows) == {d for d in draws if d[2] >= 3}
+    assert grid_rows and batch_rows
+
+
 # ---------------------------------------------------------------------------
 # studies
 
@@ -192,15 +222,7 @@ class TestSimulateStudy:
                 assert np.array_equal(got.coverage[key], cov)
 
     def test_one_evaluation_per_distinct_triple(self, monkeypatch):
-        seen = []
-        real = evalharness.dataset_limits
-
-        def counting(dataset, quantiles, grid):
-            (ch,) = dataset.channels
-            seen.append((ch.n, ch.y, ch.z))
-            return real(dataset, quantiles, grid)
-
-        monkeypatch.setattr(evalharness, "dataset_limits", counting)
+        grid_rows, batch_rows = _count_ds_rows(monkeypatch)
         simulate_study(**SMALL, methods=("ds",), seed=32, grid=GridConfig(points=64))
         draws = set()
         for idx, s in enumerate(SMALL["s_grid"]):
@@ -209,8 +231,7 @@ class TestSimulateStudy:
             ys = gen.poisson(SMALL["t"] * SMALL["b"], SMALL["reps"])
             zs = gen.poisson(SMALL["u"] * SMALL["eps"], SMALL["reps"])
             draws.update(zip(ns.tolist(), ys.tolist(), zs.tolist()))
-        assert len(seen) == len(set(seen)) == len(draws)
-        assert set(seen) == draws
+        _assert_once_per_triple(grid_rows, batch_rows, draws)
         assert len(draws) < 3 * SMALL["reps"]  # the study does repeat triples
 
 
@@ -253,15 +274,7 @@ def test_coverage_importance_bitwise(name):
 
 
 def test_coverage_importance_one_evaluation_per_distinct_triple(monkeypatch):
-    seen = []
-    real = evalharness.dataset_limits
-
-    def counting(dataset, quantiles, grid):
-        (ch,) = dataset.channels
-        seen.append((ch.n, ch.y, ch.z))
-        return real(dataset, quantiles, grid)
-
-    monkeypatch.setattr(evalharness, "dataset_limits", counting)
+    grid_rows, batch_rows = _count_ds_rows(monkeypatch)
     coverage_importance(
         make_ds_method(GRID64), TASK1B["t"], TASK1B["u"], TASK1B["truth"],
         [5.0, 10.0], 0.9, n_samples=300, s_ref=5.0, rng=RngHandle(34),
@@ -272,8 +285,8 @@ def test_coverage_importance_one_evaluation_per_distinct_triple(monkeypatch):
     ys = gen.poisson(TASK1B["t"] * b, 300)
     zs = gen.poisson(TASK1B["u"] * eps, 300)
     draws = set(zip(ns.tolist(), ys.tolist(), zs.tolist()))
-    assert len(seen) == len(set(seen)) == len(draws) < 300
-    assert set(seen) == draws
+    assert len(draws) < 300
+    _assert_once_per_triple(grid_rows, batch_rows, draws)
 
 
 # ---------------------------------------------------------------------------
