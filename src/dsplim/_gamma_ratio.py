@@ -113,17 +113,26 @@ def _nb_pmf_block(r, p, count: int) -> np.ndarray:
     """
     start = np.exp(np.where(r == 0, 0.0, r * np.log1p(-p)))
     out = np.empty((count,) + start.shape)
-    out[:1] = start
+    out[0] = start
     for i in range(1, count):
         out[i] = out[i - 1] * p * ((r + i - 1.0) / i)
     return out
+
+
+def _nonnegative(x) -> np.ndarray:
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if (x < 0).any():
+        raise ValueError("x must be >= 0")
+    return x
 
 
 def _prepared_series(kn, wn, kb, wb, ke, we, integrated: bool = False):
     """The series route with everything that does not depend on x built
     once: returns x -> survival at x, or its integral over [0, x] when
     ``integrated``.  Shapes as for :func:`survival_series`; with per-row
-    shapes, x must have one entry per row."""
+    shapes, x must have one entry per row.  As for :func:`_nb_pmf_block`,
+    the caller runs both this and the returned function under
+    ``np.errstate(divide="ignore", invalid="ignore")``, once for all."""
     shapes = _validate(kn, wn, kb, wb, ke, we)
     if not _is_integral(shapes):
         raise ValueError("series route requires integer shapes")
@@ -131,13 +140,15 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated: bool = False):
     if integrated and np.min(ke) < 2:
         raise ValueError("integrated survival requires ke >= 2")
     count = int(kn.max())
-    if count and _series_underflows(kb, wn, wb).any():
+    if count == 0:
+        # A is the constant 0: the survival and its integral vanish.
+        return lambda x: np.zeros(_nonnegative(x).shape)
+    if _series_underflows(kb, wn, wb).any():
         raise NumericalError(
             "background block underflows in the series route; "
             "use the quadrature route"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nb_b = _nb_pmf_block(kb, wb / (wn + wb), count)
+    nb_b = _nb_pmf_block(kb, wb / (wn + wb), count)
     if shapes.ndim == 2:
         # Row i sums nb_b[m, i] * cum_e[kn_i - 1 - m, i] over m < kn_i.
         # (A flat gather is faster here than np.take_along_axis, and
@@ -150,14 +161,9 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated: bool = False):
     e_shape, factor = (ke - 1.0, wn / we / (ke - 1.0)) if integrated else (ke, 1.0)
 
     def values(x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if (x < 0).any():
-            raise ValueError("x must be >= 0")
-        if count == 0:
-            return np.zeros(x.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pe = np.where(np.isinf(x), 1.0, x * we / (wn + x * we))
-            cum_e = np.cumsum(_nb_pmf_block(e_shape, pe, count), axis=0)
+        x = _nonnegative(x)
+        pe = np.where(np.isinf(x), 1.0, x * we / (wn + x * we))
+        cum_e = np.cumsum(_nb_pmf_block(e_shape, pe, count), axis=0)
         if integrated:
             cum_e = np.cumsum(1.0 - cum_e, axis=0)
         if shapes.ndim == 1:
@@ -173,7 +179,8 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated: bool = False):
 def survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
     """Exact P(A > B + x*E) for integer shapes: kn, kb, ke are shared
     scalars or 1-d arrays with one entry per point of x."""
-    return _prepared_series(kn, wn, kb, wb, ke, we)(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _prepared_series(kn, wn, kb, wb, ke, we)(x)
 
 
 def integrated_survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
@@ -187,7 +194,8 @@ def integrated_survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
     which at x = inf is c * E[(kn - B)^+] / (ke - 1).  (Under
     w = c / (c + v) the survival is w**ke times a polynomial in 1 - w.)
     """
-    return _prepared_series(kn, wn, kb, wb, ke, we, integrated=True)(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _prepared_series(kn, wn, kb, wb, ke, we, integrated=True)(x)
 
 
 _BREAK_LEVELS = np.array(

@@ -210,12 +210,13 @@ def bayes_upper_limits_batch(
             raise NumericalError("posterior mass on s >= 0 underflows")
         # F(x) >= q  <=>  survival(x) <= (1 - q) * den
         thresh = (1.0 - np.tile(quantiles, part.size)) * den
-        surv = _prepared_series(kn_r, wn, kb_r, wb, ke_r, we)
-        lims = bisect_monotone(
-            lambda x: surv(x) <= thresh,
-            r.shape,
-            rel_tol,
-            NumericalError,
-        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            surv = _prepared_series(kn_r, wn, kb_r, wb, ke_r, we)
+            lims = bisect_monotone(
+                lambda x: surv(x) <= thresh,
+                r.shape,
+                rel_tol,
+                NumericalError,
+            )
         limits[:, part] = lims.reshape(part.size, nq).T
     return limits

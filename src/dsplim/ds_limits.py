@@ -65,6 +65,7 @@ __all__ = [
     "upper_limit",
     "dataset_limits",
     "exact_rows",
+    "study_rows",
     "ds_upper_limits_batch",
 ]
 
@@ -354,6 +355,16 @@ def dataset_limits(
 _EXACT_MAX_KN = 300
 
 
+# Relative width at which ds_upper_limits_batch stops bisecting a limit.
+_EXACT_REL_TOL = 1e-10
+
+# Least z of the rows the studies' DS limit method (evalharness) sends
+# to ds_upper_limits_batch.  z = 2 is exact there too, but stays on the
+# grid until the stored 16,384-knot references (perfbench/refs), which
+# truncate its heavy tail, are regenerated.
+_STUDY_MIN_Z = 3
+
+
 def exact_rows(ns, ys, zs, t: float) -> np.ndarray:
     """Single-channel rows :func:`ds_upper_limits_batch` can take: z >= 2,
     n + 1 <= _EXACT_MAX_KN, and both endpoint shape triples on the series
@@ -363,9 +374,13 @@ def exact_rows(ns, ys, zs, t: float) -> np.ndarray:
     return (zs >= 2) & (ns + 1 <= _EXACT_MAX_KN) & carried
 
 
-def ds_upper_limits_batch(
-    ns, ys, zs, t: float, u: float, quantiles, rel_tol: float = 1e-10
-) -> np.ndarray:
+def study_rows(ns, ys, zs, t: float) -> np.ndarray:
+    """The :func:`exact_rows` with z >= _STUDY_MIN_Z: the rows the
+    studies' DS limit method takes by :func:`ds_upper_limits_batch`."""
+    return (np.asarray(zs) >= _STUDY_MIN_Z) & exact_rows(ns, ys, zs, t)
+
+
+def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarray:
     """Grid-free upper limits of many single-channel datasets.
 
     Returns an array of shape (len(quantiles), len(ns)).  For one channel
@@ -379,8 +394,9 @@ def ds_upper_limits_batch(
     and the conditioning probability cancels.  Every row must be one of
     :func:`exact_rows`.  One (dataset, quantile) pair is one row of the
     per-row series, at most _SERIES_TERMS terms per call, and G(X) = q
-    is bisected to ``rel_tol`` by :func:`dsplim.specfun.bisect_monotone`,
-    so each limit is independent of the rows batched with it.
+    is bisected to a relative width of _EXACT_REL_TOL by
+    :func:`dsplim.specfun.bisect_monotone`, so each limit is independent
+    of the rows batched with it.
     """
     ns = np.asarray(ns, dtype=int)
     ys = np.asarray(ys, dtype=int)
@@ -402,19 +418,20 @@ def ds_upper_limits_batch(
         kn = np.concatenate([ns[r] + 1, ns[r]])
         kb = np.concatenate([ys[r], ys[r] + 1])
         ke = np.concatenate([zs[r], zs[r] + 1])
-        integral = _prepared_series(kn, 1.0, kb, wb, ke, we, integrated=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integral = _prepared_series(kn, 1.0, kb, wb, ke, we, integrated=True)
 
-        def mass(x):
-            """J_up(x) - J_lo(x), the unnormalized G(x) of every row."""
-            j = integral(np.tile(x, 2))
-            return j[: r.size] - j[r.size :]
+            def mass(x):
+                """J_up(x) - J_lo(x), the unnormalized G(x) of every row."""
+                j = integral(np.tile(x, 2))
+                return j[: r.size] - j[r.size :]
 
-        norm = mass(np.full(r.size, np.inf))
-        if not np.all(norm > 0):
-            raise NumericalError("plausibility mass on s >= 0 underflows")
-        target = np.tile(quantiles, r.size // nq) * norm
-        lims = bisect_monotone(
-            lambda x: mass(x) >= target, r.shape, rel_tol, NumericalError
-        )
+            norm = mass(np.full(r.size, np.inf))
+            if not np.all(norm > 0):
+                raise NumericalError("plausibility mass on s >= 0 underflows")
+            target = np.tile(quantiles, r.size // nq) * norm
+            lims = bisect_monotone(
+                lambda x: mass(x) >= target, r.shape, _EXACT_REL_TOL, NumericalError
+            )
         limits[:, r[::nq]] = lims.reshape(-1, nq).T
     return limits

@@ -33,7 +33,7 @@ from .ds_limits import (
     UnboundedLimit,
     dataset_limits,
     ds_upper_limits_batch,
-    exact_rows,
+    study_rows,
 )
 from .sampling import DEFAULT_SEED, RngHandle, derive_stream_id
 from .specfun import bisect_monotone
@@ -134,18 +134,11 @@ class CredibilityConfig:
 _BLOCK_ROWS = 1024
 
 
-# Rows with z >= _EXACT_MIN_Z take the grid-free ds_upper_limits_batch.
-# z = 2 is exact there too, but stays on the grid until the stored
-# 16,384-knot references (perfbench/refs), which truncate its heavy
-# tail, are regenerated.
-_EXACT_MIN_Z = 3
-
-
 def _ds_limits_of_counts(counts, t, u, quantiles, grid: GridConfig) -> np.ndarray:
     counts = np.asarray(counts, dtype=int).reshape(-1, 3)
     out = np.empty((len(quantiles), len(counts)))
     ns, ys, zs = counts.T
-    exact = (zs >= _EXACT_MIN_Z) & exact_rows(ns, ys, zs, t)
+    exact = study_rows(ns, ys, zs, t)
     out[:, exact] = ds_upper_limits_batch(
         ns[exact], ys[exact], zs[exact], t, u, quantiles
     )
@@ -167,9 +160,9 @@ def _bayes_limits_of_counts(counts, t, u, quantiles, prior: PriorConfig) -> np.n
 def make_ds_method(grid: GridConfig = GridConfig()):
     """Belief-interval limit method; +inf where the limit is unbounded.
 
-    Rows with z >= 3 that the series route carries take the grid-free
-    :func:`ds_upper_limits_batch`, so ``grid`` does not affect them; the
-    other rows take :func:`dataset_limits` on ``grid``.
+    The :func:`study_rows` (z >= 3, on the series route) take the
+    grid-free :func:`ds_upper_limits_batch`, so ``grid`` does not affect
+    them; the other rows take :func:`dataset_limits` on ``grid``.
     """
     return partial(_ds_limits_of_counts, grid=grid)
 

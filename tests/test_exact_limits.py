@@ -20,6 +20,7 @@ from dsplim.ds_limits import (
     dataset_limits,
     ds_upper_limits_batch,
     exact_rows,
+    study_rows,
 )
 from dsplim.evalharness import _row_limits, make_ds_method
 
@@ -132,8 +133,11 @@ class TestRouting:
     def test_exact_rows(self):
         ns, ys, zs = np.array([[3, 3, 3, 3, 3], [2, 2, 2, 2, 2000], [0, 1, 2, 3, 5]])
         assert exact_rows(ns, ys, zs, 3.3).tolist() == [False, False, True, True, True]
+        # the studies leave z = 2 on the grid
+        assert study_rows(ns, ys, zs, 3.3).tolist() == [False, False, False, True, True]
         # a background block that underflows the series stays off the route
         assert exact_rows(ns, ys, zs, 0.1).tolist() == [False, False, True, True, False]
+        assert study_rows(ns, ys, zs, 0.1).tolist() == [False, False, False, True, False]
         # so does a long series whose efficiency block can underflow
         ns, ys, zs = np.array([[299, 300, 5000], [0, 0, 0], [300, 300, 5000]])
         assert exact_rows(ns, ys, zs, 1.0).tolist() == [True, False, False]
