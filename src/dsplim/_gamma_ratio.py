@@ -22,12 +22,12 @@ integer kn, and averaging the tail over the B and E laws yields
 a finite convolution of negative binomial masses.  Every term is
 positive, so no cancellation occurs; cost is O(kn) per point.  The
 shapes are shared scalars (channel CDFs, one posterior) or arrays with
-one row per point of x (batched posteriors); both run one broadcast
-recurrence, in linear space, so one rule marks where its start value
-underflows: there "auto" uses quadrature and "series" raises.  The same
-pass also gives the integral of the survival over [0, x] for ke >= 2
-(:func:`integrated_survival_series`), on which the grid-free
-single-channel DS limits rest.
+one row per point of x (batched posteriors).  Each block of masses is
+exponentiated from its logarithm, with log p and log(1 - p) taken from
+the scales, so a start value (1 - p)**r far below the double range
+loses no mass.  The same pass also gives the integral of the survival
+over [0, x] for ke >= 2 (:func:`integrated_survival_series`), on which
+the grid-free single-channel DS limits rest.
 
 "quadrature" (any positive real shapes).  The beta-CDF form
 
@@ -50,11 +50,9 @@ from scipy.special import betaincinv
 
 from .specfun import QuadratureConfig, beta_cdf, beta_pdf, integrate
 
-# Above this kn the O(kn) series is slower than quadrature; beyond the
-# log-start underflow bound the linear-space recurrences lose the mass
-# anyway, so "auto" falls back to quadrature.
+# Above this shape the O(kn) series is slower than quadrature, so "auto"
+# falls back to quadrature.
 _SERIES_MAX_SHAPE = 20_000
-_SERIES_LOG_START_MIN = -600.0
 
 # Most series terms (rows x series length) one batched call builds:
 # 2**22 terms keep each of its arrays near 32 MB.
@@ -79,44 +77,43 @@ def _validate(kn, wn, kb, wb, ke, we) -> np.ndarray:
     return shapes
 
 
-def _is_integral(shapes: np.ndarray) -> bool:
-    return np.abs(shapes - np.rint(shapes)).max() <= 1e-9
+def _is_integral(shapes: np.ndarray) -> np.ndarray:
+    return np.abs(shapes - np.rint(shapes)) <= 1e-9
 
 
-def _series_underflows(kb, wn, wb) -> np.ndarray:
-    """Per background shape in kb: whether the start value (1 - pb)**kb
-    of its block lies below exp(_SERIES_LOG_START_MIN).  When pb rounds
-    to 1 the start value is 0 for every kb > 0, which counts as
-    underflow."""
-    kb, pb = np.asarray(kb, dtype=float), wb / (wn + wb)
-    if pb == 1.0:
-        return kb > 0
-    return kb * math.log1p(-pb) < _SERIES_LOG_START_MIN
+def _series_carries(kn, kb, ke) -> np.ndarray:
+    """Per shape triple: whether survival(method="auto") takes the series
+    route, i.e. all three shapes are integers up to _SERIES_MAX_SHAPE."""
+    shapes = np.array([kn, kb, ke], dtype=float)
+    return (_is_integral(shapes) & (shapes <= _SERIES_MAX_SHAPE)).all(axis=0)
 
 
-def _series_carries(kn, kb, ke, wn, wb) -> np.ndarray:
-    """Per integer shape triple: whether survival(method="auto") takes
-    the series route, i.e. no shape exceeds _SERIES_MAX_SHAPE and the
-    background block does not underflow."""
-    top = np.maximum(np.maximum(kn, kb), ke)
-    return (top <= _SERIES_MAX_SHAPE) & ~_series_underflows(kb, wn, wb)
+def _log_binomials(r, count: int) -> np.ndarray:
+    """log C(r + i - 1, i) at i = 0..count-1, broadcast over r, as a
+    cumulative sum of log((r + i - 1) / i).  At r == 0 the values after
+    the first are -inf."""
+    i = np.arange(1.0, count).reshape((-1,) + (1,) * np.ndim(r))
+    steps = np.log((r + i - 1.0) / i)
+    return np.concatenate([np.zeros((1,) + np.shape(r)), np.cumsum(steps, axis=0)])
 
 
-def _nb_pmf_block(r, p, count: int) -> np.ndarray:
-    """Negative binomial pmf values at 0..count-1, broadcast over r and p.
+def _nb_pmf_block(log_binom, r, log_p, log_q) -> np.ndarray:
+    """Negative binomial pmf values at 0..count-1 with log_binom from
+    :func:`_log_binomials` (r, count), log_p = log p and log_q = log(1 - p).
 
-    The result has shape (count,) + the broadcast shape of r and p.
-    r == 0 is the exact point mass at 0, also at p == 1.  Start values
-    that underflow are returned as exact zeros, which is the correct
-    limit here (the mass below ``count`` is then negligible).  The
-    caller silences the warnings of log1p(-1) and 0 * inf.
+    The result has shape (count,) + the broadcast shape of r and the
+    logs.  Each value is exponentiated once from its log-pmf
+    log_binom + r * log_q + i * log_p, so no mass below count is lost to
+    an underflowing start value (1 - p)**r.  r == 0 is the exact point
+    mass at 0, also at p == 1.
     """
-    start = np.exp(np.where(r == 0, 0.0, r * np.log1p(-p)))
-    out = np.empty((count,) + start.shape)
-    out[0] = start
-    for i in range(1, count):
-        out[i] = out[i - 1] * p * ((r + i - 1.0) / i)
-    return out
+    count = len(log_binom)
+    r_log_q = np.where(r == 0, 0.0, r * log_q)
+    lead = (count,) + (1,) * (r_log_q.ndim - np.ndim(r))
+    log_pmf = log_binom.reshape(lead + np.shape(r)) + r_log_q
+    i = np.arange(1.0, count).reshape((-1,) + (1,) * r_log_q.ndim)
+    log_pmf[1:] += i * log_p
+    return np.exp(log_pmf, out=log_pmf)
 
 
 def _nonnegative(x) -> np.ndarray:
@@ -130,11 +127,11 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated: bool = False):
     """The series route with everything that does not depend on x built
     once: returns x -> survival at x, or its integral over [0, x] when
     ``integrated``.  Shapes as for :func:`survival_series`; with per-row
-    shapes, x must have one entry per row.  As for :func:`_nb_pmf_block`,
-    the caller runs both this and the returned function under
-    ``np.errstate(divide="ignore", invalid="ignore")``, once for all."""
+    shapes, x must have one entry per row.  The caller runs both this
+    and the returned function under ``np.errstate(all="ignore")``, once
+    for all: log(0), 0 * inf and 1 / x at x = 0 or subnormal x warn."""
     shapes = _validate(kn, wn, kb, wb, ke, we)
-    if not _is_integral(shapes):
+    if not _is_integral(shapes).all():
         raise ValueError("series route requires integer shapes")
     kn, kb, ke = np.rint(shapes)
     if integrated and np.min(ke) < 2:
@@ -143,12 +140,10 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated: bool = False):
     if count == 0:
         # A is the constant 0: the survival and its integral vanish.
         return lambda x: np.zeros(_nonnegative(x).shape)
-    if _series_underflows(kb, wn, wb).any():
-        raise NumericalError(
-            "background block underflows in the series route; "
-            "use the quadrature route"
-        )
-    nb_b = _nb_pmf_block(kb, wb / (wn + wb), count)
+    # log pb and log(1 - pb), pb = wb / (wn + wb), from the scales.
+    nb_b = _nb_pmf_block(
+        _log_binomials(kb, count), kb, -math.log1p(wn / wb), -math.log1p(wb / wn)
+    )
     if shapes.ndim == 2:
         # Row i sums nb_b[m, i] * cum_e[kn_i - 1 - m, i] over m < kn_i.
         # (A flat gather is faster here than np.take_along_axis, and
@@ -159,11 +154,15 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated: bool = False):
     # (see integrated_survival_series): the same contraction over K's
     # summed tail in place of E's CDF.
     e_shape, factor = (ke - 1.0, wn / we / (ke - 1.0)) if integrated else (ke, 1.0)
+    log_binom_e = _log_binomials(e_shape, count)
 
     def values(x) -> np.ndarray:
-        x = _nonnegative(x)
-        pe = np.where(np.isinf(x), 1.0, x * we / (wn + x * we))
-        cum_e = np.cumsum(_nb_pmf_block(e_shape, pe, count), axis=0)
+        # pe(x) = x * we / (wn + x * we) has the odds x * we / wn.
+        odds = _nonnegative(x) * we / wn
+        nb_e = _nb_pmf_block(
+            log_binom_e, e_shape, -np.log1p(1.0 / odds), -np.log1p(odds)
+        )
+        cum_e = np.cumsum(nb_e, axis=0, out=nb_e)
         if integrated:
             cum_e = np.cumsum(1.0 - cum_e, axis=0)
         if shapes.ndim == 1:
@@ -171,7 +170,8 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated: bool = False):
         else:
             rows = np.where(lag >= 0, cum_e.ravel()[flat], 0.0)
             out = np.einsum("mi,mi->i", nb_b, rows)
-        return out * factor if integrated else out
+        # Rounding can lift a survival that sums to 1 just above it.
+        return out * factor if integrated else np.minimum(out, 1.0)
 
     return values
 
@@ -179,7 +179,7 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated: bool = False):
 def survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
     """Exact P(A > B + x*E) for integer shapes: kn, kb, ke are shared
     scalars or 1-d arrays with one entry per point of x."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         return _prepared_series(kn, wn, kb, wb, ke, we)(x)
 
 
@@ -194,7 +194,7 @@ def integrated_survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
     which at x = inf is c * E[(kn - B)^+] / (ke - 1).  (Under
     w = c / (c + v) the survival is w**ke times a polynomial in 1 - w.)
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         return _prepared_series(kn, wn, kb, wb, ke, we, integrated=True)(x)
 
 
@@ -268,17 +268,11 @@ def survival(
 ):
     """P(A > B + x*E); x may be a scalar or an array.
 
-    method "auto" prefers the exact series whenever all shapes are
-    integers in range, falling back to quadrature otherwise.
+    method "auto" takes the exact series whenever all shapes are
+    integers up to _SERIES_MAX_SHAPE, and quadrature otherwise.
     """
     if method == "auto":
-        shapes = np.array([kn, kb, ke], dtype=float)
-        series_ok = (
-            _is_integral(shapes)
-            and shapes.max() <= _SERIES_MAX_SHAPE
-            and not _series_underflows(shapes[1], wn, wb)
-        )
-        method = "series" if series_ok else "quadrature"
+        method = "series" if _series_carries(kn, kb, ke).all() else "quadrature"
     scalar = np.ndim(x) == 0
     if method == "series":
         out = survival_series(x, kn, wn, kb, wb, ke, we)

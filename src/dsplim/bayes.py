@@ -8,9 +8,9 @@ nonnegative half-line, with L_n, B, E the three posterior gammas, and
 its CDF shares the evaluation engine used by the belief-interval
 channel CDFs: :func:`dsplim._gamma_ratio.survival_series`, with shared
 shapes for one posterior and per-row shapes for a batch.  A batch
-sends the datasets the series cannot carry to the scalar route, which
-falls back to quadrature.  Every quantile, scalar or batched, is one
-call of :func:`dsplim.specfun.bisect_monotone`.
+sends the datasets with a shape above the series bound to the scalar
+route, which takes quadrature there.  Every quantile, scalar or
+batched, is one call of :func:`dsplim.specfun.bisect_monotone`.
 
 Note on the scale convention: a proper unit-scale gamma prior combined
 with the Poisson likelihood would put scale 1/2 (and 1/(2t), 1/(2u))
@@ -171,11 +171,12 @@ def bayes_upper_limits_batch(
     """Upper limits for many single-channel datasets at once.
 
     Returns an array of shape (len(quantiles), len(ns)).  Requires the
-    integer-shape prior presets.  Datasets the series cannot carry (the
-    rule of ``survival(method="auto")``) take the scalar route, which
-    falls back to quadrature.  For the others one (dataset, quantile)
-    pair is one row of the per-row series engine, at most _SERIES_TERMS
-    terms per call, bisected by the rule of :func:`posterior_quantile`.
+    integer-shape prior presets.  Datasets with a shape above the series
+    bound (the rule of ``survival(method="auto")``) take the scalar
+    route, which takes quadrature there.  For the others one (dataset,
+    quantile) pair is one row of the per-row series engine, at most
+    _SERIES_TERMS terms per call, bisected by the rule of
+    :func:`posterior_quantile`.
     Each row's trajectory is independent of the batch composition, so
     results are identical under any re-batching; they agree with the
     scalar routine to rounding, as the per-row sum runs in another
@@ -194,7 +195,7 @@ def bayes_upper_limits_batch(
     kn = ns + int(round(prior.a_n))
     kb = (ys + int(round(prior.a_b))).astype(float)
     ke = (zs + int(round(prior.a_e))).astype(float)
-    scalar = ~_series_carries(kn, kb, ke, wn, wb)
+    scalar = ~_series_carries(kn, kb, ke)
     limits = np.empty((nq, ns.size))
     for j in np.flatnonzero(scalar):
         ch = ChannelObservation(int(ns[j]), int(ys[j]), int(zs[j]), t, u)
@@ -210,7 +211,7 @@ def bayes_upper_limits_batch(
             raise NumericalError("posterior mass on s >= 0 underflows")
         # F(x) >= q  <=>  survival(x) <= (1 - q) * den
         thresh = (1.0 - np.tile(quantiles, part.size)) * den
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             surv = _prepared_series(kn_r, wn, kb_r, wb, ke_r, we)
             lims = bisect_monotone(
                 lambda x: surv(x) <= thresh,

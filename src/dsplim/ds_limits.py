@@ -347,14 +347,6 @@ def dataset_limits(
     return [upper_limit(density, q) for q in quantiles]
 
 
-# Largest n + 1 of the grid-free route.  Its NB(z - 1, pe(X)) block
-# starts from (1 - pe)**(z - 1), which underflows to 0 at large X.  Up
-# to this length the mass that start carries below n + 1 is under
-# e**-150 for every z <= 20,000; far beyond it the mass is lost and the
-# limit is wrong: (5000, 0, 5000) at t = u = 1 gives 0.16, not about 1.
-_EXACT_MAX_KN = 300
-
-
 # Relative width at which ds_upper_limits_batch stops bisecting a limit.
 _EXACT_REL_TOL = 1e-10
 
@@ -365,19 +357,18 @@ _EXACT_REL_TOL = 1e-10
 _STUDY_MIN_Z = 3
 
 
-def exact_rows(ns, ys, zs, t: float) -> np.ndarray:
-    """Single-channel rows :func:`ds_upper_limits_batch` can take: z >= 2,
-    n + 1 <= _EXACT_MAX_KN, and both endpoint shape triples on the series
-    route of ``survival(method="auto")``."""
+def exact_rows(ns, ys, zs) -> np.ndarray:
+    """Single-channel rows :func:`ds_upper_limits_batch` can take: z >= 2
+    and both endpoint shape triples on the series route of
+    ``survival(method="auto")``."""
     ns, ys, zs = (np.asarray(a) for a in (ns, ys, zs))
-    carried = _series_carries(ns + 1, ys + 1, zs + 1, 1.0, 1.0 / t)
-    return (zs >= 2) & (ns + 1 <= _EXACT_MAX_KN) & carried
+    return (zs >= 2) & _series_carries(ns + 1, ys + 1, zs + 1)
 
 
-def study_rows(ns, ys, zs, t: float) -> np.ndarray:
+def study_rows(ns, ys, zs) -> np.ndarray:
     """The :func:`exact_rows` with z >= _STUDY_MIN_Z: the rows the
     studies' DS limit method takes by :func:`ds_upper_limits_batch`."""
-    return (np.asarray(zs) >= _STUDY_MIN_Z) & exact_rows(ns, ys, zs, t)
+    return (np.asarray(zs) >= _STUDY_MIN_Z) & exact_rows(ns, ys, zs)
 
 
 def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarray:
@@ -406,8 +397,8 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
         raise ValueError("quantile must lie strictly inside (0, 1)")
     if not (t > 0 and u > 0):
         raise ValueError("scales t and u must be positive")
-    if not exact_rows(ns, ys, zs, t).all():
-        raise ValueError("rows must be exact_rows: z >= 2, n < 300, series shapes")
+    if not exact_rows(ns, ys, zs).all():
+        raise ValueError("rows must be exact_rows: z >= 2 and series shapes")
     wb, we = 1.0 / t, 1.0 / u
     nq = quantiles.size
     limits = np.empty((nq, ns.size))
@@ -418,7 +409,7 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
         kn = np.concatenate([ns[r] + 1, ns[r]])
         kb = np.concatenate([ys[r], ys[r] + 1])
         ke = np.concatenate([zs[r], zs[r] + 1])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             integral = _prepared_series(kn, 1.0, kb, wb, ke, we, integrated=True)
 
             def mass(x):

@@ -138,7 +138,7 @@ def _ds_limits_of_counts(counts, t, u, quantiles, grid: GridConfig) -> np.ndarra
     counts = np.asarray(counts, dtype=int).reshape(-1, 3)
     out = np.empty((len(quantiles), len(counts)))
     ns, ys, zs = counts.T
-    exact = study_rows(ns, ys, zs, t)
+    exact = study_rows(ns, ys, zs)
     out[:, exact] = ds_upper_limits_batch(
         ns[exact], ys[exact], zs[exact], t, u, quantiles
     )

@@ -124,3 +124,42 @@ def mc_credibility(limit, n, y, z, t, u, b_prior, e_prior, n_draws, rng):
     den = float(np.mean(w))
     num = float(np.mean(w * (ss <= limit)))
     return num / den
+
+
+def _nb_law(r: int, success: float, ks: np.ndarray):
+    """pmf and survival function of NB(r) at ks by scipy (its CDF is a
+    regularized incomplete beta), with scipy's success probability
+    ``success`` = 1 - p; r == 0 is the point mass at 0 and success == 0
+    (x = inf) puts all mass at infinity."""
+    from scipy.stats import nbinom
+
+    if r == 0:
+        return (ks == 0).astype(float), np.zeros(ks.shape)
+    if success == 0.0:
+        return np.zeros(ks.shape), np.ones(ks.shape)
+    return nbinom.pmf(ks, r, success), nbinom.sf(ks, r, success)
+
+
+def nb_convolution_survival(x, kn, wn, kb, wb, ke, we) -> float:
+    """P(A > B + x E) for integer shapes as the negative binomial
+    convolution sum_{m < kn} P(NB(kb, pb) = m) P(NB(ke, pe) <= kn - 1 - m),
+    pb = wb / (wn + wb), pe = x we / (wn + x we), with the success
+    probabilities 1 - p taken from the scales, never from a rounded p."""
+    if kn == 0:
+        return 0.0
+    ms = np.arange(kn)
+    pmf_b, _ = _nb_law(kb, wn / (wn + wb), ms)
+    _, sf_e = _nb_law(ke, 0.0 if math.isinf(x) else wn / (wn + x * we), ms)
+    return float(np.sum(pmf_b * (1.0 - sf_e[::-1])))
+
+
+def nb_convolution_integral(x, kn, wn, kb, wb, ke, we) -> float:
+    """J(x) = int_0^x P(A > B + v E) dv for integer shapes, ke >= 2, from
+    the identity J(x) = c / (ke - 1) E[min(K, (kn - B)^+)], c = wn / we,
+    K ~ NB(ke - 1, pe(x)), B ~ NB(kb, pb), summed with scipy's nbinom:
+    E[min(K, L)] = sum_{j < L} P(K > j)."""
+    ms = np.arange(kn)
+    pmf_b, _ = _nb_law(kb, wn / (wn + wb), ms)
+    _, sf_k = _nb_law(ke - 1, 0.0 if math.isinf(x) else wn / (wn + x * we), ms)
+    partial = np.cumsum(sf_k)  # partial[L - 1] = E[min(K, L)]
+    return wn / we / (ke - 1) * float(np.sum(pmf_b * partial[::-1]))

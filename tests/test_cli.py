@@ -12,7 +12,7 @@ from dsplim.cli import (
     parse_dataset_file,
     write_dataset_file,
 )
-from dsplim.ds_limits import ChannelObservation
+from dsplim.ds_limits import ChannelObservation, ds_upper_limits_batch
 
 GOOD = """# example file
 channels 1
@@ -155,8 +155,8 @@ class TestLimitsCommand:
         assert "dataset row 1:" in err and "dataset row 0" not in err
 
     def test_bayes_limit_past_series_underflow(self, tmp_path):
-        # B1 at (870, 870, 1), t = u = 1: the series underflows, so the
-        # limit comes from the quadrature fallback of the scalar route.
+        # B1 at (870, 870, 1), t = u = 1: the background block starts from
+        # 2**-871, below the double range; the log-space series keeps it.
         inp = _write_input(tmp_path, "channels 1\nscales 1 1\n3 2 5\n870 870 1\n")
         out = str(tmp_path / "limits.csv")
         args = ["--method", "bayes:B1", "--quantiles", "0.9"]
@@ -166,11 +166,17 @@ class TestLimitsCommand:
         want = bayes_upper_limit(ch, prior_preset("B1"), 0.9)
         assert rows[2] == ["1", f"{want:.17g}", "ok"]
 
-    def test_background_probability_rounding_to_one_fails_row(self, tmp_path):
+    def test_background_probability_rounding_to_one_gets_limit(self, tmp_path):
+        # pb = (1/t) / (1 + 1/t) rounds to 1 at t = 1e-17; the grid limits
+        # agree with the grid-free ones to the grid error, and those meet
+        # the scipy plausibility CDF (tests/test_log_series.py)
         inp = _write_input(tmp_path, "channels 1\nscales 1e-17 10\n5 3 10\n")
         out = str(tmp_path / "limits.csv")
-        assert main(["limits", "--input", inp, "--output", out]) == 3
-        assert _read_csv(out)[1] == ["0", "", "", "failed"]
+        assert main(["limits", "--input", inp, "--output", out]) == 0
+        row = _read_csv(out)[1]
+        assert row[0] == "0" and row[3] == "ok"
+        exact = ds_upper_limits_batch([5], [3], [10], 1e-17, 10.0, (0.9, 0.99))
+        assert [float(v) for v in row[1:3]] == pytest.approx(exact[:, 0], rel=5e-3)
 
     def test_bayes_method_rejects_multichannel(self, tmp_path, capsys):
         text = "channels 2\nscales 33 100\nscales 17 55\n5 10 100 1 2 3\n"

@@ -27,9 +27,9 @@ from oracles import mc_credibility
 
 TASK1B = dict(t=3.3, u=10.0, truth_nuisance=(0.1, 0.3))
 
-# (n, y, z) at t = u = 1 whose B1 background block underflows the series
-# (871 * log(1/2) < -600), although its posterior mass on s >= 0 is
-# about 1/2; the scalar route reaches its limit by quadrature.
+# (n, y, z) at t = u = 1 whose B1 background block starts from 2**-871,
+# below the double range, although its posterior mass on s >= 0 is about
+# 1/2; the batch and the scalar route both carry it by the series.
 UNDERFLOW_ROW = (870, 870, 1)
 
 

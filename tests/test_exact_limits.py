@@ -132,21 +132,19 @@ class TestBitwiseIndependence:
 class TestRouting:
     def test_exact_rows(self):
         ns, ys, zs = np.array([[3, 3, 3, 3, 3], [2, 2, 2, 2, 2000], [0, 1, 2, 3, 5]])
-        assert exact_rows(ns, ys, zs, 3.3).tolist() == [False, False, True, True, True]
+        assert exact_rows(ns, ys, zs).tolist() == [False, False, True, True, True]
         # the studies leave z = 2 on the grid
-        assert study_rows(ns, ys, zs, 3.3).tolist() == [False, False, False, True, True]
-        # a background block that underflows the series stays off the route
-        assert exact_rows(ns, ys, zs, 0.1).tolist() == [False, False, True, True, False]
-        assert study_rows(ns, ys, zs, 0.1).tolist() == [False, False, False, True, False]
-        # so does a long series whose efficiency block can underflow
-        ns, ys, zs = np.array([[299, 300, 5000], [0, 0, 0], [300, 300, 5000]])
-        assert exact_rows(ns, ys, zs, 1.0).tolist() == [True, False, False]
+        assert study_rows(ns, ys, zs).tolist() == [False, False, False, True, True]
+        # long series stay on the route up to the series shape bound
+        ns, ys, zs = np.array([[5000, 19999, 3, 3], [0, 0, 19999, 20000], [5000, 3, 3, 3]])
+        assert exact_rows(ns, ys, zs).tolist() == [True, True, True, False]
+        assert not exact_rows([3], [2], [20000]).any()
 
     def test_batch_rejects_rows_off_the_route(self):
         with pytest.raises(ValueError, match="z >= 2"):
             ds_upper_limits_batch([3], [2], [1], 3.3, 10.0, (0.9,))
-        with pytest.raises(ValueError, match="n < 300"):
-            ds_upper_limits_batch([5000], [0], [5000], 1.0, 1.0, (0.9,))
+        with pytest.raises(ValueError, match="series shapes"):
+            ds_upper_limits_batch([3], [2], [20000], 3.3, 10.0, (0.9,))
         with pytest.raises(ValueError, match="quantile"):
             ds_upper_limits_batch([3], [2], [4], 3.3, 10.0, (1.0,))
 
@@ -161,7 +159,7 @@ class TestRouting:
         exact = ds_upper_limits_batch(*counts[3:].T, t, u, (0.9,))[0]
         assert np.array_equal(coarse[3:], exact)
 
-    def test_underflowing_row_takes_the_grid_route(self, monkeypatch):
+    def test_conditioning_underflow_row_takes_the_exact_route(self, monkeypatch):
         seen = []
         real = evalharness.dataset_limits
 
@@ -174,8 +172,8 @@ class TestRouting:
         counts = np.array([(3, 2, 5), (3, 2000, 5)])
         lims = make_ds_method()(counts[:1], 0.1, 10.0, (0.9,))
         assert seen == [] and np.isfinite(lims).all()
-        # the grid route raises on this row today (its conditioning
-        # probability underflows); what matters here is the route taken
-        with pytest.raises(NumericalError, match="underflows"):
+        # (3, 2000, 5) at t = 0.1 is a study row now; its plausibility
+        # mass on s >= 0 underflows, which ends in a named error
+        with pytest.raises(NumericalError, match="plausibility mass"):
             make_ds_method()(counts, 0.1, 10.0, (0.9,))
-        assert seen == [(3, 2000, 5)]
+        assert seen == []
