@@ -27,7 +27,9 @@ exponentiated from its logarithm, with log p and log(1 - p) taken from
 the scales, so a start value (1 - p)**r far below the double range
 loses no mass.  The same pass also gives the integral of the survival
 over [0, x] for ke >= 2 (:func:`integrated_survival_series`), on which
-the grid-free single-channel DS limits rest.
+the grid-free single-channel DS limits rest.  :func:`series_roots`
+inverts per-row series CDFs for many rows at once; the batched DS and
+Bayes limits are its two callers.
 
 "quadrature" (any positive real shapes).  The beta-CDF form
 
@@ -48,7 +50,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.special import betaincinv
 
-from .specfun import QuadratureConfig, beta_cdf, beta_pdf, integrate
+from .specfun import QuadratureConfig, beta_cdf, beta_pdf, bisect_monotone, integrate
 
 # Above this shape the O(kn) series is slower than quadrature, so "auto"
 # falls back to quadrature.
@@ -196,6 +198,46 @@ def integrated_survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
     """
     with np.errstate(all="ignore"):
         return _prepared_series(kn, wn, kb, wb, ke, we, integrated=True)(x)
+
+
+def series_roots(shapes, t, u, quantiles, rel_tol, predicate, integrated=False):
+    """Roots of monotone per-row series predicates, as an array of shape
+    (len(quantiles), rows).
+
+    ``shapes`` has shape (k, 3, rows): k integer triples (kn, kb, ke) per
+    row on the scales (1, 1/t, 1/u).  The (row, quantile) pairs run in
+    chunks of at most _SERIES_TERMS series terms.  Per chunk,
+    ``predicate(values, rows, qs)`` gets the pairs' row indices and
+    quantiles and ``values``: x -> the (k, pairs) survivals of each
+    pair's triples at its x (integrals over [0, x] when ``integrated``).
+    It returns x -> booleans, True from each pair's root on, which
+    :func:`dsplim.specfun.bisect_monotone` bisects to ``rel_tol``; so a
+    root does not depend on the rows chunked with it.
+    """
+    quantiles = np.asarray(quantiles, dtype=float)
+    if not np.all((quantiles > 0.0) & (quantiles < 1.0)):
+        raise ValueError("quantile must lie strictly inside (0, 1)")
+    if not (t > 0 and u > 0):
+        raise ValueError("scales t and u must be positive")
+    shapes = np.asarray(shapes, dtype=float)
+    k, _, n_rows = shapes.shape
+    nq = quantiles.size
+    roots = np.empty((nq, n_rows))
+    step = max(1, _SERIES_TERMS // (k * nq * int(shapes[:, 0].max(initial=0)) + 1))
+    for start in range(0, n_rows, step):
+        rows = np.repeat(np.arange(start, min(start + step, n_rows)), nq)
+        # One series pass carries the k triples of every pair, triple-major.
+        kn, kb, ke = shapes[:, :, rows].transpose(1, 0, 2).reshape(3, -1)
+        with np.errstate(all="ignore"):
+            series = _prepared_series(kn, 1.0, kb, 1.0 / t, ke, 1.0 / u, integrated)
+
+            def values(x):
+                return series(np.tile(x, k) if k > 1 else x).reshape(k, -1)
+
+            reached = predicate(values, rows, np.tile(quantiles, rows.size // nq))
+            found = bisect_monotone(reached, rows.shape, rel_tol, NumericalError)
+        roots[:, rows[::nq]] = found.reshape(-1, nq).T
+    return roots
 
 
 _BREAK_LEVELS = np.array(

@@ -7,17 +7,18 @@ The signal posterior is the law of (L_n - B) / E restricted to the
 nonnegative half-line, with L_n, B, E the three posterior gammas, and
 its CDF shares the evaluation engine used by the belief-interval
 channel CDFs: :func:`dsplim._gamma_ratio.survival_series`, with shared
-shapes for one posterior and per-row shapes for a batch.  A batch
-sends the datasets with a shape above the series bound to the scalar
-route, which takes quadrature there.  Every quantile, scalar or
-batched, is one call of :func:`dsplim.specfun.bisect_monotone`.
+shapes for one posterior and per-row shapes for a batch.  A batch is
+solved by :func:`dsplim._gamma_ratio.series_roots`, the per-row solver
+of the grid-free DS limits, and sends the datasets with a shape above
+the series bound to the scalar route, which takes quadrature there.
+Every quantile, scalar or batched, is one call of
+:func:`dsplim.specfun.bisect_monotone`.
 
 Note on the scale convention: a proper unit-scale gamma prior combined
 with the Poisson likelihood would put scale 1/2 (and 1/(2t), 1/(2u))
-on the posteriors.  The shape-only update with scales (1, 1/t, 1/u)
-is the convention reproduced here as the comparison target; pass
-``textbook=True`` to :func:`conjugate_posteriors` for the sensitivity
-variant.
+on the posteriors.  The signal is a ratio of the three rates, so a
+common scale cancels from its CDF; the shape-only update with scales
+(1, 1/t, 1/u) is the convention reproduced here.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ import numpy as np
 from scipy import special as sp
 
 from ._gamma_ratio import (
-    _SERIES_TERMS,
     NumericalError,
-    _prepared_series,
     _series_carries,
     clamp_unit,
     conditioning_probability,
+    series_roots,
     survival,
 )
 from .ds_limits import ChannelObservation
@@ -97,15 +97,12 @@ class GammaPosteriors:
                 raise ValueError("posterior shapes and scales must be positive")
 
 
-def conjugate_posteriors(
-    ch: ChannelObservation, prior: PriorConfig, textbook: bool = False
-) -> GammaPosteriors:
+def conjugate_posteriors(ch: ChannelObservation, prior: PriorConfig) -> GammaPosteriors:
     """Update the three gamma priors with one channel's counts."""
-    half = 0.5 if textbook else 1.0
     return GammaPosteriors(
-        ln=(ch.n + prior.a_n, half),
-        lb=(ch.y + prior.a_b, half / ch.t),
-        le=(ch.z + prior.a_e, half / ch.u),
+        ln=(ch.n + prior.a_n, 1.0),
+        lb=(ch.y + prior.a_b, 1.0 / ch.t),
+        le=(ch.z + prior.a_e, 1.0 / ch.u),
     )
 
 
@@ -173,51 +170,42 @@ def bayes_upper_limits_batch(
     Returns an array of shape (len(quantiles), len(ns)).  Requires the
     integer-shape prior presets.  Datasets with a shape above the series
     bound (the rule of ``survival(method="auto")``) take the scalar
-    route, which takes quadrature there.  For the others one (dataset,
-    quantile) pair is one row of the per-row series engine, at most
-    _SERIES_TERMS terms per call, bisected by the rule of
-    :func:`posterior_quantile`.
-    Each row's trajectory is independent of the batch composition, so
-    results are identical under any re-batching; they agree with the
-    scalar routine to rounding, as the per-row sum runs in another
-    order.  Raises NumericalError when a row's posterior mass on s >= 0
-    underflows or a limit exceeds the bracket cap.
+    route, which takes quadrature there.  The others are solved per
+    (dataset, quantile) pair by :func:`dsplim._gamma_ratio.series_roots`
+    with the rule of :func:`posterior_quantile`.  Each row's trajectory
+    is independent of the batch composition, so results are identical
+    under any re-batching; they agree with the scalar routine to
+    rounding, as the per-row sum runs in another order.  Raises
+    NumericalError naming the first row whose posterior mass on s >= 0
+    underflows, or when a limit exceeds the bracket cap.
     """
-    ns = np.asarray(ns, dtype=int)
-    ys = np.asarray(ys, dtype=int)
-    zs = np.asarray(zs, dtype=int)
-    quantiles = np.asarray(quantiles, dtype=float)
+    ns, ys, zs = (np.asarray(a, dtype=int) for a in (ns, ys, zs))
     for a in (prior.a_n, prior.a_b, prior.a_e):
         if abs(a - round(a)) > 1e-9:
             raise ValueError("batched limits require integer prior shapes")
-    wn, wb, we = 1.0, 1.0 / t, 1.0 / u
-    nq = quantiles.size
-    kn = ns + int(round(prior.a_n))
+    kn = (ns + int(round(prior.a_n))).astype(float)
     kb = (ys + int(round(prior.a_b))).astype(float)
     ke = (zs + int(round(prior.a_e))).astype(float)
-    scalar = ~_series_carries(kn, kb, ke)
-    limits = np.empty((nq, ns.size))
-    for j in np.flatnonzero(scalar):
+    carried = _series_carries(kn, kb, ke)
+    series = np.flatnonzero(carried)
+
+    def reached(surv, rows, qs):
+        j = series[rows]
+        den = sp.betainc(kb[j], kn[j], 1.0 / (1.0 + 1.0 / t))
+        if not np.all(den > 0):
+            j = j[np.argmin(den > 0)]
+            raise NumericalError(
+                "posterior mass on s >= 0 underflows for row "
+                f"(n, y, z) = ({ns[j]}, {ys[j]}, {zs[j]})"
+            )
+        # F(x) >= q  <=>  survival(x) <= (1 - q) * den
+        thresh = (1.0 - qs) * den
+        return lambda x: surv(x)[0] <= thresh
+
+    shapes = [(kn[series], kb[series], ke[series])]
+    limits = np.empty((np.size(quantiles), ns.size))
+    limits[:, series] = series_roots(shapes, t, u, quantiles, rel_tol, reached)
+    for j in np.flatnonzero(~carried):
         ch = ChannelObservation(int(ns[j]), int(ys[j]), int(zs[j]), t, u)
         limits[:, j] = [bayes_upper_limit(ch, prior, q, rel_tol) for q in quantiles]
-    rows = np.flatnonzero(~scalar)
-    step = max(1, _SERIES_TERMS // (nq * kn[rows].max(initial=0) + 1))
-    for start in range(0, rows.size, step):
-        part = rows[start : start + step]
-        r = np.repeat(part, nq)
-        kn_r, kb_r, ke_r = kn[r], kb[r], ke[r]
-        den = sp.betainc(kb_r, kn_r.astype(float), wn / (wn + wb))
-        if not np.all(den > 0):
-            raise NumericalError("posterior mass on s >= 0 underflows")
-        # F(x) >= q  <=>  survival(x) <= (1 - q) * den
-        thresh = (1.0 - np.tile(quantiles, part.size)) * den
-        with np.errstate(all="ignore"):
-            surv = _prepared_series(kn_r, wn, kb_r, wb, ke_r, we)
-            lims = bisect_monotone(
-                lambda x: surv(x) <= thresh,
-                r.shape,
-                rel_tol,
-                NumericalError,
-            )
-        limits[:, part] = lims.reshape(part.size, nq).T
     return limits

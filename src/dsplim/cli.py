@@ -265,7 +265,7 @@ def cmd_curves(cfg: RunConfig) -> int:
                 rows.append(
                     (ds.label, ci, xs[k], c.f_lower[k], c.f_upper[k], c.r[k], None, None)
                 )
-        density = combine_channels(curves, cfg.grid)
+        density = combine_channels(curves)
         for k in range(xs.size):
             rows.append(
                 (ds.label, "combined", xs[k], None, None, None,

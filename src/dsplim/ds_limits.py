@@ -20,8 +20,10 @@ r(x) = F_lower(x) - F_upper(x): the probability that the channel's
 interval covers x.  Channels multiply, so the combined (plausibility-
 transform) density is f(x) proportional to the product of the r_i(x),
 normalized on a shared grid; upper limits are quantiles of its CDF.
-For one channel the CDF also has a grid-free closed form, which
-:func:`ds_upper_limits_batch` inverts for many datasets at once.
+For one channel with z >= 2 the CDF also has a grid-free closed form,
+which :func:`ds_upper_limits_batch` inverts for many datasets at once;
+the studies take every such row there, and ``dsplim limits`` keeps
+every dataset on the grid.
 
 A channel with z == 0 carries no information about the efficiency, so
 every signal value stays fully plausible (F_upper is identically 0 for
@@ -38,15 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._gamma_ratio import (
-    _SERIES_TERMS,
     NumericalError,
-    _prepared_series,
     _series_carries,
     clamp_unit,
     conditioning_probability,
+    series_roots,
     survival,
 )
-from .specfun import QuadratureConfig, bisect_monotone
+from .specfun import QuadratureConfig
 
 __all__ = [
     "ChannelObservation",
@@ -65,7 +66,6 @@ __all__ = [
     "upper_limit",
     "dataset_limits",
     "exact_rows",
-    "study_rows",
     "ds_upper_limits_batch",
 ]
 
@@ -277,9 +277,7 @@ def channel_curves(
     )
 
 
-def combine_channels(
-    curves, grid: GridConfig = GridConfig()
-) -> PlausibilityDensity:
+def combine_channels(curves) -> PlausibilityDensity:
     """Multiply channel commonality curves and normalize to a density.
 
     All curves must share one knot grid (the dataset pipeline
@@ -316,7 +314,7 @@ def dataset_density(
     """Shared grid -> channel curves -> combined normalized density."""
     xs = shared_grid(dataset.channels, grid)
     curves = [channel_curves(ch, grid, xs) for ch in dataset.channels]
-    return combine_channels(curves, grid)
+    return combine_channels(curves)
 
 
 def upper_limit(density: PlausibilityDensity, q: float) -> float:
@@ -350,25 +348,13 @@ def dataset_limits(
 # Relative width at which ds_upper_limits_batch stops bisecting a limit.
 _EXACT_REL_TOL = 1e-10
 
-# Least z of the rows the studies' DS limit method (evalharness) sends
-# to ds_upper_limits_batch.  z = 2 is exact there too, but stays on the
-# grid until the stored 16,384-knot references (perfbench/refs), which
-# truncate its heavy tail, are regenerated.
-_STUDY_MIN_Z = 3
-
 
 def exact_rows(ns, ys, zs) -> np.ndarray:
     """Single-channel rows :func:`ds_upper_limits_batch` can take: z >= 2
     and both endpoint shape triples on the series route of
-    ``survival(method="auto")``."""
+    ``survival(method="auto")``.  The studies send it all of them."""
     ns, ys, zs = (np.asarray(a) for a in (ns, ys, zs))
     return (zs >= 2) & _series_carries(ns + 1, ys + 1, zs + 1)
-
-
-def study_rows(ns, ys, zs) -> np.ndarray:
-    """The :func:`exact_rows` with z >= _STUDY_MIN_Z: the rows the
-    studies' DS limit method takes by :func:`ds_upper_limits_batch`."""
-    return (np.asarray(zs) >= _STUDY_MIN_Z) & exact_rows(ns, ys, zs)
 
 
 def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarray:
@@ -383,46 +369,29 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
         G(X) = (J_up(X) - J_lo(X)) / (J_up(inf) - J_lo(inf)),
 
     and the conditioning probability cancels.  Every row must be one of
-    :func:`exact_rows`.  One (dataset, quantile) pair is one row of the
-    per-row series, at most _SERIES_TERMS terms per call, and G(X) = q
-    is bisected to a relative width of _EXACT_REL_TOL by
-    :func:`dsplim.specfun.bisect_monotone`, so each limit is independent
-    of the rows batched with it.
+    :func:`exact_rows`.  G(X) = q is solved per (dataset, quantile) pair
+    by :func:`dsplim._gamma_ratio.series_roots` to a relative width of
+    _EXACT_REL_TOL, so each limit is independent of the rows batched
+    with it.  Raises NumericalError naming the first row whose mass
+    J_up(inf) - J_lo(inf) underflows.
     """
-    ns = np.asarray(ns, dtype=int)
-    ys = np.asarray(ys, dtype=int)
-    zs = np.asarray(zs, dtype=int)
-    quantiles = np.asarray(quantiles, dtype=float)
-    if not np.all((quantiles > 0.0) & (quantiles < 1.0)):
-        raise ValueError("quantile must lie strictly inside (0, 1)")
-    if not (t > 0 and u > 0):
-        raise ValueError("scales t and u must be positive")
+    ns, ys, zs = (np.asarray(a, dtype=int) for a in (ns, ys, zs))
     if not exact_rows(ns, ys, zs).all():
         raise ValueError("rows must be exact_rows: z >= 2 and series shapes")
-    wb, we = 1.0 / t, 1.0 / u
-    nq = quantiles.size
-    limits = np.empty((nq, ns.size))
-    step = max(1, _SERIES_TERMS // (2 * nq * (ns.max(initial=0) + 1)))
-    for start in range(0, ns.size, step):
-        r = np.repeat(np.arange(start, min(start + step, ns.size)), nq)
-        # One series pass carries both ends: rows (n+1, y, z), then (n, y+1, z+1).
-        kn = np.concatenate([ns[r] + 1, ns[r]])
-        kb = np.concatenate([ys[r], ys[r] + 1])
-        ke = np.concatenate([zs[r], zs[r] + 1])
-        with np.errstate(all="ignore"):
-            integral = _prepared_series(kn, 1.0, kb, wb, ke, we, integrated=True)
 
-            def mass(x):
-                """J_up(x) - J_lo(x), the unnormalized G(x) of every row."""
-                j = integral(np.tile(x, 2))
-                return j[: r.size] - j[r.size :]
-
-            norm = mass(np.full(r.size, np.inf))
-            if not np.all(norm > 0):
-                raise NumericalError("plausibility mass on s >= 0 underflows")
-            target = np.tile(quantiles, r.size // nq) * norm
-            lims = bisect_monotone(
-                lambda x: mass(x) >= target, r.shape, _EXACT_REL_TOL, NumericalError
+    def reached(integrals, rows, qs):
+        # J_up - J_lo, the unnormalized G of every pair
+        norm = np.subtract(*integrals(np.full(rows.size, np.inf)))
+        if not np.all(norm > 0):
+            j = rows[np.argmin(norm > 0)]
+            raise NumericalError(
+                "plausibility mass on s >= 0 underflows for row "
+                f"(n, y, z) = ({ns[j]}, {ys[j]}, {zs[j]})"
             )
-        limits[:, r[::nq]] = lims.reshape(-1, nq).T
-    return limits
+        target = qs * norm
+        return lambda x: np.subtract(*integrals(x)) >= target
+
+    shapes = [(ns + 1, ys, zs), (ns, ys + 1, zs + 1)]
+    return series_roots(
+        shapes, t, u, quantiles, _EXACT_REL_TOL, reached, integrated=True
+    )

@@ -33,7 +33,7 @@ from .ds_limits import (
     UnboundedLimit,
     dataset_limits,
     ds_upper_limits_batch,
-    study_rows,
+    exact_rows,
 )
 from .sampling import DEFAULT_SEED, RngHandle, derive_stream_id
 from .specfun import bisect_monotone
@@ -138,7 +138,7 @@ def _ds_limits_of_counts(counts, t, u, quantiles, grid: GridConfig) -> np.ndarra
     counts = np.asarray(counts, dtype=int).reshape(-1, 3)
     out = np.empty((len(quantiles), len(counts)))
     ns, ys, zs = counts.T
-    exact = study_rows(ns, ys, zs)
+    exact = exact_rows(ns, ys, zs)
     out[:, exact] = ds_upper_limits_batch(
         ns[exact], ys[exact], zs[exact], t, u, quantiles
     )
@@ -160,7 +160,7 @@ def _bayes_limits_of_counts(counts, t, u, quantiles, prior: PriorConfig) -> np.n
 def make_ds_method(grid: GridConfig = GridConfig()):
     """Belief-interval limit method; +inf where the limit is unbounded.
 
-    The :func:`study_rows` (z >= 3, on the series route) take the
+    The :func:`exact_rows` (z >= 2, on the series route) take the
     grid-free :func:`ds_upper_limits_batch`, so ``grid`` does not affect
     them; the other rows take :func:`dataset_limits` on ``grid``.
     """

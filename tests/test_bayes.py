@@ -55,20 +55,17 @@ class TestConjugatePosteriors:
         assert (lo.ln[0], lo.lb[0], lo.le[0]) == (CH.n + 1, CH.y + 2, CH.z + 2)
         assert (up.ln[1], up.lb[1], up.le[1]) == (lo.ln[1], lo.lb[1], lo.le[1])
 
-    def test_textbook_variant_scales(self):
-        post = conjugate_posteriors(CH, prior_preset("B1"), textbook=True)
-        assert post.ln == (6, 0.5)
-        assert post.lb[1] == pytest.approx(0.5 / 33)
-
     def test_common_scale_cancels_in_the_signal_posterior(self):
-        # the signal is a ratio, so the textbook half-scales give the
-        # same CDF as the shape-only update
+        # the signal is a ratio, so the textbook half-scales of a proper
+        # unit-scale prior give the same CDF as the shape-only update
         literal = conjugate_posteriors(CH, prior_preset("B1"))
-        textbook = conjugate_posteriors(CH, prior_preset("B1"), textbook=True)
+        half = GammaPosteriors(
+            *((shape, 0.5 * scale) for shape, scale in (literal.ln, literal.lb, literal.le))
+        )
         xs = np.array([0.5, 3.0, 9.0])
         np.testing.assert_allclose(
             bayes_posterior_cdf(literal, xs),
-            bayes_posterior_cdf(textbook, xs),
+            bayes_posterior_cdf(half, xs),
             atol=1e-12,
         )
 
@@ -154,6 +151,14 @@ class TestUpperLimitQuantile:
         with pytest.raises(ValueError):
             bayes_upper_limit(CH, prior_preset("B1"), 1.0)
 
+    @pytest.mark.parametrize(
+        "q,t", [(0.0, 33.0), (1.0, 33.0), (1.5, 33.0), (0.9, 0.0), (0.9, -1.0)]
+    )
+    def test_batch_input_checks(self, q, t):
+        # the checks of bayes_upper_limit, made before any 1 / t
+        with pytest.raises(ValueError, match="quantile|scales"):
+            bayes_upper_limits_batch([5], [10], [100], t, 100.0, prior_preset("B1"), (q,))
+
     def test_batch_sends_oversized_shapes_to_scalar_route(self, monkeypatch):
         import dsplim.bayes as bayes
 
@@ -174,13 +179,13 @@ class TestUpperLimitQuantile:
         assert np.array_equal(got[:, [0, 2]], want)
 
     def test_batch_term_budget_keeps_bits(self, monkeypatch):
-        import dsplim.bayes as bayes
+        import dsplim._gamma_ratio as gamma_ratio
 
         rng = RngHandle(35).generator
         ns, ys, zs = rng.poisson(20.0, 40), rng.poisson(99.0, 40), rng.poisson(100.0, 40)
         prior = prior_preset("lower")
         want = bayes_upper_limits_batch(ns, ys, zs, 33.0, 100.0, prior, (0.9, 0.99))
-        monkeypatch.setattr(bayes, "_SERIES_TERMS", 200)
+        monkeypatch.setattr(gamma_ratio, "_SERIES_TERMS", 200)
         got = bayes_upper_limits_batch(ns, ys, zs, 33.0, 100.0, prior, (0.9, 0.99))
         assert np.array_equal(got, want)
 

@@ -225,9 +225,10 @@ class TestSeriesEngine:
             nb_convolution_survival(1.0, 3, 1.0, 3, 5.0, 2, 0.1), abs=1e-13
         )
         # (0, 5000, 1) at t = 0.05: the posterior mass on s >= 0 underflows
-        with pytest.raises(NumericalError, match="posterior mass"):
+        with pytest.raises(NumericalError, match="posterior mass") as err:
             bayes_upper_limits_batch([3, 0], [2, 5000], [5, 1], 0.05, 10.0,
                                      prior_preset("B1"), (0.9,))
+        assert "(n, y, z) = (0, 5000, 1)" in str(err.value)
 
     def test_background_probability_rounding_to_one(self):
         # At t ~ 1e-17, pb = (1/t) / (1 + 1/t) rounds to 1, but the block

@@ -1,5 +1,5 @@
 """Grid-free single-channel DS limits: the integrated survival function
-and the bisection batch that the studies use for rows with z >= 3."""
+and the bisection batch that the studies use for rows with z >= 2."""
 
 import math
 
@@ -20,7 +20,6 @@ from dsplim.ds_limits import (
     dataset_limits,
     ds_upper_limits_batch,
     exact_rows,
-    study_rows,
 )
 from dsplim.evalharness import _row_limits, make_ds_method
 
@@ -111,12 +110,12 @@ class TestBitwiseIndependence:
                 assert one_q[0, 0] == together[qi, j]
 
     def test_term_budget_keeps_bits(self, monkeypatch):
-        import dsplim.ds_limits as ds_limits
+        import dsplim._gamma_ratio as gamma_ratio
 
         t, u = PAPER
         rows = np.array(ROWS[PAPER])
         want = ds_upper_limits_batch(*rows.T, t, u, (0.9, 0.99))
-        monkeypatch.setattr(ds_limits, "_SERIES_TERMS", 300)
+        monkeypatch.setattr(gamma_ratio, "_SERIES_TERMS", 300)
         got = ds_upper_limits_batch(*rows.T, t, u, (0.9, 0.99))
         assert np.array_equal(got, want)
 
@@ -133,8 +132,6 @@ class TestRouting:
     def test_exact_rows(self):
         ns, ys, zs = np.array([[3, 3, 3, 3, 3], [2, 2, 2, 2, 2000], [0, 1, 2, 3, 5]])
         assert exact_rows(ns, ys, zs).tolist() == [False, False, True, True, True]
-        # the studies leave z = 2 on the grid
-        assert study_rows(ns, ys, zs).tolist() == [False, False, False, True, True]
         # long series stay on the route up to the series shape bound
         ns, ys, zs = np.array([[5000, 19999, 3, 3], [0, 0, 19999, 20000], [5000, 3, 3, 3]])
         assert exact_rows(ns, ys, zs).tolist() == [True, True, True, False]
@@ -148,16 +145,16 @@ class TestRouting:
         with pytest.raises(ValueError, match="quantile"):
             ds_upper_limits_batch([3], [2], [4], 3.3, 10.0, (1.0,))
 
-    def test_grid_affects_only_rows_below_z3(self):
+    def test_grid_affects_only_rows_below_z2(self):
         t, u = SMALL
         counts = np.array([(3, 2, 0), (3, 2, 1), (3, 2, 2), (3, 2, 3), (9, 1, 6)])
         coarse = make_ds_method(GridConfig(points=64))(counts, t, u, (0.9,))[0]
         fine = make_ds_method(GridConfig(points=4096))(counts, t, u, (0.9,))[0]
         assert math.isinf(coarse[0]) and math.isinf(fine[0])
-        assert (coarse[1:3] != fine[1:3]).all()
-        assert np.array_equal(coarse[3:], fine[3:])
-        exact = ds_upper_limits_batch(*counts[3:].T, t, u, (0.9,))[0]
-        assert np.array_equal(coarse[3:], exact)
+        assert coarse[1] != fine[1]
+        assert np.array_equal(coarse[2:], fine[2:])
+        exact = ds_upper_limits_batch(*counts[2:].T, t, u, (0.9,))[0]
+        assert np.array_equal(coarse[2:], exact)
 
     def test_conditioning_underflow_row_takes_the_exact_route(self, monkeypatch):
         seen = []
@@ -173,7 +170,8 @@ class TestRouting:
         lims = make_ds_method()(counts[:1], 0.1, 10.0, (0.9,))
         assert seen == [] and np.isfinite(lims).all()
         # (3, 2000, 5) at t = 0.1 is a study row now; its plausibility
-        # mass on s >= 0 underflows, which ends in a named error
-        with pytest.raises(NumericalError, match="plausibility mass"):
+        # mass on s >= 0 underflows, which ends in an error naming the row
+        with pytest.raises(NumericalError, match="plausibility mass") as err:
             make_ds_method()(counts, 0.1, 10.0, (0.9,))
+        assert "(n, y, z) = (3, 2000, 5)" in str(err.value)
         assert seen == []

@@ -37,6 +37,7 @@ from dsplim.ds_limits import (
     dataset_limits,
     ds_upper_limits_batch,
 )
+from dsplim.evalharness import make_ds_method
 from oracles import nb_convolution_integral, nb_convolution_survival
 
 BUDGET_S = 2.0  # per call under test
@@ -131,6 +132,21 @@ class TestReproducers:
             assert abs(_oracle_plausibility_cdf(lim, n, y, z, t, u) - q) < 1e-8
 
 
+# z = 2 rows with n, y > 0 at the small-rate scales.  The studies take
+# them by the grid-free batch; the 512-knot grid is up to 1e-2 off there.
+Z2_ROWS = [(3, 2, 2, 3.3, 10.0), (10, 4, 2, 3.3, 10.0)]
+
+
+@pytest.mark.parametrize("row", Z2_ROWS, ids=str)
+def test_z2_study_limits_against_scipy(row):
+    n, y, z, t, u = row
+    lims = timed(make_ds_method(), np.array([(n, y, z)]), t, u, QUANTILES)[:, 0]
+    for q, lim in zip(QUANTILES, lims):
+        assert abs(_oracle_plausibility_cdf(lim, n, y, z, t, u) - q) < 1e-8
+    exact = ds_upper_limits_batch([n], [y], [z], t, u, QUANTILES)[:, 0]
+    assert np.array_equal(lims, exact)
+
+
 class TestBayes:
     def test_b1_row_past_start_underflow(self):
         # B1 at (870, 870, 1), t = u = 1: the background block NB(871, 1/2)
@@ -180,8 +196,9 @@ class TestConditioningUnderflow:
         assert out.read_text().splitlines()[1] == "0,,,failed"
 
     def test_exact_route_raises_named_error(self):
-        with pytest.raises(NumericalError, match="plausibility mass"):
+        with pytest.raises(NumericalError, match="plausibility mass") as err:
             timed(ds_upper_limits_batch, [3], [2000], [5], 0.1, 10.0, QUANTILES)
+        assert "(n, y, z) = (3, 2000, 5)" in str(err.value)
 
 
 # 500 examples take 3.0-3.7 s on a 2-core host.

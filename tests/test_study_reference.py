@@ -184,12 +184,12 @@ def _count_ds_rows(monkeypatch):
 
 
 def _assert_once_per_triple(grid_rows, batch_rows, draws):
-    """Each distinct triple is evaluated once: z <= 2 on the grid, z >= 3
+    """Each distinct triple is evaluated once: z <= 1 on the grid, z >= 2
     (all carried by the series here) by the exact batch."""
     assert len(grid_rows) == len(set(grid_rows))
     assert len(batch_rows) == len(set(batch_rows))
-    assert set(grid_rows) == {d for d in draws if d[2] <= 2}
-    assert set(batch_rows) == {d for d in draws if d[2] >= 3}
+    assert set(grid_rows) == {d for d in draws if d[2] <= 1}
+    assert set(batch_rows) == {d for d in draws if d[2] >= 2}
     assert grid_rows and batch_rows
 
 
