@@ -28,8 +28,9 @@ the scales, so a start value (1 - p)**r far below the double range
 loses no mass.  The same pass also gives the integral of the survival
 over [0, x] for ke >= 2 (:func:`integrated_survival_series`), on which
 the grid-free single-channel DS limits rest.  :func:`series_roots`
-inverts per-row series CDFs for many rows at once; the batched DS and
-Bayes limits are its two callers.
+inverts per-row series CDFs for many rows at once, by superlinear
+bracketed steps on log-tail residuals; the batched DS and Bayes limits
+are its two callers.
 
 "quadrature" (any positive real shapes).  The beta-CDF form
 
@@ -50,7 +51,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.special import betaincinv
 
-from .specfun import QuadratureConfig, beta_cdf, beta_pdf, bisect_monotone, integrate
+from .specfun import QuadratureConfig, beta_cdf, beta_pdf, integrate, solve_monotone
 
 # Above this shape the O(kn) series is slower than quadrature, so "auto"
 # falls back to quadrature.
@@ -200,18 +201,18 @@ def integrated_survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
         return _prepared_series(kn, wn, kb, wb, ke, we, integrated=True)(x)
 
 
-def series_roots(shapes, t, u, quantiles, rel_tol, predicate, integrated=False):
-    """Roots of monotone per-row series predicates, as an array of shape
-    (len(quantiles), rows).
+def series_roots(shapes, t, u, quantiles, rel_tol, residual, integrated=False):
+    """Roots of nondecreasing per-row series residuals, as an array of
+    shape (len(quantiles), rows).
 
     ``shapes`` has shape (k, 3, rows): k integer triples (kn, kb, ke) per
     row on the scales (1, 1/t, 1/u).  The (row, quantile) pairs run in
     chunks of at most _SERIES_TERMS series terms.  Per chunk,
-    ``predicate(values, rows, qs)`` gets the pairs' row indices and
+    ``residual(values, rows, qs)`` gets the pairs' row indices and
     quantiles and ``values``: x -> the (k, pairs) survivals of each
     pair's triples at its x (integrals over [0, x] when ``integrated``).
-    It returns x -> booleans, True from each pair's root on, which
-    :func:`dsplim.specfun.bisect_monotone` bisects to ``rel_tol``; so a
+    It returns x -> residuals, >= 0 from each pair's root on, which
+    :func:`dsplim.specfun.solve_monotone` solves to ``rel_tol``; so a
     root does not depend on the rows chunked with it.
     """
     quantiles = np.asarray(quantiles, dtype=float)
@@ -234,8 +235,8 @@ def series_roots(shapes, t, u, quantiles, rel_tol, predicate, integrated=False):
             def values(x):
                 return series(np.tile(x, k) if k > 1 else x).reshape(k, -1)
 
-            reached = predicate(values, rows, np.tile(quantiles, rows.size // nq))
-            found = bisect_monotone(reached, rows.shape, rel_tol, NumericalError)
+            pairs = residual(values, rows, np.tile(quantiles, rows.size // nq))
+            found = solve_monotone(pairs, rows.shape, rel_tol, NumericalError)
         roots[:, rows[::nq]] = found.reshape(-1, nq).T
     return roots
 

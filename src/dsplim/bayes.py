@@ -12,7 +12,9 @@ solved by :func:`dsplim._gamma_ratio.series_roots`, the per-row solver
 of the grid-free DS limits, and sends the datasets with a shape above
 the series bound to the scalar route, which takes quadrature there.
 Every quantile, scalar or batched, is one call of
-:func:`dsplim.specfun.bisect_monotone`.
+:func:`dsplim.specfun.solve_monotone` on the log-tail residual
+log((1 - q) * den) - log(survival(x)), with den the posterior mass on
+s >= 0.
 
 Note on the scale convention: a proper unit-scale gamma prior combined
 with the Poisson likelihood would put scale 1/2 (and 1/(2t), 1/(2u))
@@ -37,7 +39,7 @@ from ._gamma_ratio import (
     survival,
 )
 from .ds_limits import ChannelObservation
-from .specfun import QuadratureConfig, bisect_monotone
+from .specfun import QuadratureConfig, solve_monotone
 
 __all__ = [
     "PriorConfig",
@@ -134,18 +136,18 @@ def bayes_posterior_cdf(
 
 
 def posterior_quantile(post: GammaPosteriors, q: float, rel_tol: float = 1e-8) -> float:
-    """Root of CDF(x) = q by bracketing plus bisection."""
+    """Root of CDF(x) = q, bracketed and solved to relative width rel_tol."""
     if not 0.0 < q < 1.0:
         raise ValueError("quantile must lie strictly inside (0, 1)")
-    den = _posterior_conditioning(post)
-    return float(
-        bisect_monotone(
-            lambda x: _posterior_cdf(post, x, den) >= q,
-            (),
-            rel_tol,
-            NumericalError,
-        )
-    )
+    (kn, wn), (kb, wb), (ke, we) = post.ln, post.lb, post.le
+    # F(x) >= q  <=>  survival(x) <= (1 - q) * den
+    log_target = np.log((1.0 - q) * _posterior_conditioning(post))
+
+    def residual(x):
+        with np.errstate(divide="ignore"):
+            return log_target - np.log(survival(x, kn, wn, kb, wb, ke, we))
+
+    return float(solve_monotone(residual, (), rel_tol, NumericalError))
 
 
 def bayes_upper_limit(
@@ -174,8 +176,9 @@ def bayes_upper_limits_batch(
     (dataset, quantile) pair by :func:`dsplim._gamma_ratio.series_roots`
     with the rule of :func:`posterior_quantile`.  Each row's trajectory
     is independent of the batch composition, so results are identical
-    under any re-batching; they agree with the scalar routine to
-    rounding, as the per-row sum runs in another order.  Raises
+    under any re-batching; they agree with the scalar routine within
+    rel_tol, as the per-row sum runs in another order and the root
+    finder's steps follow its residuals.  Raises
     NumericalError naming the first row whose posterior mass on s >= 0
     underflows, or when a limit exceeds the bracket cap.
     """
@@ -189,7 +192,7 @@ def bayes_upper_limits_batch(
     carried = _series_carries(kn, kb, ke)
     series = np.flatnonzero(carried)
 
-    def reached(surv, rows, qs):
+    def residual(surv, rows, qs):
         j = series[rows]
         den = sp.betainc(kb[j], kn[j], 1.0 / (1.0 + 1.0 / t))
         if not np.all(den > 0):
@@ -199,12 +202,12 @@ def bayes_upper_limits_batch(
                 f"(n, y, z) = ({ns[j]}, {ys[j]}, {zs[j]})"
             )
         # F(x) >= q  <=>  survival(x) <= (1 - q) * den
-        thresh = (1.0 - qs) * den
-        return lambda x: surv(x)[0] <= thresh
+        log_target = np.log((1.0 - qs) * den)
+        return lambda x: log_target - np.log(surv(x)[0])
 
     shapes = [(kn[series], kb[series], ke[series])]
     limits = np.empty((np.size(quantiles), ns.size))
-    limits[:, series] = series_roots(shapes, t, u, quantiles, rel_tol, reached)
+    limits[:, series] = series_roots(shapes, t, u, quantiles, rel_tol, residual)
     for j in np.flatnonzero(~carried):
         ch = ChannelObservation(int(ns[j]), int(ys[j]), int(zs[j]), t, u)
         limits[:, j] = [bayes_upper_limit(ch, prior, q, rel_tol) for q in quantiles]

@@ -10,7 +10,8 @@ Format (self-describing header, ``#`` comments allowed):
 All CSV output uses '.' decimals, 17 significant digits, LF line
 endings, and a fixed header row.  Exit codes: 0 success, 2 parse or
 validation error, 3 numerical failure (for ``limits``: some row has
-status ``failed``), 4 unbounded-only results.
+status ``failed``; for ``credibility``: some row has an empty
+``credibility`` field), 4 unbounded-only results.
 """
 
 from __future__ import annotations
@@ -315,6 +316,15 @@ def cmd_coverage(cfg: RunConfig) -> int:
     return 0
 
 
+def _method_row(row, method, t, u, quantiles):
+    """One (n, y, z) row's limits from a limit method and, for a failed
+    row, its error message."""
+    try:
+        return method(np.array([row]), t, u, quantiles)[:, 0], None
+    except (NumericalError, IntegrationError) as exc:
+        return None, str(exc)
+
+
 def cmd_credibility(cfg: RunConfig) -> int:
     x = cfg.extra
     with open(cfg.input) as fh:
@@ -325,16 +335,32 @@ def cmd_credibility(cfg: RunConfig) -> int:
     ccfg = CredibilityConfig(b_prior=x["b_prior"], e_prior=x["e_prior"])
     channels = [ds.channels[0] for ds in datasets]
     counts = np.array([(ch.n, ch.y, ch.z) for ch in channels])
-    limits = _row_limits(
-        method, counts, channels[0].t, channels[0].u, cfg.quantiles[:1], cfg.threads
-    )[0]
-    rows = []
-    for i, (ds, ch, limit) in enumerate(zip(datasets, channels, limits)):
-        rng = RngHandle(cfg.seed, derive_stream_id("credibility", i))
-        cred = credibility(float(limit), ch, ccfg, x["samples"], rng)
-        rows.append((ds.label, float(limit), cred))
+    t, u, quantiles = channels[0].t, channels[0].u, cfg.quantiles[:1]
+    errors = [None] * len(datasets)
+    try:
+        limits = _row_limits(method, counts, t, u, quantiles, cfg.threads)[0]
+    except (NumericalError, IntegrationError):
+        # A row failed its block: evaluate row by row to keep the others.
+        worker = partial(_method_row, method=method, t=t, u=u, quantiles=quantiles)
+        results = _parallel_map(worker, list(counts), cfg.threads)
+        limits = [None if lims is None else lims[0] for lims, _ in results]
+        errors = [message for _, message in results]
+    rows, failed = [], 0
+    for i, (ds, ch, limit, error) in enumerate(zip(datasets, channels, limits, errors)):
+        cred = None
+        if error is None:
+            rng = RngHandle(cfg.seed, derive_stream_id("credibility", i))
+            try:
+                cred = credibility(float(limit), ch, ccfg, x["samples"], rng)
+            except NoPosteriorMass as exc:
+                error = str(exc)
+        if error is not None:
+            failed += 1
+            print(f"dsplim: numerical failure: dataset row {ds.label}: {error}",
+                  file=sys.stderr)
+        rows.append((ds.label, None if limit is None else float(limit), cred))
     _write_csv(cfg.output, ["dataset_id", "limit", "credibility"], rows)
-    return 0
+    return 3 if failed else 0
 
 
 def cmd_simulate(cfg: RunConfig) -> int:

@@ -21,9 +21,10 @@ interval covers x.  Channels multiply, so the combined (plausibility-
 transform) density is f(x) proportional to the product of the r_i(x),
 normalized on a shared grid; upper limits are quantiles of its CDF.
 For one channel with z >= 2 the CDF also has a grid-free closed form,
-which :func:`ds_upper_limits_batch` inverts for many datasets at once;
-the studies take every such row there, and ``dsplim limits`` keeps
-every dataset on the grid.
+which :func:`ds_upper_limits_batch` inverts for many datasets at once,
+by bracketed false-position steps on the log of the mass above each
+candidate limit; the studies take every such row there, and
+``dsplim limits`` keeps every dataset on the grid.
 
 A channel with z == 0 carries no information about the efficiency, so
 every signal value stays fully plausible (F_upper is identically 0 for
@@ -345,7 +346,7 @@ def dataset_limits(
     return [upper_limit(density, q) for q in quantiles]
 
 
-# Relative width at which ds_upper_limits_batch stops bisecting a limit.
+# Relative bracket width at which ds_upper_limits_batch stops a limit.
 _EXACT_REL_TOL = 1e-10
 
 
@@ -370,17 +371,17 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
 
     and the conditioning probability cancels.  Every row must be one of
     :func:`exact_rows`.  G(X) = q is solved per (dataset, quantile) pair
-    by :func:`dsplim._gamma_ratio.series_roots` to a relative width of
-    _EXACT_REL_TOL, so each limit is independent of the rows batched
-    with it.  Raises NumericalError naming the first row whose mass
-    J_up(inf) - J_lo(inf) underflows.
+    by :func:`dsplim._gamma_ratio.series_roots` on the log of the mass
+    above X, to a relative width of _EXACT_REL_TOL, so each limit is
+    independent of the rows batched with it.  Raises NumericalError
+    naming the first row whose mass J_up(inf) - J_lo(inf) underflows.
     """
     ns, ys, zs = (np.asarray(a, dtype=int) for a in (ns, ys, zs))
     if not exact_rows(ns, ys, zs).all():
         raise ValueError("rows must be exact_rows: z >= 2 and series shapes")
 
-    def reached(integrals, rows, qs):
-        # J_up - J_lo, the unnormalized G of every pair
+    def residual(integrals, rows, qs):
+        # J_up - J_lo at x = inf, the unnormalized mass of every pair
         norm = np.subtract(*integrals(np.full(rows.size, np.inf)))
         if not np.all(norm > 0):
             j = rows[np.argmin(norm > 0)]
@@ -388,10 +389,13 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
                 "plausibility mass on s >= 0 underflows for row "
                 f"(n, y, z) = ({ns[j]}, {ys[j]}, {zs[j]})"
             )
-        target = qs * norm
-        return lambda x: np.subtract(*integrals(x)) >= target
+        # G(x) >= q  <=>  the mass above x is at most (1 - q) * norm
+        log_target = np.log((1.0 - qs) * norm)
+        return lambda x: log_target - np.log(
+            np.maximum(norm - np.subtract(*integrals(x)), 0.0)
+        )
 
     shapes = [(ns + 1, ys, zs), (ns, ys + 1, zs + 1)]
     return series_roots(
-        shapes, t, u, quantiles, _EXACT_REL_TOL, reached, integrated=True
+        shapes, t, u, quantiles, _EXACT_REL_TOL, residual, integrated=True
     )

@@ -36,7 +36,7 @@ from .ds_limits import (
     exact_rows,
 )
 from .sampling import DEFAULT_SEED, RngHandle, derive_stream_id
-from .specfun import bisect_monotone
+from .specfun import solve_monotone
 
 __all__ = [
     "NuisanceTruth",
@@ -411,18 +411,18 @@ def credibility_limit(
 ) -> float:
     """Posterior q-quantile of the credibility model (its own exact
     limit method): the R at which :func:`credibility` reaches q, using
-    one shared (b, eps) sample so the bisection target is monotone."""
+    one shared (b, eps) sample so the root finder's target is monotone."""
     if not 0.0 < q < 1.0:
         raise ValueError("quantile must lie strictly inside (0, 1)")
     curve = _credibility_curve(ch.n, *_posterior_nuisance_draws(ch, cfg, n_samples, rng))
-    return float(
-        bisect_monotone(
-            lambda r: curve(float(r)) >= q,
-            (),
-            rel_tol,
-            NoPosteriorMass,
-        )
-    )
+    log_target = math.log(1.0 - q)
+
+    def residual(r):
+        # curve(R) >= q  <=>  log(1 - q) - log(1 - curve(R)) >= 0
+        with np.errstate(divide="ignore"):
+            return log_target - np.log(max(1.0 - curve(float(r)), 0.0))
+
+    return float(solve_monotone(residual, (), rel_tol, NoPosteriorMass))
 
 
 # ---------------------------------------------------------------------------

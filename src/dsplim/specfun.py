@@ -3,10 +3,10 @@
 Everything downstream (interval laws, channel CDFs, posterior CDFs,
 coverage weights) is built from the regularized incomplete gamma and
 beta functions plus a deterministic quadrature rule; every quantile
-search (posterior, batched posterior, credibility) is one call of
-:func:`bisect_monotone`.  The functions here wrap scipy.special for the
-nondegenerate cases and add the degenerate shape conventions this
-package relies on:
+search (posterior, batched posterior, grid-free DS, credibility) is
+one call of :func:`solve_monotone`.  The functions here wrap
+scipy.special for the nondegenerate cases and add the degenerate shape
+conventions this package relies on:
 
 * gamma shape 0   -> point mass at 0 (CDF identically 1 for x >= 0)
 * beta a = 0      -> point mass at 0 (CDF identically 1 on [0, 1])
@@ -185,29 +185,55 @@ def integrate(
     return total
 
 
-# The largest bracket end :func:`bisect_monotone` may reach.
+# The largest bracket end :func:`solve_monotone` may reach.
 BRACKET_CAP = 1e15
 
 
-def bisect_monotone(reached, shape, rel_tol: float, error: type[Exception]):
-    """Roots of monotone predicates on x >= 0, vectorized.
+def solve_monotone(residual, shape, rel_tol: float, error: type[Exception]):
+    """Roots of nondecreasing residuals on x >= 0, vectorized.
 
-    ``reached(x)`` maps an array x of ``shape`` (``()`` for one root)
-    to booleans, False below each element's root and True from it on.
-    The bracket starts at [0, 1] and doubles where it falls short;
-    ``error`` is raised once an upper end would pass BRACKET_CAP.  Each
-    element is then bisected until hi - lo <= rel_tol * max(hi, 1e-300)
-    and its bracket midpoint returned.
+    ``residual(x)`` maps an array x of ``shape`` (``()`` for one root)
+    to residuals, negative below each element's root and >= 0 from it
+    on; NaN counts as negative.  The bracket starts at [0, 1] and
+    doubles where it falls short; ``error`` is raised once an upper end
+    would pass BRACKET_CAP.  Inside the bracket each element takes
+    Illinois false-position steps (Dowell and Jarratt 1971), kept at
+    least rel_tol / 4 * hi inside the bracket, and the bracket midpoint
+    where the secant point is not a number (no residual known at 0, or
+    +inf at hi).  Once an element has taken as many steps as bisection
+    of its bracket needs, it bisects.  It stops once hi - lo <= rel_tol *
+    max(hi, 1e-300) and returns its bracket midpoint, so each element's
+    steps and root depend on that element alone.
     """
     lo, hi = np.zeros(shape), np.ones(shape)
-    while (short := ~np.asarray(reached(hi), dtype=bool)).any():
-        lo = np.where(short, hi, lo)
+    f_lo, f_hi = np.full(shape, np.nan), np.array(residual(hi), dtype=float)
+    while (short := ~(f_hi >= 0)).any():
+        lo, f_lo = np.where(short, hi, lo), np.where(short, f_hi, f_lo)
         hi = np.where(short, 2.0 * hi, hi)
         if (hi > BRACKET_CAP).any():
             raise error(f"root bracket exceeded {BRACKET_CAP:g}")
+        f_hi = np.where(short, residual(hi), f_hi)
+    budget = np.log2(np.maximum((hi - lo) / (rel_tol * hi), 1.0))
+    side = np.zeros(shape)  # +1 (-1) where the last step moved hi (lo)
+    steps = 0
     while (active := hi - lo > rel_tol * np.maximum(hi, 1e-300)).any():
-        mid = 0.5 * (lo + hi)
-        ok = np.asarray(reached(mid), dtype=bool)
-        hi = np.where(active & ok, mid, hi)
-        lo = np.where(active & ~ok, mid, lo)
+        margin = (0.25 * rel_tol) * hi
+        with np.errstate(invalid="ignore"):  # inf / inf where f_hi = inf
+            x = hi - f_hi * ((hi - lo) / (f_hi - f_lo))
+        x = np.clip(x, lo + margin, hi - margin)
+        x = np.where(np.isnan(x) | (steps >= budget), 0.5 * (lo + hi), x)
+        f = np.asarray(residual(x), dtype=float)
+        up = f >= 0
+        down = active & ~up
+        up &= active
+        # Illinois: halve the residual of an end kept twice in a row.
+        np.multiply(f_lo, 0.5, out=f_lo, where=up & (side > 0))
+        np.multiply(f_hi, 0.5, out=f_hi, where=down & (side < 0))
+        np.copyto(hi, x, where=up)
+        np.copyto(f_hi, f, where=up)
+        np.copyto(lo, x, where=down)
+        np.copyto(f_lo, f, where=down)
+        np.copyto(side, 1.0, where=up)
+        np.copyto(side, -1.0, where=down)
+        steps += 1
     return 0.5 * (lo + hi)

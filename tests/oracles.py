@@ -163,3 +163,25 @@ def nb_convolution_integral(x, kn, wn, kb, wb, ke, we) -> float:
     _, sf_k = _nb_law(ke - 1, 0.0 if math.isinf(x) else wn / (wn + x * we), ms)
     partial = np.cumsum(sf_k)  # partial[L - 1] = E[min(K, L)]
     return wn / we / (ke - 1) * float(np.sum(pmf_b * partial[::-1]))
+
+
+def bisection_root(reached, rel_tol: float = 1e-12, cap: float = 1e15) -> float:
+    """Root of a monotone scalar predicate on x >= 0 by plain bisection.
+
+    reached(x) is False below the root and True from it on.  The bracket
+    starts at [0, 1] and doubles while reached(hi) is False; it is then
+    halved until hi - lo <= rel_tol * max(hi, 1e-300), and its midpoint
+    is returned.  Raises ValueError past ``cap``.
+    """
+    lo, hi = 0.0, 1.0
+    while not reached(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > cap:
+            raise ValueError(f"root bracket exceeded {cap:g}")
+    while hi - lo > rel_tol * max(hi, 1e-300):
+        mid = 0.5 * (lo + hi)
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

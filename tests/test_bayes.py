@@ -16,7 +16,7 @@ from dsplim.bayes import (
 from dsplim.ds_limits import ChannelObservation, Dataset, channel_cdf_lower, dataset_limits
 from dsplim.sampling import RngHandle
 from dsplim.specfun import QuadratureConfig
-from oracles import mc_posterior_ratio_cdf
+from oracles import bisection_root, mc_posterior_ratio_cdf
 
 CH = ChannelObservation(5, 10, 100, 33.0, 100.0)
 
@@ -122,6 +122,7 @@ class TestUpperLimitQuantile:
             assert bayes_posterior_cdf(post, lim) == pytest.approx(q, abs=1e-7)
 
     def test_batch_matches_scalar(self):
+        # Both routes stop within rel_tol = 1e-8 of a bisection run to 1e-12.
         rng = RngHandle(33).generator
         ns = rng.poisson(20.0, 50)
         ys = rng.poisson(99.0, 50)
@@ -131,12 +132,11 @@ class TestUpperLimitQuantile:
             batch = bayes_upper_limits_batch(ns, ys, zs, 33.0, 100.0, prior, (0.9, 0.99))
             for j in range(ns.size):
                 ch = ChannelObservation(int(ns[j]), int(ys[j]), int(zs[j]), 33.0, 100.0)
-                assert batch[0, j] == pytest.approx(
-                    bayes_upper_limit(ch, prior, 0.90), rel=1e-12
-                )
-                assert batch[1, j] == pytest.approx(
-                    bayes_upper_limit(ch, prior, 0.99), rel=1e-12
-                )
+                post = conjugate_posteriors(ch, prior)
+                for i, q in enumerate((0.90, 0.99)):
+                    want = bisection_root(lambda x: bayes_posterior_cdf(post, x) >= q)
+                    assert batch[i, j] == pytest.approx(want, rel=1e-8)
+                    assert bayes_upper_limit(ch, prior, q) == pytest.approx(want, rel=1e-8)
 
     def test_lower_prior_limits_below_upper_prior_limits(self):
         rng = RngHandle(34).generator

@@ -328,6 +328,42 @@ class TestCredibilityCommand:
         assert rc == 3
         assert "dsplim: numerical failure:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["ds", "bayes:B1"])
+    def test_failed_row_keeps_the_other_rows(self, tmp_path, capsys, method):
+        # (0, 5000, 1) at t = 0.05: the conditioning probability underflows
+        args = ["--method", method, "--samples", "200", "--quantiles", "0.9"]
+        inp = _write_input(tmp_path, "channels 1\nscales 0.05 10\n3 2 5\n0 5000 1\n")
+        out = str(tmp_path / "cred.csv")
+        rc = main(["credibility", "--input", inp, "--output", out, *args])
+        assert rc == 3
+        rows = _read_csv(out)
+        assert rows[0] == ["dataset_id", "limit", "credibility"]
+        assert rows[2] == ["1", "", ""]
+        err = capsys.readouterr().err
+        assert err.count("dataset row") == 1 and "dataset row 1: " in err
+        # the good row reads as it does in a file of its own
+        good = "channels 1\nscales 0.05 10\n3 2 5\n"
+        alone = _write_input(tmp_path, good, "one.txt")
+        assert main(["credibility", "--input", alone, "--output", out, *args]) == 0
+        assert rows[1] == _read_csv(out)[1]
+
+    def test_row_without_posterior_mass_keeps_the_other_rows(self, tmp_path, capsys):
+        # With b near 900, P(n + 1, b) is 1 for n = 0: no posterior mass
+        inp = _write_input(tmp_path, "channels 1\nscales 1 100\n1000 900 100\n0 0 100\n")
+        out = str(tmp_path / "cred.csv")
+        rc = main(
+            [
+                "credibility", "--input", inp, "--output", out,
+                "--b-prior", "900:1", "--samples", "100", "--quantiles", "0.9",
+            ]
+        )
+        assert rc == 3
+        rows = _read_csv(out)
+        assert 0.0 < float(rows[1][2]) < 1.0
+        assert rows[2][0] == "1" and float(rows[2][1]) > 0.0 and rows[2][2] == ""
+        err = capsys.readouterr().err
+        assert err.count("dataset row") == 1 and "dataset row 1: posterior" in err
+
 
 class TestSimulateCommand:
     def test_summary_csv(self, tmp_path):

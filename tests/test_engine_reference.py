@@ -2,11 +2,13 @@
 
 The reference functions below are the scalar negative-binomial series,
 the row-batched series, and the three doubling-plus-bisection loops as
-they stood before one engine and one bracket-and-bisect helper served
-every caller.  Every limit must agree bitwise.  The survival is now
-exponentiated from log-pmf values with the probabilities taken from the
-scales, so it agrees with the old linear recurrences to rounding: 1e-13
-absolute for shared shapes and 3e-13 relative for per-row shapes.
+they stood before one engine and one bracketed root solver served every
+caller.  The survival is now exponentiated from log-pmf values with the
+probabilities taken from the scales, so it agrees with the old linear
+recurrences to rounding: 1e-13 absolute for shared shapes and 3e-13
+relative for per-row shapes.  The solver takes false-position steps on
+log-tail residuals, so each limit agrees with the old loop, run to a
+relative width of 1e-12, within the limit's own rel_tol.
 """
 
 import math
@@ -262,13 +264,16 @@ CHANNELS = [
 
 
 class TestRootFinder:
+    # Each limit lies within its rel_tol (1e-8 Bayes, 1e-6 credibility) of
+    # the old loop run to 1e-12.
     def test_posterior_quantile_bitwise(self):
         for ch in CHANNELS:
             for name in ("B1", "upper"):
                 post = conjugate_posteriors(ch, prior_preset(name))
                 for q in (0.5, 0.9, 0.99):
-                    want = _ref_posterior_quantile(post, q)
-                    assert bayes_upper_limit(ch, prior_preset(name), q) == want
+                    want = _ref_posterior_quantile(post, q, rel_tol=1e-12)
+                    got = bayes_upper_limit(ch, prior_preset(name), q)
+                    assert got == pytest.approx(want, rel=1e-8)
 
     def test_batch_bitwise(self):
         gen = np.random.default_rng(7)
@@ -276,15 +281,16 @@ class TestRootFinder:
             ns, ys, zs = (gen.poisson(r, 60) for r in rates)
             for name in ("B1", "B2", "upper", "lower"):
                 prior = prior_preset(name)
-                want = _ref_limits_batch(ns, ys, zs, t, u, prior, (0.9, 0.99))
+                want = _ref_limits_batch(ns, ys, zs, t, u, prior, (0.9, 0.99), 1e-12)
                 got = bayes_upper_limits_batch(ns, ys, zs, t, u, prior, (0.9, 0.99))
-                assert np.array_equal(got, want)
+                np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
 
     def test_credibility_limit_bitwise(self):
         cfg = CredibilityConfig(b_prior=(3.0, 0.3), e_prior=(1.0, 0.1))
         for ch in CHANNELS[::2]:
-            want = _ref_credibility_limit(ch, cfg, 0.9, 2000, RngHandle(11))
-            assert credibility_limit(ch, cfg, 0.9, 2000, RngHandle(11)) == want
+            want = _ref_credibility_limit(ch, cfg, 0.9, 2000, RngHandle(11), 1e-12)
+            got = credibility_limit(ch, cfg, 0.9, 2000, RngHandle(11))
+            assert got == pytest.approx(want, rel=1e-6)
 
     def test_posterior_limit_beyond_cap(self):
         ch = ChannelObservation(5, 10, 100, 33.0, 1e16)

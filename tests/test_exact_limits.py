@@ -1,5 +1,5 @@
 """Grid-free single-channel DS limits: the integrated survival function
-and the bisection batch that the studies use for rows with z >= 2."""
+and the grid-free batch that the studies use for rows with z >= 2."""
 
 import math
 

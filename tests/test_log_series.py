@@ -38,7 +38,7 @@ from dsplim.ds_limits import (
     ds_upper_limits_batch,
 )
 from dsplim.evalharness import make_ds_method
-from oracles import nb_convolution_integral, nb_convolution_survival
+from oracles import bisection_root, nb_convolution_integral, nb_convolution_survival
 
 BUDGET_S = 2.0  # per call under test
 QUANTILES = (0.9, 0.99)
@@ -156,8 +156,10 @@ class TestBayes:
         scalar = timed(bayes_upper_limit, ch, prior, 0.9)
         batch = timed(bayes_upper_limits_batch, [870], [870], [1], 1.0, 1.0,
                       prior, (0.9,))
-        assert batch[0, 0] == scalar
         post = conjugate_posteriors(ch, prior)
+        want = bisection_root(lambda x: bayes_posterior_cdf(post, x) >= 0.9)
+        assert batch[0, 0] == pytest.approx(want, rel=1e-8)
+        assert scalar == pytest.approx(want, rel=1e-8)
         assert abs(bayes_posterior_cdf(post, scalar, method="quadrature") - 0.9) < 1e-7
 
     def test_background_probability_rounding_to_one(self):

@@ -1,13 +1,16 @@
 """Special functions: examples, degenerate conventions, invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 
 from dsplim.specfun import (
+    BRACKET_CAP,
     IntegrationError,
     QuadratureConfig,
     beta_cdf,
@@ -15,8 +18,9 @@ from dsplim.specfun import (
     gamma_cdf,
     integrate,
     log_gamma,
+    solve_monotone,
 )
-from oracles import binomial_sum_beta_cdf, poisson_tail_gamma_cdf
+from oracles import binomial_sum_beta_cdf, bisection_root, poisson_tail_gamma_cdf
 
 
 class TestLogGamma:
@@ -174,3 +178,118 @@ class TestIntegrate:
             QuadratureConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
+
+
+def _recorded(residual):
+    """residual plus the list of the points it was called at."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(np.array(x, dtype=float))
+        return residual(x)
+
+    return wrapped, calls
+
+
+def _gamma_log_tail(k, q):
+    # log(1 - q) - log P(Gamma(k) > x): >= 0 from the q-quantile on
+    return lambda x: math.log(1.0 - q) - np.log(sp.gammaincc(k, x))
+
+
+class TestSolveMonotone:
+    def test_smooth_log_tail_converges_fast(self):
+        for k, q in [(3.0, 0.9), (20.0, 0.99), (150.0, 0.5)]:
+            residual, calls = _recorded(_gamma_log_tail(k, q))
+            got = solve_monotone(residual, (), 1e-10, ValueError)
+            assert got == pytest.approx(sp.gammaincinv(k, q), rel=1e-10)
+            # doubling to the bracket, then far fewer steps than the 33
+            # bisection needs at rel_tol 1e-10
+            doublings = math.ceil(math.log2(got)) + 1
+            assert len(calls) <= doublings + 12
+
+    def test_concave_residual_converges_fast(self):
+        # Secant points of a concave residual land above the root, so the
+        # low end is kept; Illinois halves its residual to move it.
+        for root in (5.5, 77.0, 12345.678):
+            residual, calls = _recorded(lambda x, r=root: np.log(x / r))
+            got = solve_monotone(residual, (), 1e-10, ValueError)
+            assert got == pytest.approx(root, rel=1e-10)
+            assert len(calls) <= math.ceil(math.log2(root)) + 1 + 9
+
+    def test_root_below_one_bisects_first(self):
+        # No doubling happens, so nothing is known at 0: the first step is
+        # the midpoint of [0, 1], not a secant through f(1).
+        for root in (0.3, 0.7, 1e-3):
+            residual, calls = _recorded(lambda x, r=root: np.log(x / r))
+            got = solve_monotone(residual, (), 1e-10, ValueError)
+            assert got == pytest.approx(root, rel=1e-10)
+            assert calls[0] == 1.0 and calls[1] == 0.5
+
+    def test_zero_residual_at_a_step(self):
+        # From the bracket [2, 4] the secant lands exactly on the root 3;
+        # the next step stays rel_tol / 4 * hi inside and closes the
+        # bracket, instead of crawling by bisection.
+        residual, calls = _recorded(lambda x: x - 3.0)
+        got = solve_monotone(residual, (), 1e-10, ValueError)
+        assert got == pytest.approx(3.0, rel=1e-10)
+        assert [float(c) for c in calls[:4]] == [1.0, 2.0, 4.0, 3.0]
+        assert len(calls) == 5
+
+    def test_infinite_residual_takes_the_midpoint(self):
+        # +inf above 1.9, as the log of a tail that is 0 there: the secant
+        # through an infinite end is NaN, so the step is the midpoint.
+        def residual(x):
+            with np.errstate(divide="ignore"):
+                return np.where(x >= 1.9, np.inf, np.log(x / 1.7))
+
+        residual, calls = _recorded(residual)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solve_monotone(residual, (), 1e-10, ValueError)
+        assert got == pytest.approx(1.7, rel=1e-10)
+        assert [float(c) for c in calls[:4]] == [1.0, 2.0, 1.5, 1.75]
+
+    def test_nan_residual_counts_as_short(self):
+        residual = lambda x: np.where(x >= 5.0, 1.0, np.nan)
+        got = solve_monotone(residual, (), 1e-10, ValueError)
+        assert got == pytest.approx(5.0, rel=1e-10)
+
+    @pytest.mark.parametrize("jump", [1.0, 1e300])
+    @pytest.mark.parametrize("root", [1e-3, 0.3, 1.0, 3.7, 1000.5, 123456.789])
+    def test_step_function_within_twice_bisection(self, root, jump):
+        # A jump of 1e300 pins every secant point to the low end of the
+        # bracket; the step budget then hands the root over to bisection.
+        residual, calls = _recorded(lambda x: np.where(x >= root, jump, -1.0))
+        got = solve_monotone(residual, (), 1e-10, ValueError)
+        assert got == pytest.approx(root, rel=1e-10)
+        reached, plain = _recorded(lambda x: x >= root)
+        assert bisection_root(reached, 1e-10) == pytest.approx(root, rel=1e-10)
+        bracket = 1 + next(i for i, x in enumerate(plain) if x >= root)
+        assert len(calls) <= bracket + 2 * (len(plain) - bracket)
+
+    def test_bracket_cap_raises_the_callers_error(self):
+        class Missing(RuntimeError):
+            pass
+
+        with pytest.raises(Missing, match="exceeded"):
+            solve_monotone(lambda x: np.full(np.shape(x), -1.0), (), 1e-8, Missing)
+        # one element beyond the cap fails the call
+        residual = lambda x: np.log(x / np.array([2.0, 10 * BRACKET_CAP]))
+        with pytest.raises(Missing):
+            solve_monotone(residual, (2,), 1e-8, Missing)
+
+    def test_elements_keep_their_bits_in_any_company(self):
+        ks = np.array([2.0, 7.5, 40.0, 400.0, 3.0, 0.5])
+        qs = np.array([0.9, 0.99, 0.5, 0.9, 0.999999, 0.1])
+
+        def solve(idx):
+            k, q = ks[idx], qs[idx]
+            residual = lambda x: np.log(1.0 - q) - np.log(sp.gammaincc(k, x))
+            return solve_monotone(residual, idx.shape, 1e-10, ValueError)
+
+        together = solve(np.arange(ks.size))
+        for i in range(ks.size):
+            assert solve(np.array([i]))[0] == together[i]
+            assert float(solve(np.array(i))) == together[i]
+        assert np.array_equal(solve(np.array([5, 1]))[::-1], together[[1, 5]])
+        np.testing.assert_allclose(together, sp.gammaincinv(ks, qs), rtol=1e-10)

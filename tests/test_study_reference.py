@@ -5,7 +5,9 @@ the per-cell simulation study and the credibility ratio as they stood
 before every study went through one deduplicated, blocked path.  Their
 DS limits come from the same limit method called on one row at a time,
 so limits and coverage estimates must agree bitwise, and each distinct
-(n, y, z) must be evaluated once.
+(n, y, z) must be evaluated once.  The credibility limit is a root of
+the package's solver, so it agrees with plain bisection within its
+rel_tol of 1e-6.
 """
 
 import math
@@ -30,7 +32,7 @@ from dsplim.evalharness import (
     simulate_study,
 )
 from dsplim.sampling import RngHandle, derive_stream_id
-from dsplim.specfun import bisect_monotone
+from oracles import bisection_root
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -152,13 +154,8 @@ def _ref_credibility_from_draws(limit, n, bs, es):
 
 def _ref_credibility_limit(ch, cfg, q, n_samples, rng, rel_tol=1e-6):
     bs, es = _posterior_nuisance_draws(ch, cfg, n_samples, rng)
-    return float(
-        bisect_monotone(
-            lambda r: _ref_credibility_from_draws(float(r), ch.n, bs, es) >= q,
-            (),
-            rel_tol,
-            NoPosteriorMass,
-        )
+    return bisection_root(
+        lambda r: _ref_credibility_from_draws(r, ch.n, bs, es) >= q, rel_tol
     )
 
 
@@ -298,9 +295,12 @@ CRED_CH = ChannelObservation(5, 10, 100, 33.0, 100.0)
 
 class TestCredibility:
     def test_bitwise(self):
+        # The limit lies within rel_tol = 1e-6 of plain bisection to 1e-12;
+        # the credibility of any given limit is unchanged bitwise.
         for ch in (CRED_CH, ChannelObservation(0, 2, 7, 3.3, 10.0)):
-            want = _ref_credibility_limit(ch, CRED_CFG, 0.9, 3000, RngHandle(35))
-            assert credibility_limit(ch, CRED_CFG, 0.9, 3000, RngHandle(35)) == want
+            want = _ref_credibility_limit(ch, CRED_CFG, 0.9, 3000, RngHandle(35), 1e-12)
+            got = credibility_limit(ch, CRED_CFG, 0.9, 3000, RngHandle(35))
+            assert got == pytest.approx(want, rel=1e-6)
             for limit in (0.0, 2.5, want, math.inf):
                 bs, es = _posterior_nuisance_draws(ch, CRED_CFG, 3000, RngHandle(36))
                 assert credibility(limit, ch, CRED_CFG, 3000, RngHandle(36)) == (
@@ -320,5 +320,7 @@ class TestCredibility:
         assert len(calls) == 69
         calls.clear()
         got = credibility_limit(CRED_CH, CRED_CFG, 0.9, 10_000, RngHandle(37))
-        assert len(calls) == 24
-        assert got == want
+        # P(n + 1, b) once, then one pass per residual: 4 doubling passes
+        # and 5 false-position steps, where bisection took 23 passes
+        assert len(calls) == 1 + 9
+        assert got == pytest.approx(want, rel=1e-6)
