@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--s-grid", type=_parse_s_grid, default=_parse_s_grid("0:25:0.25"))
+    p.add_argument("--s-grid", type=_parse_s_grid, default="0:25:0.25")
     p.add_argument("--samples", type=_int_at_least(2), default=10000,
                    help="importance-sampling draws (>= 2 for a standard error)")
     p.add_argument("--s-ref", type=float, default=None)
@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, default=100.0)
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--b", type=float, default=3.0)
-    p.add_argument("--s-grid", type=_parse_s_grid, default=_parse_s_grid("0:40:0.25"))
+    p.add_argument("--s-grid", type=_parse_s_grid, default="0:40:0.25")
     p.add_argument("--reps", type=int, default=10000)
     p.add_argument("--methods", default="ds,B1,B2,upper,lower")
     p.add_argument("--summary-range", type=_parse_pair, default=(20.0, 40.0),
@@ -567,9 +567,21 @@ def _to_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process.
+
+    Building one leaves some 500 objects in reference cycles (argparse
+    makes a help formatter per argument), so a process that calls main
+    repeatedly would pay for a full garbage collection every hundred
+    calls or so.  Defaults are strings that parse_args converts on every
+    call, so no call shares a mutable default with another.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _to_config(args)
         return _COMMANDS[args.command](cfg)
