@@ -11,7 +11,8 @@ All CSV output uses '.' decimals, 17 significant digits, LF line
 endings, and a fixed header row.  Exit codes: 0 success, 2 parse or
 validation error, 3 numerical failure (for ``limits``: some row has
 status ``failed``; for ``credibility``: some row has an empty
-``credibility`` field), 4 unbounded-only results.
+``credibility`` field; for ``curves``: some dataset has no rows), 4
+unbounded-only results.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from functools import cache, partial
 
 import numpy as np
 
 from ._gamma_ratio import NumericalError
-from .bayes import bayes_upper_limit, prior_preset
+from .bayes import prior_preset
 from .ds_limits import (
     ChannelObservation,
     Dataset,
@@ -35,7 +35,6 @@ from .ds_limits import (
     UnboundedLimit,
     channel_curves,
     combine_channels,
-    dataset_limits,
     shared_grid,
 )
 from .evalharness import (
@@ -64,21 +63,6 @@ class DatasetFormatError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-@dataclass
-class RunConfig:
-    """Parsed command-line options for one run."""
-
-    command: str
-    input: str | None = None
-    output: str | None = None
-    seed: int = DEFAULT_SEED
-    method: str = "ds"
-    quantiles: tuple[float, ...] = (0.90, 0.99)
-    grid: GridConfig = field(default_factory=GridConfig)
-    threads: int = 1
-    extra: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -190,45 +174,72 @@ def _write_csv(path, header, rows) -> None:
 
 # ---------------------------------------------------------------------------
 # commands
+#
+# Each command takes the parsed argparse.Namespace after _to_config has
+# resolved its method, grid and threads.
 
 
-def _limit_row(dataset: Dataset, quantiles, grid: GridConfig, prior):
-    """One dataset's CSV row and, for a failed row, its error message.
+def _failure(label, message) -> None:
+    print(f"dsplim: numerical failure: dataset row {label}: {message}", file=sys.stderr)
 
-    ``prior`` is the Bayes prior of a single-channel dataset, or None
-    for the belief-interval limits of a dataset with any number of
-    channels.
-    """
-    blank = [None] * len(quantiles)
+
+def _dataset_rows(datasets):
+    """(N, 3C) count rows of datasets that share one scale header, and the
+    per-channel scales (t_1, ..., t_C), (u_1, ..., u_C)."""
+    counts = np.array(
+        [[k for ch in ds.channels for k in (ch.n, ch.y, ch.z)] for ds in datasets]
+    )
+    ts, us = zip(*((ch.t, ch.u) for ch in datasets[0].channels))
+    return counts, ts, us
+
+
+def _method_row(row, method, t, u, quantiles):
+    """One row's limits from a limit method and, for a failed row, its
+    error message."""
     try:
-        if prior is None:
-            lims = dataset_limits(dataset, quantiles, grid)
-        else:
-            (ch,) = dataset.channels
-            lims = [bayes_upper_limit(ch, prior, q) for q in quantiles]
-    except UnboundedLimit:
-        return (dataset.label, *blank, "unbounded"), None
+        return method(np.array([row]), t, u, quantiles)[:, 0], None
     except (NumericalError, IntegrationError) as exc:
-        return (dataset.label, *blank, "failed"), f"dataset row {dataset.label}: {exc}"
-    return (dataset.label, *lims, "ok"), None
+        return None, str(exc)
 
 
-def cmd_limits(cfg: RunConfig) -> int:
-    with open(cfg.input) as fh:
+def _limits_by_row(method, counts, t, u, quantiles, threads):
+    """Each row's limits (None for a failed row) and error message (None
+    for a row with limits).
+
+    The rows go through the one limit path, _row_limits; when a block
+    raises, every row is evaluated on its own so a failing row does not
+    lose the others.
+    """
+    try:
+        limits = _row_limits(method, counts, t, u, quantiles, threads)
+        return list(limits.T), [None] * len(counts)
+    except (NumericalError, IntegrationError):
+        worker = partial(_method_row, method=method, t=t, u=u, quantiles=quantiles)
+        results = _parallel_map(worker, list(counts), threads)
+        return [lims for lims, _ in results], [message for _, message in results]
+
+
+def cmd_limits(args) -> int:
+    with open(args.input) as fh:
         datasets = parse_dataset_file(fh)
-    prior = None
-    if cfg.method != "ds":
-        if len(datasets[0].channels) != 1:
-            raise ValueError("the Bayesian comparison method is single-channel")
-        prior = prior_preset(cfg.method.split(":", 1)[1])
-    worker = partial(_limit_row, quantiles=cfg.quantiles, grid=cfg.grid, prior=prior)
-    results = _parallel_map(worker, datasets, cfg.threads)
-    for _, message in results:
-        if message is not None:
-            print(f"dsplim: numerical failure: {message}", file=sys.stderr)
-    rows = [row for row, _ in results]
-    header = ["dataset_id"] + [f"limit_{q:g}" for q in cfg.quantiles] + ["status"]
-    _write_csv(cfg.output, header, rows)
+    if args.method != "ds" and len(datasets[0].channels) != 1:
+        raise ValueError("the Bayesian comparison method is single-channel")
+    method = _select_method(args.method, args.grid)
+    limits, errors = _limits_by_row(
+        method, *_dataset_rows(datasets), args.quantiles, args.threads
+    )
+    blank = [None] * len(args.quantiles)
+    rows = []
+    for ds, lims, error in zip(datasets, limits, errors):
+        if error is not None:
+            _failure(ds.label, error)
+            rows.append((ds.label, *blank, "failed"))
+        elif np.isinf(lims).all():
+            rows.append((ds.label, *blank, "unbounded"))
+        else:
+            rows.append((ds.label, *map(float, lims), "ok"))
+    header = ["dataset_id"] + [f"limit_{q:g}" for q in args.quantiles] + ["status"]
+    _write_csv(args.output, header, rows)
     statuses = {row[-1] for row in rows}
     if "failed" in statuses:
         return 3
@@ -237,8 +248,24 @@ def cmd_limits(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_curves(cfg: RunConfig) -> int:
-    with open(cfg.input) as fh:
+def _curve_rows(ds, grid: GridConfig):
+    xs = shared_grid(ds.channels, grid)
+    curves = [channel_curves(ch, grid, xs=xs) for ch in ds.channels]
+    rows = [
+        (ds.label, ci, xs[k], c.f_lower[k], c.f_upper[k], c.r[k], None, None)
+        for ci, c in enumerate(curves)
+        for k in range(xs.size)
+    ]
+    density = combine_channels(curves)
+    rows += [
+        (ds.label, "combined", xs[k], None, None, None, density.pdf[k], density.cdf[k])
+        for k in range(xs.size)
+    ]
+    return rows
+
+
+def cmd_curves(args) -> int:
+    with open(args.input) as fh:
         datasets = parse_dataset_file(fh)
     header = [
         "dataset_id",
@@ -251,28 +278,18 @@ def cmd_curves(cfg: RunConfig) -> int:
         "cdf",
     ]
     rows = []
-    unbounded = 0
+    unbounded = failed = 0
     for ds in datasets:
         try:
-            xs = shared_grid(ds.channels, cfg.grid)
+            rows += _curve_rows(ds, args.grid)
         except UnboundedLimit:
             unbounded += 1
-            continue
-        curves = [
-            channel_curves(ch, cfg.grid, xs=xs) for ch in ds.channels
-        ]
-        for ci, c in enumerate(curves):
-            for k in range(xs.size):
-                rows.append(
-                    (ds.label, ci, xs[k], c.f_lower[k], c.f_upper[k], c.r[k], None, None)
-                )
-        density = combine_channels(curves)
-        for k in range(xs.size):
-            rows.append(
-                (ds.label, "combined", xs[k], None, None, None,
-                 density.pdf[k], density.cdf[k])
-            )
-    _write_csv(cfg.output, header, rows)
+        except (NumericalError, IntegrationError) as exc:
+            failed += 1
+            _failure(ds.label, exc)
+    _write_csv(args.output, header, rows)
+    if failed:
+        return 3
     return 4 if unbounded == len(datasets) else 0
 
 
@@ -284,24 +301,23 @@ def _select_method(spec: str, grid: GridConfig):
     raise ValueError(f"unknown method {spec!r}; choose from {METHODS}")
 
 
-def cmd_coverage(cfg: RunConfig) -> int:
-    x = cfg.extra
-    method = _select_method(cfg.method, cfg.grid)
-    q = cfg.quantiles[0]
-    truth = (x["eps"], x["b"])
-    if x["mode"] == "enumerate":
+def cmd_coverage(args) -> int:
+    method = _select_method(args.method, args.grid)
+    q = args.quantiles[0]
+    truth = (args.eps, args.b)
+    if args.mode == "enumerate":
         report = coverage_enumerate(
-            method, x["t"], x["u"], truth, x["s_grid"], q,
-            tail_eps=x["enum_tail_eps"], threads=cfg.threads,
+            method, args.t, args.u, truth, args.s_grid, q,
+            tail_eps=args.enum_tail_eps, threads=args.threads,
         )
     else:
-        s_ref = x["s_ref"]
+        s_ref = args.s_ref
         if s_ref is None:
-            s_ref = 0.5 * (x["s_grid"][0] + x["s_grid"][-1])
-        rng = RngHandle(cfg.seed, derive_stream_id("coverage", 0))
+            s_ref = 0.5 * (args.s_grid[0] + args.s_grid[-1])
+        rng = RngHandle(args.seed, derive_stream_id("coverage", 0))
         report = coverage_importance(
-            method, x["t"], x["u"], truth, x["s_grid"], q,
-            n_samples=x["samples"], s_ref=s_ref, rng=rng, threads=cfg.threads,
+            method, args.t, args.u, truth, args.s_grid, q,
+            n_samples=args.samples, s_ref=s_ref, rng=rng, threads=args.threads,
         )
     rows = [
         (
@@ -312,70 +328,47 @@ def cmd_coverage(cfg: RunConfig) -> int:
         )
         for i in range(report.s_grid.size)
     ]
-    _write_csv(cfg.output, ["s", "estimate", "std_err", "ess"], rows)
+    _write_csv(args.output, ["s", "estimate", "std_err", "ess"], rows)
     return 0
 
 
-def _method_row(row, method, t, u, quantiles):
-    """One (n, y, z) row's limits from a limit method and, for a failed
-    row, its error message."""
-    try:
-        return method(np.array([row]), t, u, quantiles)[:, 0], None
-    except (NumericalError, IntegrationError) as exc:
-        return None, str(exc)
-
-
-def cmd_credibility(cfg: RunConfig) -> int:
-    x = cfg.extra
-    with open(cfg.input) as fh:
+def cmd_credibility(args) -> int:
+    with open(args.input) as fh:
         datasets = parse_dataset_file(fh)
     if len(datasets[0].channels) != 1:
         raise ValueError("credibility is defined for single-channel datasets")
-    method = _select_method(cfg.method, cfg.grid)
-    ccfg = CredibilityConfig(b_prior=x["b_prior"], e_prior=x["e_prior"])
-    channels = [ds.channels[0] for ds in datasets]
-    counts = np.array([(ch.n, ch.y, ch.z) for ch in channels])
-    t, u, quantiles = channels[0].t, channels[0].u, cfg.quantiles[:1]
-    errors = [None] * len(datasets)
-    try:
-        limits = _row_limits(method, counts, t, u, quantiles, cfg.threads)[0]
-    except (NumericalError, IntegrationError):
-        # A row failed its block: evaluate row by row to keep the others.
-        worker = partial(_method_row, method=method, t=t, u=u, quantiles=quantiles)
-        results = _parallel_map(worker, list(counts), cfg.threads)
-        limits = [None if lims is None else lims[0] for lims, _ in results]
-        errors = [message for _, message in results]
+    method = _select_method(args.method, args.grid)
+    ccfg = CredibilityConfig(b_prior=args.b_prior, e_prior=args.e_prior)
+    limits, errors = _limits_by_row(
+        method, *_dataset_rows(datasets), args.quantiles[:1], args.threads
+    )
     rows, failed = [], 0
-    for i, (ds, ch, limit, error) in enumerate(zip(datasets, channels, limits, errors)):
-        cred = None
+    for i, (ds, lims, error) in enumerate(zip(datasets, limits, errors)):
+        limit = cred = None
         if error is None:
-            rng = RngHandle(cfg.seed, derive_stream_id("credibility", i))
+            limit = float(lims[0])
+            rng = RngHandle(args.seed, derive_stream_id("credibility", i))
             try:
-                cred = credibility(float(limit), ch, ccfg, x["samples"], rng)
+                cred = credibility(limit, ds.channels[0], ccfg, args.samples, rng)
             except NoPosteriorMass as exc:
                 error = str(exc)
         if error is not None:
             failed += 1
-            print(f"dsplim: numerical failure: dataset row {ds.label}: {error}",
-                  file=sys.stderr)
-        rows.append((ds.label, None if limit is None else float(limit), cred))
-    _write_csv(cfg.output, ["dataset_id", "limit", "credibility"], rows)
+            _failure(ds.label, error)
+        rows.append((ds.label, limit, cred))
+    _write_csv(args.output, ["dataset_id", "limit", "credibility"], rows)
     return 3 if failed else 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    x = cfg.extra
+def cmd_simulate(args) -> int:
     result = simulate_study(
-        x["t"], x["u"], x["eps"], x["b"], x["s_grid"], x["reps"],
-        methods=x["methods"], seed=cfg.seed, quantiles=cfg.quantiles,
-        grid=cfg.grid, threads=cfg.threads,
+        args.t, args.u, args.eps, args.b, args.s_grid, args.reps,
+        methods=args.methods, seed=args.seed, quantiles=args.quantiles,
+        grid=args.grid, threads=args.threads,
     )
-    rows = [
-        (m, q, mean, sd)
-        for (m, q, mean, sd) in result.summary(x["summary_lo"], x["summary_hi"])
-    ]
-    _write_csv(cfg.output, ["method", "level", "mean", "stdev"], rows)
-    if x["per_s_output"]:
+    rows = result.summary(*args.summary_range)
+    _write_csv(args.output, ["method", "level", "mean", "stdev"], rows)
+    if args.per_s_output:
         per_rows = [
             (m, q, s, c)
             for m in result.methods
@@ -383,7 +376,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             for s, c in zip(result.s_grid, result.coverage[(m, q)])
         ]
         _write_csv(
-            x["per_s_output"], ["method", "level", "s", "coverage"], per_rows
+            args.per_s_output, ["method", "level", "s", "coverage"], per_rows
         )
     return 0
 
@@ -411,6 +404,10 @@ def _parse_s_grid(text: str) -> np.ndarray:
     count = int(round((hi - lo) / step)) + 1
     grid = lo + step * np.arange(count)
     return grid[grid <= hi + 1e-12 * max(1.0, abs(hi))]
+
+
+def _parse_methods(text: str) -> tuple[str, ...]:
+    return tuple(m for m in text.split(",") if m)
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
@@ -502,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=3.0)
     p.add_argument("--s-grid", type=_parse_s_grid, default="0:40:0.25")
     p.add_argument("--reps", type=int, default=10000)
-    p.add_argument("--methods", default="ds,B1,B2,upper,lower")
+    p.add_argument("--methods", type=_parse_methods, default="ds,B1,B2,upper,lower")
     p.add_argument("--summary-range", type=_parse_pair, default=(20.0, 40.0),
                    help="s subrange for the summary table as lo:hi")
     p.add_argument("--per-s-output", default=None)
@@ -518,29 +515,19 @@ _COMMANDS = {
 }
 
 
-def _to_config(args: argparse.Namespace) -> RunConfig:
-    method = args.method
-    if getattr(args, "prior", None) is not None:
-        if method not in ("ds", "bayes") and method != f"bayes:{args.prior}":
+def _to_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the options that span several flags and resolve the derived
+    ones in place: ``method`` (with ``--prior``), ``grid`` and ``threads``."""
+    if args.prior is not None:
+        if args.method not in ("ds", "bayes") and args.method != f"bayes:{args.prior}":
             raise ValueError("--prior conflicts with the --method selection")
-        method = f"bayes:{args.prior}"
-    elif method == "bayes":
+        args.method = f"bayes:{args.prior}"
+    elif args.method == "bayes":
         raise ValueError("--method bayes requires --prior")
-    grid = GridConfig(points=args.grid_points, tail_eps=args.tail_eps)
-    extra = {}
-    if args.command == "coverage":
-        extra = dict(
-            mode=args.mode, t=args.t, u=args.u, eps=args.eps, b=args.b,
-            s_grid=args.s_grid, samples=args.samples, s_ref=args.s_ref,
-            enum_tail_eps=args.enum_tail_eps,
-        )
-    elif args.command == "credibility":
-        extra = dict(
-            b_prior=args.b_prior, e_prior=args.e_prior, samples=args.samples
-        )
-    elif args.command == "simulate":
-        methods = tuple(m for m in args.methods.split(",") if m)
-        for m in methods:
+    args.grid = GridConfig(points=args.grid_points, tail_eps=args.tail_eps)
+    args.threads = _threads_value(args.threads)
+    if args.command == "simulate":
+        for m in args.methods:
             if m != "ds":
                 prior_preset(m)
         lo, hi = args.summary_range
@@ -548,23 +535,7 @@ def _to_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(
                 f"--summary-range {lo:g}:{hi:g} holds no point of --s-grid"
             )
-        extra = dict(
-            t=args.t, u=args.u, eps=args.eps, b=args.b, s_grid=args.s_grid,
-            reps=args.reps, methods=methods,
-            summary_lo=args.summary_range[0], summary_hi=args.summary_range[1],
-            per_s_output=args.per_s_output,
-        )
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        output=args.output,
-        seed=args.seed,
-        method=method,
-        quantiles=tuple(args.quantiles),
-        grid=grid,
-        threads=_threads_value(args.threads),
-        extra=extra,
-    )
+    return args
 
 
 @cache
@@ -583,8 +554,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _to_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](_to_config(args))
     except (DatasetFormatError, ValueError, OSError, EnumerationTooLarge) as exc:
         print(f"dsplim: error: {exc}", file=sys.stderr)
         return 2

@@ -23,8 +23,8 @@ normalized on a shared grid; upper limits are quantiles of its CDF.
 For one channel with z >= 2 the CDF also has a grid-free closed form,
 which :func:`ds_upper_limits_batch` inverts for many datasets at once,
 by bracketed false-position steps on the log of the mass above each
-candidate limit; the studies take every such row there, and
-``dsplim limits`` keeps every dataset on the grid.
+candidate limit; :func:`dsplim.evalharness.make_ds_method` takes every
+such row there.
 
 A channel with z == 0 carries no information about the efficiency, so
 every signal value stays fully plausible (F_upper is identically 0 for
@@ -353,7 +353,7 @@ _EXACT_REL_TOL = 1e-10
 def exact_rows(ns, ys, zs) -> np.ndarray:
     """Single-channel rows :func:`ds_upper_limits_batch` can take: z >= 2
     and both endpoint shape triples on the series route of
-    ``survival(method="auto")``.  The studies send it all of them."""
+    ``survival(method="auto")``.  ``make_ds_method`` sends it all of them."""
     ns, ys, zs = (np.asarray(a) for a in (ns, ys, zs))
     return (zs >= 2) & _series_carries(ns + 1, ys + 1, zs + 1)
 

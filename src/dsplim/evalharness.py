@@ -124,9 +124,10 @@ class CredibilityConfig:
 #
 # A limit method is a picklable callable
 #     method(counts, t, u, quantiles) -> (len(quantiles), len(counts)) array
-# over an (N, 3) int array of single-channel (n, y, z) rows sharing the
-# scales (t, u); an unbounded limit is +inf.  Every row's limits depend
-# on that row alone, not on the other rows passed with it.
+# over an (N, 3C) int array of rows (n_1, y_1, z_1, ..., n_C, y_C, z_C)
+# of C channels, with t and u each a scalar or one value per channel; an
+# unbounded limit is +inf.  Every row's limits depend on that row alone,
+# not on the other rows passed with it.
 
 # Most distinct rows handed to a method in one call.  The rows arrive
 # sorted by n, so a block's Bayes batch runs a series only about as long
@@ -134,17 +135,29 @@ class CredibilityConfig:
 _BLOCK_ROWS = 1024
 
 
+def _channel_scales(counts, t, u):
+    """``counts`` as an (N, 3C) int array and ``t``, ``u`` as lists of C floats."""
+    counts = np.asarray(counts, dtype=int)
+    n_channels = counts.shape[1] // 3
+    ts, us = (np.broadcast_to(np.asarray(v, dtype=float), (n_channels,)).tolist()
+              for v in (t, u))
+    return counts, ts, us
+
+
 def _ds_limits_of_counts(counts, t, u, quantiles, grid: GridConfig) -> np.ndarray:
-    counts = np.asarray(counts, dtype=int).reshape(-1, 3)
+    counts, ts, us = _channel_scales(counts, t, u)
     out = np.empty((len(quantiles), len(counts)))
-    ns, ys, zs = counts.T
-    exact = exact_rows(ns, ys, zs)
+    ns, ys, zs = counts[:, :3].T
+    exact = exact_rows(ns, ys, zs) & (len(ts) == 1)  # single-channel rows only
     out[:, exact] = ds_upper_limits_batch(
-        ns[exact], ys[exact], zs[exact], t, u, quantiles
+        ns[exact], ys[exact], zs[exact], ts[0], us[0], quantiles
     )
     for j in np.flatnonzero(~exact):
-        ch = ChannelObservation(int(ns[j]), int(ys[j]), int(zs[j]), t, u)
-        dataset = Dataset((ch,))
+        row = counts[j].tolist()
+        dataset = Dataset(tuple(
+            ChannelObservation(*row[3 * c : 3 * c + 3], t_c, u_c)
+            for c, (t_c, u_c) in enumerate(zip(ts, us))
+        ))
         try:
             out[:, j] = dataset_limits(dataset, quantiles, grid)
         except UnboundedLimit:
@@ -153,22 +166,26 @@ def _ds_limits_of_counts(counts, t, u, quantiles, grid: GridConfig) -> np.ndarra
 
 
 def _bayes_limits_of_counts(counts, t, u, quantiles, prior: PriorConfig) -> np.ndarray:
-    ns, ys, zs = np.asarray(counts).T
+    counts, (t,), (u,) = _channel_scales(counts, t, u)
+    ns, ys, zs = counts.T
     return bayes_upper_limits_batch(ns, ys, zs, t, u, prior, quantiles)
 
 
 def make_ds_method(grid: GridConfig = GridConfig()):
     """Belief-interval limit method; +inf where the limit is unbounded.
 
-    The :func:`exact_rows` (z >= 2, on the series route) take the
-    grid-free :func:`ds_upper_limits_batch`, so ``grid`` does not affect
-    them; the other rows take :func:`dataset_limits` on ``grid``.
+    Single-channel :func:`exact_rows` (z >= 2, on the series route) take
+    the grid-free :func:`ds_upper_limits_batch`, so ``grid`` does not
+    affect them; every other row (several channels, z <= 1, or a shape
+    above the series bound) takes :func:`dataset_limits` on ``grid``,
+    one row at a time.
     """
     return partial(_ds_limits_of_counts, grid=grid)
 
 
 def make_bayes_method(prior: PriorConfig | str):
-    """Bayesian limit method for one integer-shape prior."""
+    """Bayesian limit method for single-channel rows and one
+    integer-shape prior."""
     if isinstance(prior, str):
         prior = prior_preset(prior)
     return partial(_bayes_limits_of_counts, prior=prior)
@@ -183,17 +200,17 @@ def _parallel_map(fn, items, threads: int):
 
 
 def _row_limits(method, counts, t, u, quantiles, threads: int = 1) -> np.ndarray:
-    """Limits of every (n, y, z) row of ``counts``, evaluating each
+    """Limits of every row of the (N, 3C) ``counts``, evaluating each
     distinct row once: shape (len(quantiles), len(counts)).
 
-    The distinct rows (sorted by n) are cut into at least 4 * threads
-    contiguous blocks of at most _BLOCK_ROWS rows, mapped over the
-    workers, and scattered back to the input order.  Since each row's
-    limits depend on that row alone, the result is the same for any
-    worker count.
+    The distinct rows (sorted by the first channel's n) are cut into at
+    least 4 * threads contiguous blocks of at most _BLOCK_ROWS rows,
+    mapped over the workers, and scattered back to the input order.
+    Since each row's limits depend on that row alone, the result is the
+    same for any worker count.
     """
     distinct, inverse = np.unique(
-        np.asarray(counts, dtype=int).reshape(-1, 3), axis=0, return_inverse=True
+        np.asarray(counts, dtype=int), axis=0, return_inverse=True
     )
     if not len(distinct):
         return np.empty((len(quantiles), 0))

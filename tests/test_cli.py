@@ -5,14 +5,14 @@ import io
 
 import pytest
 
-from dsplim.bayes import bayes_upper_limit, prior_preset
+from dsplim.bayes import bayes_upper_limits_batch, prior_preset
 from dsplim.cli import (
     DatasetFormatError,
     main,
     parse_dataset_file,
     write_dataset_file,
 )
-from dsplim.ds_limits import ChannelObservation, ds_upper_limits_batch
+from dsplim.ds_limits import ds_upper_limits_batch
 
 GOOD = """# example file
 channels 1
@@ -162,21 +162,21 @@ class TestLimitsCommand:
         args = ["--method", "bayes:B1", "--quantiles", "0.9"]
         assert main(["limits", "--input", inp, "--output", out, *args]) == 0
         rows = _read_csv(out)
-        ch = ChannelObservation(870, 870, 1, 1.0, 1.0)
-        want = bayes_upper_limit(ch, prior_preset("B1"), 0.9)
-        assert rows[2] == ["1", f"{want:.17g}", "ok"]
+        want = bayes_upper_limits_batch([870], [870], [1], 1.0, 1.0,
+                                        prior_preset("B1"), (0.9,))
+        assert rows[2] == ["1", f"{want[0, 0]:.17g}", "ok"]
 
     def test_background_probability_rounding_to_one_gets_limit(self, tmp_path):
-        # pb = (1/t) / (1 + 1/t) rounds to 1 at t = 1e-17; the grid limits
-        # agree with the grid-free ones to the grid error, and those meet
-        # the scipy plausibility CDF (tests/test_log_series.py)
+        # pb = (1/t) / (1 + 1/t) rounds to 1 at t = 1e-17; the row takes the
+        # grid-free route, whose limits meet the scipy plausibility CDF
+        # (tests/test_log_series.py)
         inp = _write_input(tmp_path, "channels 1\nscales 1e-17 10\n5 3 10\n")
         out = str(tmp_path / "limits.csv")
         assert main(["limits", "--input", inp, "--output", out]) == 0
         row = _read_csv(out)[1]
         assert row[0] == "0" and row[3] == "ok"
         exact = ds_upper_limits_batch([5], [3], [10], 1e-17, 10.0, (0.9, 0.99))
-        assert [float(v) for v in row[1:3]] == pytest.approx(exact[:, 0], rel=5e-3)
+        assert [float(v) for v in row[1:3]] == list(exact[:, 0])
 
     def test_bayes_method_rejects_multichannel(self, tmp_path, capsys):
         text = "channels 2\nscales 33 100\nscales 17 55\n5 10 100 1 2 3\n"
@@ -186,13 +186,13 @@ class TestLimitsCommand:
         assert rc == 2
         assert "single-channel" in capsys.readouterr().err
 
-    def test_bytes_identical_across_worker_counts(self, tmp_path):
-        inp = _write_input(
-            tmp_path,
-            "channels 1\nscales 3.3 10\n" +
-            "\n".join(f"{n} {y} {z}" for n, y, z in
-                      [(0, 1, 2), (3, 2, 1), (7, 0, 4), (2, 5, 3)]) + "\n",
-        )
+    @pytest.mark.parametrize("text", [
+        "channels 1\nscales 3.3 10\n0 1 2\n3 2 1\n7 0 4\n2 5 3\n",
+        "channels 2\nscales 3.3 10\nscales 33 100\n0 1 2 5 10 100\n"
+        "3 2 1 0 3 10\n7 0 4 2 5 3\n2 5 3 7 0 0\n",
+    ], ids=["1ch", "2ch"])
+    def test_bytes_identical_across_worker_counts(self, tmp_path, text):
+        inp = _write_input(tmp_path, text)
         out1 = str(tmp_path / "a.csv")
         out2 = str(tmp_path / "b.csv")
         assert main(["limits", "--input", inp, "--output", out1,
@@ -200,6 +200,36 @@ class TestLimitsCommand:
         assert main(["limits", "--input", inp, "--output", out2,
                      "--threads", "2"]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+    def test_one_limit_per_row_with_credibility(self, tmp_path):
+        # limits and credibility take each row through one path
+        inp = _write_input(
+            tmp_path, "channels 1\nscales 3.3 10\n0 0 2\n3 1 2\n5 2 3\n5 2 1\n5 2 0\n"
+        )
+        lim, cred = str(tmp_path / "limits.csv"), str(tmp_path / "cred.csv")
+        assert main(["limits", "--input", inp, "--output", lim]) == 0
+        assert main(["credibility", "--input", inp, "--output", cred,
+                     "--samples", "100", "--quantiles", "0.9"]) == 0
+        limits, creds = _read_csv(lim)[1:], _read_csv(cred)[1:]
+        assert [r[3] for r in limits] == ["ok"] * 4 + ["unbounded"]
+        for row, cred_row in zip(limits[:4], creds):
+            assert row[1] == cred_row[1]
+        # closed form for n = y = 0: u * ((1 - q)**(-1 / (z - 1)) - 1)
+        assert float(limits[0][1]) == pytest.approx(90.0, rel=1e-9)
+
+    def test_multichannel_failed_row_keeps_the_other_rows(self, tmp_path, capsys):
+        text = ("channels 2\nscales 3.3 10\nscales 1 1e8\n"
+                "5 2 7 5 2 40\n5 2 7 0 0 1\n5 2 7 5 2 40\n")
+        inp = _write_input(tmp_path, text)
+        out = str(tmp_path / "limits.csv")
+        assert main(["limits", "--input", inp, "--output", out, "--threads", "2"]) == 3
+        ok = ["19.329726651247292", "38.251323299777908", "ok"]
+        assert _read_csv(out)[1:] == [["0", *ok], ["1", "", "", "failed"], ["2", *ok]]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("dsplim: numerical failure: dataset row 1: ")
+        assert "n=0, y=0, z=1" in err[0]
 
 
 class TestCurvesCommand:
@@ -222,6 +252,17 @@ class TestCurvesCommand:
             assert float(r[5]) >= 0.0
         last = [r for r in comb if r[0] == "0"][-1]
         assert float(last[7]) >= 1.0 - 1e-6
+
+    def test_failed_dataset_keeps_the_other_datasets(self, tmp_path, capsys):
+        inp = _write_input(tmp_path, "channels 1\nscales 1 1e8\n5 2 40\n0 0 1\n")
+        out = str(tmp_path / "curves.csv")
+        rc = main(["curves", "--input", inp, "--output", out, "--grid-points", "16"])
+        assert rc == 3
+        rows = _read_csv(out)[1:]
+        assert rows and {r[0] for r in rows} == {"0"}
+        err = capsys.readouterr().err
+        assert err.count("dataset row") == 1
+        assert "dataset row 1: grid search exceeded hard_cap" in err
 
     def test_all_unbounded_curves_exit_4(self, tmp_path):
         inp = _write_input(tmp_path, "channels 1\nscales 3.3 10\n5 2 0\n")
@@ -416,5 +457,5 @@ class TestCsvFormatting:
         assert b"\r" not in raw
         text = raw.decode()
         value = text.splitlines()[1].split(",")[1]
-        assert float(value) == pytest.approx(9.228904532545789, rel=1e-15)
+        assert float(value) == pytest.approx(9.226124729696398, rel=1e-15)
         assert len(value.replace(".", "").lstrip("0")) >= 15
