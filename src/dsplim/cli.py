@@ -22,7 +22,7 @@ import csv
 import math
 import os
 import sys
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .evalharness import (
     make_bayes_method,
     make_ds_method,
     simulate_study,
-    _parallel_map,
     _row_limits,
 )
 from .sampling import DEFAULT_SEED, RngHandle, derive_stream_id
@@ -104,8 +103,8 @@ def parse_dataset_file(stream) -> list[Dataset]:
             t, u = float(parts[1]), float(parts[2])
         except ValueError:
             raise DatasetFormatError("scales must be numbers", lno)
-        if t <= 0 or u <= 0:
-            raise DatasetFormatError("scales must be positive", lno)
+        if not (0 < t < math.inf and 0 < u < math.inf):
+            raise DatasetFormatError("scales must be positive and finite", lno)
         scales.append((t, u))
 
     datasets = []
@@ -121,6 +120,11 @@ def parse_dataset_file(stream) -> list[Dataset]:
             counts = [int(f) for f in fields]
         except ValueError:
             raise DatasetFormatError(f"dataset row {idx}: counts must be integers", lno)
+        # above 2**53 a float, and so a gamma shape, no longer holds every count
+        if max(counts) > 2**53:
+            raise DatasetFormatError(
+                f"dataset row {idx}: counts must be at most 2**53", lno
+            )
         try:
             channels = tuple(
                 ChannelObservation(
@@ -193,46 +197,20 @@ def _dataset_rows(datasets):
     return counts, ts, us
 
 
-def _method_row(row, method, t, u, quantiles):
-    """One row's limits from a limit method and, for a failed row, its
-    error message."""
-    try:
-        return method(np.array([row]), t, u, quantiles)[:, 0], None
-    except (NumericalError, IntegrationError) as exc:
-        return None, str(exc)
-
-
-def _limits_by_row(method, counts, t, u, quantiles, threads):
-    """Each row's limits (None for a failed row) and error message (None
-    for a row with limits).
-
-    The rows go through the one limit path, _row_limits; when a block
-    raises, every row is evaluated on its own so a failing row does not
-    lose the others.
-    """
-    try:
-        limits = _row_limits(method, counts, t, u, quantiles, threads)
-        return list(limits.T), [None] * len(counts)
-    except (NumericalError, IntegrationError):
-        worker = partial(_method_row, method=method, t=t, u=u, quantiles=quantiles)
-        results = _parallel_map(worker, list(counts), threads)
-        return [lims for lims, _ in results], [message for _, message in results]
-
-
 def cmd_limits(args) -> int:
     with open(args.input) as fh:
         datasets = parse_dataset_file(fh)
     if args.method != "ds" and len(datasets[0].channels) != 1:
         raise ValueError("the Bayesian comparison method is single-channel")
     method = _select_method(args.method, args.grid)
-    limits, errors = _limits_by_row(
+    limits, failures = _row_limits(
         method, *_dataset_rows(datasets), args.quantiles, args.threads
     )
     blank = [None] * len(args.quantiles)
     rows = []
-    for ds, lims, error in zip(datasets, limits, errors):
-        if error is not None:
-            _failure(ds.label, error)
+    for i, (ds, lims) in enumerate(zip(datasets, limits.T)):
+        if i in failures:
+            _failure(ds.label, failures[i])
             rows.append((ds.label, *blank, "failed"))
         elif np.isinf(lims).all():
             rows.append((ds.label, *blank, "unbounded"))
@@ -339,14 +317,15 @@ def cmd_credibility(args) -> int:
         raise ValueError("credibility is defined for single-channel datasets")
     method = _select_method(args.method, args.grid)
     ccfg = CredibilityConfig(b_prior=args.b_prior, e_prior=args.e_prior)
-    limits, errors = _limits_by_row(
+    (limits,), failures = _row_limits(
         method, *_dataset_rows(datasets), args.quantiles[:1], args.threads
     )
     rows, failed = [], 0
-    for i, (ds, lims, error) in enumerate(zip(datasets, limits, errors)):
+    for i, (ds, lim) in enumerate(zip(datasets, limits)):
         limit = cred = None
+        error = failures.get(i)
         if error is None:
-            limit = float(lims[0])
+            limit = float(lim)
             rng = RngHandle(args.seed, derive_stream_id("credibility", i))
             try:
                 cred = credibility(limit, ds.channels[0], ccfg, args.samples, rng)
@@ -524,6 +503,8 @@ def _to_config(args: argparse.Namespace) -> argparse.Namespace:
         args.method = f"bayes:{args.prior}"
     elif args.method == "bayes":
         raise ValueError("--method bayes requires --prior")
+    if args.command == "curves" and args.method != "ds":
+        raise ValueError("curves shows belief-interval curves; --method must be ds")
     args.grid = GridConfig(points=args.grid_points, tail_eps=args.tail_eps)
     args.threads = _threads_value(args.threads)
     if args.command == "simulate":

@@ -92,8 +92,8 @@ class ChannelObservation:
             v = getattr(self, name)
             if v < 0 or v != int(v):
                 raise ValueError(f"count {name} must be a nonnegative integer")
-        if not (self.t > 0 and self.u > 0):
-            raise ValueError("scales t and u must be positive")
+        if not (0 < self.t < math.inf and 0 < self.u < math.inf):
+            raise ValueError("scales t and u must be positive and finite")
 
 
 @dataclass(frozen=True)

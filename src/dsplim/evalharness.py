@@ -25,6 +25,7 @@ import numpy as np
 from scipy import special as sp
 from scipy import stats
 
+from ._gamma_ratio import NumericalError
 from .bayes import PriorConfig, bayes_upper_limits_batch, prior_preset
 from .ds_limits import (
     ChannelObservation,
@@ -36,7 +37,7 @@ from .ds_limits import (
     exact_rows,
 )
 from .sampling import DEFAULT_SEED, RngHandle, derive_stream_id
-from .specfun import solve_monotone
+from .specfun import IntegrationError, solve_monotone
 
 __all__ = [
     "NuisanceTruth",
@@ -127,7 +128,8 @@ class CredibilityConfig:
 # over an (N, 3C) int array of rows (n_1, y_1, z_1, ..., n_C, y_C, z_C)
 # of C channels, with t and u each a scalar or one value per channel; an
 # unbounded limit is +inf.  Every row's limits depend on that row alone,
-# not on the other rows passed with it.
+# not on the other rows passed with it.  A row without limits makes the
+# call raise NumericalError or IntegrationError.
 
 # Most distinct rows handed to a method in one call.  The rows arrive
 # sorted by n, so a block's Bayes batch runs a series only about as long
@@ -199,26 +201,68 @@ def _parallel_map(fn, items, threads: int):
         return list(pool.map(fn, items, chunksize=chunk))
 
 
-def _row_limits(method, counts, t, u, quantiles, threads: int = 1) -> np.ndarray:
+def _block_limits(block, method, t, u, quantiles):
+    """Limits of one block of rows and {block row: message} for its rows
+    that fail.
+
+    A block whose method call raises is halved, and each half evaluated
+    again, until every failing row stands alone; such a row gets NaN
+    limits and its error message.
+    """
+    try:
+        return method(block, t, u, quantiles), {}
+    except (NumericalError, IntegrationError) as exc:
+        if len(block) == 1:
+            return np.full((len(quantiles), 1), np.nan), {0: str(exc)}
+    half = len(block) // 2
+    head, head_failures = _block_limits(block[:half], method, t, u, quantiles)
+    tail, tail_failures = _block_limits(block[half:], method, t, u, quantiles)
+    tail_failures = {half + j: message for j, message in tail_failures.items()}
+    return np.concatenate([head, tail], axis=1), head_failures | tail_failures
+
+
+def _row_limits(method, counts, t, u, quantiles, threads: int = 1):
     """Limits of every row of the (N, 3C) ``counts``, evaluating each
-    distinct row once: shape (len(quantiles), len(counts)).
+    distinct row once: an array of shape (len(quantiles), len(counts)),
+    and {input row: error message} for the rows whose limits failed
+    (NaN in the array), in input order.
 
     The distinct rows (sorted by the first channel's n) are cut into at
     least 4 * threads contiguous blocks of at most _BLOCK_ROWS rows,
-    mapped over the workers, and scattered back to the input order.
-    Since each row's limits depend on that row alone, the result is the
-    same for any worker count.
+    mapped over the workers, and scattered back to the input order.  A
+    block that raises is halved inside its worker until its failing rows
+    stand alone (:func:`_block_limits`).  Since each row's limits depend
+    on that row alone, the result is the same for any worker count.
     """
     distinct, inverse = np.unique(
         np.asarray(counts, dtype=int), axis=0, return_inverse=True
     )
+    inverse = inverse.reshape(-1)
     if not len(distinct):
-        return np.empty((len(quantiles), 0))
+        return np.empty((len(quantiles), 0)), {}
     n_blocks = max(4 * threads, -(-len(distinct) // _BLOCK_ROWS))
     blocks = np.array_split(distinct, min(n_blocks, len(distinct)))
-    task = partial(method, t=t, u=u, quantiles=tuple(quantiles))
-    limits = np.concatenate(_parallel_map(task, blocks, threads), axis=1)
-    return limits[:, inverse.reshape(-1)]
+    task = partial(_block_limits, method=method, t=t, u=u, quantiles=tuple(quantiles))
+    results = _parallel_map(task, blocks, threads)
+    limits = np.concatenate([lims for lims, _ in results], axis=1)
+    messages, start = {}, 0  # distinct row -> message
+    for block, (_, block_failures) in zip(blocks, results):
+        messages.update((start + j, message) for j, message in block_failures.items())
+        start += len(block)
+    failed = np.flatnonzero(np.isin(inverse, list(messages)))
+    return limits[:, inverse], {int(row): messages[inverse[row]] for row in failed}
+
+
+def _study_limits(method, counts, t, u, quantiles, threads):
+    """:func:`_row_limits` for a study, which needs every row's limits:
+    a failing row raises one NumericalError naming the first such row in
+    input order, its counts and its error."""
+    limits, failures = _row_limits(method, counts, t, u, quantiles, threads)
+    if failures:
+        row, message = next(iter(failures.items()))
+        n, y, z = np.asarray(counts)[row].tolist()
+        raise NumericalError(f"study row {row}, (n, y, z) = ({n}, {y}, {z}): {message}")
+    return limits
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +313,7 @@ def coverage_enumerate(
         )
 
     counts = np.indices((n_max + 1, y_max + 1, z_max + 1)).reshape(3, -1).T
-    limits = _row_limits(method, counts, t, u, (q,), threads)[0].reshape(
+    limits = _study_limits(method, counts, t, u, (q,), threads)[0].reshape(
         n_max + 1, y_max + 1, z_max + 1
     )
 
@@ -325,7 +369,7 @@ def coverage_importance(
     ys = gen.poisson(t * b, n_samples)
     zs = gen.poisson(u * eps, n_samples)
     counts = np.stack([ns, ys, zs], axis=1)
-    limits = _row_limits(method, counts, t, u, (q,), threads)[0]
+    limits = _study_limits(method, counts, t, u, (q,), threads)[0]
 
     estimate = np.empty(s_grid.size)
     std_err = np.empty(s_grid.size)
@@ -507,7 +551,7 @@ def simulate_study(
     limits = {}
     for m in methods:
         method = make_ds_method(grid) if m == "ds" else make_bayes_method(m)
-        lims = _row_limits(method, counts, t, u, quantiles, threads)
+        lims = _study_limits(method, counts, t, u, quantiles, threads)
         for qi, q in enumerate(quantiles):
             lim = lims[qi].reshape(s_grid.size, reps)
             limits[(m, q)] = lim

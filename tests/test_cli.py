@@ -12,7 +12,7 @@ from dsplim.cli import (
     parse_dataset_file,
     write_dataset_file,
 )
-from dsplim.ds_limits import ds_upper_limits_batch
+from dsplim.ds_limits import ChannelObservation, ds_upper_limits_batch
 
 GOOD = """# example file
 channels 1
@@ -59,6 +59,24 @@ class TestParse:
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(DatasetFormatError):
             parse_dataset_file(io.StringIO("channels 1\nscales 0 1\n1 2 3\n"))
+
+    @pytest.mark.parametrize("count", [2**53 + 1, 2**63 - 1, 10**20])
+    def test_count_beyond_float_shapes_rejected(self, count):
+        bad = f"channels 1\nscales 3.3 10\n5 2 3\n5 2 {count}\n"
+        with pytest.raises(DatasetFormatError, match="at most 2\\*\\*53") as err:
+            parse_dataset_file(io.StringIO(bad))
+        assert err.value.line == 4 and "dataset row 1" in str(err.value)
+        ok = parse_dataset_file(io.StringIO(f"channels 1\nscales 3.3 10\n{2**53} 2 3\n"))
+        assert ok[0].channels[0].n == 2**53
+
+    @pytest.mark.parametrize("scales", ["inf 10", "3.3 inf", "nan 10", "3.3 -inf"])
+    def test_nonfinite_scale_rejected(self, scales):
+        bad = f"channels 2\nscales 3.3 10\nscales {scales}\n1 2 3 1 2 3\n"
+        with pytest.raises(DatasetFormatError, match="positive and finite") as err:
+            parse_dataset_file(io.StringIO(bad))
+        assert err.value.line == 3
+        with pytest.raises(ValueError, match="positive and finite"):
+            ChannelObservation(1, 2, 3, *map(float, scales.split()))
 
     def test_round_trip(self):
         datasets = parse_dataset_file(io.StringIO(GOOD))
@@ -119,6 +137,20 @@ class TestLimitsCommand:
         assert rc == 0
         rows = _read_csv(out)
         assert all(row[3] == "ok" for row in rows[1:])
+
+    @pytest.mark.parametrize("command", ["limits", "credibility"])
+    @pytest.mark.parametrize("text", [
+        "channels 1\nscales 3.3 10\n5 2 99999999999999999999\n",
+        "channels 1\nscales 3.3 10\n5 2 9223372036854775807\n",
+        "channels 1\nscales inf 10\n5 2 3\n",
+    ], ids=["count-1e20", "count-2**63-1", "scale-inf"])
+    def test_unusable_input_exit_code_names_line(self, tmp_path, capsys, command, text):
+        inp = _write_input(tmp_path, text)
+        out = tmp_path / "out.csv"
+        assert main([command, "--input", inp, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dsplim: error: line ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_parse_error_exit_code(self, tmp_path):
         inp = _write_input(tmp_path, "channels 1\nscales 33 100\n5 10\n")
@@ -263,6 +295,14 @@ class TestCurvesCommand:
         err = capsys.readouterr().err
         assert err.count("dataset row") == 1
         assert "dataset row 1: grid search exceeded hard_cap" in err
+
+    @pytest.mark.parametrize("flags", [["--method", "bayes:B1"], ["--prior", "B1"]])
+    def test_bayes_method_rejected(self, tmp_path, capsys, flags):
+        inp = _write_input(tmp_path, GOOD)
+        out = tmp_path / "curves.csv"
+        assert main(["curves", "--input", inp, "--output", str(out), *flags]) == 2
+        assert "--method must be ds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_unbounded_curves_exit_4(self, tmp_path):
         inp = _write_input(tmp_path, "channels 1\nscales 3.3 10\n5 2 0\n")

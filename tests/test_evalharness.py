@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dsplim._gamma_ratio import NumericalError
 from dsplim.bayes import (
     bayes_posterior_cdf,
     conjugate_posteriors,
@@ -25,7 +26,8 @@ from dsplim.evalharness import (
     make_ds_method,
     simulate_study,
 )
-from dsplim.evalharness import _credibility_curve, _posterior_nuisance_draws
+from dsplim import evalharness
+from dsplim.evalharness import _credibility_curve, _posterior_nuisance_draws, _row_limits
 from dsplim.sampling import RngHandle
 from oracles import bisection_root, mc_credibility
 
@@ -50,6 +52,74 @@ def _const_method(value):
         return np.full((len(quantiles), len(counts)), value)
 
     return method
+
+
+class _FailingMethod:
+    """Picklable limit method whose limits encode each row's counts as
+    n * 1e6 + y * 1e3 + z.  A block raises if it holds a row whose count
+    in ``column`` is one of ``values``.  Records the blocks it gets."""
+
+    def __init__(self, column=0, values=()):
+        self.column, self.values = column, frozenset(values)
+        self.blocks = []
+
+    def __call__(self, counts, t, u, quantiles):
+        self.blocks.append(counts.tolist())
+        for row in counts.tolist():
+            if row[self.column] in self.values:
+                raise NumericalError(f"stub failure at {tuple(row)}")
+        code = counts[:, 0] * 1e6 + counts[:, 1] * 1e3 + counts[:, 2]
+        return np.tile(code, (len(quantiles), 1))
+
+
+class TestRowLimits:
+    COUNTS = np.array([(n, n % 5, 3) for n in range(64)])
+
+    def test_failing_row_is_isolated_by_halving(self):
+        method = _FailingMethod(0, {37})
+        limits, failures = _row_limits(method, self.COUNTS, 3.3, 10.0, (0.9, 0.99))
+        # 4 blocks of 16 rows; 16 -> 8 -> 4 -> 2 -> 1 adds 2 calls per halving
+        assert len(method.blocks) <= 4 + 2 * 4
+        assert failures == {37: "stub failure at (37, 2, 3)"}
+        assert np.isnan(limits[:, 37]).all()
+        ok = np.arange(64) != 37
+        code = self.COUNTS[:, 0] * 1e6 + self.COUNTS[:, 1] * 1e3 + self.COUNTS[:, 2]
+        assert np.array_equal(limits[:, ok], np.tile(code[ok], (2, 1)))
+
+    def test_repeated_failing_row_is_evaluated_once(self):
+        bad = [0, 5000, 1]
+        counts = np.insert(self.COUNTS[:40], [5, 20, 40], bad, axis=0)
+        method = _FailingMethod(1, {5000})
+        limits, failures = _row_limits(method, counts, 3.3, 10.0, (0.9,))
+        # one block of the 41 distinct rows holds the failing row, and it
+        # is halved down to that row alone once
+        assert [block for block in method.blocks if bad in block][-1] == [bad]
+        assert sum(block == [bad] for block in method.blocks) == 1
+        assert failures == dict.fromkeys([5, 21, 42], "stub failure at (0, 5000, 1)")
+        ok = np.ones(len(counts), bool)
+        ok[[5, 21, 42]] = False
+        assert np.isfinite(limits[:, ok]).all() and np.isnan(limits[:, ~ok]).all()
+
+    def test_bitwise_equal_across_worker_counts(self):
+        fails = [2, 17, 18, 40, 63]
+        counts = np.concatenate([self.COUNTS, self.COUNTS[::-3]])
+
+        def run(threads):
+            method = _FailingMethod(0, fails)
+            return _row_limits(method, counts, 3.3, 10.0, (0.9, 0.99), threads)
+
+        (serial, serial_failures), (pooled, pooled_failures) = run(1), run(2)
+        assert serial.tobytes() == pooled.tobytes()
+        assert serial_failures == pooled_failures
+        assert sorted(serial_failures) == [
+            i for i, row in enumerate(counts) if row[0] in fails
+        ]
+
+    def test_no_failure_is_one_call_per_block(self):
+        method = _FailingMethod()
+        limits, failures = _row_limits(method, self.COUNTS, 3.3, 10.0, (0.9,))
+        assert failures == {} and len(method.blocks) == 4
+        assert _row_limits(method, np.empty((0, 3), int), 3.3, 10.0, (0.9,))[1] == {}
 
 
 class TestCoverageEnumerate:
@@ -236,6 +306,29 @@ class TestSimulateStudy:
     def test_reps_validation(self):
         with pytest.raises(ValueError):
             simulate_study(3.3, 10.0, 0.1, 0.3, [1.0], reps=0)
+
+    def test_failing_row_is_named(self, monkeypatch):
+        kw = dict(t=3.3, u=10.0, eps=0.1, b=0.3, s_grid=[3.0, 9.0], reps=25,
+                  methods=("ds",), seed=9, quantiles=(0.9,))
+        monkeypatch.setattr(
+            evalharness, "make_ds_method", lambda grid: _FailingMethod()
+        )
+        code = simulate_study(**kw).limits[("ds", 0.9)].reshape(-1).astype(int)
+        rows = np.stack([code // 10**6, code // 10**3 % 1000, code % 1000], axis=1)
+        first = int(np.flatnonzero(rows[:, 2] == 0)[0])
+        n, y, z = rows[first]
+        monkeypatch.setattr(
+            evalharness, "make_ds_method", lambda grid: _FailingMethod(2, {0})
+        )
+        messages = set()
+        for threads in (1, 2):
+            with pytest.raises(NumericalError) as err:
+                simulate_study(**kw, threads=threads)
+            messages.add(str(err.value))
+        assert messages == {
+            f"study row {first}, (n, y, z) = ({n}, {y}, {z}): "
+            f"stub failure at ({n}, {y}, {z})"
+        }
 
 
 class TestNuisanceTruth:

@@ -123,9 +123,10 @@ class TestBitwiseIndependence:
         t, u = SMALL
         counts = np.indices((12, 6, 9)).reshape(3, -1).T
         method = make_ds_method(GridConfig(points=64))
-        serial = _row_limits(method, counts, t, u, (0.9, 0.99), threads=1)
-        pooled = _row_limits(method, counts, t, u, (0.9, 0.99), threads=2)
+        serial, serial_failures = _row_limits(method, counts, t, u, (0.9, 0.99), threads=1)
+        pooled, pooled_failures = _row_limits(method, counts, t, u, (0.9, 0.99), threads=2)
         assert np.array_equal(serial, pooled)
+        assert serial_failures == pooled_failures == {}
 
 
 class TestRouting:
