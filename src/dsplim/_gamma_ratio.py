@@ -337,15 +337,15 @@ def conditioning_probability(kn, wn, kb, wb) -> float:
     return beta_cdf(wn / (wn + wb), kb, kn)
 
 
-def clamp_unit(values, where: str = "cdf"):
+def clamp_unit(values):
     """Clip CDF values to [0, 1], rejecting excursions beyond CLAMP_SLACK."""
     arr = np.asarray(values, dtype=float)
     if np.any(np.isnan(arr)):
-        raise NumericalError(f"{where} evaluation produced NaN")
+        raise NumericalError("cdf evaluation produced NaN")
     low, high = arr.min(initial=0.0), arr.max(initial=1.0)
     if low < -CLAMP_SLACK or high > 1.0 + CLAMP_SLACK:
         raise NumericalError(
-            f"{where} value escaped [0, 1] by more than {CLAMP_SLACK}: "
+            f"cdf value escaped [0, 1] by more than {CLAMP_SLACK}: "
             f"range [{low}, {high}]"
         )
     out = np.clip(arr, 0.0, 1.0)

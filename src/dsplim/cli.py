@@ -180,7 +180,7 @@ def _write_csv(path, header, rows) -> None:
 # commands
 #
 # Each command takes the parsed argparse.Namespace after _to_config has
-# resolved its method, grid and threads.
+# resolved its grid and threads.
 
 
 def _failure(label, message) -> None:
@@ -272,11 +272,10 @@ def cmd_curves(args) -> int:
 
 
 def _select_method(spec: str, grid: GridConfig):
+    """The limit method of a --method value: ``ds`` or ``bayes:<prior>``."""
     if spec == "ds":
         return make_ds_method(grid)
-    if spec.startswith("bayes:"):
-        return make_bayes_method(spec.split(":", 1)[1])
-    raise ValueError(f"unknown method {spec!r}; choose from {METHODS}")
+    return make_bayes_method(spec.removeprefix("bayes:"))
 
 
 def cmd_coverage(args) -> int:
@@ -340,12 +339,18 @@ def cmd_credibility(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    for m in args.methods:
+        if m != "ds":
+            prior_preset(m)
+    lo, hi = args.summary_range
+    if not ((args.s_grid >= lo) & (args.s_grid <= hi)).any():
+        raise ValueError(f"--summary-range {lo:g}:{hi:g} holds no point of --s-grid")
     result = simulate_study(
         args.t, args.u, args.eps, args.b, args.s_grid, args.reps,
         methods=args.methods, seed=args.seed, quantiles=args.quantiles,
         grid=args.grid, threads=args.threads,
     )
-    rows = result.summary(*args.summary_range)
+    rows = result.summary(lo, hi)
     _write_csv(args.output, ["method", "level", "mean", "stdev"], rows)
     if args.per_s_output:
         per_rows = [
@@ -378,8 +383,10 @@ def _parse_s_grid(text: str) -> np.ndarray:
         lo, hi, step = (float(v) for v in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError("s-grid must be lo:hi:step")
-    if step <= 0 or hi < lo:
-        raise argparse.ArgumentTypeError("s-grid must satisfy lo <= hi, step > 0")
+    if not (0 <= lo <= hi < math.inf and step > 0):
+        raise argparse.ArgumentTypeError(
+            "s-grid must satisfy 0 <= lo <= hi < inf, step > 0"
+        )
     count = int(round((hi - lo) / step)) + 1
     grid = lo + step * np.arange(count)
     return grid[grid <= hi + 1e-12 * max(1.0, abs(hi))]
@@ -406,14 +413,32 @@ def _int_at_least(low: int):
     return count
 
 
-def _threads_value(arg_value: int | None) -> int:
-    value = arg_value
-    if value is None:
-        env = os.environ.get("DSPLIM_THREADS")
-        value = int(env) if env else 1
-    if value == 0:
-        value = os.cpu_count() or 1
-    return max(1, value)
+def _threads_value(flag: int | None) -> int:
+    """Worker processes: --threads, else DSPLIM_THREADS, else 1; 0 means
+    every core."""
+    if flag is None:
+        env = os.environ.get("DSPLIM_THREADS") or "1"
+        try:
+            flag = _int_at_least(0)(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ValueError(f"DSPLIM_THREADS must be an integer >= 0, not {env!r}")
+    return flag or os.cpu_count() or 1
+
+
+# Options that several subcommands take, by flag.
+_SHARED = {
+    "--input": dict(required=True, help="dsplim/1 dataset file"),
+    "--output": dict(required=True, help="CSV output path"),
+    "--seed": dict(type=int, default=DEFAULT_SEED),
+    "--method": dict(default="ds", choices=METHODS),
+    "--quantiles": dict(type=_parse_quantiles, default=(0.90, 0.99)),
+    "--grid-points": dict(type=int, default=512),
+    "--tail-eps": dict(type=float, default=1e-8),
+    "--threads": dict(type=_int_at_least(0), default=None,
+                      help="worker processes; 0 = all cores "
+                      "(env DSPLIM_THREADS as fallback)"),
+}
+_GRID = ("--grid-points", "--tail-eps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,32 +449,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="dsplim/1 dataset file")
-        p.add_argument("--output", required=True, help="CSV output path")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--method", default="ds", choices=METHODS + ("bayes",))
-        p.add_argument("--prior", default=None,
-                       choices=("B1", "B2", "upper", "lower"),
-                       help="prior preset; shorthand for --method bayes:<prior>")
-        p.add_argument("--quantiles", type=_parse_quantiles, default=(0.90, 0.99))
-        p.add_argument("--grid-points", type=int, default=512)
-        p.add_argument("--tail-eps", type=float, default=1e-8)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker processes; 0 = all cores "
-                       "(env DSPLIM_THREADS as fallback)")
-        p.add_argument("--format", default=FORMAT_VERSION,
-                       choices=[FORMAT_VERSION])
+    def command(name, summary, *flags):
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **_SHARED[flag])
+        return p
 
-    p = sub.add_parser("limits", help="per-dataset upper limits")
-    common(p)
+    command("limits", "per-dataset upper limits", "--input", "--output",
+            "--method", "--quantiles", *_GRID, "--threads")
 
-    p = sub.add_parser("curves", help="per-channel CDF/commonality curves")
-    common(p)
+    command("curves", "per-channel CDF/commonality curves",
+            "--input", "--output", *_GRID)
 
-    p = sub.add_parser("coverage", help="coverage of a method's limits")
-    common(p, needs_input=False)
+    p = command("coverage", "coverage of a method's limits", "--output",
+                "--seed", "--method", "--quantiles", *_GRID, "--threads")
     p.add_argument("--mode", choices=("enumerate", "importance"),
                    default="importance")
     p.add_argument("--t", type=float, required=True)
@@ -462,16 +475,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-ref", type=float, default=None)
     p.add_argument("--enum-tail-eps", type=float, default=1e-10)
 
-    p = sub.add_parser("credibility", help="credibility of a method's limits")
-    common(p)
+    p = command("credibility", "credibility of a method's limits", "--input",
+                "--output", "--seed", "--method", "--quantiles", *_GRID,
+                "--threads")
     p.add_argument("--b-prior", type=_parse_pair, default=(3.0, 0.3),
                    help="gamma prior on b as mean:sd")
     p.add_argument("--e-prior", type=_parse_pair, default=(1.0, 0.1),
                    help="gamma prior on eps as mean:sd")
     p.add_argument("--samples", type=_int_at_least(1), default=10000)
 
-    p = sub.add_parser("simulate", help="coverage simulation study")
-    common(p, needs_input=False)
+    p = command("simulate", "coverage simulation study", "--output", "--seed",
+                "--quantiles", *_GRID, "--threads")
     p.add_argument("--t", type=float, default=33.0)
     p.add_argument("--u", type=float, default=100.0)
     p.add_argument("--eps", type=float, default=1.0)
@@ -495,27 +509,11 @@ _COMMANDS = {
 
 
 def _to_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Check the options that span several flags and resolve the derived
-    ones in place: ``method`` (with ``--prior``), ``grid`` and ``threads``."""
-    if args.prior is not None:
-        if args.method not in ("ds", "bayes") and args.method != f"bayes:{args.prior}":
-            raise ValueError("--prior conflicts with the --method selection")
-        args.method = f"bayes:{args.prior}"
-    elif args.method == "bayes":
-        raise ValueError("--method bayes requires --prior")
-    if args.command == "curves" and args.method != "ds":
-        raise ValueError("curves shows belief-interval curves; --method must be ds")
+    """Resolve the derived options in place: ``grid``, and ``threads``
+    for the commands that take it."""
     args.grid = GridConfig(points=args.grid_points, tail_eps=args.tail_eps)
-    args.threads = _threads_value(args.threads)
-    if args.command == "simulate":
-        for m in args.methods:
-            if m != "ds":
-                prior_preset(m)
-        lo, hi = args.summary_range
-        if not ((args.s_grid >= lo) & (args.s_grid <= hi)).any():
-            raise ValueError(
-                f"--summary-range {lo:g}:{hi:g} holds no point of --s-grid"
-            )
+    if "threads" in args:
+        args.threads = _threads_value(args.threads)
     return args
 
 

@@ -71,6 +71,8 @@ __all__ = [
 ]
 
 _MIN_CONDITIONING = 1e-250
+# The largest grid upper end x_max that shared_grid may choose.
+HARD_CAP = 1e12
 
 
 class UnboundedLimit(RuntimeError):
@@ -114,23 +116,20 @@ class GridConfig:
     """Shared evaluation-grid policy.
 
     The grid upper end x_max is the smallest power of two on the ladder
-    1, 2, 4, ..., 2**k <= hard_cap at which every proper channel has
-    F_upper(x_max) >= 1 - tail_eps.  The rung 1 is always on the
-    ladder, even when hard_cap < 1.  The knots are half linearly and
-    half logarithmically spaced on (0, x_max], plus x = 0.
+    1, 2, 4, ..., 2**k <= HARD_CAP at which every proper channel has
+    F_upper(x_max) >= 1 - tail_eps.  HARD_CAP is the module constant
+    1e12, the same for every grid.  The knots are half linearly and half
+    logarithmically spaced on (0, x_max], plus x = 0.
     """
 
     points: int = 512
     tail_eps: float = 1e-8
-    hard_cap: float = 1e12
 
     def __post_init__(self) -> None:
         if self.points < 16:
             raise ValueError("points must be >= 16")
         if not (0 < self.tail_eps < 1e-3):
             raise ValueError("tail_eps must lie in (0, 1e-3)")
-        if not (0 < self.hard_cap < math.inf):
-            raise ValueError("hard_cap must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -218,7 +217,7 @@ def shared_grid(channels, grid: GridConfig = GridConfig()) -> np.ndarray:
     """Evaluation knots shared by every channel of a dataset.
 
     x_max is the first rung of the power-of-two ladder 1, 2, 4, ...,
-    2**k <= grid.hard_cap (see :class:`GridConfig`) at which every
+    2**k <= HARD_CAP (1e12, see :class:`GridConfig`) at which every
     proper channel's F_upper reaches 1 - tail_eps.  Each proper channel
     is evaluated once on the whole ladder: a series pass costs about
     the same at the ladder's width as at a single point.
@@ -232,7 +231,7 @@ def shared_grid(channels, grid: GridConfig = GridConfig()) -> np.ndarray:
         raise UnboundedLimit(
             "all channels have z == 0: the upper limit is infinite"
         )
-    top = max(math.frexp(grid.hard_cap)[1] - 1, 0)
+    top = max(math.frexp(HARD_CAP)[1] - 1, 0)
     ladder = np.ldexp(1.0, np.arange(top + 1))
     passed = np.array(
         [
@@ -244,7 +243,7 @@ def shared_grid(channels, grid: GridConfig = GridConfig()) -> np.ndarray:
     if not ok.any():
         short = [ch for ch, p in zip(proper, passed) if not p[-1]]
         raise NumericalError(
-            f"grid search exceeded hard_cap={grid.hard_cap} before the "
+            f"grid search exceeded hard_cap={HARD_CAP} before the "
             f"upper-end CDFs reached 1 - tail_eps; still short at "
             f"x={ladder[-1]:g}: {', '.join(map(str, short))}"
         )

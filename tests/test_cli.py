@@ -1,5 +1,6 @@
 """Dataset format, commands, CSV contracts, exit codes."""
 
+import argparse
 import csv
 import io
 
@@ -8,6 +9,7 @@ import pytest
 from dsplim.bayes import bayes_upper_limits_batch, prior_preset
 from dsplim.cli import (
     DatasetFormatError,
+    build_parser,
     main,
     parse_dataset_file,
     write_dataset_file,
@@ -298,10 +300,13 @@ class TestCurvesCommand:
 
     @pytest.mark.parametrize("flags", [["--method", "bayes:B1"], ["--prior", "B1"]])
     def test_bayes_method_rejected(self, tmp_path, capsys, flags):
+        # curves draws belief-interval curves only and takes no method
         inp = _write_input(tmp_path, GOOD)
         out = tmp_path / "curves.csv"
-        assert main(["curves", "--input", inp, "--output", str(out), *flags]) == 2
-        assert "--method must be ds" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["curves", "--input", inp, "--output", str(out), *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_all_unbounded_curves_exit_4(self, tmp_path):
@@ -486,6 +491,91 @@ class TestSimulateCommand:
             capsys.readouterr().err
         )
         assert not out.exists()
+
+
+class TestOptions:
+    """Each subcommand takes exactly the options its command reads."""
+
+    GRID = {"--grid-points", "--tail-eps"}
+    SURFACE = {
+        "limits": {"--input", "--output", "--method", "--quantiles", "--threads"}
+        | GRID,
+        "curves": {"--input", "--output"} | GRID,
+        "coverage": {
+            "--output", "--seed", "--method", "--quantiles", "--threads",
+            "--mode", "--t", "--u", "--eps", "--b", "--s-grid", "--samples",
+            "--s-ref", "--enum-tail-eps",
+        } | GRID,
+        "credibility": {
+            "--input", "--output", "--seed", "--method", "--quantiles",
+            "--threads", "--b-prior", "--e-prior", "--samples",
+        } | GRID,
+        "simulate": {
+            "--output", "--seed", "--quantiles", "--threads", "--t", "--u",
+            "--eps", "--b", "--s-grid", "--reps", "--methods",
+            "--summary-range", "--per-s-output",
+        } | GRID,
+    }
+
+    @staticmethod
+    def _subparsers():
+        (action,) = (
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        return action.choices
+
+    def test_every_subcommand_is_pinned(self):
+        assert set(self._subparsers()) == set(self.SURFACE)
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_option_surface(self, command):
+        sub = self._subparsers()[command]
+        got = {
+            flag
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings
+        }
+        assert got == self.SURFACE[command]
+
+    @pytest.mark.parametrize("argv", [
+        ["coverage", "--mode", "enumerate", "--t", "3.3", "--u", "10",
+         "--eps", "0.1", "--b", "0.3", "--s-grid=-5:0:1"],
+        ["simulate", "--s-grid=-2:1:1", "--summary-range=-2:1", "--reps", "2"],
+        ["simulate", "--s-grid=0:inf:1", "--reps", "2"],
+    ], ids=["coverage-negative", "simulate-negative", "simulate-inf"])
+    def test_s_grid_outside_zero_to_inf_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", str(out)])
+        assert exc.value.code == 2
+        assert "s-grid must satisfy 0 <= lo <= hi" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_threads_rejected(self, tmp_path, capsys):
+        inp = _write_input(tmp_path, GOOD)
+        out = tmp_path / "limits.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["limits", "--input", inp, "--output", str(out), "--threads", "-4"])
+        assert exc.value.code == 2
+        assert "--threads: must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+    def test_bad_threads_variable_is_named(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("DSPLIM_THREADS", value)
+        inp = _write_input(tmp_path, GOOD)
+        out = tmp_path / "limits.csv"
+        assert main(["limits", "--input", inp, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"dsplim: error: DSPLIM_THREADS must be an integer >= 0, not {value!r}\n"
+        )
+        assert not out.exists()
+        # a --threads flag overrides the variable
+        assert main(["limits", "--input", inp, "--output", str(out),
+                     "--threads", "1"]) == 0
 
 
 class TestCsvFormatting:

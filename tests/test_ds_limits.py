@@ -145,16 +145,13 @@ class TestCurves:
 
     def test_hard_cap_is_a_hard_error(self):
         # u this large pushes the upper-end tail beyond the cap
+        assert ds_limits.HARD_CAP == 1e12
         ch = ChannelObservation(0, 0, 1, 1.0, 1e11)
         with pytest.raises(NumericalError, match="still short") as err:
-            shared_grid([TASK1A, ch], GridConfig(hard_cap=1e12))
+            shared_grid([TASK1A, ch], GridConfig())
+        assert "grid search exceeded hard_cap=1000000000000.0" in str(err.value)
         assert str(ch) in str(err.value)
         assert str(TASK1A) not in str(err.value)
-
-    def test_grid_config_rejects_unbounded_cap(self):
-        for cap in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                GridConfig(hard_cap=cap)
 
     def test_clamp_policy(self):
         from dsplim._gamma_ratio import clamp_unit
@@ -173,7 +170,7 @@ def _doubling_grid(channels, grid):
         channel_cdf_upper(ch, x_max) < 1.0 - grid.tail_eps for ch in proper
     ):
         x_max *= 2.0
-        if x_max > grid.hard_cap:
+        if x_max > ds_limits.HARD_CAP:
             raise NumericalError("grid search exceeded hard_cap")
     k_lin = grid.points // 2
     k_log = grid.points - k_lin
@@ -214,26 +211,26 @@ class TestGridLadder:
                 for u in (10.0, 100.0):
                     _assert_same_grid([ChannelObservation(n, 2, z, 3.3, u)])
 
-    def test_cap_at_a_power_of_two_allows_that_rung(self):
+    def test_cap_at_a_power_of_two_allows_that_rung(self, monkeypatch):
         ch = ChannelObservation(12, 2, 1, 3.3, 100.0)
         top = _doubling_grid([ch], GridConfig())[-1]
         assert top > 1.0
-        at_cap = GridConfig(hard_cap=top)
-        _assert_same_grid([ch], at_cap)
-        assert shared_grid([ch], at_cap)[-1] == top
-        below = GridConfig(hard_cap=np.nextafter(top, 0.0))
+        monkeypatch.setattr(ds_limits, "HARD_CAP", top)
+        _assert_same_grid([ch])
+        assert shared_grid([ch])[-1] == top
+        monkeypatch.setattr(ds_limits, "HARD_CAP", np.nextafter(top, 0.0))
         with pytest.raises(NumericalError):
-            _doubling_grid([ch], below)
+            _doubling_grid([ch], GridConfig())
         with pytest.raises(NumericalError):
-            shared_grid([ch], below)
+            shared_grid([ch])
 
-    def test_cap_below_one_still_checks_rung_one(self):
-        grid = GridConfig(hard_cap=0.5)
+    def test_cap_below_one_still_checks_rung_one(self, monkeypatch):
+        monkeypatch.setattr(ds_limits, "HARD_CAP", 0.5)
         easy = ChannelObservation(0, 0, 200, 1.0, 1.0)
-        _assert_same_grid([easy], grid)
-        assert shared_grid([easy], grid)[-1] == 1.0
+        _assert_same_grid([easy])
+        assert shared_grid([easy])[-1] == 1.0
         with pytest.raises(NumericalError):
-            shared_grid([TASK1B], grid)
+            shared_grid([TASK1B])
 
 
 class TestEvaluationCount:
