@@ -27,10 +27,12 @@ exponentiated from its logarithm, with log p and log(1 - p) taken from
 the scales, so a start value (1 - p)**r far below the double range
 loses no mass.  The same pass also gives the integral of the survival
 over [0, x] for ke >= 2 (:func:`integrated_survival_series`), on which
-the grid-free single-channel DS limits rest.  :func:`series_roots`
-inverts per-row series CDFs for many rows at once, by superlinear
-bracketed steps on log-tail residuals; the batched DS and Bayes limits
-are its two callers.
+the grid-free single-channel DS limits rest; its total at x = inf needs
+only the background block (:func:`integrated_survival_total`).
+:func:`series_roots` inverts per-row series CDFs for many rows at once,
+by superlinear bracketed steps on log-tail residuals from a start that
+:func:`quantile_start` estimates per row; the batched DS and Bayes
+limits are its two callers.
 
 "quadrature" (any positive real shapes).  The beta-CDF form
 
@@ -49,7 +51,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.special import betaincinv
+from scipy.special import betaincinv, digamma, ndtri
 
 from .specfun import QuadratureConfig, beta_cdf, beta_pdf, integrate, solve_monotone
 
@@ -119,11 +121,29 @@ def _nb_pmf_block(log_binom, r, log_p, log_q) -> np.ndarray:
     return np.exp(log_pmf, out=log_pmf)
 
 
+def _row_sums(a, b) -> np.ndarray:
+    """sum over m of a[m, i] * b[m, i] for (count, rows) arrays, added in
+    the order of m for every row i, so a row's sum does not depend on the
+    rows beside it.  einsum adds in that order for two rows or more but
+    not for a single one."""
+    if a.shape[1] == 1:
+        return np.cumsum(a[:, 0] * b[:, 0])[-1:]
+    return np.einsum("mi,mi->i", a, b)
+
+
 def _nonnegative(x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if (x < 0).any():
         raise ValueError("x must be >= 0")
     return x
+
+
+def _background_block(kb, wn, wb, count: int) -> np.ndarray:
+    """NB(kb, pb) masses at 0..count-1, pb = wb / (wn + wb), with log pb
+    and log(1 - pb) taken from the scales."""
+    return _nb_pmf_block(
+        _log_binomials(kb, count), kb, -math.log1p(wn / wb), -math.log1p(wb / wn)
+    )
 
 
 def _prepared_series(kn, wn, kb, wb, ke, we, integrated: bool = False):
@@ -143,14 +163,10 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated: bool = False):
     if count == 0:
         # A is the constant 0: the survival and its integral vanish.
         return lambda x: np.zeros(_nonnegative(x).shape)
-    # log pb and log(1 - pb), pb = wb / (wn + wb), from the scales.
-    nb_b = _nb_pmf_block(
-        _log_binomials(kb, count), kb, -math.log1p(wn / wb), -math.log1p(wb / wn)
-    )
+    nb_b = _background_block(kb, wn, wb, count)
     if shapes.ndim == 2:
         # Row i sums nb_b[m, i] * cum_e[kn_i - 1 - m, i] over m < kn_i.
-        # (A flat gather is faster here than np.take_along_axis, and
-        # einsum sums each row in the same order for any batch.)
+        # (A flat gather is faster here than np.take_along_axis.)
         lag = kn.astype(int) - 1 - np.arange(count)[:, None]
         flat = np.maximum(lag, 0) * kn.size + np.arange(kn.size)
     # J(x) = c / (ke - 1) * E[min(K, (kn - B)^+)] with K ~ NB(ke - 1, pe(x))
@@ -172,7 +188,7 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated: bool = False):
             out = nb_b[::-1] @ cum_e
         else:
             rows = np.where(lag >= 0, cum_e.ravel()[flat], 0.0)
-            out = np.einsum("mi,mi->i", nb_b, rows)
+            out = _row_sums(nb_b, rows)
         # Rounding can lift a survival that sums to 1 just above it.
         return out * factor if integrated else np.minimum(out, 1.0)
 
@@ -194,11 +210,59 @@ def integrated_survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
 
         J(x) = c / (ke - 1) * E[min(K, (kn - B)^+)],
 
-    which at x = inf is c * E[(kn - B)^+] / (ke - 1).  (Under
-    w = c / (c + v) the survival is w**ke times a polynomial in 1 - w.)
+    which at x = inf is c * E[(kn - B)^+] / (ke - 1)
+    (:func:`integrated_survival_total`).  (Under w = c / (c + v) the
+    survival is w**ke times a polynomial in 1 - w.)
     """
     with np.errstate(all="ignore"):
         return _prepared_series(kn, wn, kb, wb, ke, we, integrated=True)(x)
+
+
+def integrated_survival_total(kn, wn, kb, wb, ke, we) -> np.ndarray:
+    """J(inf) = c * E[(kn - B)^+] / (ke - 1) of
+    :func:`integrated_survival_series`, with c = wn / we and
+    B ~ NB(kb, pb), from the background block alone; shapes as there."""
+    shapes = _validate(kn, wn, kb, wb, ke, we)
+    if not _is_integral(shapes).all() or np.min(shapes[2]) < 2:
+        raise ValueError("integrated survival requires integer shapes, ke >= 2")
+    kn, kb, ke = np.rint(shapes).reshape(3, -1)
+    count = max(int(kn.max()), 1)
+    with np.errstate(all="ignore"):
+        nb_b = _background_block(kb, wn, wb, count)
+    excess = _row_sums(nb_b, np.maximum(kn - np.arange(count)[:, None], 0.0))
+    return (wn / we * excess / (ke - 1.0)).reshape(shapes.shape[1:])
+
+
+def _trigamma(x) -> np.ndarray:
+    """psi'(x) for x > 0, to about 1e-8 relative: the recurrence
+    psi'(x) = psi'(x + 1) + 1 / x**2 up to y = x + 6, then the asymptotic
+    series 1/y + 1/(2y^2) + 1/(6y^3) - 1/(30y^5) + 1/(42y^7).  (scipy's
+    polygamma(1, x) takes five times as long.)"""
+    x = np.asarray(x, dtype=float)
+    head = sum(1.0 / (x + i) ** 2 for i in range(6))
+    w = 1.0 / (x + 6.0)
+    w2 = w * w
+    return head + w * (1.0 + w * (0.5 + w * (1 / 6 - w2 * (1 / 30 - w2 / 42))))
+
+
+def quantile_start(kn, kb, ke, t, u, q) -> np.ndarray:
+    """A log-normal guess of the q-quantile of (A - B) / E for
+    A ~ Gamma(kn, 1), B ~ Gamma(kb, 1/t) and E ~ Gamma(ke, 1/u), ke > 0:
+    the start of a root search.
+
+    By the delta method, with v = kn + kb / t**2 the variance of A - B
+    and m = max(kn - kb / t, sqrt(v)) its mean kept at least one
+    standard deviation above 0,
+
+        log x0 = log m - psi(ke) + log u + Phi^-1(q) sqrt(v / m**2 + psi'(ke)),
+
+    as E[log E] = psi(ke) - log u and Var[log E] = psi'(ke).
+    """
+    kn, kb, ke = (np.asarray(a, dtype=float) for a in (kn, kb, ke))
+    sd = np.hypot(np.sqrt(kn), np.sqrt(kb) / t)
+    m = np.maximum(kn - kb / t, sd)
+    spread = np.sqrt((sd / m) ** 2 + _trigamma(ke))
+    return np.exp(np.log(m) - digamma(ke) + math.log(u) + ndtri(q) * spread)
 
 
 def series_roots(shapes, t, u, quantiles, rel_tol, residual, integrated=False):
@@ -211,9 +275,10 @@ def series_roots(shapes, t, u, quantiles, rel_tol, residual, integrated=False):
     ``residual(values, rows, qs)`` gets the pairs' row indices and
     quantiles and ``values``: x -> the (k, pairs) survivals of each
     pair's triples at its x (integrals over [0, x] when ``integrated``).
-    It returns x -> residuals, >= 0 from each pair's root on, which
-    :func:`dsplim.specfun.solve_monotone` solves to ``rel_tol``; so a
-    root does not depend on the rows chunked with it.
+    It returns each pair's start (from :func:`quantile_start`) and
+    x -> residuals, >= 0 from each pair's root on, which
+    :func:`dsplim.specfun.solve_monotone` solves to ``rel_tol`` from
+    those starts; so a root does not depend on the rows chunked with it.
     """
     quantiles = np.asarray(quantiles, dtype=float)
     if not np.all((quantiles > 0.0) & (quantiles < 1.0)):
@@ -235,8 +300,8 @@ def series_roots(shapes, t, u, quantiles, rel_tol, residual, integrated=False):
             def values(x):
                 return series(np.tile(x, k) if k > 1 else x).reshape(k, -1)
 
-            pairs = residual(values, rows, np.tile(quantiles, rows.size // nq))
-            found = solve_monotone(pairs, rows.shape, rel_tol, NumericalError)
+            start, pairs = residual(values, rows, np.tile(quantiles, rows.size // nq))
+            found = solve_monotone(pairs, start, rel_tol, NumericalError)
         roots[:, rows[::nq]] = found.reshape(-1, nq).T
     return roots
 

@@ -14,7 +14,9 @@ the series bound to the scalar route, which takes quadrature there.
 Every quantile, scalar or batched, is one call of
 :func:`dsplim.specfun.solve_monotone` on the log-tail residual
 log((1 - q) * den) - log(survival(x)), with den the posterior mass on
-s >= 0.
+s >= 0.  It starts at :func:`dsplim._gamma_ratio.quantile_start` of
+the posterior shapes, a log-normal guess of the quantile, and widens
+its bracket outward from there.
 
 Note on the scale convention: a proper unit-scale gamma prior combined
 with the Poisson likelihood would put scale 1/2 (and 1/(2t), 1/(2u))
@@ -35,6 +37,7 @@ from ._gamma_ratio import (
     _series_carries,
     clamp_unit,
     conditioning_probability,
+    quantile_start,
     series_roots,
     survival,
 )
@@ -136,7 +139,8 @@ def bayes_posterior_cdf(
 
 
 def posterior_quantile(post: GammaPosteriors, q: float, rel_tol: float = 1e-8) -> float:
-    """Root of CDF(x) = q, bracketed and solved to relative width rel_tol."""
+    """Root of CDF(x) = q, bracketed from the quantile_start guess and
+    solved to relative width rel_tol."""
     if not 0.0 < q < 1.0:
         raise ValueError("quantile must lie strictly inside (0, 1)")
     (kn, wn), (kb, wb), (ke, we) = post.ln, post.lb, post.le
@@ -147,7 +151,8 @@ def posterior_quantile(post: GammaPosteriors, q: float, rel_tol: float = 1e-8) -
         with np.errstate(divide="ignore"):
             return log_target - np.log(survival(x, kn, wn, kb, wb, ke, we))
 
-    return float(solve_monotone(residual, (), rel_tol, NumericalError))
+    start = quantile_start(kn, kb, ke, wn / wb, wn / we, q)
+    return float(solve_monotone(residual, start, rel_tol, NumericalError))
 
 
 def bayes_upper_limit(
@@ -203,7 +208,8 @@ def bayes_upper_limits_batch(
             )
         # F(x) >= q  <=>  survival(x) <= (1 - q) * den
         log_target = np.log((1.0 - qs) * den)
-        return lambda x: log_target - np.log(surv(x)[0])
+        start = quantile_start(kn[j], kb[j], ke[j], t, u, qs)
+        return start, lambda x: log_target - np.log(surv(x)[0])
 
     shapes = [(kn[series], kb[series], ke[series])]
     limits = np.empty((np.size(quantiles), ns.size))

@@ -54,6 +54,8 @@ from .specfun import IntegrationError
 
 FORMAT_VERSION = "dsplim/1"
 METHODS = ("ds", "bayes:B1", "bayes:B2", "bayes:upper", "bayes:lower")
+# Most points an --s-grid may hold; the paper's study uses 161.
+S_GRID_MAX_POINTS = 100_000
 
 
 class DatasetFormatError(ValueError):
@@ -387,7 +389,12 @@ def _parse_s_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(
             "s-grid must satisfy 0 <= lo <= hi < inf, step > 0"
         )
-    count = int(round((hi - lo) / step)) + 1
+    points = (hi - lo) / step + 1
+    if not points <= S_GRID_MAX_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"s-grid holds {points:.3g} points, more than {S_GRID_MAX_POINTS}"
+        )
+    count = int(round(points))
     grid = lo + step * np.arange(count)
     return grid[grid <= hi + 1e-12 * max(1.0, abs(hi))]
 

@@ -45,6 +45,8 @@ from ._gamma_ratio import (
     _series_carries,
     clamp_unit,
     conditioning_probability,
+    integrated_survival_total,
+    quantile_start,
     series_roots,
     survival,
 )
@@ -368,20 +370,30 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
 
         G(X) = (J_up(X) - J_lo(X)) / (J_up(inf) - J_lo(inf)),
 
-    and the conditioning probability cancels.  Every row must be one of
-    :func:`exact_rows`.  G(X) = q is solved per (dataset, quantile) pair
-    by :func:`dsplim._gamma_ratio.series_roots` on the log of the mass
-    above X, to a relative width of _EXACT_REL_TOL, so each limit is
-    independent of the rows batched with it.  Raises NumericalError
-    naming the first row whose mass J_up(inf) - J_lo(inf) underflows.
+    and the conditioning probability cancels; J(inf) needs only the
+    background block (:func:`dsplim._gamma_ratio.integrated_survival_total`).
+    Every row must be one of :func:`exact_rows`.  G(X) = q is solved per
+    (dataset, quantile) pair by :func:`dsplim._gamma_ratio.series_roots`
+    on the log of the mass above X, to a relative width of
+    _EXACT_REL_TOL, so each limit is independent of the rows batched
+    with it.  Each pair starts at the quantile guess of the shapes
+    (n + 1, y, z - 1): G's tail decays one power of X slower than the
+    upper-end survival, and at (0, 0, z) the limit is
+    u * ((1 - q)**(-1 / (z - 1)) - 1).  Raises NumericalError naming the
+    first row whose mass J_up(inf) - J_lo(inf) underflows.
     """
     ns, ys, zs = (np.asarray(a, dtype=int) for a in (ns, ys, zs))
     if not exact_rows(ns, ys, zs).all():
         raise ValueError("rows must be exact_rows: z >= 2 and series shapes")
 
+    shapes = [(ns + 1, ys, zs), (ns, ys + 1, zs + 1)]
+
     def residual(integrals, rows, qs):
         # J_up - J_lo at x = inf, the unnormalized mass of every pair
-        norm = np.subtract(*integrals(np.full(rows.size, np.inf)))
+        norm = np.subtract(*(
+            integrated_survival_total(kn[rows], 1.0, kb[rows], 1.0 / t, ke[rows], 1.0 / u)
+            for kn, kb, ke in shapes
+        ))
         if not np.all(norm > 0):
             j = rows[np.argmin(norm > 0)]
             raise NumericalError(
@@ -390,11 +402,11 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
             )
         # G(x) >= q  <=>  the mass above x is at most (1 - q) * norm
         log_target = np.log((1.0 - qs) * norm)
-        return lambda x: log_target - np.log(
+        start = quantile_start(ns[rows] + 1, ys[rows], zs[rows] - 1, t, u, qs)
+        return start, lambda x: log_target - np.log(
             np.maximum(norm - np.subtract(*integrals(x)), 0.0)
         )
 
-    shapes = [(ns + 1, ys, zs), (ns, ys + 1, zs + 1)]
     return series_roots(
         shapes, t, u, quantiles, _EXACT_REL_TOL, residual, integrated=True
     )

@@ -483,7 +483,9 @@ def credibility_limit(
         with np.errstate(divide="ignore"):
             return log_target - np.log(max(1.0 - curve(float(r)), 0.0))
 
-    return float(solve_monotone(residual, (), rel_tol, NoPosteriorMass))
+    # n + 1, the posterior mean of eps * s + b under the flat prior, is
+    # a plain start on the scale of the limit.
+    return float(solve_monotone(residual, ch.n + 1.0, rel_tol, NoPosteriorMass))
 
 
 # ---------------------------------------------------------------------------

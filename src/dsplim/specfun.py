@@ -4,7 +4,8 @@ Everything downstream (interval laws, channel CDFs, posterior CDFs,
 coverage weights) is built from the regularized incomplete gamma and
 beta functions plus a deterministic quadrature rule; every quantile
 search (posterior, batched posterior, grid-free DS, credibility) is
-one call of :func:`solve_monotone`.  The functions here wrap
+one call of :func:`solve_monotone`, which widens a bracket outward from
+a start each caller estimates from its own row.  The functions here wrap
 scipy.special for the nondegenerate cases and add the degenerate shape
 conventions this package relies on:
 
@@ -185,36 +186,55 @@ def integrate(
     return total
 
 
-# The largest bracket end :func:`solve_monotone` may reach.
+# The solver's valid range: a start is clipped into [BRACKET_FLOOR,
+# BRACKET_CAP], an upper end may not pass BRACKET_CAP, and a lower end
+# that falls below BRACKET_FLOOR becomes 0.
+BRACKET_FLOOR = 1e-15
 BRACKET_CAP = 1e15
 
 
-def solve_monotone(residual, shape, rel_tol: float, error: type[Exception]):
+def solve_monotone(residual, start, rel_tol: float, error: type[Exception]):
     """Roots of nondecreasing residuals on x >= 0, vectorized.
 
-    ``residual(x)`` maps an array x of ``shape`` (``()`` for one root)
-    to residuals, negative below each element's root and >= 0 from it
-    on; NaN counts as negative.  The bracket starts at [0, 1] and
-    doubles where it falls short; ``error`` is raised once an upper end
-    would pass BRACKET_CAP.  Inside the bracket each element takes
-    Illinois false-position steps (Dowell and Jarratt 1971), kept at
-    least rel_tol / 4 * hi inside the bracket, and the bracket midpoint
-    where the secant point is not a number (no residual known at 0, or
-    +inf at hi).  Once an element has taken as many steps as bisection
-    of its bracket needs, it bisects.  It stops once hi - lo <= rel_tol *
-    max(hi, 1e-300) and returns its bracket midpoint, so each element's
-    steps and root depend on that element alone.
+    ``residual(x)`` maps an array x of the shape of ``start`` (``()`` for
+    one root) to residuals, negative below each element's root and >= 0
+    from it on; NaN counts as negative.  ``start`` holds each element's
+    first guess, clipped into [BRACKET_FLOOR, BRACKET_CAP] (a NaN guess
+    counts as 1).  From there the bracket widens outward, up where the
+    residual is negative and down where it is >= 0, by a factor of 1.25
+    that squares on every pass, so even a start 1e6 times off takes only
+    six widening passes.  A lower end below BRACKET_FLOOR becomes 0,
+    where nothing is known; ``error`` is raised when the residual is
+    still negative at BRACKET_CAP.  Inside the bracket each element
+    takes Illinois false-position steps (Dowell and Jarratt 1971), kept
+    at least rel_tol / 4 * hi inside the bracket, and the bracket
+    midpoint where the secant point is not a number (no residual known
+    at 0, or +inf at hi).  Once an element has taken as many steps as
+    bisection of its bracket needs, it bisects.  It stops once hi - lo
+    <= rel_tol * max(hi, 1e-300) and returns its bracket midpoint, so
+    each element's steps and root depend on that element and its start
+    alone.
     """
-    lo, hi = np.zeros(shape), np.ones(shape)
-    f_lo, f_hi = np.full(shape, np.nan), np.array(residual(hi), dtype=float)
-    while (short := ~(f_hi >= 0)).any():
-        lo, f_lo = np.where(short, hi, lo), np.where(short, f_hi, f_lo)
-        hi = np.where(short, 2.0 * hi, hi)
-        if (hi > BRACKET_CAP).any():
+    x = np.nan_to_num(np.asarray(start, dtype=float), nan=1.0)
+    x = np.clip(x, BRACKET_FLOOR, BRACKET_CAP)
+    lo, hi, f_lo, f_hi = (np.full(x.shape, np.nan) for _ in range(4))
+    growth = 1.25
+    while (widening := np.isnan(lo) | np.isnan(hi)).any():
+        f = np.asarray(residual(x), dtype=float)
+        up = widening & (f >= 0)
+        down = widening & ~(f >= 0)
+        if (down & (x >= BRACKET_CAP)).any():
             raise error(f"root bracket exceeded {BRACKET_CAP:g}")
-        f_hi = np.where(short, residual(hi), f_hi)
+        np.copyto(hi, x, where=up)
+        np.copyto(f_hi, f, where=up)
+        np.copyto(lo, x, where=down)
+        np.copyto(f_lo, f, where=down)
+        below = np.isnan(lo) & (hi / growth < BRACKET_FLOOR)
+        np.copyto(lo, 0.0, where=below)
+        x = np.where(np.isnan(lo), hi / growth, np.minimum(lo * growth, BRACKET_CAP))
+        growth *= growth
     budget = np.log2(np.maximum((hi - lo) / (rel_tol * hi), 1.0))
-    side = np.zeros(shape)  # +1 (-1) where the last step moved hi (lo)
+    side = np.zeros(x.shape)  # +1 (-1) where the last step moved hi (lo)
     steps = 0
     while (active := hi - lo > rel_tol * np.maximum(hi, 1e-300)).any():
         margin = (0.25 * rel_tol) * hi

@@ -189,6 +189,18 @@ class TestUpperLimitQuantile:
         got = bayes_upper_limits_batch(ns, ys, zs, 33.0, 100.0, prior, (0.9, 0.99))
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("name", ["B1", "B2"])
+    def test_single_row_batch_keeps_bits(self, name):
+        # A batch of one (row, quantile) pair sums its series terms in the
+        # same order as a larger batch.
+        rows = np.array([(0, 3, 3), (2, 0, 4), (5, 1, 8), (12, 4, 3), (19, 12, 12),
+                         (7, 7, 5), (290, 2, 9), (150, 40, 30)])
+        prior = prior_preset(name)
+        together = bayes_upper_limits_batch(*rows.T, 3.3, 10.0, prior, (0.9,))
+        for j, row in enumerate(rows):
+            alone = bayes_upper_limits_batch(*row[:, None], 3.3, 10.0, prior, (0.9,))
+            assert alone[0, 0] == together[0, j]
+
     def test_one_conditioning_probability_per_quantile(self, monkeypatch):
         import dsplim.bayes as bayes
 

@@ -8,6 +8,7 @@ import pytest
 
 from dsplim.bayes import bayes_upper_limits_batch, prior_preset
 from dsplim.cli import (
+    S_GRID_MAX_POINTS,
     DatasetFormatError,
     build_parser,
     main,
@@ -553,6 +554,20 @@ class TestOptions:
         assert "s-grid must satisfy 0 <= lo <= hi" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--s-grid", "0:1:1e-15", "--reps", "1"],
+        ["simulate", "--s-grid", "0:40:1e-320", "--reps", "1"],
+        ["coverage", "--mode", "enumerate", "--s-grid", "0:25:1e-4"],
+    ], ids=["simulate-1e15-points", "simulate-inf-points", "coverage-250001-points"])
+    def test_s_grid_point_count_bounded(self, tmp_path, capsys, argv):
+        # rejected while parsing, before any grid is allocated
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", str(out)])
+        assert exc.value.code == 2
+        assert f"more than {S_GRID_MAX_POINTS}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_threads_rejected(self, tmp_path, capsys):
         inp = _write_input(tmp_path, GOOD)
         out = tmp_path / "limits.csv"
@@ -587,5 +602,5 @@ class TestCsvFormatting:
         assert b"\r" not in raw
         text = raw.decode()
         value = text.splitlines()[1].split(",")[1]
-        assert float(value) == pytest.approx(9.226124729696398, rel=1e-15)
+        assert float(value) == pytest.approx(9.226124729926541, rel=1e-15)
         assert len(value.replace(".", "").lstrip("0")) >= 15

@@ -293,12 +293,18 @@ class TestRootFinder:
             assert got == pytest.approx(want, rel=1e-6)
 
     def test_posterior_limit_beyond_cap(self):
-        ch = ChannelObservation(5, 10, 100, 33.0, 1e16)
+        ch = ChannelObservation(5, 10, 100, 33.0, 1e17)
         with pytest.raises(NumericalError):
             bayes_upper_limit(ch, prior_preset("B1"), 0.9)
         with pytest.raises(NumericalError):
-            bayes_upper_limits_batch([5, 2], [10, 3], [100, 4], 33.0, 1e16,
+            bayes_upper_limits_batch([5, 2], [10, 3], [100, 4], 33.0, 1e17,
                                      prior_preset("B1"), (0.9,))
+        # u = 1e16 puts the limit near 9.0e14, inside the cap of 1e15
+        ch = ChannelObservation(5, 10, 100, 33.0, 1e16)
+        below = bayes_upper_limit(ch, prior_preset("B1"), 0.9)
+        assert below == pytest.approx(100 * bayes_upper_limit(
+            ChannelObservation(5, 10, 100, 33.0, 1e14), prior_preset("B1"), 0.9
+        ), rel=1e-7)
 
     def test_credibility_limit_beyond_cap(self):
         cfg = CredibilityConfig(b_prior=(3.0, 0.3), e_prior=(1e-17, 1e-18))

@@ -11,6 +11,7 @@ from dsplim import evalharness
 from dsplim._gamma_ratio import (
     NumericalError,
     integrated_survival_series,
+    integrated_survival_total,
     survival_series,
 )
 from dsplim.ds_limits import (
@@ -60,6 +61,22 @@ class TestIntegratedSurvival:
     def test_needs_ke_at_least_two(self):
         with pytest.raises(ValueError, match="ke >= 2"):
             integrated_survival_series([1.0], 3, 1.0, 2, 0.5, 1, 0.1)
+        with pytest.raises(ValueError, match="ke >= 2"):
+            integrated_survival_total(3, 1.0, 2, 0.5, 1, 0.1)
+
+    @pytest.mark.parametrize("t,u", [SMALL, PAPER, (1e-17, 10.0)])
+    def test_total_from_the_background_block(self, t, u):
+        # J(inf) = u * E[(kn - B)^+] / (ke - 1) matches the series at inf,
+        # for shared shapes and for one row per shape triple
+        kn, kb, ke = (np.array(c, dtype=float) for c in zip(*self.SHAPES))
+        got = integrated_survival_total(kn, 1.0, kb, 1 / t, ke, 1 / u)
+        for i, (kn_i, kb_i, ke_i) in enumerate(self.SHAPES):
+            scales = (kn_i, 1.0, kb_i, 1 / t, ke_i, 1 / u)
+            at_inf = integrated_survival_series([math.inf], *scales)
+            shared = integrated_survival_total(*scales)
+            assert np.shape(shared) == ()
+            assert shared == pytest.approx(at_inf[0], rel=1e-14)
+            assert got[i] == pytest.approx(at_inf[0], rel=1e-14)
 
 
 class TestClosedForm:

@@ -320,7 +320,8 @@ class TestCredibility:
         assert len(calls) == 69
         calls.clear()
         got = credibility_limit(CRED_CH, CRED_CFG, 0.9, 10_000, RngHandle(37))
-        # P(n + 1, b) once, then one pass per residual: 4 doubling passes
-        # and 5 false-position steps, where bisection took 23 passes
-        assert len(calls) == 1 + 9
+        # P(n + 1, b) once, then one pass per residual: from the start
+        # n + 1 = 6, 3 passes bracket the root and 5 false-position steps
+        # close it, where bisection took 23 passes
+        assert len(calls) == 1 + 8
         assert got == pytest.approx(want, rel=1e-6)
