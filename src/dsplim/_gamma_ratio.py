@@ -21,14 +21,19 @@ integer kn, and averaging the tail over the B and E laws yields
 
 a finite convolution of negative binomial masses.  Every term is
 positive, so no cancellation occurs; cost is O(kn) per point.  The
-shapes are shared scalars (channel CDFs, one posterior) or arrays with
-one row per point of x (batched posteriors).  Each block of masses is
-exponentiated from its logarithm, with log p and log(1 - p) taken from
-the scales, so a start value (1 - p)**r far below the double range
-loses no mass.  The same pass also gives the integral of the survival
-over [0, x] for ke >= 2 (:func:`integrated_survival_series`), on which
-the grid-free single-channel DS limits rest; its total at x = inf needs
-only the background block (:func:`integrated_survival_total`).
+convolution is summed over the masses of NB(ke, pe(x)), each weighted
+by the background CDF P(NB(kb, pb) <= kn - 1 - j), which does not
+depend on x and is built once; a point of x then costs one block of
+masses and one contraction.  The shapes are shared scalars (channel
+CDFs, one posterior) or arrays with one row per point of x (batched
+posteriors).  Each block of masses is exponentiated from its
+logarithm, with log p and log(1 - p) taken from the scales, so a start
+value (1 - p)**r far below the double range loses no mass.  The same
+form gives the integral of the survival over [0, x] for ke >= 2
+(:func:`integrated_survival_series`), on which the grid-free
+single-channel DS limits rest, with running sums of the background
+CDF as weights; its total at x = inf is the last of those sums
+(:func:`integrated_survival_total`).
 :func:`series_roots` inverts per-row series CDFs for many rows at once,
 by superlinear bracketed steps on log-tail residuals from a start that
 :func:`quantile_start` estimates per row; the batched DS and Bayes
@@ -108,16 +113,21 @@ def _nb_pmf_block(log_binom, r, log_p, log_q) -> np.ndarray:
 
     The result has shape (count,) + the broadcast shape of r and the
     logs.  Each value is exponentiated once from its log-pmf
-    log_binom + r * log_q + i * log_p, so no mass below count is lost to
+    i * log_p + log_binom + r * log_q, so no mass below count is lost to
     an underflowing start value (1 - p)**r.  r == 0 is the exact point
-    mass at 0, also at p == 1.
+    mass at 0, also at p == 1.  The log-pmf is summed in place in the
+    one array it returns: a second temporary of the block's size costs
+    as much as the exp.
     """
     count = len(log_binom)
     r_log_q = np.where(r == 0, 0.0, r * log_q)
     lead = (count,) + (1,) * (r_log_q.ndim - np.ndim(r))
-    log_pmf = log_binom.reshape(lead + np.shape(r)) + r_log_q
+    log_pmf = np.empty((count,) + r_log_q.shape)
+    log_pmf[0] = 0.0
     i = np.arange(1.0, count).reshape((-1,) + (1,) * r_log_q.ndim)
-    log_pmf[1:] += i * log_p
+    np.multiply(i, log_p, out=log_pmf[1:])
+    log_pmf += log_binom.reshape(lead + np.shape(r))
+    log_pmf += r_log_q
     return np.exp(log_pmf, out=log_pmf)
 
 
@@ -146,13 +156,31 @@ def _background_block(kb, wn, wb, count: int) -> np.ndarray:
     )
 
 
-def _prepared_series(kn, wn, kb, wb, ke, we, integrated: bool = False):
+def _prepared_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
     """The series route with everything that does not depend on x built
     once: returns x -> survival at x, or its integral over [0, x] when
     ``integrated``.  Shapes as for :func:`survival_series`; with per-row
-    shapes, x must have one entry per row.  The caller runs both this
-    and the returned function under ``np.errstate(all="ignore")``, once
-    for all: log(0), 0 * inf and 1 / x at x = 0 or subnormal x warn."""
+    shapes, x must have ``repeats`` consecutive entries per row, which
+    share the row's x-free arrays.  The caller runs both this and the
+    returned function under ``np.errstate(all="ignore")``, once for all:
+    log(0), 0 * inf and 1 / x at x = 0 or subnormal x warn.
+
+    The sums run over the masses of E' ~ NB(ke, pe(x)), each weighted by
+    the background CDF of B' ~ NB(kb, pb), which does not depend on x:
+
+        survival(x) = sum_{j < kn} P(E' = j) * P(B' <= kn - 1 - j).
+
+    With K ~ NB(ke - 1, pe(x)) and h(k) = sum_{j < k} P(B' <= kn - 1 - j),
+    which is E[min(k, (kn - B')^+)], so that h(kn) = E[(kn - B')^+],
+
+        J(x) = c / (ke - 1) * [sum_{k < kn} P(K = k) * h(k)
+                               + (1 - sum_{k < kn} P(K = k)) * h(kn)].
+
+    A pass is then one block of masses and one contraction with the
+    weights (two for J).  Per-row weights are exact zeros from the row's
+    kn on, so the terms a longer row pads a batch with add +0.0 and a
+    row's values do not depend on the rows beside it.
+    """
     shapes = _validate(kn, wn, kb, wb, ke, we)
     if not _is_integral(shapes).all():
         raise ValueError("series route requires integer shapes")
@@ -163,17 +191,27 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated: bool = False):
     if count == 0:
         # A is the constant 0: the survival and its integral vanish.
         return lambda x: np.zeros(_nonnegative(x).shape)
-    nb_b = _background_block(kb, wn, wb, count)
-    if shapes.ndim == 2:
-        # Row i sums nb_b[m, i] * cum_e[kn_i - 1 - m, i] over m < kn_i.
-        # (A flat gather is faster here than np.take_along_axis.)
+    cdf_b = np.cumsum(_background_block(kb, wn, wb, count), axis=0)
+    if shapes.ndim == 1:
+        # A contiguous copy: matmul takes BLAS only for unit strides.
+        weight, below, contract = cdf_b[::-1].copy(), np.ones(count), np.matmul
+    else:
+        # Row i weighs its E' mass j by cdf_b[kn_i - 1 - j, i] for j < kn_i.
         lag = kn.astype(int) - 1 - np.arange(count)[:, None]
-        flat = np.maximum(lag, 0) * kn.size + np.arange(kn.size)
-    # J(x) = c / (ke - 1) * E[min(K, (kn - B)^+)] with K ~ NB(ke - 1, pe(x))
-    # (see integrated_survival_series): the same contraction over K's
-    # summed tail in place of E's CDF.
-    e_shape, factor = (ke - 1.0, wn / we / (ke - 1.0)) if integrated else (ke, 1.0)
-    log_binom_e = _log_binomials(e_shape, count)
+        below = (lag >= 0).astype(float)
+        weight = np.take_along_axis(cdf_b, np.maximum(lag, 0), axis=0) * below
+        contract = _row_sums
+    e_shape = ke - 1.0 if integrated else ke
+    if integrated:
+        run = np.cumsum(weight, axis=0)  # run[k] = h(k + 1) up to the row's kn
+        h = np.concatenate([np.zeros_like(run[:1]), run[:-1]]) * below
+        weights = [h, below, run[-1], wn / we / e_shape]
+    else:
+        weights = [weight]
+    x_free = weights + [e_shape, _log_binomials(e_shape, count)]
+    if repeats > 1:
+        x_free = [np.repeat(a, repeats, axis=-1) for a in x_free]
+    *weights, e_shape, log_binom_e = x_free
 
     def values(x) -> np.ndarray:
         # pe(x) = x * we / (wn + x * we) has the odds x * we / wn.
@@ -181,16 +219,12 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated: bool = False):
         nb_e = _nb_pmf_block(
             log_binom_e, e_shape, -np.log1p(1.0 / odds), -np.log1p(odds)
         )
-        cum_e = np.cumsum(nb_e, axis=0, out=nb_e)
-        if integrated:
-            cum_e = np.cumsum(1.0 - cum_e, axis=0)
-        if shapes.ndim == 1:
-            out = nb_b[::-1] @ cum_e
-        else:
-            rows = np.where(lag >= 0, cum_e.ravel()[flat], 0.0)
-            out = _row_sums(nb_b, rows)
-        # Rounding can lift a survival that sums to 1 just above it.
-        return out * factor if integrated else np.minimum(out, 1.0)
+        if not integrated:
+            # Rounding can lift a survival that sums to 1 just above it.
+            return np.minimum(contract(weights[0], nb_e), 1.0)
+        h, below, h_kn, factor = weights
+        tail = 1.0 - contract(below, nb_e)
+        return (contract(h, nb_e) + tail * h_kn) * factor
 
     return values
 
@@ -212,7 +246,10 @@ def integrated_survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
 
     which at x = inf is c * E[(kn - B)^+] / (ke - 1)
     (:func:`integrated_survival_total`).  (Under w = c / (c + v) the
-    survival is w**ke times a polynomial in 1 - w.)
+    survival is w**ke times a polynomial in 1 - w.)  The expectation is
+    summed over K's masses below kn, each weighted by the x-free
+    h(k) = E[min(k, (kn - B)^+)], a running sum of the background CDF,
+    plus K's mass from kn on times h(kn) (see :func:`_prepared_series`).
     """
     with np.errstate(all="ignore"):
         return _prepared_series(kn, wn, kb, wb, ke, we, integrated=True)(x)
@@ -221,16 +258,11 @@ def integrated_survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
 def integrated_survival_total(kn, wn, kb, wb, ke, we) -> np.ndarray:
     """J(inf) = c * E[(kn - B)^+] / (ke - 1) of
     :func:`integrated_survival_series`, with c = wn / we and
-    B ~ NB(kb, pb), from the background block alone; shapes as there."""
-    shapes = _validate(kn, wn, kb, wb, ke, we)
-    if not _is_integral(shapes).all() or np.min(shapes[2]) < 2:
-        raise ValueError("integrated survival requires integer shapes, ke >= 2")
-    kn, kb, ke = np.rint(shapes).reshape(3, -1)
-    count = max(int(kn.max()), 1)
-    with np.errstate(all="ignore"):
-        nb_b = _background_block(kb, wn, wb, count)
-    excess = _row_sums(nb_b, np.maximum(kn - np.arange(count)[:, None], 0.0))
-    return (wn / we * excess / (ke - 1.0)).reshape(shapes.shape[1:])
+    B ~ NB(kb, pb); shapes as there.  At x = inf all of K's mass lies
+    beyond kn, so this is the series' own c / (ke - 1) * h(kn)."""
+    shape = np.broadcast(kn, kb, ke).shape
+    x = np.full(shape or (1,), math.inf)
+    return integrated_survival_series(x, kn, wn, kb, wb, ke, we).reshape(shape)
 
 
 def _trigamma(x) -> np.ndarray:
@@ -271,9 +303,10 @@ def series_roots(shapes, t, u, quantiles, rel_tol, residual, integrated=False):
 
     ``shapes`` has shape (k, 3, rows): k integer triples (kn, kb, ke) per
     row on the scales (1, 1/t, 1/u).  The (row, quantile) pairs run in
-    chunks of at most _SERIES_TERMS series terms.  Per chunk,
-    ``residual(values, rows, qs)`` gets the pairs' row indices and
-    quantiles and ``values``: x -> the (k, pairs) survivals of each
+    chunks of at most _SERIES_TERMS series terms; a chunk builds the
+    x-free series arrays once per row, shared by the row's quantiles.
+    Per chunk, ``residual(values, rows, qs)`` gets the pairs' row indices
+    and quantiles and ``values``: x -> the (k, pairs) survivals of each
     pair's triples at its x (integrals over [0, x] when ``integrated``).
     It returns each pair's start (from :func:`quantile_start`) and
     x -> residuals, >= 0 from each pair's root on, which
@@ -290,19 +323,22 @@ def series_roots(shapes, t, u, quantiles, rel_tol, residual, integrated=False):
     nq = quantiles.size
     roots = np.empty((nq, n_rows))
     step = max(1, _SERIES_TERMS // (k * nq * int(shapes[:, 0].max(initial=0)) + 1))
-    for start in range(0, n_rows, step):
-        rows = np.repeat(np.arange(start, min(start + step, n_rows)), nq)
+    for first in range(0, n_rows, step):
+        block = np.arange(first, min(first + step, n_rows))
+        rows = np.repeat(block, nq)
         # One series pass carries the k triples of every pair, triple-major.
-        kn, kb, ke = shapes[:, :, rows].transpose(1, 0, 2).reshape(3, -1)
+        kn, kb, ke = shapes[:, :, block].transpose(1, 0, 2).reshape(3, -1)
         with np.errstate(all="ignore"):
-            series = _prepared_series(kn, 1.0, kb, 1.0 / t, ke, 1.0 / u, integrated)
+            series = _prepared_series(
+                kn, 1.0, kb, 1.0 / t, ke, 1.0 / u, integrated, repeats=nq
+            )
 
             def values(x):
                 return series(np.tile(x, k) if k > 1 else x).reshape(k, -1)
 
-            start, pairs = residual(values, rows, np.tile(quantiles, rows.size // nq))
+            start, pairs = residual(values, rows, np.tile(quantiles, block.size))
             found = solve_monotone(pairs, start, rel_tol, NumericalError)
-        roots[:, rows[::nq]] = found.reshape(-1, nq).T
+        roots[:, block] = found.reshape(-1, nq).T
     return roots
 
 

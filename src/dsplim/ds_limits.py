@@ -45,7 +45,6 @@ from ._gamma_ratio import (
     _series_carries,
     clamp_unit,
     conditioning_probability,
-    integrated_survival_total,
     quantile_start,
     series_roots,
     survival,
@@ -370,8 +369,9 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
 
         G(X) = (J_up(X) - J_lo(X)) / (J_up(inf) - J_lo(inf)),
 
-    and the conditioning probability cancels; J(inf) needs only the
-    background block (:func:`dsplim._gamma_ratio.integrated_survival_total`).
+    and the conditioning probability cancels; J(inf) is the series at
+    x = inf, c / (ke - 1) * E[(kn - B)^+] from the x-free background sums
+    alone (:func:`dsplim._gamma_ratio.integrated_survival_total`).
     Every row must be one of :func:`exact_rows`.  G(X) = q is solved per
     (dataset, quantile) pair by :func:`dsplim._gamma_ratio.series_roots`
     on the log of the mass above X, to a relative width of
@@ -390,10 +390,7 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
 
     def residual(integrals, rows, qs):
         # J_up - J_lo at x = inf, the unnormalized mass of every pair
-        norm = np.subtract(*(
-            integrated_survival_total(kn[rows], 1.0, kb[rows], 1.0 / t, ke[rows], 1.0 / u)
-            for kn, kb, ke in shapes
-        ))
+        norm = np.subtract(*integrals(np.full(rows.size, np.inf)))
         if not np.all(norm > 0):
             j = rows[np.argmin(norm > 0)]
             raise NumericalError(

@@ -191,6 +191,9 @@ def integrate(
 # that falls below BRACKET_FLOOR becomes 0.
 BRACKET_FLOOR = 1e-15
 BRACKET_CAP = 1e15
+# The bracket's widening factor squares on every pass up to this bound:
+# wider steps leave brackets in which the Illinois steps crawl.
+_MAX_GROWTH = 16.0
 
 
 def solve_monotone(residual, start, rel_tol: float, error: type[Exception]):
@@ -202,8 +205,8 @@ def solve_monotone(residual, start, rel_tol: float, error: type[Exception]):
     first guess, clipped into [BRACKET_FLOOR, BRACKET_CAP] (a NaN guess
     counts as 1).  From there the bracket widens outward, up where the
     residual is negative and down where it is >= 0, by a factor of 1.25
-    that squares on every pass, so even a start 1e6 times off takes only
-    six widening passes.  A lower end below BRACKET_FLOOR becomes 0,
+    that squares on every pass up to 16, so a start 1e6 times off takes
+    eight widening passes.  A lower end below BRACKET_FLOOR becomes 0,
     where nothing is known; ``error`` is raised when the residual is
     still negative at BRACKET_CAP.  Inside the bracket each element
     takes Illinois false-position steps (Dowell and Jarratt 1971), kept
@@ -232,7 +235,7 @@ def solve_monotone(residual, start, rel_tol: float, error: type[Exception]):
         below = np.isnan(lo) & (hi / growth < BRACKET_FLOOR)
         np.copyto(lo, 0.0, where=below)
         x = np.where(np.isnan(lo), hi / growth, np.minimum(lo * growth, BRACKET_CAP))
-        growth *= growth
+        growth = min(growth * growth, _MAX_GROWTH)
     budget = np.log2(np.maximum((hi - lo) / (rel_tol * hi), 1.0))
     side = np.zeros(x.shape)  # +1 (-1) where the last step moved hi (lo)
     steps = 0

@@ -254,14 +254,21 @@ class TestLimitsCommand:
         assert float(limits[0][1]) == pytest.approx(90.0, rel=1e-9)
 
     def test_multichannel_failed_row_keeps_the_other_rows(self, tmp_path, capsys):
-        text = ("channels 2\nscales 3.3 10\nscales 1 1e8\n"
-                "5 2 7 5 2 40\n5 2 7 0 0 1\n5 2 7 5 2 40\n")
-        inp = _write_input(tmp_path, text)
+        head = "channels 2\nscales 3.3 10\nscales 1 1e8\n"
+        good, failing = "5 2 7 5 2 40\n", "5 2 7 0 0 1\n"
+        inp = _write_input(tmp_path, head + good + failing + good)
         out = str(tmp_path / "limits.csv")
         assert main(["limits", "--input", inp, "--output", out, "--threads", "2"]) == 3
-        ok = ["19.329726651247292", "38.251323299777908", "ok"]
-        assert _read_csv(out)[1:] == [["0", *ok], ["1", "", "", "failed"], ["2", *ok]]
         err = capsys.readouterr().err.splitlines()
+        alone_inp = _write_input(tmp_path, head + good, name="alone.txt")
+        alone_out = str(tmp_path / "alone.csv")
+        assert main(["limits", "--input", alone_inp, "--output", alone_out]) == 0
+        ok = _read_csv(alone_out)[1][1:]
+        assert _read_csv(out)[1:] == [["0", *ok], ["1", "", "", "failed"], ["2", *ok]]
+        assert [float(v) for v in ok[:2]] == pytest.approx(
+            [19.329726651247292, 38.251323299777908], rel=1e-12
+        )
+        assert ok[2] == "ok"
         assert len(err) == 1
         assert err[0].startswith("dsplim: numerical failure: dataset row 1: ")
         assert "n=0, y=0, z=1" in err[0]

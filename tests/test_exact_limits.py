@@ -10,6 +10,7 @@ from scipy import integrate
 from dsplim import evalharness
 from dsplim._gamma_ratio import (
     NumericalError,
+    _prepared_series,
     integrated_survival_series,
     integrated_survival_total,
     survival_series,
@@ -125,6 +126,25 @@ class TestBitwiseIndependence:
             for qi, q in enumerate((0.9, 0.99)):
                 one_q = ds_upper_limits_batch(*row[:, None], t, u, (q,))
                 assert one_q[0, 0] == together[qi, j]
+
+    @pytest.mark.parametrize("integrated", [False, True])
+    def test_series_row_beside_longer_rows(self, integrated):
+        # A row padded past its kn in a batch with longer rows, or repeated
+        # to share its x-free arrays, keeps the bits it has alone.
+        t, u = PAPER
+        kn = np.array([3.0, 40.0, 1.0, 300.0, 17.0, 0.0])
+        kb = np.array([0.0, 90.0, 5.0, 2.0, 33.0, 4.0])
+        ke = np.array([2.0, 100.0, 7.0, 9.0, 2.0, 3.0])
+        x = np.array([0.0, 3.0, math.inf, 50.0, 1e4, 0.7])
+        shapes = (kn, 1.0, kb, 1 / t, ke, 1 / u)
+        with np.errstate(all="ignore"):
+            together = _prepared_series(*shapes, integrated)(x)
+            repeated = _prepared_series(*shapes, integrated, 2)(np.repeat(x, 2))
+            for i in range(kn.size):
+                one = (kn[i : i + 1], 1.0, kb[i : i + 1], 1 / t, ke[i : i + 1], 1 / u)
+                alone = _prepared_series(*one, integrated)(x[i : i + 1])[0]
+                assert alone == together[i] == repeated[2 * i] == repeated[2 * i + 1]
+        assert together[5] == 0.0  # kn = 0: A is the constant 0
 
     def test_term_budget_keeps_bits(self, monkeypatch):
         import dsplim._gamma_ratio as gamma_ratio

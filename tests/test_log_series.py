@@ -19,6 +19,7 @@ from dsplim._gamma_ratio import (
     NumericalError,
     _log_binomials,
     _nb_pmf_block,
+    integrated_survival_series,
     survival_series,
 )
 from dsplim.bayes import (
@@ -223,3 +224,26 @@ def test_survival_series_against_scipy(kn, kb, ke, t, u, xs):
     assert np.all(np.diff(got) <= 1e-10)
     want = [nb_convolution_survival(x, *shapes) for x in xs]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+# The domain of test_survival_series_against_scipy with ke >= 2.  J(x)
+# rises from 0 to J(inf) = u * E[(kn - B)^+] / (ke - 1); it is held to
+# the survival's 1e-10 absolute accuracy as a share of J(inf).
+@settings(max_examples=300, deadline=None)
+@given(
+    kn=st.integers(0, 2000),
+    kb=st.integers(0, 5000),
+    ke=st.integers(2, 5000),
+    t=st.floats(0.05, 100.0),
+    u=st.floats(0.05, 100.0),
+    xs=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=4),
+)
+def test_integrated_survival_series_against_scipy(kn, kb, ke, t, u, xs):
+    xs = np.sort(xs)
+    shapes = (kn, 1.0, kb, 1.0 / t, ke, 1.0 / u)
+    got = integrated_survival_series(xs, *shapes)
+    total = nb_convolution_integral(math.inf, *shapes)
+    want = [nb_convolution_integral(x, *shapes) for x in xs]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10 * total)
+    # nondecreasing in x to the same accuracy
+    assert np.all(np.diff(got) >= -1e-10 * total)

@@ -295,13 +295,34 @@ class TestSolveMonotone:
     @pytest.mark.parametrize("offset", [1e-6, 1e6, 1.0])
     @pytest.mark.parametrize("root", [1e-3, 3.7, 123456.789])
     def test_start_off_the_root(self, root, offset):
-        # A start 1e6 times off the root in either direction costs seven
-        # bracketing passes (the start and six widenings); a start on
-        # the root costs two.
+        # A start 1e6 times off the root in either direction costs nine
+        # bracketing passes (the start and eight widenings by at most 16);
+        # a start on the root costs two.
         residual, calls = _recorded(lambda x: np.log(x / root))
         got = solve_monotone(residual, root * offset, 1e-10, ValueError)
         assert got == pytest.approx(root, rel=1e-10)
-        assert _bracketing_calls(calls, root) == (2 if offset == 1.0 else 7)
+        assert _bracketing_calls(calls, root) == (2 if offset == 1.0 else 9)
+
+    def test_poor_starts_cost_few_passes(self):
+        # The nine residuals above from the starts 1, 1e-6 and 1e6.  With a
+        # widening factor that squared without bound (brackets up to 1262
+        # times wide, in which the Illinois steps crawl) these 27 roots
+        # took 536 residual calls; growth capped at 16 takes 482.
+        tails = [(3.0, 0.9), (20.0, 0.99), (150.0, 0.5)]
+        cases = [(_gamma_log_tail(k, q), sp.gammaincinv(k, q)) for k, q in tails]
+        cases += [
+            (lambda x, r=r: np.log(x / r), r)
+            for r in (5.5, 77.0, 12345.678, 1e-3, 3.7, 123456.789)
+        ]
+        total = 0
+        for f, root in cases:
+            for start in (1.0, 1e-6, 1e6):
+                residual, calls = _recorded(f)
+                with np.errstate(divide="ignore"):  # a Gamma tail of 0 at 1e6
+                    got = solve_monotone(residual, start, 1e-10, ValueError)
+                assert got == pytest.approx(root, rel=1e-10)
+                total += len(calls)
+        assert total < 536
 
     @pytest.mark.parametrize("root", [0.5 * BRACKET_CAP, 1e3])
     def test_start_near_the_cap(self, root):
