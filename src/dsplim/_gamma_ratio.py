@@ -33,7 +33,11 @@ form gives the integral of the survival over [0, x] for ke >= 2
 (:func:`integrated_survival_series`), on which the grid-free
 single-channel DS limits rest, with running sums of the background
 CDF as weights; its total at x = inf is the last of those sums
-(:func:`integrated_survival_total`).
+(:func:`integrated_survival_total`).  The two ends of a belief
+interval, (kn, kb, ke) and (kn - 1, kb + 1, ke + 1), share one block:
+P(NB(ke + 1, p) = j) = P(NB(ke, p) = j) (ke + j) / ke (1 - p), and the
+conditioning probability P(A >= B) = P(NB(kb, pb) <= kn - 1) is the
+last entry of the upper end's background CDF (:func:`_interval_series`).
 :func:`series_roots` inverts per-row series CDFs for many rows at once,
 by superlinear bracketed steps on log-tail residuals from a start that
 :func:`quantile_start` estimates per row; the batched DS and Bayes
@@ -227,6 +231,60 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
         return (contract(h, nb_e) + tail * h_kn) * factor
 
     return values
+
+
+def _interval_series(kn, wn, kb, wb, ke, we):
+    """The series route for both ends of a belief interval from one
+    x-free state: the upper end (kn, kb, ke), kn >= 1, and the lower end
+    (kn - 1, kb + 1, ke + 1), integer shapes on shared scales.  Returns
+    den = P(A >= B) of the upper end and x -> the (2, points) survivals
+    of the lower end (row 0) and the upper end (row 1).  The caller runs
+    both under ``np.errstate(all="ignore")``, as for
+    :func:`_prepared_series`.
+
+    The ends differ by one unit of shape in each gamma, and for
+    E' ~ NB(ke, p), P(NB(ke + 1, p) = j) = P(E' = j) (ke + j) / ke (1 - p).
+    So with B'_k ~ NB(k, pb), one block of E' masses at pe(x) gives both
+
+        survival_up(x) = sum_{j < kn} P(E' = j) P(B'_kb <= kn - 1 - j),
+        survival_lo(x) = (1 - pe(x)) sum_{j < kn - 1} P(E' = j) (ke + j) / ke
+                         * P(B'_(kb + 1) <= kn - 2 - j),
+
+    with 1 - pe(x) = 1 / (1 + x we / wn): a call is one exp block and one
+    2-row contraction.  den = P(NB(kb, pb) <= kn - 1) is the last entry
+    of the upper end's background CDF.  At ke == 0, E is the constant 0,
+    the block is at shape 1 for the lower end alone and the upper
+    survival is den at every x.  At kn == 1 the lower survival is 0.
+    """
+    shapes = _validate(kn, wn, kb, wb, ke, we)
+    if not _is_integral(shapes).all() or shapes[0] < 1:
+        raise ValueError("interval series requires integer shapes and kn >= 1")
+    kn, kb, ke = (int(s) for s in np.rint(shapes))
+    cdf_b = np.cumsum(_background_block(np.array([kb, kb + 1.0]), wn, wb, kn), axis=0)
+    # Rounding can lift a CDF that sums to 1 just above it.
+    den = min(float(cdf_b[-1, 0]), 1.0)
+    lower = np.zeros(kn)
+    lower[: kn - 1] = cdf_b[: kn - 1, 1][::-1]
+    if ke > 0:
+        lower *= (ke + np.arange(kn)) / ke
+    weights = np.stack([lower, cdf_b[::-1, 0]])
+    e_shape = max(ke, 1)
+    log_binom_e = _log_binomials(float(e_shape), kn)
+
+    def values(x) -> np.ndarray:
+        odds = _nonnegative(x) * we / wn
+        nb_e = _nb_pmf_block(
+            log_binom_e, e_shape, -np.log1p(1.0 / odds), -np.log1p(odds)
+        )
+        out = weights @ nb_e
+        if ke > 0:
+            out[0] /= 1.0 + odds
+        np.minimum(out, 1.0, out=out)
+        if ke == 0:
+            out[1] = den
+        return out
+
+    return den, values
 
 
 def survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:

@@ -33,9 +33,8 @@ from .ds_limits import (
     Dataset,
     GridConfig,
     UnboundedLimit,
-    channel_curves,
+    _dataset_curves,
     combine_channels,
-    shared_grid,
 )
 from .evalharness import (
     CredibilityConfig,
@@ -229,8 +228,7 @@ def cmd_limits(args) -> int:
 
 
 def _curve_rows(ds, grid: GridConfig):
-    xs = shared_grid(ds.channels, grid)
-    curves = [channel_curves(ch, grid, xs=xs) for ch in ds.channels]
+    xs, curves = _dataset_curves(ds.channels, grid)
     rows = [
         (ds.label, ci, xs[k], c.f_lower[k], c.f_upper[k], c.r[k], None, None)
         for ci, c in enumerate(curves)

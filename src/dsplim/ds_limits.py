@@ -20,6 +20,16 @@ r(x) = F_lower(x) - F_upper(x): the probability that the channel's
 interval covers x.  Channels multiply, so the combined (plausibility-
 transform) density is f(x) proportional to the product of the r_i(x),
 normalized on a shared grid; upper limits are quantiles of its CDF.
+
+The two ends differ by one unit of shape in each gamma: the upper end
+has shapes (n + 1, y, z), the lower end (n, y + 1, z + 1).  With
+E' ~ NB(z, pe(x)), P(NB(z + 1, p) = j) = P(NB(z, p) = j) (z + j) / z (1 - p),
+so one block of E' masses at shape z gives both endpoint survivals,
+and the conditioning probability is den = P(NB(y, 1/(1+t)) <= n), the
+last entry of the upper end's background CDF.  On the series route a
+channel therefore builds one state (:func:`_channel_state`), which the
+grid's ladder probe and both endpoint curves reuse.
+
 For one channel with z >= 2 the CDF also has a grid-free closed form,
 which :func:`ds_upper_limits_batch` inverts for many datasets at once,
 by bracketed false-position steps on the log of the mass above each
@@ -42,6 +52,7 @@ import numpy as np
 
 from ._gamma_ratio import (
     NumericalError,
+    _interval_series,
     _series_carries,
     clamp_unit,
     conditioning_probability,
@@ -159,14 +170,18 @@ class PlausibilityDensity:
     normalization: float
 
 
-def _conditioning(ch: ChannelObservation) -> float:
-    """P(N_upper >= Y_lower / t), the event both endpoint CDFs condition on."""
-    den = conditioning_probability(ch.n + 1, 1.0, ch.y, 1.0 / ch.t)
+def _checked_conditioning(den: float, ch: ChannelObservation) -> float:
     if den < _MIN_CONDITIONING:
         raise NumericalError(
             f"conditioning probability underflows for channel {ch}"
         )
     return den
+
+
+def _conditioning(ch: ChannelObservation) -> float:
+    """P(N_upper >= Y_lower / t), the event both endpoint CDFs condition on."""
+    den = conditioning_probability(ch.n + 1, 1.0, ch.y, 1.0 / ch.t)
+    return _checked_conditioning(den, ch)
 
 
 def _channel_cdf(ch: ChannelObservation, x, num_shapes, method, quad, den):
@@ -214,6 +229,69 @@ def channel_cdf_upper(
     return _channel_cdf(ch, x, (ch.n + 1, ch.y, ch.z), method, quad, den)
 
 
+def _channel_state(ch: ChannelObservation):
+    """x -> the (2, points) endpoint CDFs (F_lower, F_upper) of one
+    channel, with everything that does not depend on x built once.
+
+    On the series route both ends and the conditioning probability come
+    from one state of :func:`dsplim._gamma_ratio._interval_series`, so a
+    call is one exp block; a channel with a shape off that route takes
+    :func:`channel_cdf_lower` and :func:`channel_cdf_upper` per end.
+    """
+    ends = _series_carries([ch.n + 1, ch.n], [ch.y, ch.y + 1], [ch.z, ch.z + 1])
+    if not ends.all():
+        den = _conditioning(ch)
+        return lambda x: np.array(
+            [channel_cdf_lower(ch, x, den=den), channel_cdf_upper(ch, x, den=den)]
+        )
+    with np.errstate(all="ignore"):
+        den, survivals = _interval_series(
+            ch.n + 1, 1.0, ch.y, 1.0 / ch.t, ch.z, 1.0 / ch.u
+        )
+    _checked_conditioning(den, ch)
+
+    def cdfs(x) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return clamp_unit(1.0 - survivals(x) / den)
+
+    return cdfs
+
+
+def _proper(channels) -> list:
+    """The channels with z > 0; UnboundedLimit when there are none."""
+    proper = [ch for ch in channels if ch.z > 0]
+    if not proper:
+        raise UnboundedLimit(
+            "all channels have z == 0: the upper limit is infinite"
+        )
+    return proper
+
+
+def _grid_knots(channels, states, grid: GridConfig) -> np.ndarray:
+    """The knots of :func:`shared_grid`, probing the upper-end CDF of each
+    proper channel through its state from :func:`_channel_state`."""
+    proper = [(ch, state) for ch, state in zip(channels, states) if ch.z > 0]
+    top = max(math.frexp(HARD_CAP)[1] - 1, 0)
+    ladder = np.ldexp(1.0, np.arange(top + 1))
+    passed = np.array(
+        [state(ladder)[1] >= 1.0 - grid.tail_eps for _, state in proper]
+    )
+    ok = passed.all(axis=0)
+    if not ok.any():
+        short = [ch for (ch, _), p in zip(proper, passed) if not p[-1]]
+        raise NumericalError(
+            f"grid search exceeded hard_cap={HARD_CAP} before the "
+            f"upper-end CDFs reached 1 - tail_eps; still short at "
+            f"x={ladder[-1]:g}: {', '.join(map(str, short))}"
+        )
+    x_max = float(ladder[np.argmax(ok)])
+    k_lin = grid.points // 2
+    k_log = grid.points - k_lin
+    lin = np.linspace(x_max / k_lin, x_max, k_lin)
+    log = np.geomspace(x_max * 1e-9, x_max, k_log)
+    return np.unique(np.concatenate([[0.0], lin, log]))
+
+
 def shared_grid(channels, grid: GridConfig = GridConfig()) -> np.ndarray:
     """Evaluation knots shared by every channel of a dataset.
 
@@ -227,33 +305,26 @@ def shared_grid(channels, grid: GridConfig = GridConfig()) -> np.ndarray:
     no finite grid can capture the evidence, and NumericalError naming
     the channels still short of 1 - tail_eps when no rung passes.
     """
-    proper = [ch for ch in channels if ch.z > 0]
-    if not proper:
-        raise UnboundedLimit(
-            "all channels have z == 0: the upper limit is infinite"
-        )
-    top = max(math.frexp(HARD_CAP)[1] - 1, 0)
-    ladder = np.ldexp(1.0, np.arange(top + 1))
-    passed = np.array(
-        [
-            channel_cdf_upper(ch, ladder) >= 1.0 - grid.tail_eps
-            for ch in proper
-        ]
+    proper = _proper(channels)
+    return _grid_knots(proper, [_channel_state(ch) for ch in proper], grid)
+
+
+def _curves(ch: ChannelObservation, state, xs: np.ndarray) -> ChannelCurves:
+    f_lower, f_upper = state(xs)
+    r = np.maximum(f_lower - f_upper, 0.0)
+    return ChannelCurves(
+        xs=xs, f_lower=f_lower, f_upper=f_upper, r=r, improper=(ch.z == 0)
     )
-    ok = passed.all(axis=0)
-    if not ok.any():
-        short = [ch for ch, p in zip(proper, passed) if not p[-1]]
-        raise NumericalError(
-            f"grid search exceeded hard_cap={HARD_CAP} before the "
-            f"upper-end CDFs reached 1 - tail_eps; still short at "
-            f"x={ladder[-1]:g}: {', '.join(map(str, short))}"
-        )
-    x_max = float(ladder[np.argmax(ok)])
-    k_lin = grid.points // 2
-    k_log = grid.points - k_lin
-    lin = np.linspace(x_max / k_lin, x_max, k_lin)
-    log = np.geomspace(x_max * 1e-9, x_max, k_log)
-    return np.unique(np.concatenate([[0.0], lin, log]))
+
+
+def _dataset_curves(channels, grid: GridConfig):
+    """The shared grid and every channel's curves on it, from one
+    :func:`_channel_state` per channel that the grid's ladder probe and
+    both endpoint curves reuse."""
+    _proper(channels)
+    states = [_channel_state(ch) for ch in channels]
+    xs = _grid_knots(channels, states, grid)
+    return xs, [_curves(ch, state, xs) for ch, state in zip(channels, states)]
 
 
 def channel_curves(
@@ -268,14 +339,8 @@ def channel_curves(
     products are exact at the knots.
     """
     if xs is None:
-        xs = shared_grid([ch], grid)
-    den = _conditioning(ch)
-    f_lower = np.asarray(channel_cdf_lower(ch, xs, den=den))
-    f_upper = np.asarray(channel_cdf_upper(ch, xs, den=den))
-    r = np.maximum(f_lower - f_upper, 0.0)
-    return ChannelCurves(
-        xs=xs, f_lower=f_lower, f_upper=f_upper, r=r, improper=(ch.z == 0)
-    )
+        return _dataset_curves([ch], grid)[1][0]
+    return _curves(ch, _channel_state(ch), xs)
 
 
 def combine_channels(curves) -> PlausibilityDensity:
@@ -312,10 +377,9 @@ def combine_channels(curves) -> PlausibilityDensity:
 def dataset_density(
     dataset: Dataset, grid: GridConfig = GridConfig()
 ) -> PlausibilityDensity:
-    """Shared grid -> channel curves -> combined normalized density."""
-    xs = shared_grid(dataset.channels, grid)
-    curves = [channel_curves(ch, grid, xs) for ch in dataset.channels]
-    return combine_channels(curves)
+    """One state per channel -> shared grid -> channel curves -> combined
+    normalized density."""
+    return combine_channels(_dataset_curves(dataset.channels, grid)[1])
 
 
 def upper_limit(density: PlausibilityDensity, q: float) -> float:

@@ -15,7 +15,12 @@ from dsplim.cli import (
     parse_dataset_file,
     write_dataset_file,
 )
-from dsplim.ds_limits import ChannelObservation, ds_upper_limits_batch
+from dsplim.ds_limits import (
+    ChannelObservation,
+    GridConfig,
+    dataset_density,
+    ds_upper_limits_batch,
+)
 
 GOOD = """# example file
 channels 1
@@ -294,6 +299,23 @@ class TestCurvesCommand:
             assert float(r[5]) >= 0.0
         last = [r for r in comb if r[0] == "0"][-1]
         assert float(last[7]) >= 1.0 - 1e-6
+
+    def test_combined_columns_equal_dataset_density(self, tmp_path):
+        text = (
+            "channels 2\nscales 33 100\nscales 3.3 10\n"
+            "5 10 100 2 3 0\n0 3 10 4 1 1\n12 0 25 0 0 2\n"
+        )
+        inp = _write_input(tmp_path, text)
+        out = str(tmp_path / "curves.csv")
+        assert main(["curves", "--input", inp, "--output", out, "--grid-points", "64"]) == 0
+        rows = _read_csv(out)[1:]
+        datasets = parse_dataset_file(io.StringIO(text))
+        for ds in datasets:
+            density = dataset_density(ds, GridConfig(points=64))
+            comb = [r for r in rows if r[0] == ds.label and r[1] == "combined"]
+            assert [float(r[2]) for r in comb] == density.xs.tolist()
+            assert [float(r[6]) for r in comb] == density.pdf.tolist()
+            assert [float(r[7]) for r in comb] == density.cdf.tolist()
 
     def test_failed_dataset_keeps_the_other_datasets(self, tmp_path, capsys):
         inp = _write_input(tmp_path, "channels 1\nscales 1 1e8\n5 2 40\n0 0 1\n")

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import dsplim._gamma_ratio as _gamma_ratio
 import dsplim.ds_limits as ds_limits
-from dsplim._gamma_ratio import NumericalError
+from dsplim._gamma_ratio import NumericalError, survival
 from dsplim.ds_limits import (
     ChannelObservation,
     Dataset,
@@ -233,34 +236,111 @@ class TestGridLadder:
             shared_grid([TASK1B])
 
 
+@pytest.fixture
+def counts(monkeypatch):
+    """Calls of the state builder and of the per-end survival and
+    conditioning routes, at the bindings ds_limits calls them through."""
+    tally = {"_interval_series": 0, "survival": 0, "conditioning_probability": 0}
+    for name in tally:
+        fn = getattr(ds_limits, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            tally[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ds_limits, name, counted)
+    return tally
+
+
 class TestEvaluationCount:
-    """One series pass per proper channel for the grid, one conditioning
-    probability per channel for its curves."""
+    """One state per channel, which the ladder probe and both endpoint
+    curves share; no per-end survival and no conditioning probability on
+    the series route."""
 
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        tally = {"survival": 0, "conditioning_probability": 0}
-        for name in tally:
-            fn = getattr(ds_limits, name)
+    IMPROPER = ChannelObservation(2, 3, 0, 3.3, 10.0)
+    HEAVY = ChannelObservation(12, 2, 1, 3.3, 100.0)
 
-            def counted(*args, _fn=fn, _name=name, **kwargs):
-                tally[_name] += 1
-                return _fn(*args, **kwargs)
+    def test_dataset_density_one_state_per_channel(self, counts):
+        dataset_density(Dataset((TASK1A, self.IMPROPER, self.HEAVY, TASK1B)))
+        assert counts == {
+            "_interval_series": 4, "survival": 0, "conditioning_probability": 0
+        }
 
-            monkeypatch.setattr(ds_limits, name, counted)
-        return tally
+    def test_shared_grid_one_state_per_proper_channel(self, counts):
+        shared_grid([TASK1A, self.IMPROPER, self.HEAVY, TASK1B])
+        assert counts == {
+            "_interval_series": 3, "survival": 0, "conditioning_probability": 0
+        }
 
-    def test_shared_grid_one_survival_per_proper_channel(self, counts):
-        improper = ChannelObservation(2, 3, 0, 3.3, 10.0)
-        heavy = ChannelObservation(12, 2, 1, 3.3, 100.0)
-        shared_grid([TASK1A, improper, heavy, TASK1B])
-        assert counts == {"survival": 3, "conditioning_probability": 3}
-
-    def test_channel_curves_one_conditioning(self, counts):
+    def test_channel_curves_one_state(self, counts):
         xs = shared_grid([TASK1A])
-        counts.update(survival=0, conditioning_probability=0)
+        counts.update(_interval_series=0)
         channel_curves(TASK1A, xs=xs)
-        assert counts == {"survival": 2, "conditioning_probability": 1}
+        assert counts == {
+            "_interval_series": 1, "survival": 0, "conditioning_probability": 0
+        }
+
+    def test_unbounded_before_any_state(self, counts):
+        with pytest.raises(UnboundedLimit):
+            dataset_density(Dataset((self.IMPROPER, self.IMPROPER)))
+        assert counts["_interval_series"] == 0
+
+
+def _series_conditioning(ch):
+    """P(NB(y, 1/(1+t)) <= n) from the per-end series: the upper end's
+    survival at ke = 0, where E is the constant 0."""
+    return float(survival(0.0, ch.n + 1, 1.0, ch.y, 1.0 / ch.t, 0, 1.0 / ch.u))
+
+
+class TestIntervalState:
+    """Both ends from one block of efficiency masses at shape z, by
+    P(NB(z + 1, p) = j) = P(NB(z, p) = j) (z + j) / z (1 - p)."""
+
+    XS = np.concatenate([[0.0], np.geomspace(1e-4, 1e6, 11)])
+
+    # 300 examples take about 2 s on a 2-core host.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 600),
+        y=st.integers(0, 600),
+        z=st.integers(0, 100),
+        t=st.floats(0.05, 100.0),
+        u=st.floats(0.05, 100.0),
+    )
+    @example(n=3, y=7, z=0, t=3.3, u=10.0)
+    @example(n=40, y=2, z=1, t=1.0, u=0.05)
+    @example(n=0, y=0, z=2, t=100.0, u=100.0)
+    def test_matches_per_end_series(self, n, y, z, t, u):
+        ch = ChannelObservation(n, y, z, t, u)
+        # The state's den is the series' own P(NB(y, pb) <= n); the
+        # per-end default, beta_cdf, differs from it by up to about 1e-12
+        # relative at n, y near 600, so both routes here share it.
+        den = _series_conditioning(ch)
+        if den < ds_limits._MIN_CONDITIONING:
+            with pytest.raises(NumericalError, match="conditioning probability"):
+                channel_curves(ch, xs=self.XS)
+            return
+        curves = channel_curves(ch, xs=self.XS)
+        lower = channel_cdf_lower(ch, self.XS, method="series", den=den)
+        upper = channel_cdf_upper(ch, self.XS, method="series", den=den)
+        np.testing.assert_allclose(curves.f_lower, lower, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(curves.f_upper, upper, rtol=0.0, atol=1e-12)
+        if z == 0:
+            assert np.all(curves.f_upper == 0.0)
+        if n == 0:
+            assert np.all(curves.f_lower == 1.0)
+
+    def test_off_series_channel_takes_per_end_quadrature(self, counts, monkeypatch):
+        xs = np.array([0.0, 0.05, 0.5, 2.0, 5.0, 8.0, 20.0, 60.0])
+        want = channel_curves(TASK1B, xs=xs)
+        monkeypatch.setattr(_gamma_ratio, "_SERIES_MAX_SHAPE", 8)
+        counts.update(_interval_series=0)
+        got = channel_curves(TASK1B, xs=xs)
+        assert counts == {
+            "_interval_series": 0, "survival": 2, "conditioning_probability": 1
+        }
+        np.testing.assert_allclose(got.f_lower, want.f_lower, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(got.f_upper, want.f_upper, rtol=0.0, atol=1e-9)
 
 
 class TestCombine:
