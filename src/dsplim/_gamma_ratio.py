@@ -32,16 +32,17 @@ value (1 - p)**r far below the double range loses no mass.  The same
 form gives the integral of the survival over [0, x] for ke >= 2
 (:func:`integrated_survival_series`), on which the grid-free
 single-channel DS limits rest, with running sums of the background
-CDF as weights; its total at x = inf is the last of those sums
-(:func:`integrated_survival_total`).  The two ends of a belief
-interval, (kn, kb, ke) and (kn - 1, kb + 1, ke + 1), share one block:
-P(NB(ke + 1, p) = j) = P(NB(ke, p) = j) (ke + j) / ke (1 - p), and the
-conditioning probability P(A >= B) = P(NB(kb, pb) <= kn - 1) is the
-last entry of the upper end's background CDF (:func:`_interval_series`).
-:func:`series_roots` inverts per-row series CDFs for many rows at once,
-by superlinear bracketed steps on log-tail residuals from a start that
-:func:`quantile_start` estimates per row; the batched DS and Bayes
-limits are its two callers.
+CDF as weights; its total at x = inf is the last of those sums.  Every
+series state returns its own conditioning probability den = P(A >= B)
+= P(NB(kb, pb) <= kn - 1), the last entry of its background CDF, so a
+CDF 1 - survival(x) / den takes both from one computation; quadrature
+takes den from :func:`conditioning_probability`.  The two ends of a
+belief interval, (kn, kb, ke) and (kn - 1, kb + 1, ke + 1), share one
+block: P(NB(ke + 1, p) = j) = P(NB(ke, p) = j) (ke + j) / ke (1 - p)
+(:func:`_interval_series`).  :func:`series_roots` inverts per-row
+series CDFs for many rows at once, by superlinear bracketed steps on
+log-tail residuals from a start that :func:`quantile_start` estimates
+per row; the batched DS and Bayes limits are its two callers.
 
 "quadrature" (any positive real shapes).  The beta-CDF form
 
@@ -162,12 +163,13 @@ def _background_block(kb, wn, wb, count: int) -> np.ndarray:
 
 def _prepared_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
     """The series route with everything that does not depend on x built
-    once: returns x -> survival at x, or its integral over [0, x] when
+    once: returns den = P(A >= B) = P(B' <= kn - 1), per row for per-row
+    shapes, and x -> survival at x, or its integral over [0, x] when
     ``integrated``.  Shapes as for :func:`survival_series`; with per-row
     shapes, x must have ``repeats`` consecutive entries per row, which
-    share the row's x-free arrays.  The caller runs both this and the
-    returned function under ``np.errstate(all="ignore")``, once for all:
-    log(0), 0 * inf and 1 / x at x = 0 or subnormal x warn.
+    share the row's x-free arrays and den.  The caller runs both this and
+    the returned function under ``np.errstate(all="ignore")``, once for
+    all: log(0), 0 * inf and 1 / x at x = 0 or subnormal x warn.
 
     The sums run over the masses of E' ~ NB(ke, pe(x)), each weighted by
     the background CDF of B' ~ NB(kb, pb), which does not depend on x:
@@ -183,7 +185,8 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
     A pass is then one block of masses and one contraction with the
     weights (two for J).  Per-row weights are exact zeros from the row's
     kn on, so the terms a longer row pads a batch with add +0.0 and a
-    row's values do not depend on the rows beside it.
+    row's values do not depend on the rows beside it.  den is the first
+    weight, P(B' <= kn - 1), which the survival at x = 0 equals exactly.
     """
     shapes = _validate(kn, wn, kb, wb, ke, we)
     if not _is_integral(shapes).all():
@@ -193,8 +196,9 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
         raise ValueError("integrated survival requires ke >= 2")
     count = int(kn.max())
     if count == 0:
-        # A is the constant 0: the survival and its integral vanish.
-        return lambda x: np.zeros(_nonnegative(x).shape)
+        # A is the constant 0: P(A >= B), the survival and its integral vanish.
+        den = np.zeros(kn.size * repeats if kn.ndim else ())
+        return den, lambda x: np.zeros(_nonnegative(x).shape)
     cdf_b = np.cumsum(_background_block(kb, wn, wb, count), axis=0)
     if shapes.ndim == 1:
         # A contiguous copy: matmul takes BLAS only for unit strides.
@@ -212,10 +216,12 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
         weights = [h, below, run[-1], wn / we / e_shape]
     else:
         weights = [weight]
-    x_free = weights + [e_shape, _log_binomials(e_shape, count)]
+    # Rounding can lift a CDF that sums to 1 just above it.
+    den = np.minimum(weight[0], 1.0)
+    x_free = weights + [e_shape, _log_binomials(e_shape, count), den]
     if repeats > 1:
         x_free = [np.repeat(a, repeats, axis=-1) for a in x_free]
-    *weights, e_shape, log_binom_e = x_free
+    *weights, e_shape, log_binom_e, den = x_free
 
     def values(x) -> np.ndarray:
         # pe(x) = x * we / (wn + x * we) has the odds x * we / wn.
@@ -230,7 +236,7 @@ def _prepared_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
         tail = 1.0 - contract(below, nb_e)
         return (contract(h, nb_e) + tail * h_kn) * factor
 
-    return values
+    return den, values
 
 
 def _interval_series(kn, wn, kb, wb, ke, we):
@@ -291,7 +297,7 @@ def survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
     """Exact P(A > B + x*E) for integer shapes: kn, kb, ke are shared
     scalars or 1-d arrays with one entry per point of x."""
     with np.errstate(all="ignore"):
-        return _prepared_series(kn, wn, kb, wb, ke, we)(x)
+        return _prepared_series(kn, wn, kb, wb, ke, we)[1](x)
 
 
 def integrated_survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
@@ -302,25 +308,15 @@ def integrated_survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
 
         J(x) = c / (ke - 1) * E[min(K, (kn - B)^+)],
 
-    which at x = inf is c * E[(kn - B)^+] / (ke - 1)
-    (:func:`integrated_survival_total`).  (Under w = c / (c + v) the
+    which at x = inf is c * E[(kn - B)^+] / (ke - 1), from the x-free
+    background sums alone.  (Under w = c / (c + v) the
     survival is w**ke times a polynomial in 1 - w.)  The expectation is
     summed over K's masses below kn, each weighted by the x-free
     h(k) = E[min(k, (kn - B)^+)], a running sum of the background CDF,
     plus K's mass from kn on times h(kn) (see :func:`_prepared_series`).
     """
     with np.errstate(all="ignore"):
-        return _prepared_series(kn, wn, kb, wb, ke, we, integrated=True)(x)
-
-
-def integrated_survival_total(kn, wn, kb, wb, ke, we) -> np.ndarray:
-    """J(inf) = c * E[(kn - B)^+] / (ke - 1) of
-    :func:`integrated_survival_series`, with c = wn / we and
-    B ~ NB(kb, pb); shapes as there.  At x = inf all of K's mass lies
-    beyond kn, so this is the series' own c / (ke - 1) * h(kn)."""
-    shape = np.broadcast(kn, kb, ke).shape
-    x = np.full(shape or (1,), math.inf)
-    return integrated_survival_series(x, kn, wn, kb, wb, ke, we).reshape(shape)
+        return _prepared_series(kn, wn, kb, wb, ke, we, integrated=True)[1](x)
 
 
 def _trigamma(x) -> np.ndarray:
@@ -363,9 +359,11 @@ def series_roots(shapes, t, u, quantiles, rel_tol, residual, integrated=False):
     row on the scales (1, 1/t, 1/u).  The (row, quantile) pairs run in
     chunks of at most _SERIES_TERMS series terms; a chunk builds the
     x-free series arrays once per row, shared by the row's quantiles.
-    Per chunk, ``residual(values, rows, qs)`` gets the pairs' row indices
-    and quantiles and ``values``: x -> the (k, pairs) survivals of each
-    pair's triples at its x (integrals over [0, x] when ``integrated``).
+    Per chunk, ``residual(values, den, rows, qs)`` gets the pairs' row
+    indices and quantiles, ``values``: x -> the (k, pairs) survivals of
+    each pair's triples at its x (integrals over [0, x] when
+    ``integrated``), and ``den``: the (k, pairs) conditioning
+    probabilities P(A >= B) of those triples, from the same series state.
     It returns each pair's start (from :func:`quantile_start`) and
     x -> residuals, >= 0 from each pair's root on, which
     :func:`dsplim.specfun.solve_monotone` solves to ``rel_tol`` from
@@ -387,14 +385,16 @@ def series_roots(shapes, t, u, quantiles, rel_tol, residual, integrated=False):
         # One series pass carries the k triples of every pair, triple-major.
         kn, kb, ke = shapes[:, :, block].transpose(1, 0, 2).reshape(3, -1)
         with np.errstate(all="ignore"):
-            series = _prepared_series(
+            den, series = _prepared_series(
                 kn, 1.0, kb, 1.0 / t, ke, 1.0 / u, integrated, repeats=nq
             )
 
             def values(x):
                 return series(np.tile(x, k) if k > 1 else x).reshape(k, -1)
 
-            start, pairs = residual(values, rows, np.tile(quantiles, block.size))
+            start, pairs = residual(
+                values, np.reshape(den, (k, -1)), rows, np.tile(quantiles, block.size)
+            )
             found = solve_monotone(pairs, start, rel_tol, NumericalError)
         roots[:, block] = found.reshape(-1, nq).T
     return roots

@@ -5,18 +5,19 @@ t*b, and u*eps, so each count update is conjugate: the posterior
 shapes are count + prior shape and the scales are (1, 1/t, 1/u).
 The signal posterior is the law of (L_n - B) / E restricted to the
 nonnegative half-line, with L_n, B, E the three posterior gammas, and
-its CDF shares the evaluation engine used by the belief-interval
-channel CDFs: :func:`dsplim._gamma_ratio.survival_series`, with shared
-shapes for one posterior and per-row shapes for a batch.  A batch is
-solved by :func:`dsplim._gamma_ratio.series_roots`, the per-row solver
-of the grid-free DS limits, and sends the datasets with a shape above
-the series bound to the scalar route, which takes quadrature there.
-Every quantile, scalar or batched, is one call of
+its CDF 1 - survival(x) / den, with den the posterior mass on s >= 0,
+shares the evaluation engine of the belief-interval channel CDFs.  A
+posterior builds one state (:func:`_posterior_state`); every series
+state returns its own den beside the survival.  A batch is solved by
+:func:`dsplim._gamma_ratio.series_roots`, the per-row solver of the
+grid-free DS limits, and sends the datasets with a shape above the
+series bound to the scalar route, which takes quadrature there.  Every
+quantile, scalar or batched, is one call of
 :func:`dsplim.specfun.solve_monotone` on the log-tail residual
-log((1 - q) * den) - log(survival(x)), with den the posterior mass on
-s >= 0.  It starts at :func:`dsplim._gamma_ratio.quantile_start` of
-the posterior shapes, a log-normal guess of the quantile, and widens
-its bracket outward from there.
+log((1 - q) * den) - log(survival(x)).  It starts at
+:func:`dsplim._gamma_ratio.quantile_start` of the posterior shapes, a
+log-normal guess of the quantile, and widens its bracket outward from
+there.
 
 Note on the scale convention: a proper unit-scale gamma prior combined
 with the Poisson likelihood would put scale 1/2 (and 1/(2t), 1/(2u))
@@ -30,10 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from ._gamma_ratio import (
     NumericalError,
+    _prepared_series,
     _series_carries,
     clamp_unit,
     conditioning_probability,
@@ -111,19 +112,26 @@ def conjugate_posteriors(ch: ChannelObservation, prior: PriorConfig) -> GammaPos
     )
 
 
-def _posterior_conditioning(post: GammaPosteriors) -> float:
-    """Posterior probability of s >= 0, the CDF's normalizer."""
-    (kn, wn), (kb, wb) = post.ln, post.lb
-    den = conditioning_probability(kn, wn, kb, wb)
-    if den <= 0:
-        raise NumericalError("posterior mass on s >= 0 underflows")
-    return den
-
-
-def _posterior_cdf(post: GammaPosteriors, x, den, method="auto", quad=None):
+def _posterior_state(post: GammaPosteriors, method="auto", quad=None):
+    """(den, x -> survival(x) at 1-d x) of one posterior, den its mass on
+    s >= 0, on the route ``survival(method)`` takes.  The series state
+    gives both, its x-free arrays built once, and is called under
+    ``np.errstate(all="ignore")``; quadrature takes den from a beta CDF."""
     (kn, wn), (kb, wb), (ke, we) = post.ln, post.lb, post.le
-    s = survival(x, kn, wn, kb, wb, ke, we, method, quad)
-    return clamp_unit(1.0 - s / den)
+    if method == "auto":
+        method = "series" if _series_carries(kn, kb, ke).all() else "quadrature"
+    if method == "series":
+        with np.errstate(all="ignore"):
+            den, surv = _prepared_series(kn, wn, kb, wb, ke, we)
+    else:
+        den = conditioning_probability(kn, wn, kb, wb)
+
+        def surv(x):
+            return survival(x, kn, wn, kb, wb, ke, we, method, quad)
+
+    if not den > 0:
+        raise NumericalError("posterior mass on s >= 0 underflows")
+    return den, surv
 
 
 def bayes_posterior_cdf(
@@ -133,9 +141,10 @@ def bayes_posterior_cdf(
     quad: QuadratureConfig | None = None,
 ):
     """Posterior CDF of the signal at x >= 0 (scalar or array)."""
-    if np.any(np.asarray(x) < 0):
-        raise ValueError("x must be >= 0")
-    return _posterior_cdf(post, x, _posterior_conditioning(post), method, quad)
+    den, surv = _posterior_state(post, method, quad)
+    with np.errstate(all="ignore"):
+        f = clamp_unit(1.0 - surv(np.atleast_1d(np.asarray(x, dtype=float))) / den)
+    return f[0] if np.ndim(x) == 0 else f
 
 
 def posterior_quantile(post: GammaPosteriors, q: float, rel_tol: float = 1e-8) -> float:
@@ -144,15 +153,16 @@ def posterior_quantile(post: GammaPosteriors, q: float, rel_tol: float = 1e-8) -
     if not 0.0 < q < 1.0:
         raise ValueError("quantile must lie strictly inside (0, 1)")
     (kn, wn), (kb, wb), (ke, we) = post.ln, post.lb, post.le
+    den, surv = _posterior_state(post)
     # F(x) >= q  <=>  survival(x) <= (1 - q) * den
-    log_target = np.log((1.0 - q) * _posterior_conditioning(post))
+    log_target = np.log((1.0 - q) * den)
 
     def residual(x):
-        with np.errstate(divide="ignore"):
-            return log_target - np.log(survival(x, kn, wn, kb, wb, ke, we))
+        with np.errstate(all="ignore"):
+            return log_target - np.log(surv(x))
 
-    start = quantile_start(kn, kb, ke, wn / wb, wn / we, q)
-    return float(solve_monotone(residual, start, rel_tol, NumericalError))
+    start = np.reshape(quantile_start(kn, kb, ke, wn / wb, wn / we, q), 1)
+    return float(solve_monotone(residual, start, rel_tol, NumericalError)[0])
 
 
 def bayes_upper_limit(
@@ -197,9 +207,9 @@ def bayes_upper_limits_batch(
     carried = _series_carries(kn, kb, ke)
     series = np.flatnonzero(carried)
 
-    def residual(surv, rows, qs):
+    def residual(surv, den, rows, qs):
         j = series[rows]
-        den = sp.betainc(kb[j], kn[j], 1.0 / (1.0 + 1.0 / t))
+        den = den[0]
         if not np.all(den > 0):
             j = j[np.argmin(den > 0)]
             raise NumericalError(

@@ -25,10 +25,13 @@ The two ends differ by one unit of shape in each gamma: the upper end
 has shapes (n + 1, y, z), the lower end (n, y + 1, z + 1).  With
 E' ~ NB(z, pe(x)), P(NB(z + 1, p) = j) = P(NB(z, p) = j) (z + j) / z (1 - p),
 so one block of E' masses at shape z gives both endpoint survivals,
-and the conditioning probability is den = P(NB(y, 1/(1+t)) <= n), the
-last entry of the upper end's background CDF.  On the series route a
-channel therefore builds one state (:func:`_channel_state`), which the
-grid's ladder probe and both endpoint curves reuse.
+and the series state returns its own conditioning probability
+den = P(NB(y, 1/(1+t)) <= n), the last entry of the upper end's
+background CDF.  A channel therefore builds one state
+(:func:`_channel_state`), the only endpoint-CDF code: the grid's ladder
+probe, both endpoint curves and the per-end CDFs read it.  Off the
+series route the state takes den from one beta CDF and evaluates each
+requested end by quadrature.
 
 For one channel with z >= 2 the CDF also has a grid-free closed form,
 which :func:`ds_upper_limits_batch` inverts for many datasets at once,
@@ -170,28 +173,46 @@ class PlausibilityDensity:
     normalization: float
 
 
-def _checked_conditioning(den: float, ch: ChannelObservation) -> float:
+def _channel_state(ch: ChannelObservation, method="auto", quad=None):
+    """(x, which) -> the endpoint CDFs of one channel at x >= 0: one row
+    per requested end (0 lower, 1 upper; both by default), one value per
+    row at scalar x.  "auto" takes the series when both ends' shapes are
+    on the series route of ``survival(method="auto")``.  There both ends
+    and the conditioning probability den come from one state of
+    :func:`dsplim._gamma_ratio._interval_series`, so a call is one exp
+    block; on the quadrature route den is one beta CDF and each
+    requested end one quadrature survival.
+    """
+    if method == "auto":
+        carried = _series_carries([ch.n + 1, ch.n], [ch.y, ch.y + 1], [ch.z, ch.z + 1])
+        method = "series" if carried.all() else "quadrature"
+    wb, we = 1.0 / ch.t, 1.0 / ch.u
+    # The shapes and scales of the lower and the upper end.
+    ends = [(ch.n, 1.0, ch.y + 1, wb, ch.z + 1, we),
+            (ch.n + 1, 1.0, ch.y, wb, ch.z, we)]
+    if method == "series":
+        with np.errstate(all="ignore"):
+            den, series = _interval_series(*ends[1])
+
+        def survivals(x, which):
+            return series(x)[list(which)]
+
+    else:
+        den = conditioning_probability(*ends[1][:4])
+
+        def survivals(x, which):
+            return np.array([survival(x, *ends[i], method, quad) for i in which])
+
     if den < _MIN_CONDITIONING:
-        raise NumericalError(
-            f"conditioning probability underflows for channel {ch}"
-        )
-    return den
+        raise NumericalError(f"conditioning probability underflows for channel {ch}")
 
+    def cdfs(x, which=(0, 1)) -> np.ndarray:
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        with np.errstate(all="ignore"):
+            f = clamp_unit(1.0 - survivals(xs, which) / den)
+        return f[:, 0] if np.ndim(x) == 0 else f
 
-def _conditioning(ch: ChannelObservation) -> float:
-    """P(N_upper >= Y_lower / t), the event both endpoint CDFs condition on."""
-    den = conditioning_probability(ch.n + 1, 1.0, ch.y, 1.0 / ch.t)
-    return _checked_conditioning(den, ch)
-
-
-def _channel_cdf(ch: ChannelObservation, x, num_shapes, method, quad, den):
-    if np.any(np.asarray(x) < 0):
-        raise ValueError("x must be >= 0")
-    if den is None:
-        den = _conditioning(ch)
-    kn, kb, ke = num_shapes
-    s = survival(x, kn, 1.0, kb, 1.0 / ch.t, ke, 1.0 / ch.u, method, quad)
-    return clamp_unit(1.0 - s / den)
+    return cdfs
 
 
 def channel_cdf_lower(
@@ -199,17 +220,15 @@ def channel_cdf_lower(
     x,
     method: str = "auto",
     quad: QuadratureConfig | None = None,
-    *,
-    den: float | None = None,
 ):
     """CDF of the truncated interval's lower end at x (scalar or array).
 
     With n == 0 the lower end is pinned at 0 and the CDF is 1
     everywhere; that case falls out of the degenerate-shape
-    conventions rather than a branch here.  ``den`` is the channel's
-    conditioning probability when the caller already holds it.
+    conventions rather than a branch here.  The lower row of
+    :func:`_channel_state`.
     """
-    return _channel_cdf(ch, x, (ch.n, ch.y + 1, ch.z + 1), method, quad, den)
+    return _channel_state(ch, method, quad)(x, (0,))[0]
 
 
 def channel_cdf_upper(
@@ -217,44 +236,14 @@ def channel_cdf_upper(
     x,
     method: str = "auto",
     quad: QuadratureConfig | None = None,
-    *,
-    den: float | None = None,
 ):
     """CDF of the interval's upper end at x (scalar or array).
 
     Identically 0 for finite x when z == 0: with no efficiency
     information the upper end is infinite and the channel is improper.
-    ``den`` is as for :func:`channel_cdf_lower`.
+    The upper row of :func:`_channel_state`.
     """
-    return _channel_cdf(ch, x, (ch.n + 1, ch.y, ch.z), method, quad, den)
-
-
-def _channel_state(ch: ChannelObservation):
-    """x -> the (2, points) endpoint CDFs (F_lower, F_upper) of one
-    channel, with everything that does not depend on x built once.
-
-    On the series route both ends and the conditioning probability come
-    from one state of :func:`dsplim._gamma_ratio._interval_series`, so a
-    call is one exp block; a channel with a shape off that route takes
-    :func:`channel_cdf_lower` and :func:`channel_cdf_upper` per end.
-    """
-    ends = _series_carries([ch.n + 1, ch.n], [ch.y, ch.y + 1], [ch.z, ch.z + 1])
-    if not ends.all():
-        den = _conditioning(ch)
-        return lambda x: np.array(
-            [channel_cdf_lower(ch, x, den=den), channel_cdf_upper(ch, x, den=den)]
-        )
-    with np.errstate(all="ignore"):
-        den, survivals = _interval_series(
-            ch.n + 1, 1.0, ch.y, 1.0 / ch.t, ch.z, 1.0 / ch.u
-        )
-    _checked_conditioning(den, ch)
-
-    def cdfs(x) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return clamp_unit(1.0 - survivals(x) / den)
-
-    return cdfs
+    return _channel_state(ch, method, quad)(x, (1,))[0]
 
 
 def _proper(channels) -> list:
@@ -274,7 +263,7 @@ def _grid_knots(channels, states, grid: GridConfig) -> np.ndarray:
     top = max(math.frexp(HARD_CAP)[1] - 1, 0)
     ladder = np.ldexp(1.0, np.arange(top + 1))
     passed = np.array(
-        [state(ladder)[1] >= 1.0 - grid.tail_eps for _, state in proper]
+        [state(ladder, (1,))[0] >= 1.0 - grid.tail_eps for _, state in proper]
     )
     ok = passed.all(axis=0)
     if not ok.any():
@@ -435,7 +424,7 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
 
     and the conditioning probability cancels; J(inf) is the series at
     x = inf, c / (ke - 1) * E[(kn - B)^+] from the x-free background sums
-    alone (:func:`dsplim._gamma_ratio.integrated_survival_total`).
+    alone.
     Every row must be one of :func:`exact_rows`.  G(X) = q is solved per
     (dataset, quantile) pair by :func:`dsplim._gamma_ratio.series_roots`
     on the log of the mass above X, to a relative width of
@@ -452,7 +441,7 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
 
     shapes = [(ns + 1, ys, zs), (ns, ys + 1, zs + 1)]
 
-    def residual(integrals, rows, qs):
+    def residual(integrals, _den, rows, qs):
         # J_up - J_lo at x = inf, the unnormalized mass of every pair
         norm = np.subtract(*integrals(np.full(rows.size, np.inf)))
         if not np.all(norm > 0):

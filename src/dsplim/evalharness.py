@@ -87,7 +87,6 @@ class CoverageReport:
     s_grid: np.ndarray
     estimate: np.ndarray
     std_err: np.ndarray
-    method: str
     mode: str
     n_samples: int | None = None
     cutoff: float | None = None
@@ -330,7 +329,6 @@ def coverage_enumerate(
         s_grid=s_grid,
         estimate=estimate,
         std_err=np.zeros(s_grid.size),
-        method=getattr(method, "__name__", "method"),
         mode="enumeration",
         cutoff=tail_eps,
         truncation_bound=3.0 * tail_eps,
@@ -396,7 +394,6 @@ def coverage_importance(
         s_grid=s_grid,
         estimate=estimate,
         std_err=std_err,
-        method=getattr(method, "__name__", "method"),
         mode="importance",
         n_samples=n_samples,
         ess=ess,

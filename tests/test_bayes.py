@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special as sp
 
-from dsplim._gamma_ratio import conditioning_probability
+import dsplim._gamma_ratio as gamma_ratio
+from dsplim._gamma_ratio import conditioning_probability, series_roots
 from dsplim.bayes import (
     GammaPosteriors,
     PriorConfig,
@@ -201,7 +205,7 @@ class TestUpperLimitQuantile:
             alone = bayes_upper_limits_batch(*row[:, None], 3.3, 10.0, prior, (0.9,))
             assert alone[0, 0] == together[0, j]
 
-    def test_one_conditioning_probability_per_quantile(self, monkeypatch):
+    def test_conditioning_probability_only_on_the_quadrature_route(self, monkeypatch):
         import dsplim.bayes as bayes
 
         calls = []
@@ -211,8 +215,54 @@ class TestUpperLimitQuantile:
             return conditioning_probability(*args)
 
         monkeypatch.setattr(bayes, "conditioning_probability", counted)
-        bayes_upper_limit(CH, prior_preset("B1"), 0.9)
+        prior = prior_preset("B1")
+        post = conjugate_posteriors(CH, prior)
+        xs = np.array([0.5, 5.0])
+        series = bayes_upper_limit(CH, prior, 0.9)
+        series_cdf = bayes_posterior_cdf(post, xs)
+        bayes_upper_limits_batch([CH.n], [CH.y], [CH.z], CH.t, CH.u, prior, (0.9,))
+        assert calls == []
+        # Shapes above the series bound: one beta CDF per posterior.
+        monkeypatch.setattr(gamma_ratio, "_SERIES_MAX_SHAPE", 8)
+        assert bayes_upper_limit(CH, prior, 0.9) == pytest.approx(series, rel=1e-7)
         assert len(calls) == 1
+        np.testing.assert_allclose(bayes_posterior_cdf(post, xs), series_cdf, atol=1e-9)
+        assert len(calls) == 2
+
+
+# The series den sums log-pmf terms of order 1e3, so at shapes near 600
+# it carries up to about 1.5e-12 relative error, where scipy's betainc is
+# within 2e-13 of a 40-digit value; a CDF divides the survival by the den
+# of its own state, whose background sums it shares.
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(1, 600), st.integers(0, 600), st.integers(1, 200)),
+        min_size=1,
+        max_size=6,
+    ),
+    t=st.floats(0.05, 100.0),
+    u=st.floats(0.05, 100.0),
+)
+def test_batch_den_is_the_posterior_mass(rows, t, u):
+    """The den series_roots hands the Bayes residual is P(NB(kb, pb) <=
+    kn - 1), a regularized incomplete beta, and the CDF it gives is 0 at
+    x = 0 exactly."""
+    kn, kb, ke = np.array(rows, dtype=float).T
+    seen = {}
+
+    def residual(values, den, pairs, qs):
+        seen.update(pairs=pairs, den=den[0], at_zero=values(np.zeros(pairs.size))[0])
+        return np.ones(pairs.size), np.log  # the root x = 1
+
+    series_roots([(kn, kb, ke)], t, u, (0.5, 0.9), 1e-8, residual)
+    den, at_zero, pairs = seen["den"], seen["at_zero"], seen["pairs"]
+    want = sp.betainc(kb[pairs], kn[pairs], 1.0 / (1.0 + 1.0 / t))
+    normal = want > 1e-280
+    np.testing.assert_allclose(den[normal], want[normal], rtol=3e-12)
+    assert np.all(den[~normal] < 1e-270)
+    positive = den > 0
+    assert np.all(1.0 - at_zero[positive] / den[positive] == 0.0)
 
 
 class TestCrossModuleIdentity:

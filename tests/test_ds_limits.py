@@ -286,12 +286,6 @@ class TestEvaluationCount:
         assert counts["_interval_series"] == 0
 
 
-def _series_conditioning(ch):
-    """P(NB(y, 1/(1+t)) <= n) from the per-end series: the upper end's
-    survival at ke = 0, where E is the constant 0."""
-    return float(survival(0.0, ch.n + 1, 1.0, ch.y, 1.0 / ch.t, 0, 1.0 / ch.u))
-
-
 class TestIntervalState:
     """Both ends from one block of efficiency masses at shape z, by
     P(NB(z + 1, p) = j) = P(NB(z, p) = j) (z + j) / z (1 - p)."""
@@ -312,19 +306,22 @@ class TestIntervalState:
     @example(n=0, y=0, z=2, t=100.0, u=100.0)
     def test_matches_per_end_series(self, n, y, z, t, u):
         ch = ChannelObservation(n, y, z, t, u)
-        # The state's den is the series' own P(NB(y, pb) <= n); the
-        # per-end default, beta_cdf, differs from it by up to about 1e-12
-        # relative at n, y near 600, so both routes here share it.
-        den = _series_conditioning(ch)
+        # Each end's single-end series survival, divided by the state's
+        # own den = P(NB(y, pb) <= n).
+        with np.errstate(all="ignore"):
+            den = _gamma_ratio._interval_series(n + 1, 1.0, y, 1 / t, z, 1 / u)[0]
         if den < ds_limits._MIN_CONDITIONING:
             with pytest.raises(NumericalError, match="conditioning probability"):
                 channel_curves(ch, xs=self.XS)
             return
         curves = channel_curves(ch, xs=self.XS)
-        lower = channel_cdf_lower(ch, self.XS, method="series", den=den)
-        upper = channel_cdf_upper(ch, self.XS, method="series", den=den)
-        np.testing.assert_allclose(curves.f_lower, lower, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(curves.f_upper, upper, rtol=0.0, atol=1e-12)
+        for got, (kn, kb, ke) in [
+            (curves.f_lower, (n, y + 1, z + 1)),
+            (curves.f_upper, (n + 1, y, z)),
+        ]:
+            surv = survival(self.XS, kn, 1.0, kb, 1 / t, ke, 1 / u, "series")
+            want = np.clip(1.0 - surv / den, 0.0, 1.0)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
         if z == 0:
             assert np.all(curves.f_upper == 0.0)
         if n == 0:
@@ -341,6 +338,42 @@ class TestIntervalState:
         }
         np.testing.assert_allclose(got.f_lower, want.f_lower, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(got.f_upper, want.f_upper, rtol=0.0, atol=1e-9)
+
+    def test_quadrature_per_end_evaluates_that_end(self, counts):
+        xs = np.array([0.5, 5.0])
+        upper = channel_cdf_upper(TASK1B, xs, method="quadrature")
+        assert counts == {
+            "_interval_series": 0, "survival": 1, "conditioning_probability": 1
+        }
+        series = channel_cdf_upper(TASK1B, xs, method="series")
+        np.testing.assert_allclose(upper, series, rtol=0.0, atol=1e-9)
+        assert counts["conditioning_probability"] == 1
+
+
+class TestPerEndCdfs:
+    """channel_cdf_lower / channel_cdf_upper are the rows of the channel
+    state, bit for bit, on the series route."""
+
+    XS = np.array([0.0, 0.05, 0.5, 2.0, 20.0, 1e4, math.inf])
+
+    @pytest.mark.parametrize(
+        "counts",
+        [(373, 566, 3, 0.2274, 1.0), (5, 10, 100, 33.0, 100.0), (3, 7, 0, 3.3, 10.0),
+         (0, 4, 2, 3.3, 10.0), (12, 2, 1, 3.3, 100.0)],
+    )
+    def test_rows_of_the_state(self, counts):
+        ch = ChannelObservation(*counts)
+        state = ds_limits._channel_state(ch)
+        for method in ("auto", "series"):
+            rows = state(self.XS)
+            assert np.array_equal(channel_cdf_lower(ch, self.XS, method), rows[0])
+            assert np.array_equal(channel_cdf_upper(ch, self.XS, method), rows[1])
+            # A matrix product sums a single point in another order than
+            # many, so scalar x is compared with the state at scalar x.
+            for x in self.XS:
+                lower, upper = state(x)
+                assert channel_cdf_lower(ch, x, method) == lower
+                assert channel_cdf_upper(ch, x, method) == upper
 
 
 class TestCombine:

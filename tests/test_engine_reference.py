@@ -17,10 +17,13 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from dsplim._gamma_ratio import NumericalError, survival_series
+from dsplim._gamma_ratio import (
+    NumericalError,
+    conditioning_probability,
+    survival,
+    survival_series,
+)
 from dsplim.bayes import (
-    _posterior_cdf,
-    _posterior_conditioning,
     bayes_upper_limit,
     bayes_upper_limits_batch,
     conjugate_posteriors,
@@ -96,16 +99,21 @@ def _ref_survival_series_rows(x, kn, kb, ke, wn, wb, we):
 
 
 def _ref_posterior_quantile(post, q, rel_tol=1e-8):
-    den = _posterior_conditioning(post)
+    (kn, wn), (kb, wb), (ke, we) = post.ln, post.lb, post.le
+    den = conditioning_probability(kn, wn, kb, wb)
+
+    def cdf(x):
+        return 1.0 - survival(x, kn, wn, kb, wb, ke, we) / den
+
     lo, hi = 0.0, 1.0
-    while _posterior_cdf(post, hi, den, "auto", None) < q:
+    while cdf(hi) < q:
         lo = hi
         hi *= 2.0
         if hi > 1e15:
             raise NumericalError("posterior quantile bracket exceeded 1e15")
     while hi - lo > rel_tol * max(hi, 1e-300):
         mid = 0.5 * (lo + hi)
-        if _posterior_cdf(post, mid, den, "auto", None) >= q:
+        if cdf(mid) >= q:
             hi = mid
         else:
             lo = mid

@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import nbinom
 
 from dsplim import evalharness
 from dsplim._gamma_ratio import (
     NumericalError,
     _prepared_series,
     integrated_survival_series,
-    integrated_survival_total,
     survival_series,
 )
 from dsplim.ds_limits import (
@@ -62,22 +62,23 @@ class TestIntegratedSurvival:
     def test_needs_ke_at_least_two(self):
         with pytest.raises(ValueError, match="ke >= 2"):
             integrated_survival_series([1.0], 3, 1.0, 2, 0.5, 1, 0.1)
-        with pytest.raises(ValueError, match="ke >= 2"):
-            integrated_survival_total(3, 1.0, 2, 0.5, 1, 0.1)
 
     @pytest.mark.parametrize("t,u", [SMALL, PAPER, (1e-17, 10.0)])
     def test_total_from_the_background_block(self, t, u):
-        # J(inf) = u * E[(kn - B)^+] / (ke - 1) matches the series at inf,
-        # for shared shapes and for one row per shape triple
+        # The series at x = inf, for shared shapes and for one row per
+        # shape triple, is J(inf) = u * E[(kn - B)^+] / (ke - 1) with
+        # B ~ NB(kb, 1 / (1 + t)), summed here from scipy's nbinom.
         kn, kb, ke = (np.array(c, dtype=float) for c in zip(*self.SHAPES))
-        got = integrated_survival_total(kn, 1.0, kb, 1 / t, ke, 1 / u)
+        x = np.full(kn.size, math.inf)
+        rows = integrated_survival_series(x, kn, 1.0, kb, 1 / t, ke, 1 / u)
         for i, (kn_i, kb_i, ke_i) in enumerate(self.SHAPES):
+            b = np.arange(kn_i)
+            pmf = nbinom.pmf(b, kb_i, t / (1.0 + t)) if kb_i else (b == 0)
+            want = u * np.sum((kn_i - b) * pmf) / (ke_i - 1)
             scales = (kn_i, 1.0, kb_i, 1 / t, ke_i, 1 / u)
-            at_inf = integrated_survival_series([math.inf], *scales)
-            shared = integrated_survival_total(*scales)
-            assert np.shape(shared) == ()
-            assert shared == pytest.approx(at_inf[0], rel=1e-14)
-            assert got[i] == pytest.approx(at_inf[0], rel=1e-14)
+            shared = integrated_survival_series([math.inf], *scales)
+            assert shared[0] == pytest.approx(want, rel=1e-12)
+            assert rows[i] == pytest.approx(want, rel=1e-12)
 
 
 class TestClosedForm:
@@ -130,7 +131,8 @@ class TestBitwiseIndependence:
     @pytest.mark.parametrize("integrated", [False, True])
     def test_series_row_beside_longer_rows(self, integrated):
         # A row padded past its kn in a batch with longer rows, or repeated
-        # to share its x-free arrays, keeps the bits it has alone.
+        # to share its x-free arrays, keeps the bits it has alone, and so
+        # does its conditioning probability P(A >= B).
         t, u = PAPER
         kn = np.array([3.0, 40.0, 1.0, 300.0, 17.0, 0.0])
         kb = np.array([0.0, 90.0, 5.0, 2.0, 33.0, 4.0])
@@ -138,13 +140,17 @@ class TestBitwiseIndependence:
         x = np.array([0.0, 3.0, math.inf, 50.0, 1e4, 0.7])
         shapes = (kn, 1.0, kb, 1 / t, ke, 1 / u)
         with np.errstate(all="ignore"):
-            together = _prepared_series(*shapes, integrated)(x)
-            repeated = _prepared_series(*shapes, integrated, 2)(np.repeat(x, 2))
+            den, series = _prepared_series(*shapes, integrated)
+            together = series(x)
+            den_2, series_2 = _prepared_series(*shapes, integrated, 2)
+            repeated = series_2(np.repeat(x, 2))
             for i in range(kn.size):
                 one = (kn[i : i + 1], 1.0, kb[i : i + 1], 1 / t, ke[i : i + 1], 1 / u)
-                alone = _prepared_series(*one, integrated)(x[i : i + 1])[0]
+                den_1, series_1 = _prepared_series(*one, integrated)
+                alone = series_1(x[i : i + 1])[0]
                 assert alone == together[i] == repeated[2 * i] == repeated[2 * i + 1]
-        assert together[5] == 0.0  # kn = 0: A is the constant 0
+                assert den_1[0] == den[i] == den_2[2 * i] == den_2[2 * i + 1]
+        assert together[5] == den[5] == 0.0  # kn = 0: A is the constant 0
 
     def test_term_budget_keeps_bits(self, monkeypatch):
         import dsplim._gamma_ratio as gamma_ratio
