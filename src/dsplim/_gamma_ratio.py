@@ -8,8 +8,8 @@ the constant 0) define
     survival(x) = P(A > B + x * E),    x >= 0.
 
 The normalized CDF of the ratio (A - B) / E restricted to the
-nonnegative half-line is then 1 - survival(x) / den, where den is the
-probability of the conditioning event supplied by the caller.
+nonnegative half-line is then 1 - survival(x) / den, where den =
+P(A >= B) is the probability of the conditioning event.
 
 Two interchangeable evaluation routes, cross-checked in the tests:
 
@@ -24,23 +24,22 @@ positive, so no cancellation occurs; cost is O(kn) per point.  The
 convolution is summed over the masses of NB(ke, pe(x)), each weighted
 by the background CDF P(NB(kb, pb) <= kn - 1 - j), which does not
 depend on x and is built once; a point of x then costs one block of
-masses and one contraction.  The shapes are shared scalars (channel
-CDFs, one posterior) or arrays with one row per point of x (batched
-posteriors).  Each block of masses is exponentiated from its
-logarithm, with log p and log(1 - p) taken from the scales, so a start
-value (1 - p)**r far below the double range loses no mass.  The same
-form gives the integral of the survival over [0, x] for ke >= 2
-(:func:`integrated_survival_series`), on which the grid-free
-single-channel DS limits rest, with running sums of the background
-CDF as weights; its total at x = inf is the last of those sums.  Every
-series state returns its own conditioning probability den = P(A >= B)
-= P(NB(kb, pb) <= kn - 1), the last entry of its background CDF, so a
-CDF 1 - survival(x) / den takes both from one computation; quadrature
-takes den from :func:`conditioning_probability`.  The two ends of a
-belief interval, (kn, kb, ke) and (kn - 1, kb + 1, ke + 1), share one
-block: P(NB(ke + 1, p) = j) = P(NB(ke, p) = j) (ke + j) / ke (1 - p)
-(:func:`_interval_series`).  :func:`series_roots` inverts per-row
-series CDFs for many rows at once, by superlinear bracketed steps on
+masses and one contraction.  The shapes are shared scalars or arrays
+with one row per point of x.  Each block is exponentiated from its
+logarithm, so a start value (1 - p)**r far below the double range
+loses no mass.  Every series state returns its own conditioning
+probability den = P(A >= B) = P(NB(kb, pb) <= kn - 1), the last entry
+of its background CDF; quadrature takes den from
+:func:`conditioning_probability`.
+
+One interval state (:func:`_interval_series`) serves both routes of the
+DS limits.  The two ends of a belief interval, (kn, kb, ke) and
+(kn - 1, kb + 1, ke + 1), share one block of masses, as
+P(NB(r + 1, p) = j) = P(NB(r, p) = j) (r + j) / r (1 - p).  It gives
+their survivals on shared shapes for the grid route, and for ke >= 2
+their integrals over [0, x] on per-row shapes for the grid-free
+single-channel limits.  :func:`series_roots` inverts per-row series
+states for many rows at once, by superlinear bracketed steps on
 log-tail residuals from a start that :func:`quantile_start` estimates
 per row; the batched DS and Bayes limits are its two callers.
 
@@ -59,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 from scipy.special import betaincinv, digamma, ndtri
@@ -161,134 +161,137 @@ def _background_block(kb, wn, wb, count: int) -> np.ndarray:
     )
 
 
-def _prepared_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
-    """The series route with everything that does not depend on x built
-    once: returns den = P(A >= B) = P(B' <= kn - 1), per row for per-row
-    shapes, and x -> survival at x, or its integral over [0, x] when
-    ``integrated``.  Shapes as for :func:`survival_series`; with per-row
-    shapes, x must have ``repeats`` consecutive entries per row, which
-    share the row's x-free arrays and den.  The caller runs both this and
-    the returned function under ``np.errstate(all="ignore")``, once for
-    all: log(0), 0 * inf and 1 / x at x = 0 or subnormal x warn.
-
-    The sums run over the masses of E' ~ NB(ke, pe(x)), each weighted by
-    the background CDF of B' ~ NB(kb, pb), which does not depend on x:
-
-        survival(x) = sum_{j < kn} P(E' = j) * P(B' <= kn - 1 - j).
-
-    With K ~ NB(ke - 1, pe(x)) and h(k) = sum_{j < k} P(B' <= kn - 1 - j),
-    which is E[min(k, (kn - B')^+)], so that h(kn) = E[(kn - B')^+],
-
-        J(x) = c / (ke - 1) * [sum_{k < kn} P(K = k) * h(k)
-                               + (1 - sum_{k < kn} P(K = k)) * h(kn)].
-
-    A pass is then one block of masses and one contraction with the
-    weights (two for J).  Per-row weights are exact zeros from the row's
-    kn on, so the terms a longer row pads a batch with add +0.0 and a
-    row's values do not depend on the rows beside it.  den is the first
-    weight, P(B' <= kn - 1), which the survival at x = 0 equals exactly.
-    """
+def _series_shapes(kn, wn, kb, wb, ke, we) -> np.ndarray:
+    """The shapes as one (3, ...) array of integers, for the series route."""
     shapes = _validate(kn, wn, kb, wb, ke, we)
     if not _is_integral(shapes).all():
         raise ValueError("series route requires integer shapes")
-    kn, kb, ke = np.rint(shapes)
-    if integrated and np.min(ke) < 2:
-        raise ValueError("integrated survival requires ke >= 2")
-    count = int(kn.max())
-    if count == 0:
-        # A is the constant 0: P(A >= B), the survival and its integral vanish.
-        den = np.zeros(kn.size * repeats if kn.ndim else ())
-        return den, lambda x: np.zeros(_nonnegative(x).shape)
-    cdf_b = np.cumsum(_background_block(kb, wn, wb, count), axis=0)
-    if shapes.ndim == 1:
-        # A contiguous copy: matmul takes BLAS only for unit strides.
-        weight, below, contract = cdf_b[::-1].copy(), np.ones(count), np.matmul
-    else:
-        # Row i weighs its E' mass j by cdf_b[kn_i - 1 - j, i] for j < kn_i.
-        lag = kn.astype(int) - 1 - np.arange(count)[:, None]
-        below = (lag >= 0).astype(float)
-        weight = np.take_along_axis(cdf_b, np.maximum(lag, 0), axis=0) * below
-        contract = _row_sums
-    e_shape = ke - 1.0 if integrated else ke
-    if integrated:
-        run = np.cumsum(weight, axis=0)  # run[k] = h(k + 1) up to the row's kn
-        h = np.concatenate([np.zeros_like(run[:1]), run[:-1]]) * below
-        weights = [h, below, run[-1], wn / we / e_shape]
-    else:
-        weights = [weight]
+    return np.rint(shapes)
+
+
+def _lagged(cdf, last):
+    """The weights of a (count, ...) background CDF: cdf[last - j] at
+    j <= last, per row for per-row ``last``, and an exact 0 from there on."""
+    lag = last - np.arange(len(cdf)).reshape((-1,) + (1,) * np.ndim(last))
+    index = (np.maximum(lag, 0).astype(int), *np.indices(lag.shape[1:], sparse=True))
+    return cdf[index] * (lag >= 0)
+
+
+def _efficiency_block(x, log_binom, shape, wn, we):
+    """(odds, NB(shape, pe(x)) masses at 0..count-1) at each x >= 0, where
+    pe(x) = x * we / (wn + x * we) has the odds x * we / wn."""
+    odds = _nonnegative(x) * we / wn
+    return odds, _nb_pmf_block(log_binom, shape, -np.log1p(1.0 / odds), -np.log1p(odds))
+
+
+def _prepared_series(kn, wn, kb, wb, ke, we, repeats=1):
+    """The single-end series route with everything that does not depend
+    on x built once: returns den = P(A >= B) = P(B' <= kn - 1), per row
+    for per-row shapes, and x -> survival at x.  Shapes as for
+    :func:`survival_series`; with per-row shapes, x must have ``repeats``
+    consecutive entries per row, which share the row's x-free arrays.
+    The caller runs both this and the returned function under
+    ``np.errstate(all="ignore")``: log(0), 0 * inf and 1 / x at x = 0 or
+    subnormal x warn.
+
+    With E' ~ NB(ke, pe(x)) and the x-free background CDF of
+    B' ~ NB(kb, pb) as weights, a pass is one block of masses and one
+    contraction:
+
+        survival(x) = sum_{j < kn} P(E' = j) * P(B' <= kn - 1 - j).
+
+    Per-row weights are exact zeros from the row's kn on, so the terms a
+    longer row pads a batch with add +0.0 and a row's values do not
+    depend on the rows beside it.  den is the first weight, which the
+    survival at x = 0 equals exactly.
+    """
+    kn, kb, ke = _series_shapes(kn, wn, kb, wb, ke, we)
+    count = max(int(kn.max()), 1)
+    weight = _lagged(np.cumsum(_background_block(kb, wn, wb, count), axis=0), kn - 1)
     # Rounding can lift a CDF that sums to 1 just above it.
     den = np.minimum(weight[0], 1.0)
-    x_free = weights + [e_shape, _log_binomials(e_shape, count), den]
+    x_free = [weight, ke, _log_binomials(ke, count), den]
     if repeats > 1:
         x_free = [np.repeat(a, repeats, axis=-1) for a in x_free]
-    *weights, e_shape, log_binom_e, den = x_free
+    weight, ke, log_binom_e, den = x_free
+    contract = _row_sums if kn.ndim else np.matmul
 
     def values(x) -> np.ndarray:
-        # pe(x) = x * we / (wn + x * we) has the odds x * we / wn.
-        odds = _nonnegative(x) * we / wn
-        nb_e = _nb_pmf_block(
-            log_binom_e, e_shape, -np.log1p(1.0 / odds), -np.log1p(odds)
-        )
-        if not integrated:
-            # Rounding can lift a survival that sums to 1 just above it.
-            return np.minimum(contract(weights[0], nb_e), 1.0)
-        h, below, h_kn, factor = weights
-        tail = 1.0 - contract(below, nb_e)
-        return (contract(h, nb_e) + tail * h_kn) * factor
+        nb_e = _efficiency_block(x, log_binom_e, ke, wn, we)[1]
+        # Rounding can lift a survival that sums to 1 just above it.
+        return np.minimum(contract(weight, nb_e), 1.0)
 
     return den, values
 
 
-def _interval_series(kn, wn, kb, wb, ke, we):
-    """The series route for both ends of a belief interval from one
-    x-free state: the upper end (kn, kb, ke), kn >= 1, and the lower end
-    (kn - 1, kb + 1, ke + 1), integer shapes on shared scales.  Returns
-    den = P(A >= B) of the upper end and x -> the (2, points) survivals
-    of the lower end (row 0) and the upper end (row 1).  The caller runs
-    both under ``np.errstate(all="ignore")``, as for
-    :func:`_prepared_series`.
+def _interval_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
+    """Both ends of a belief interval from one x-free state: the upper end
+    (kn, kb, ke) and the lower end (kn - 1, kb + 1, ke + 1) on shared
+    scales.  Returns den = P(A >= B) of the upper end and x -> the
+    survivals of the lower end (row 0) and the upper end (row 1), or with
+    ``integrated`` (ke >= 2) their integrals over [0, x].  Shapes,
+    ``repeats`` and errstate as for :func:`_prepared_series`; an end with
+    numerator shape 0 is 0.
 
-    The ends differ by one unit of shape in each gamma, and for
-    E' ~ NB(ke, p), P(NB(ke + 1, p) = j) = P(E' = j) (ke + j) / ke (1 - p).
-    So with B'_k ~ NB(k, pb), one block of E' masses at pe(x) gives both
+    The ends differ by one unit of shape in each gamma, and
+    P(NB(e + 1, p) = j) = P(NB(e, p) = j) (e + j) / e (1 - p).  So one
+    block of masses of K ~ NB(e, pe(x)) serves both ends: the lower end's
+    weights take the factor (e + j) / e and its sums 1 - pe(x) =
+    1 / (1 + x we / wn).  The survivals take e = ke and the weights of
+    :func:`_prepared_series`; at ke == 0, E is the constant 0, so the
+    block at e = 1 is the lower end's and the upper survival is den.  The
+    integrals take e = ke - 1: on each end's shapes, with c = wn / we,
+    K' ~ NB(ke - 1, pe(x)) and h(k) = E[min(k, (kn - B')^+)], the weight
+    g(k) = h(kn) - h(k) = sum_{k <= j < kn} P(B' <= kn - 1 - j) gives
 
-        survival_up(x) = sum_{j < kn} P(E' = j) P(B'_kb <= kn - 1 - j),
-        survival_lo(x) = (1 - pe(x)) sum_{j < kn - 1} P(E' = j) (ke + j) / ke
-                         * P(B'_(kb + 1) <= kn - 2 - j),
+        J(x) = c / (ke - 1) * E[h(min(K', kn))]
+             = c / (ke - 1) * [g(0) - sum_{k < kn} P(K' = k) * g(k)],
 
-    with 1 - pe(x) = 1 / (1 + x we / wn): a call is one exp block and one
-    2-row contraction.  den = P(NB(kb, pb) <= kn - 1) is the last entry
-    of the upper end's background CDF.  At ke == 0, E is the constant 0,
-    the block is at shape 1 for the lower end alone and the upper
-    survival is den at every x.  At kn == 1 the lower survival is 0.
+    so J(inf) = c * g(0) / (ke - 1).  A pass contracts the stacked
+    weights of scalar shapes by one matmul, per-row weights by one
+    :func:`_row_sums` per end.
     """
-    shapes = _validate(kn, wn, kb, wb, ke, we)
-    if not _is_integral(shapes).all() or shapes[0] < 1:
-        raise ValueError("interval series requires integer shapes and kn >= 1")
-    kn, kb, ke = (int(s) for s in np.rint(shapes))
-    cdf_b = np.cumsum(_background_block(np.array([kb, kb + 1.0]), wn, wb, kn), axis=0)
+    kn, kb, ke = _series_shapes(kn, wn, kb, wb, ke, we)
+    if integrated and np.min(ke) < 2:
+        raise ValueError("integrated survival requires ke >= 2")
+    count = max(int(kn.max()), 1)
+    e_shape = ke - 1.0 if integrated else np.maximum(ke, 1.0)
+    # Axis 1 holds the ends: the lower (kn - 1, kb + 1), then the upper (kn, kb).
+    cdf_b = np.cumsum(_background_block(np.array([kb + 1.0, kb]), wn, wb, count), axis=0)
+    weight = _lagged(cdf_b, np.array([kn - 2.0, kn - 1.0]))
     # Rounding can lift a CDF that sums to 1 just above it.
-    den = min(float(cdf_b[-1, 0]), 1.0)
-    lower = np.zeros(kn)
-    lower[: kn - 1] = cdf_b[: kn - 1, 1][::-1]
-    if ke > 0:
-        lower *= (ke + np.arange(kn)) / ke
-    weights = np.stack([lower, cdf_b[::-1, 0]])
-    e_shape = max(ke, 1)
-    log_binom_e = _log_binomials(float(e_shape), kn)
+    den = np.minimum(weight[0, 1], 1.0)
+    if integrated:
+        weight = np.cumsum(weight[::-1], axis=0)[::-1]  # g, summed from the top
+        factors = wn / we / np.array([ke, e_shape])
+    j = np.arange(count).reshape((-1,) + (1,) * kn.ndim)
+    weight[:, 0] *= np.where(ke > 0, (e_shape + j) / e_shape, 1.0)
+    x_free = [e_shape, _log_binomials(e_shape, count), ke > 0, den]
+    x_free += [weight[:, 0], weight[:, 1]]
+    if integrated:
+        # Per end, g(0) = h(kn) and c / (ke - 1) at the end's own ke.
+        x_free += [np.reshape(a, (2, -1)) for a in (weight[0], factors)]
+    if repeats > 1:
+        x_free = [np.repeat(a, repeats, axis=-1) for a in x_free]
+    e_shape, log_binom_e, lifted, den, *weights = x_free
+    if integrated:
+        *weights, totals, factors = weights
+    if kn.ndim:
+        def contract(nb_e):
+            return np.array([_row_sums(w, nb_e) for w in weights])
+    else:
+        contract = np.array(weights).__matmul__  # contiguous, so matmul takes BLAS
 
     def values(x) -> np.ndarray:
-        odds = _nonnegative(x) * we / wn
-        nb_e = _nb_pmf_block(
-            log_binom_e, e_shape, -np.log1p(1.0 / odds), -np.log1p(odds)
-        )
-        out = weights @ nb_e
-        if ke > 0:
-            out[0] /= 1.0 + odds
-        np.minimum(out, 1.0, out=out)
-        if ke == 0:
-            out[1] = den
-        return out
+        odds, nb_e = _efficiency_block(x, log_binom_e, e_shape, wn, we)
+        sums = contract(nb_e)  # rows: the lower end, the upper end
+        np.divide(sums[0], 1.0 + odds, out=sums[0], where=lifted)
+        if integrated:
+            return (totals - sums) * factors
+        # Rounding can lift a survival that sums to 1 just above it.
+        np.minimum(sums, 1.0, out=sums)
+        np.copyto(sums[1], den, where=~lifted)
+        return sums
 
     return den, values
 
@@ -301,22 +304,12 @@ def survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
 
 
 def integrated_survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
-    """Exact J(x) = int_0^x P(A > B + v*E) dv for integer shapes, ke >= 2;
-    shapes as for :func:`survival_series`.
-
-    With c = wn / we, K ~ NB(ke - 1, pe(x)) and B ~ NB(kb, pb),
-
-        J(x) = c / (ke - 1) * E[min(K, (kn - B)^+)],
-
-    which at x = inf is c * E[(kn - B)^+] / (ke - 1), from the x-free
-    background sums alone.  (Under w = c / (c + v) the
-    survival is w**ke times a polynomial in 1 - w.)  The expectation is
-    summed over K's masses below kn, each weighted by the x-free
-    h(k) = E[min(k, (kn - B)^+)], a running sum of the background CDF,
-    plus K's mass from kn on times h(kn) (see :func:`_prepared_series`).
-    """
+    """Exact J(x) = int_0^x P(A > B + v*E) dv for integer shapes, ke >= 2,
+    shapes as for :func:`survival_series`: the upper row of the
+    integrated :func:`_interval_series`.  J(inf) = c * E[(kn - B)^+] /
+    (ke - 1) with c = wn / we and B ~ NB(kb, pb)."""
     with np.errstate(all="ignore"):
-        return _prepared_series(kn, wn, kb, wb, ke, we, integrated=True)[1](x)
+        return _interval_series(kn, wn, kb, wb, ke, we, integrated=True)[1](x)[1]
 
 
 def _trigamma(x) -> np.ndarray:
@@ -355,45 +348,43 @@ def series_roots(shapes, t, u, quantiles, rel_tol, residual, integrated=False):
     """Roots of nondecreasing per-row series residuals, as an array of
     shape (len(quantiles), rows).
 
-    ``shapes`` has shape (k, 3, rows): k integer triples (kn, kb, ke) per
-    row on the scales (1, 1/t, 1/u).  The (row, quantile) pairs run in
-    chunks of at most _SERIES_TERMS series terms; a chunk builds the
-    x-free series arrays once per row, shared by the row's quantiles.
-    Per chunk, ``residual(values, den, rows, qs)`` gets the pairs' row
-    indices and quantiles, ``values``: x -> the (k, pairs) survivals of
-    each pair's triples at its x (integrals over [0, x] when
-    ``integrated``), and ``den``: the (k, pairs) conditioning
-    probabilities P(A >= B) of those triples, from the same series state.
-    It returns each pair's start (from :func:`quantile_start`) and
-    x -> residuals, >= 0 from each pair's root on, which
-    :func:`dsplim.specfun.solve_monotone` solves to ``rel_tol`` from
-    those starts; so a root does not depend on the rows chunked with it.
+    ``shapes`` has shape (3, rows): an integer triple (kn, kb, ke) per row
+    on the scales (1, 1/t, 1/u).  The (row, quantile) pairs run in chunks
+    of at most _SERIES_TERMS series terms per array; a chunk builds one
+    series state for its rows, whose x-free arrays a row's quantiles
+    share: the survival of :func:`_prepared_series`, or with
+    ``integrated`` the integrals of the interval state of
+    :func:`_interval_series`.  Per chunk, ``residual(values, den, rows,
+    qs)`` gets the pairs' row indices and quantiles and that state: its
+    ``values``, x -> each pair's value at its x ((2, pairs) rows of the
+    lower and upper end when ``integrated``), and ``den``, each pair's
+    P(A >= B).  It returns each pair's start (from
+    :func:`quantile_start`) and x -> residuals, >= 0 from each pair's root
+    on, which :func:`dsplim.specfun.solve_monotone` solves to ``rel_tol``
+    from those starts; so a root does not depend on the rows chunked with
+    it.
     """
     quantiles = np.asarray(quantiles, dtype=float)
     if not np.all((quantiles > 0.0) & (quantiles < 1.0)):
         raise ValueError("quantile must lie strictly inside (0, 1)")
     if not (t > 0 and u > 0):
         raise ValueError("scales t and u must be positive")
-    shapes = np.asarray(shapes, dtype=float)
-    k, _, n_rows = shapes.shape
+    kn, kb, ke = np.asarray(shapes, dtype=float)
     nq = quantiles.size
-    roots = np.empty((nq, n_rows))
-    step = max(1, _SERIES_TERMS // (k * nq * int(shapes[:, 0].max(initial=0)) + 1))
-    for first in range(0, n_rows, step):
-        block = np.arange(first, min(first + step, n_rows))
-        rows = np.repeat(block, nq)
-        # One series pass carries the k triples of every pair, triple-major.
-        kn, kb, ke = shapes[:, :, block].transpose(1, 0, 2).reshape(3, -1)
+    roots = np.empty((nq, kn.size))
+    state = partial(_interval_series, integrated=True) if integrated else _prepared_series
+    # An array holds count terms per pair, and the interval state's x-free
+    # arrays 2 * count per row, one count per end.
+    width = max(nq, 2) if integrated else nq
+    step = max(1, _SERIES_TERMS // (width * int(kn.max(initial=0)) + 1))
+    for first in range(0, kn.size, step):
+        block = np.arange(first, min(first + step, kn.size))
         with np.errstate(all="ignore"):
-            den, series = _prepared_series(
-                kn, 1.0, kb, 1.0 / t, ke, 1.0 / u, integrated, repeats=nq
+            den, values = state(
+                kn[block], 1.0, kb[block], 1.0 / t, ke[block], 1.0 / u, repeats=nq
             )
-
-            def values(x):
-                return series(np.tile(x, k) if k > 1 else x).reshape(k, -1)
-
             start, pairs = residual(
-                values, np.reshape(den, (k, -1)), rows, np.tile(quantiles, block.size)
+                values, den, np.repeat(block, nq), np.tile(quantiles, block.size)
             )
             found = solve_monotone(pairs, start, rel_tol, NumericalError)
         roots[:, block] = found.reshape(-1, nq).T

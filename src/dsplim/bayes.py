@@ -7,11 +7,12 @@ The signal posterior is the law of (L_n - B) / E restricted to the
 nonnegative half-line, with L_n, B, E the three posterior gammas, and
 its CDF 1 - survival(x) / den, with den the posterior mass on s >= 0,
 shares the evaluation engine of the belief-interval channel CDFs.  A
-posterior builds one state (:func:`_posterior_state`); every series
-state returns its own den beside the survival.  A batch is solved by
-:func:`dsplim._gamma_ratio.series_roots`, the per-row solver of the
-grid-free DS limits, and sends the datasets with a shape above the
-series bound to the scalar route, which takes quadrature there.  Every
+posterior builds one state (:func:`_posterior_state`), on the series
+route the single-end state whose den comes beside the survival.  A
+batch is solved by :func:`dsplim._gamma_ratio.series_roots` on one
+single-end state per row (the grid-free DS limits take the interval
+state there), and sends the datasets with a shape above the series
+bound to the scalar route, which takes quadrature there.  Every
 quantile, scalar or batched, is one call of
 :func:`dsplim.specfun.solve_monotone` on the log-tail residual
 log((1 - q) * den) - log(survival(x)).  It starts at
@@ -209,7 +210,6 @@ def bayes_upper_limits_batch(
 
     def residual(surv, den, rows, qs):
         j = series[rows]
-        den = den[0]
         if not np.all(den > 0):
             j = j[np.argmin(den > 0)]
             raise NumericalError(
@@ -219,9 +219,9 @@ def bayes_upper_limits_batch(
         # F(x) >= q  <=>  survival(x) <= (1 - q) * den
         log_target = np.log((1.0 - qs) * den)
         start = quantile_start(kn[j], kb[j], ke[j], t, u, qs)
-        return start, lambda x: log_target - np.log(surv(x)[0])
+        return start, lambda x: log_target - np.log(surv(x))
 
-    shapes = [(kn[series], kb[series], ke[series])]
+    shapes = (kn[series], kb[series], ke[series])
     limits = np.empty((np.size(quantiles), ns.size))
     limits[:, series] = series_roots(shapes, t, u, quantiles, rel_tol, residual)
     for j in np.flatnonzero(~carried):

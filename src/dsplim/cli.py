@@ -27,7 +27,7 @@ from functools import cache
 import numpy as np
 
 from ._gamma_ratio import NumericalError
-from .bayes import prior_preset
+from .bayes import PRIOR_PRESETS
 from .ds_limits import (
     ChannelObservation,
     Dataset,
@@ -339,9 +339,14 @@ def cmd_credibility(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    for m in args.methods:
-        if m != "ds":
-            prior_preset(m)
+    known = sorted(["ds", *PRIOR_PRESETS])
+    if not args.methods:
+        raise ValueError("--methods names no method")
+    for i, m in enumerate(args.methods):
+        if m not in known:
+            raise ValueError(f"unknown method {m!r}; choose from {known}")
+        if m in args.methods[:i]:
+            raise ValueError(f"--methods names {m!r} twice")
     lo, hi = args.summary_range
     if not ((args.s_grid >= lo) & (args.s_grid <= hi)).any():
         raise ValueError(f"--summary-range {lo:g}:{hi:g} holds no point of --s-grid")

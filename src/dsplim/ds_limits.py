@@ -22,22 +22,21 @@ transform) density is f(x) proportional to the product of the r_i(x),
 normalized on a shared grid; upper limits are quantiles of its CDF.
 
 The two ends differ by one unit of shape in each gamma: the upper end
-has shapes (n + 1, y, z), the lower end (n, y + 1, z + 1).  With
-E' ~ NB(z, pe(x)), P(NB(z + 1, p) = j) = P(NB(z, p) = j) (z + j) / z (1 - p),
-so one block of E' masses at shape z gives both endpoint survivals,
-and the series state returns its own conditioning probability
-den = P(NB(y, 1/(1+t)) <= n), the last entry of the upper end's
-background CDF.  A channel therefore builds one state
-(:func:`_channel_state`), the only endpoint-CDF code: the grid's ladder
-probe, both endpoint curves and the per-end CDFs read it.  Off the
-series route the state takes den from one beta CDF and evaluates each
-requested end by quadrature.
-
-For one channel with z >= 2 the CDF also has a grid-free closed form,
-which :func:`ds_upper_limits_batch` inverts for many datasets at once,
-by bracketed false-position steps on the log of the mass above each
-candidate limit; :func:`dsplim.evalharness.make_ds_method` takes every
-such row there.
+has shapes (n + 1, y, z), the lower end (n, y + 1, z + 1).  One
+interval state (:func:`dsplim._gamma_ratio._interval_series`) builds
+both from one block of efficiency masses, by
+P(NB(z + 1, p) = j) = P(NB(z, p) = j) (z + j) / z (1 - p), and serves
+both routes to a limit.  On the grid route a channel builds one state
+of both endpoint survivals and their conditioning probability
+den = P(NB(y, 1/(1+t)) <= n) (:func:`_channel_state`, the only
+endpoint-CDF code): the grid's ladder probe, both endpoint curves and
+the per-end CDFs read it.  Off the series route that state takes den
+from one beta CDF and evaluates each requested end by quadrature.  For
+one channel with z >= 2 the CDF also has a grid-free closed form in
+the integrals of both endpoint survivals, which
+:func:`ds_upper_limits_batch` inverts for many datasets at once from
+the integrated interval state, one per dataset;
+:func:`dsplim.evalharness.make_ds_method` takes every such row there.
 
 A channel with z == 0 carries no information about the efficiency, so
 every signal value stays fully plausible (F_upper is identically 0 for
@@ -417,33 +416,33 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
     Returns an array of shape (len(quantiles), len(ns)).  For one channel
     the plausibility CDF has a closed form: with J_up and J_lo the
     integrated survival functions of the upper-end shapes (n+1, y, z)
-    and the lower-end shapes (n, y+1, z+1) (see
-    :func:`dsplim._gamma_ratio.integrated_survival_series`),
+    and the lower-end shapes (n, y+1, z+1),
 
         G(X) = (J_up(X) - J_lo(X)) / (J_up(inf) - J_lo(inf)),
 
-    and the conditioning probability cancels; J(inf) is the series at
-    x = inf, c / (ke - 1) * E[(kn - B)^+] from the x-free background sums
-    alone.
-    Every row must be one of :func:`exact_rows`.  G(X) = q is solved per
-    (dataset, quantile) pair by :func:`dsplim._gamma_ratio.series_roots`
-    on the log of the mass above X, to a relative width of
-    _EXACT_REL_TOL, so each limit is independent of the rows batched
-    with it.  Each pair starts at the quantile guess of the shapes
-    (n + 1, y, z - 1): G's tail decays one power of X slower than the
-    upper-end survival, and at (0, 0, z) the limit is
-    u * ((1 - q)**(-1 / (z - 1)) - 1).  Raises NumericalError naming the
-    first row whose mass J_up(inf) - J_lo(inf) underflows.
+    and the conditioning probability cancels.  Both come from one
+    integrated interval state per row
+    (:func:`dsplim._gamma_ratio._interval_series` on (n+1, y, z)), J(inf)
+    from its x-free background sums alone.  Every row must be one of
+    :func:`exact_rows`.  G(X) = q is solved per (dataset, quantile) pair
+    by :func:`dsplim._gamma_ratio.series_roots` on the log of the mass
+    above X, to a relative width of _EXACT_REL_TOL, so each limit is
+    independent of the rows batched with it.  Each pair starts at the
+    quantile guess of the shapes (n + 1, y, z - 1): G's tail decays one
+    power of X slower than the upper-end survival, and at (0, 0, z) the
+    limit is u * ((1 - q)**(-1 / (z - 1)) - 1).  Raises NumericalError
+    naming the first row whose mass J_up(inf) - J_lo(inf) underflows.
     """
     ns, ys, zs = (np.asarray(a, dtype=int) for a in (ns, ys, zs))
     if not exact_rows(ns, ys, zs).all():
         raise ValueError("rows must be exact_rows: z >= 2 and series shapes")
 
-    shapes = [(ns + 1, ys, zs), (ns, ys + 1, zs + 1)]
-
     def residual(integrals, _den, rows, qs):
-        # J_up - J_lo at x = inf, the unnormalized mass of every pair
-        norm = np.subtract(*integrals(np.full(rows.size, np.inf)))
+        def mass(x):  # J_up(x) - J_lo(x)
+            lower, upper = integrals(x)
+            return upper - lower
+
+        norm = mass(np.full(rows.size, np.inf))  # the unnormalized mass of every pair
         if not np.all(norm > 0):
             j = rows[np.argmin(norm > 0)]
             raise NumericalError(
@@ -453,10 +452,8 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
         # G(x) >= q  <=>  the mass above x is at most (1 - q) * norm
         log_target = np.log((1.0 - qs) * norm)
         start = quantile_start(ns[rows] + 1, ys[rows], zs[rows] - 1, t, u, qs)
-        return start, lambda x: log_target - np.log(
-            np.maximum(norm - np.subtract(*integrals(x)), 0.0)
-        )
+        return start, lambda x: log_target - np.log(np.maximum(norm - mass(x), 0.0))
 
     return series_roots(
-        shapes, t, u, quantiles, _EXACT_REL_TOL, residual, integrated=True
+        (ns + 1, ys, zs), t, u, quantiles, _EXACT_REL_TOL, residual, integrated=True
     )

@@ -252,10 +252,10 @@ def test_batch_den_is_the_posterior_mass(rows, t, u):
     seen = {}
 
     def residual(values, den, pairs, qs):
-        seen.update(pairs=pairs, den=den[0], at_zero=values(np.zeros(pairs.size))[0])
+        seen.update(pairs=pairs, den=den, at_zero=values(np.zeros(pairs.size)))
         return np.ones(pairs.size), np.log  # the root x = 1
 
-    series_roots([(kn, kb, ke)], t, u, (0.5, 0.9), 1e-8, residual)
+    series_roots((kn, kb, ke), t, u, (0.5, 0.9), 1e-8, residual)
     den, at_zero, pairs = seen["den"], seen["at_zero"], seen["pairs"]
     want = sp.betainc(kb[pairs], kn[pairs], 1.0 / (1.0 + 1.0 / t))
     normal = want > 1e-280

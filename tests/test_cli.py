@@ -509,6 +509,22 @@ class TestSimulateCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("methods,message", [
+        (",", "--methods names no method"),
+        ("ds,ds", "--methods names 'ds' twice"),
+        ("B1,ds,B1", "--methods names 'B1' twice"),
+        ("DS", "unknown method 'DS'; choose from ['B1', 'B2', 'ds', 'lower', 'upper']"),
+    ], ids=["empty", "ds-twice", "B1-twice", "DS"])
+    def test_bad_method_list_rejected(self, tmp_path, capsys, methods, message):
+        out = tmp_path / "sim.csv"
+        rc = main(
+            ["simulate", "--output", str(out), "--methods", methods,
+             "--s-grid", "20:21:1", "--reps", "2"]
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_summary_range_rejected(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         rc = main(

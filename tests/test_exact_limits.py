@@ -2,6 +2,7 @@
 and the grid-free batch that the studies use for rows with z >= 2."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.stats import nbinom
 from dsplim import evalharness
 from dsplim._gamma_ratio import (
     NumericalError,
+    _interval_series,
     _prepared_series,
     integrated_survival_series,
     survival_series,
@@ -49,15 +51,19 @@ class TestIntegratedSurvival:
             assert g == pytest.approx(want, rel=1e-11, abs=1e-13 * u)
 
     def test_per_row_shapes_match_shared_shapes(self):
+        # Both rows of the integrated interval state: the lower end
+        # (kn - 1, kb + 1, ke + 1) and the upper end (kn, kb, ke).
         t, u = SMALL
         xs = np.array([0.5, 4.0, 30.0, math.inf])
         kn, kb, ke = (np.array(c, dtype=float) for c in zip(*self.SHAPES))
         rows = np.repeat(np.arange(kn.size), xs.size)
         x = np.tile(xs, kn.size)
-        got = integrated_survival_series(x, kn[rows], 1.0, kb[rows], 1 / t, ke[rows], 1 / u)
-        for i, (kn_i, kb_i, ke_i) in enumerate(self.SHAPES):
-            want = integrated_survival_series(xs, kn_i, 1.0, kb_i, 1 / t, ke_i, 1 / u)
-            np.testing.assert_allclose(got[rows == i], want, rtol=1e-13)
+        with np.errstate(all="ignore"):
+            per_row = _interval_series(kn[rows], 1.0, kb[rows], 1 / t, ke[rows], 1 / u, True)
+            got = per_row[1](x)
+            for i, (kn_i, kb_i, ke_i) in enumerate(self.SHAPES):
+                shared = _interval_series(kn_i, 1.0, kb_i, 1 / t, ke_i, 1 / u, True)
+                np.testing.assert_allclose(got[:, rows == i], shared[1](xs), rtol=1e-13)
 
     def test_needs_ke_at_least_two(self):
         with pytest.raises(ValueError, match="ke >= 2"):
@@ -132,25 +138,31 @@ class TestBitwiseIndependence:
     def test_series_row_beside_longer_rows(self, integrated):
         # A row padded past its kn in a batch with longer rows, or repeated
         # to share its x-free arrays, keeps the bits it has alone, and so
-        # does its conditioning probability P(A >= B).
+        # does its conditioning probability P(A >= B): every value of the
+        # single-end survival, or both rows (lower end, upper end) of the
+        # integrated interval state.
         t, u = PAPER
         kn = np.array([3.0, 40.0, 1.0, 300.0, 17.0, 0.0])
         kb = np.array([0.0, 90.0, 5.0, 2.0, 33.0, 4.0])
         ke = np.array([2.0, 100.0, 7.0, 9.0, 2.0, 3.0])
         x = np.array([0.0, 3.0, math.inf, 50.0, 1e4, 0.7])
         shapes = (kn, 1.0, kb, 1 / t, ke, 1 / u)
+        state = partial(_interval_series, integrated=True) if integrated else _prepared_series
         with np.errstate(all="ignore"):
-            den, series = _prepared_series(*shapes, integrated)
-            together = series(x)
-            den_2, series_2 = _prepared_series(*shapes, integrated, 2)
-            repeated = series_2(np.repeat(x, 2))
+            den, series = state(*shapes)
+            together = np.reshape(series(x), (-1, kn.size))
+            den_2, series_2 = state(*shapes, repeats=2)
+            repeated = np.reshape(series_2(np.repeat(x, 2)), (-1, 2 * kn.size))
             for i in range(kn.size):
                 one = (kn[i : i + 1], 1.0, kb[i : i + 1], 1 / t, ke[i : i + 1], 1 / u)
-                den_1, series_1 = _prepared_series(*one, integrated)
-                alone = series_1(x[i : i + 1])[0]
-                assert alone == together[i] == repeated[2 * i] == repeated[2 * i + 1]
+                den_1, series_1 = state(*one)
+                alone = np.reshape(series_1(x[i : i + 1]), -1)
+                assert np.array_equal(alone, together[:, i])
+                assert np.array_equal(alone, repeated[:, 2 * i])
+                assert np.array_equal(alone, repeated[:, 2 * i + 1])
                 assert den_1[0] == den[i] == den_2[2 * i] == den_2[2 * i + 1]
-        assert together[5] == den[5] == 0.0  # kn = 0: A is the constant 0
+        # kn = 0: A is the constant 0
+        assert np.all(together[:, 5] == 0.0) and den[5] == 0.0
 
     def test_term_budget_keeps_bits(self, monkeypatch):
         import dsplim._gamma_ratio as gamma_ratio

@@ -17,6 +17,7 @@ from scipy.stats import nbinom
 
 from dsplim._gamma_ratio import (
     NumericalError,
+    _interval_series,
     _log_binomials,
     _nb_pmf_block,
     integrated_survival_series,
@@ -251,3 +252,12 @@ def test_integrated_survival_series_against_scipy(kn, kb, ke, t, u, xs):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10 * scale)
     # nondecreasing in x to the same accuracy
     assert np.all(np.diff(got) >= -1e-10 * scale)
+    if kn >= 1:
+        # The interval state's lower row, (kn - 1, kb + 1, ke + 1) summed
+        # from the upper end's block, to the same share of its own J(inf).
+        with np.errstate(all="ignore"):
+            got = _interval_series(*shapes, integrated=True)[1](xs)[0]
+        lower = (kn - 1, 1.0, kb + 1, 1.0 / t, ke + 1, 1.0 / u)
+        scale = max(nb_convolution_integral(math.inf, *lower), np.finfo(float).tiny)
+        want = [nb_convolution_integral(x, *lower) for x in xs]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10 * scale)
