@@ -29,8 +29,9 @@ with one row per point of x.  Each block is exponentiated from its
 logarithm, so a start value (1 - p)**r far below the double range
 loses no mass.  Every series state returns its own conditioning
 probability den = P(A >= B) = P(NB(kb, pb) <= kn - 1), the last entry
-of its background CDF; quadrature takes den from
-:func:`conditioning_probability`.
+of its background CDF.  The quadrature state
+(:func:`_quadrature_state`) has the same form, den from one
+:func:`conditioning_probability` per row, so a root search takes either.
 
 One interval state (:func:`_interval_series`) serves both routes of the
 DS limits.  The two ends of a belief interval, (kn, kb, ke) and
@@ -38,10 +39,10 @@ DS limits.  The two ends of a belief interval, (kn, kb, ke) and
 P(NB(r + 1, p) = j) = P(NB(r, p) = j) (r + j) / r (1 - p).  It gives
 their survivals on shared shapes for the grid route, and for ke >= 2
 their integrals over [0, x] on per-row shapes for the grid-free
-single-channel limits.  :func:`series_roots` inverts per-row series
-states for many rows at once, by superlinear bracketed steps on
-log-tail residuals from a start that :func:`quantile_start` estimates
-per row; the batched DS and Bayes limits are its two callers.
+single-channel limits.  :func:`series_roots` inverts per-row states
+for many rows at once, by superlinear bracketed steps on log-tail
+residuals from a start that :func:`quantile_start` estimates per row;
+the grid-free DS limits and every Bayes limit are its two callers.
 
 "quadrature" (any positive real shapes).  The beta-CDF form
 
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 from scipy.special import betaincinv, digamma, ndtri
@@ -344,20 +344,20 @@ def quantile_start(kn, kb, ke, t, u, q) -> np.ndarray:
     return np.exp(np.log(m) - digamma(ke) + math.log(u) + ndtri(q) * spread)
 
 
-def series_roots(shapes, t, u, quantiles, rel_tol, residual, integrated=False):
-    """Roots of nondecreasing per-row series residuals, as an array of
-    shape (len(quantiles), rows).
+def series_roots(shapes, t, u, quantiles, rel_tol, residual, state=_prepared_series):
+    """Roots of nondecreasing per-row residuals, as an array of shape
+    (len(quantiles), rows).
 
-    ``shapes`` has shape (3, rows): an integer triple (kn, kb, ke) per row
-    on the scales (1, 1/t, 1/u).  The (row, quantile) pairs run in chunks
-    of at most _SERIES_TERMS series terms per array; a chunk builds one
-    series state for its rows, whose x-free arrays a row's quantiles
-    share: the survival of :func:`_prepared_series`, or with
-    ``integrated`` the integrals of the interval state of
-    :func:`_interval_series`.  Per chunk, ``residual(values, den, rows,
+    ``shapes`` has shape (3, rows): a triple (kn, kb, ke) per row on the
+    scales (1, 1/t, 1/u).  The (row, quantile) pairs run in chunks of at
+    most _SERIES_TERMS series terms per array; a chunk builds one
+    ``state`` for its rows, whose x-free arrays a row's quantiles share:
+    the survival of :func:`_prepared_series` by default, the integrals of
+    ``partial(_interval_series, integrated=True)``, or the survival of
+    :func:`_quadrature_state`.  Per chunk, ``residual(values, den, rows,
     qs)`` gets the pairs' row indices and quantiles and that state: its
     ``values``, x -> each pair's value at its x ((2, pairs) rows of the
-    lower and upper end when ``integrated``), and ``den``, each pair's
+    lower and upper end for the interval state), and ``den``, each pair's
     P(A >= B).  It returns each pair's start (from
     :func:`quantile_start`) and x -> residuals, >= 0 from each pair's root
     on, which :func:`dsplim.specfun.solve_monotone` solves to ``rel_tol``
@@ -372,11 +372,9 @@ def series_roots(shapes, t, u, quantiles, rel_tol, residual, integrated=False):
     kn, kb, ke = np.asarray(shapes, dtype=float)
     nq = quantiles.size
     roots = np.empty((nq, kn.size))
-    state = partial(_interval_series, integrated=True) if integrated else _prepared_series
     # An array holds count terms per pair, and the interval state's x-free
     # arrays 2 * count per row, one count per end.
-    width = max(nq, 2) if integrated else nq
-    step = max(1, _SERIES_TERMS // (width * int(kn.max(initial=0)) + 1))
+    step = max(1, _SERIES_TERMS // (max(nq, 2) * int(kn.max(initial=0)) + 1))
     for first in range(0, kn.size, step):
         block = np.arange(first, min(first + step, kn.size))
         with np.errstate(all="ignore"):
@@ -415,13 +413,10 @@ def _inner_breakpoints(alpha, kn, wn, kb, wb, ke) -> np.ndarray:
 
 
 def survival_quadrature(
-    x: float, kn, wn, kb, wb, ke, we, quad: QuadratureConfig | None = None
+    x: float, kn, wn, kb, wb, ke, we, quad: QuadratureConfig
 ) -> float:
-    """Beta-CDF evaluation of P(A > B + x*E) at a single point."""
-    _validate(kn, wn, kb, wb, ke, we)
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    quad = quad or QuadratureConfig()
+    """Beta-CDF evaluation of P(A > B + x*E) at one point x >= 0, for
+    shapes and scales that :func:`survival` has checked."""
     if kn == 0 or math.isinf(x):
         return 0.0
     alpha = wn / (wn + x * we)
@@ -459,24 +454,27 @@ def survival(
     method: str = "auto",
     quad: QuadratureConfig | None = None,
 ):
-    """P(A > B + x*E); x may be a scalar or an array.
+    """P(A > B + x*E); x may be a scalar or an array, the shapes shared
+    scalars or one per point of x.
 
     method "auto" takes the exact series whenever all shapes are
-    integers up to _SERIES_MAX_SHAPE, and quadrature otherwise.
+    integers up to _SERIES_MAX_SHAPE, and quadrature otherwise, one
+    :func:`survival_quadrature` per point.
     """
     if method == "auto":
         method = "series" if _series_carries(kn, kb, ke).all() else "quadrature"
-    scalar = np.ndim(x) == 0
     if method == "series":
         out = survival_series(x, kn, wn, kb, wb, ke, we)
-        return float(out[0]) if scalar else out
-    if method == "quadrature":
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+    elif method == "quadrature":
+        _validate(kn, wn, kb, wb, ke, we)
+        quad = quad or QuadratureConfig()
+        points = np.transpose(np.broadcast_arrays(_nonnegative(x), kn, kb, ke)).tolist()
         out = np.array(
-            [survival_quadrature(float(v), kn, wn, kb, wb, ke, we, quad) for v in xs]
+            [survival_quadrature(v, a, wn, b, wb, e, we, quad) for v, a, b, e in points]
         )
-        return float(out[0]) if scalar else out
-    raise ValueError(f"unknown method {method!r}")
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def conditioning_probability(kn, wn, kb, wb) -> float:
@@ -485,6 +483,20 @@ def conditioning_probability(kn, wn, kb, wb) -> float:
     if kn == 0:
         raise ValueError("conditioning requires a nondegenerate numerator")
     return beta_cdf(wn / (wn + wb), kb, kn)
+
+
+def _quadrature_state(kn, wn, kb, wb, ke, we, repeats=1, quad=None):
+    """The quadrature route, for any positive shapes, in the state form of
+    :func:`_prepared_series` (shapes and ``repeats`` likewise): den, one
+    :func:`conditioning_probability` per row, and x -> the survival at x."""
+    shapes = _validate(kn, wn, kb, wb, ke, we).reshape(3, -1)
+    den = [conditioning_probability(a, wn, b, wb) for a, b in shapes[:2].T.tolist()]
+    kn, kb, ke = np.repeat(shapes, repeats, axis=1)
+
+    def values(x) -> np.ndarray:
+        return survival(x, kn, wn, kb, wb, ke, we, "quadrature", quad)
+
+    return np.repeat(den, repeats), values
 
 
 def clamp_unit(values):

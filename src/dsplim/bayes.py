@@ -6,19 +6,13 @@ shapes are count + prior shape and the scales are (1, 1/t, 1/u).
 The signal posterior is the law of (L_n - B) / E restricted to the
 nonnegative half-line, with L_n, B, E the three posterior gammas, and
 its CDF 1 - survival(x) / den, with den the posterior mass on s >= 0,
-shares the evaluation engine of the belief-interval channel CDFs.  A
-posterior builds one state (:func:`_posterior_state`), on the series
-route the single-end state whose den comes beside the survival.  A
-batch is solved by :func:`dsplim._gamma_ratio.series_roots` on one
-single-end state per row (the grid-free DS limits take the interval
-state there), and sends the datasets with a shape above the series
-bound to the scalar route, which takes quadrature there.  Every
-quantile, scalar or batched, is one call of
-:func:`dsplim.specfun.solve_monotone` on the log-tail residual
-log((1 - q) * den) - log(survival(x)).  It starts at
-:func:`dsplim._gamma_ratio.quantile_start` of the posterior shapes, a
-log-normal guess of the quantile, and widens its bracket outward from
-there.
+shares the evaluation engine of the belief-interval channel CDFs: the
+series state where all three shapes are integers up to the series
+bound, the quadrature state elsewhere, each with den beside the
+survival.  Every quantile, of one posterior or of a batch, is a root of
+the log-tail residual log((1 - q) * den) - log(survival(x)) on one path
+(:func:`_posterior_limits`), so a dataset's limit has the same bits
+alone, in any batch and from :func:`bayes_upper_limit`.
 
 Note on the scale convention: a proper unit-scale gamma prior combined
 with the Poisson likelihood would put scale 1/2 (and 1/(2t), 1/(2u))
@@ -30,21 +24,21 @@ common scale cancels from its CDF; the shape-only update with scales
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._gamma_ratio import (
     NumericalError,
     _prepared_series,
+    _quadrature_state,
     _series_carries,
     clamp_unit,
-    conditioning_probability,
     quantile_start,
     series_roots,
-    survival,
 )
 from .ds_limits import ChannelObservation
-from .specfun import QuadratureConfig, solve_monotone
+from .specfun import QuadratureConfig
 
 __all__ = [
     "PriorConfig",
@@ -113,64 +107,78 @@ def conjugate_posteriors(ch: ChannelObservation, prior: PriorConfig) -> GammaPos
     )
 
 
-def _posterior_state(post: GammaPosteriors, method="auto", quad=None):
-    """(den, x -> survival(x) at 1-d x) of one posterior, den its mass on
-    s >= 0, on the route ``survival(method)`` takes.  The series state
-    gives both, its x-free arrays built once, and is called under
-    ``np.errstate(all="ignore")``; quadrature takes den from a beta CDF."""
-    (kn, wn), (kb, wb), (ke, we) = post.ln, post.lb, post.le
-    if method == "auto":
-        method = "series" if _series_carries(kn, kb, ke).all() else "quadrature"
-    if method == "series":
-        with np.errstate(all="ignore"):
-            den, surv = _prepared_series(kn, wn, kb, wb, ke, we)
-    else:
-        den = conditioning_probability(kn, wn, kb, wb)
-
-        def surv(x):
-            return survival(x, kn, wn, kb, wb, ke, we, method, quad)
-
-    if not den > 0:
-        raise NumericalError("posterior mass on s >= 0 underflows")
-    return den, surv
-
-
 def bayes_posterior_cdf(
     post: GammaPosteriors,
     x,
     method: str = "auto",
     quad: QuadratureConfig | None = None,
 ):
-    """Posterior CDF of the signal at x >= 0 (scalar or array)."""
-    den, surv = _posterior_state(post, method, quad)
+    """Posterior CDF of the signal at x >= 0 (scalar or array), on the
+    route ``survival(method)`` takes."""
+    (kn, wn), (kb, wb), (ke, we) = post.ln, post.lb, post.le
+    if method == "auto":
+        method = "series" if _series_carries(kn, kb, ke) else "quadrature"
+    states = {"series": _prepared_series,
+              "quadrature": partial(_quadrature_state, quad=quad)}
+    if method not in states:
+        raise ValueError(f"unknown method {method!r}")
     with np.errstate(all="ignore"):
+        den, surv = states[method](kn, wn, kb, wb, ke, we)
+        if not den > 0:
+            raise NumericalError("posterior mass on s >= 0 underflows")
         f = clamp_unit(1.0 - surv(np.atleast_1d(np.asarray(x, dtype=float))) / den)
     return f[0] if np.ndim(x) == 0 else f
 
 
+def _posterior_limits(kn, kb, ke, t, u, quantiles, rel_tol, name_row) -> np.ndarray:
+    """Quantiles of the signal posteriors with shapes (kn, kb, ke) per row
+    on the scales (1, 1/t, 1/u), as an array of shape (len(quantiles),
+    rows).  As F(x) >= q  <=>  survival(x) <= (1 - q) * den, they are the
+    roots of log((1 - q) * den) - log(survival(x)), from the
+    :func:`dsplim._gamma_ratio.quantile_start` guess, by one
+    :func:`dsplim._gamma_ratio.series_roots` call per route of
+    ``survival(method="auto")``.  Raises NumericalError when a limit
+    exceeds the bracket cap, or naming ``name_row(j)`` for the first row
+    j whose posterior mass on s >= 0 underflows.
+    """
+    limits = np.empty((np.size(quantiles), kn.size))
+    carried = _series_carries(kn, kb, ke)
+    for route, state in (carried, _prepared_series), (~carried, _quadrature_state):
+        rows = np.flatnonzero(route)
+
+        def residual(surv, den, pairs, qs, rows=rows):
+            j = rows[pairs]
+            if not np.all(den > 0):
+                name = name_row(j[np.argmin(den > 0)])
+                raise NumericalError(f"posterior mass on s >= 0 underflows for {name}")
+            log_target = np.log((1.0 - qs) * den)
+            start = quantile_start(kn[j], kb[j], ke[j], t, u, qs)
+            return start, lambda x: log_target - np.log(surv(x))
+
+        shapes = (kn[rows], kb[rows], ke[rows])
+        limits[:, rows] = series_roots(shapes, t, u, quantiles, rel_tol, residual, state)
+    return limits
+
+
 def posterior_quantile(post: GammaPosteriors, q: float, rel_tol: float = 1e-8) -> float:
-    """Root of CDF(x) = q, bracketed from the quantile_start guess and
-    solved to relative width rel_tol."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("quantile must lie strictly inside (0, 1)")
+    """Root of CDF(x) = q, solved to relative width rel_tol: one row of
+    :func:`_posterior_limits` at t = wn / wb and u = wn / we."""
     (kn, wn), (kb, wb), (ke, we) = post.ln, post.lb, post.le
-    den, surv = _posterior_state(post)
-    # F(x) >= q  <=>  survival(x) <= (1 - q) * den
-    log_target = np.log((1.0 - q) * den)
-
-    def residual(x):
-        with np.errstate(all="ignore"):
-            return log_target - np.log(surv(x))
-
-    start = np.reshape(quantile_start(kn, kb, ke, wn / wb, wn / we, q), 1)
-    return float(solve_monotone(residual, start, rel_tol, NumericalError)[0])
+    shapes = np.array([[kn], [kb], [ke]], dtype=float)
+    name = f"posterior shapes ({kn:g}, {kb:g}, {ke:g})"
+    limits = _posterior_limits(*shapes, wn / wb, wn / we, (q,), rel_tol, lambda j: name)
+    return float(limits[0, 0])
 
 
 def bayes_upper_limit(
     ch: ChannelObservation, prior: PriorConfig, q: float, rel_tol: float = 1e-8
 ) -> float:
-    """One-sided upper limit: the q-quantile of the signal posterior."""
-    return posterior_quantile(conjugate_posteriors(ch, prior), q, rel_tol)
+    """One-sided upper limit: the q-quantile of the signal posterior, as
+    the one-row :func:`bayes_upper_limits_batch` gives it."""
+    limits = bayes_upper_limits_batch(
+        [ch.n], [ch.y], [ch.z], ch.t, ch.u, prior, (q,), rel_tol
+    )
+    return float(limits[0, 0])
 
 
 def bayes_upper_limits_batch(
@@ -185,46 +193,18 @@ def bayes_upper_limits_batch(
 ) -> np.ndarray:
     """Upper limits for many single-channel datasets at once.
 
-    Returns an array of shape (len(quantiles), len(ns)).  Requires the
-    integer-shape prior presets.  Datasets with a shape above the series
-    bound (the rule of ``survival(method="auto")``) take the scalar
-    route, which takes quadrature there.  The others are solved per
-    (dataset, quantile) pair by :func:`dsplim._gamma_ratio.series_roots`
-    with the rule of :func:`posterior_quantile`.  Each row's trajectory
-    is independent of the batch composition, so results are identical
-    under any re-batching; they agree with the scalar routine within
-    rel_tol, as the per-row sum runs in another order and the root
-    finder's steps follow its residuals.  Raises
+    Returns an array of shape (len(quantiles), len(ns)), solved per
+    (dataset, quantile) pair by :func:`_posterior_limits` on the
+    posterior shapes (n + a_n, y + a_b, z + a_e).  Each pair's
+    trajectory depends on that pair alone, so results are identical
+    under any re-batching and equal :func:`bayes_upper_limit`.  Raises
     NumericalError naming the first row whose posterior mass on s >= 0
     underflows, or when a limit exceeds the bracket cap.
     """
     ns, ys, zs = (np.asarray(a, dtype=int) for a in (ns, ys, zs))
-    for a in (prior.a_n, prior.a_b, prior.a_e):
-        if abs(a - round(a)) > 1e-9:
-            raise ValueError("batched limits require integer prior shapes")
-    kn = (ns + int(round(prior.a_n))).astype(float)
-    kb = (ys + int(round(prior.a_b))).astype(float)
-    ke = (zs + int(round(prior.a_e))).astype(float)
-    carried = _series_carries(kn, kb, ke)
-    series = np.flatnonzero(carried)
 
-    def residual(surv, den, rows, qs):
-        j = series[rows]
-        if not np.all(den > 0):
-            j = j[np.argmin(den > 0)]
-            raise NumericalError(
-                "posterior mass on s >= 0 underflows for row "
-                f"(n, y, z) = ({ns[j]}, {ys[j]}, {zs[j]})"
-            )
-        # F(x) >= q  <=>  survival(x) <= (1 - q) * den
-        log_target = np.log((1.0 - qs) * den)
-        start = quantile_start(kn[j], kb[j], ke[j], t, u, qs)
-        return start, lambda x: log_target - np.log(surv(x))
+    def name_row(j):
+        return f"row (n, y, z) = ({ns[j]}, {ys[j]}, {zs[j]})"
 
-    shapes = (kn[series], kb[series], ke[series])
-    limits = np.empty((np.size(quantiles), ns.size))
-    limits[:, series] = series_roots(shapes, t, u, quantiles, rel_tol, residual)
-    for j in np.flatnonzero(~carried):
-        ch = ChannelObservation(int(ns[j]), int(ys[j]), int(zs[j]), t, u)
-        limits[:, j] = [bayes_upper_limit(ch, prior, q, rel_tol) for q in quantiles]
-    return limits
+    shapes = (ns + prior.a_n, ys + prior.a_b, zs + prior.a_e)
+    return _posterior_limits(*shapes, t, u, quantiles, rel_tol, name_row)

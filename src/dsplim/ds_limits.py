@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -454,6 +455,6 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
         start = quantile_start(ns[rows] + 1, ys[rows], zs[rows] - 1, t, u, qs)
         return start, lambda x: log_target - np.log(np.maximum(norm - mass(x), 0.0))
 
-    return series_roots(
-        (ns + 1, ys, zs), t, u, quantiles, _EXACT_REL_TOL, residual, integrated=True
-    )
+    state = partial(_interval_series, integrated=True)
+    shapes = (ns + 1, ys, zs)
+    return series_roots(shapes, t, u, quantiles, _EXACT_REL_TOL, residual, state)

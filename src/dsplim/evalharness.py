@@ -16,6 +16,7 @@ reproducible bit-for-bit regardless of the worker count.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -185,14 +186,15 @@ def make_ds_method(grid: GridConfig = GridConfig()):
 
 
 def make_bayes_method(prior: PriorConfig | str):
-    """Bayesian limit method for single-channel rows and one
-    integer-shape prior."""
+    """Bayesian limit method for single-channel rows and one prior."""
     if isinstance(prior, str):
         prior = prior_preset(prior)
     return partial(_bayes_limits_of_counts, prior=prior)
 
 
 def _parallel_map(fn, items, threads: int):
+    # No more workers than cores: a pool forks all of them on the first submit.
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1:
         return [fn(item) for item in items]
     chunk = max(1, len(items) // (4 * threads))
@@ -298,6 +300,8 @@ def coverage_enumerate(
     C(s) misses at most 3 * tail_eps of mass; that deterministic bound
     is reported in the ``truncation_bound`` field.
     """
+    if not 0.0 < tail_eps < 1.0:
+        raise ValueError(f"tail_eps must lie strictly inside (0, 1), not {tail_eps:g}")
     eps, b = truth_nuisance
     s_grid = np.asarray(s_grid, dtype=float)
     nu, rho = t * b, u * eps

@@ -140,7 +140,7 @@ class TestUpperLimitQuantile:
                 for i, q in enumerate((0.90, 0.99)):
                     want = bisection_root(lambda x: bayes_posterior_cdf(post, x) >= q)
                     assert batch[i, j] == pytest.approx(want, rel=1e-8)
-                    assert bayes_upper_limit(ch, prior, q) == pytest.approx(want, rel=1e-8)
+                    assert bayes_upper_limit(ch, prior, q) == batch[i, j]
 
     def test_lower_prior_limits_below_upper_prior_limits(self):
         rng = RngHandle(34).generator
@@ -163,24 +163,27 @@ class TestUpperLimitQuantile:
         with pytest.raises(ValueError, match="quantile|scales"):
             bayes_upper_limits_batch([5], [10], [100], t, 100.0, prior_preset("B1"), (q,))
 
-    def test_batch_sends_oversized_shapes_to_scalar_route(self, monkeypatch):
-        import dsplim.bayes as bayes
+    def test_batch_takes_quadrature_above_series_bound(self, monkeypatch):
+        # With the bound patched to 8, (4, 3, 9) has ke = 10 above it and
+        # takes the quadrature state; the other rows stay on the series.
+        prior, qs = prior_preset("B1"), (0.9, 0.99)
+        ns, ys, zs = [2, 4, 1], [3, 3, 0], [5, 9, 6]
+        unpatched = bayes_upper_limits_batch(ns, ys, zs, 3.3, 10.0, prior, qs)
+        monkeypatch.setattr(gamma_ratio, "_SERIES_MAX_SHAPE", 8)
+        got = bayes_upper_limits_batch(ns, ys, zs, 3.3, 10.0, prior, qs)
+        series = bayes_upper_limits_batch([2, 1], [3, 0], [5, 6], 3.3, 10.0, prior, qs)
+        assert np.array_equal(got[:, [0, 2]], series)
+        ch = ChannelObservation(4, 3, 9, 3.3, 10.0)
+        assert [bayes_upper_limit(ch, prior, q) for q in qs] == got[:, 1].tolist()
+        np.testing.assert_allclose(got[:, 1], unpatched[:, 1], rtol=1e-7, atol=0.0)
 
-        calls = []
-
-        def recorded(ch, prior, q, rel_tol=1e-8):
-            calls.append((ch.n, ch.y, ch.z, q))
-            return -1.0
-
-        ns, ys, zs = [5, 20_000, 7], [10, 3, 12], [100, 90, 110]
-        want = bayes_upper_limits_batch(
-            [5, 7], [10, 12], [100, 110], 33.0, 100.0, prior_preset("B1"), (0.9, 0.99)
-        )
-        monkeypatch.setattr(bayes, "bayes_upper_limit", recorded)
-        got = bayes_upper_limits_batch(ns, ys, zs, 33.0, 100.0, prior_preset("B1"), (0.9, 0.99))
-        assert calls == [(20_000, 3, 90, 0.9), (20_000, 3, 90, 0.99)]
-        assert np.all(got[:, 1] == -1.0)
-        assert np.array_equal(got[:, [0, 2]], want)
+    def test_noninteger_prior_takes_quadrature(self):
+        prior = PriorConfig(1.5, 1.0, 1.0)
+        ch = ChannelObservation(4, 3, 9, 3.3, 10.0)
+        batch = bayes_upper_limits_batch([4], [3], [9], 3.3, 10.0, prior, (0.9,))
+        assert bayes_upper_limit(ch, prior, 0.9) == batch[0, 0]
+        post = conjugate_posteriors(ch, prior)
+        assert bayes_posterior_cdf(post, batch[0, 0]) == pytest.approx(0.9, abs=1e-7)
 
     def test_batch_term_budget_keeps_bits(self, monkeypatch):
         import dsplim._gamma_ratio as gamma_ratio
@@ -206,15 +209,13 @@ class TestUpperLimitQuantile:
             assert alone[0, 0] == together[0, j]
 
     def test_conditioning_probability_only_on_the_quadrature_route(self, monkeypatch):
-        import dsplim.bayes as bayes
-
         calls = []
 
         def counted(*args):
             calls.append(args)
             return conditioning_probability(*args)
 
-        monkeypatch.setattr(bayes, "conditioning_probability", counted)
+        monkeypatch.setattr(gamma_ratio, "conditioning_probability", counted)
         prior = prior_preset("B1")
         post = conjugate_posteriors(CH, prior)
         xs = np.array([0.5, 5.0])

@@ -389,6 +389,20 @@ class TestCoverageCommand:
         assert rc == 2
         assert "dsplim: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tail_eps", ["0", "1", "-1", "2"])
+    def test_enum_tail_eps_outside_unit_interval(self, tmp_path, capsys, tail_eps):
+        out = tmp_path / "cov.csv"
+        rc = main(
+            [
+                "coverage", "--output", str(out), "--mode", "enumerate",
+                "--t", "3.3", "--u", "10", "--eps", "0.1", "--b", "0.3",
+                "--s-grid", "0:10:5", "--enum-tail-eps", tail_eps,
+            ]
+        )
+        assert rc == 2
+        assert "dsplim: error: tail_eps must lie strictly inside (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_importance_needs_two_samples(self, tmp_path):
         out = str(tmp_path / "cov.csv")
         with pytest.raises(SystemExit) as exc:

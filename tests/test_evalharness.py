@@ -115,6 +115,30 @@ class TestRowLimits:
             i for i, row in enumerate(counts) if row[0] in fails
         ]
 
+    def test_workers_capped_at_cores(self, monkeypatch):
+        # A stub pool records its worker count and runs in this process.
+        workers = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(evalharness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(evalharness.os, "cpu_count", lambda: 3)
+        serial = _row_limits(_FailingMethod(0, {37}), self.COUNTS, 3.3, 10.0, (0.9,))
+        pooled = _row_limits(_FailingMethod(0, {37}), self.COUNTS, 3.3, 10.0, (0.9,), 5000)
+        assert workers == [3]
+        assert serial[0].tobytes() == pooled[0].tobytes() and serial[1] == pooled[1]
+
     def test_no_failure_is_one_call_per_block(self):
         method = _FailingMethod()
         limits, failures = _row_limits(method, self.COUNTS, 3.3, 10.0, (0.9,))
@@ -147,6 +171,13 @@ class TestCoverageEnumerate:
         with pytest.raises(EnumerationTooLarge):
             coverage_enumerate(
                 _const_method(1.0), s_grid=[5.0], q=0.9, cell_budget=10, **TASK1B
+            )
+
+    @pytest.mark.parametrize("tail_eps", [0.0, 1.0, -0.5, 2.0, math.nan])
+    def test_tail_eps_inside_unit_interval(self, tail_eps):
+        with pytest.raises(ValueError, match="tail_eps"):
+            coverage_enumerate(
+                _const_method(1.0), s_grid=[1.0], q=0.9, tail_eps=tail_eps, **TASK1B
             )
 
     def test_truncation_bound_reported(self):
