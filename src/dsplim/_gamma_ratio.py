@@ -37,12 +37,13 @@ One interval state (:func:`_interval_series`) serves both routes of the
 DS limits.  The two ends of a belief interval, (kn, kb, ke) and
 (kn - 1, kb + 1, ke + 1), share one block of masses, as
 P(NB(r + 1, p) = j) = P(NB(r, p) = j) (r + j) / r (1 - p).  It gives
-their survivals on shared shapes for the grid route, and for ke >= 2
-their integrals over [0, x] on per-row shapes for the grid-free
-single-channel limits.  :func:`series_roots` inverts per-row states
-for many rows at once, by superlinear bracketed steps on log-tail
-residuals from a start that :func:`quantile_start` estimates per row;
-the grid-free DS limits and every Bayes limit are its two callers.
+their survivals at each row's own points for the grid route, on a
+block of rows at once, and for ke >= 2 their integrals over [0, x] at
+one point per row for the grid-free single-channel limits.
+:func:`series_roots` inverts per-row states for many rows at once, by
+superlinear bracketed steps on log-tail residuals from a start that
+:func:`quantile_start` estimates per row; the grid-free DS limits and
+every Bayes limit are its two callers.
 
 "quadrature" (any positive real shapes).  The beta-CDF form
 
@@ -147,7 +148,9 @@ def _row_sums(a, b) -> np.ndarray:
 
 
 def _nonnegative(x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        x = x.reshape(1)
     if (x < 0).any():
         raise ValueError("x must be >= 0")
     return x
@@ -227,11 +230,15 @@ def _prepared_series(kn, wn, kb, wb, ke, we, repeats=1):
 def _interval_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
     """Both ends of a belief interval from one x-free state: the upper end
     (kn, kb, ke) and the lower end (kn - 1, kb + 1, ke + 1) on shared
-    scales.  Returns den = P(A >= B) of the upper end and x -> the
-    survivals of the lower end (row 0) and the upper end (row 1), or with
-    ``integrated`` (ke >= 2) their integrals over [0, x].  Shapes,
-    ``repeats`` and errstate as for :func:`_prepared_series`; an end with
-    numerator shape 0 is 0.
+    scales.  Returns den = P(A >= B) of the upper end and
+    (x, rows=all) -> the survivals of the lower end (row 0) and the
+    upper end (row 1), or with ``integrated`` (ke >= 2) their integrals
+    over [0, x].  Shapes, ``repeats`` and errstate as for
+    :func:`_prepared_series`; an end with numerator shape 0 is 0.  With
+    per-row shapes, x of shape (rows, points) instead gives every row
+    its own points, and ``rows`` picks the state rows that x's rows
+    belong to (all by default); scalar shapes are one such row, at every
+    point of x.
 
     The ends differ by one unit of shape in each gamma, and
     P(NB(e + 1, p) = j) = P(NB(e, p) = j) (e + j) / e (1 - p).  So one
@@ -247,11 +254,16 @@ def _interval_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
         J(x) = c / (ke - 1) * E[h(min(K', kn))]
              = c / (ke - 1) * [g(0) - sum_{k < kn} P(K' = k) * g(k)],
 
-    so J(inf) = c * g(0) / (ke - 1).  A pass contracts the stacked
-    weights of scalar shapes by one matmul, per-row weights by one
-    :func:`_row_sums` per end.
+    so J(inf) = c * g(0) / (ke - 1).  A pass at one point per row
+    contracts each end by one :func:`_row_sums`.  Points per row are
+    contracted by one stacked matmul of the (2, count) weights with the
+    (count, points) block, over the rows whose own series length
+    count = max(kn, 1) is the same: every row's block and product are
+    those of the row alone, whatever the rows beside it.  Each such
+    block holds at most _SERIES_TERMS terms.
     """
-    kn, kb, ke = _series_shapes(kn, wn, kb, wb, ke, we)
+    one_row = np.ndim(kn) == 0
+    kn, kb, ke = _series_shapes(kn, wn, kb, wb, ke, we).reshape(3, -1)
     if integrated and np.min(ke) < 2:
         raise ValueError("integrated survival requires ke >= 2")
     count = max(int(kn.max()), 1)
@@ -264,36 +276,68 @@ def _interval_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
     if integrated:
         weight = np.cumsum(weight[::-1], axis=0)[::-1]  # g, summed from the top
         factors = wn / we / np.array([ke, e_shape])
-    j = np.arange(count).reshape((-1,) + (1,) * kn.ndim)
+    j = np.arange(count)[:, None]
     weight[:, 0] *= np.where(ke > 0, (e_shape + j) / e_shape, 1.0)
+    # Per end, g(0) = h(kn) and c / (ke - 1) at the end's own ke.
+    edges = [weight[0], factors] if integrated else []
     x_free = [e_shape, _log_binomials(e_shape, count), ke > 0, den]
-    x_free += [weight[:, 0], weight[:, 1]]
-    if integrated:
-        # Per end, g(0) = h(kn) and c / (ke - 1) at the end's own ke.
-        x_free += [np.reshape(a, (2, -1)) for a in (weight[0], factors)]
+    x_free += [weight[:, 0], weight[:, 1], *edges]
+    e_shape, log_binom_e, lifted, den = x_free[:4]
     if repeats > 1:
         x_free = [np.repeat(a, repeats, axis=-1) for a in x_free]
-    e_shape, log_binom_e, lifted, den, *weights = x_free
-    if integrated:
-        *weights, totals, factors = weights
-    if kn.ndim:
-        def contract(nb_e):
-            return np.array([_row_sums(w, nb_e) for w in weights])
-    else:
-        contract = np.array(weights).__matmul__  # contiguous, so matmul takes BLAS
+    uniform = count == 1 or kn.min() == count  # every row's own series length is count
+    stacked = []  # the weights as (rows, 2, count), made by the first grid pass
 
-    def values(x) -> np.ndarray:
-        odds, nb_e = _efficiency_block(x, log_binom_e, e_shape, wn, we)
-        sums = contract(nb_e)  # rows: the lower end, the upper end
-        np.divide(sums[0], 1.0 + odds, out=sums[0], where=lifted)
+    def finish(sums, odds, lift, den, totals=None, factors=None):
+        # sums has rows: the lower end, the upper end.
+        np.divide(sums[0], 1.0 + odds, out=sums[0], where=lift)
         if integrated:
             return (totals - sums) * factors
         # Rounding can lift a survival that sums to 1 just above it.
         np.minimum(sums, 1.0, out=sums)
-        np.copyto(sums[1], den, where=~lifted)
+        np.copyto(sums[1], den, where=~lift)
         return sums
 
-    return den, values
+    def pairs(x):
+        e, log_binom, lift, d, lower, upper, *rest = x_free
+        odds, nb_e = _efficiency_block(x, log_binom, e, wn, we)
+        return finish(np.array([_row_sums(lower, nb_e), _row_sums(upper, nb_e)]),
+                      odds, lift, d, *rest)
+
+    def block(x, at, length):
+        # Rows ``at`` of one series length, each row's product by itself:
+        # each row's (2, count) weights are contiguous, so matmul takes BLAS.
+        if not stacked:
+            stacked.append(np.ascontiguousarray(weight.transpose(2, 1, 0)))
+        odds, nb_e = _efficiency_block(
+            x, log_binom_e[:length, at], e_shape[at, None], wn, we
+        )
+        sums = np.matmul(stacked[0][at, :, :length], nb_e.transpose(1, 0, 2))
+        edge = [a[:, at, None] for a in edges] if integrated else ()
+        return finish(sums.transpose(1, 0, 2), odds, lifted[at, None], den[at, None],
+                      *edge)
+
+    def grid(x, rows):
+        if uniform and x.size * count <= _SERIES_TERMS:
+            return block(x, rows, count)
+        out = np.empty((2,) + x.shape)
+        at = np.arange(kn.size)[rows]
+        own = np.maximum(kn[rows], 1).astype(int)  # each row's own series length
+        for length in np.unique(own):
+            group = np.flatnonzero(own == length)
+            step = max(1, _SERIES_TERMS // (length * x.shape[1]))
+            for part in np.split(group, range(step, group.size, step)):
+                out[:, part] = block(x[part], at[part], length)
+        return out
+
+    def values(x, rows=slice(None)) -> np.ndarray:
+        if one_row:
+            return grid(np.reshape(x, (1, -1)), rows)[:, 0]
+        if np.ndim(x) == 2:
+            return grid(np.asarray(x, dtype=float), rows)
+        return pairs(x)
+
+    return (den[0] if one_row else x_free[3]), values
 
 
 def survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
@@ -502,13 +546,13 @@ def _quadrature_state(kn, wn, kb, wb, ke, we, repeats=1, quad=None):
 def clamp_unit(values):
     """Clip CDF values to [0, 1], rejecting excursions beyond CLAMP_SLACK."""
     arr = np.asarray(values, dtype=float)
-    if np.any(np.isnan(arr)):
+    low, high = arr.min(initial=0.0), arr.max(initial=1.0)  # nan if any value is
+    if math.isnan(low) or math.isnan(high):
         raise NumericalError("cdf evaluation produced NaN")
-    low, high = arr.min(initial=0.0), arr.max(initial=1.0)
     if low < -CLAMP_SLACK or high > 1.0 + CLAMP_SLACK:
         raise NumericalError(
             f"cdf value escaped [0, 1] by more than {CLAMP_SLACK}: "
             f"range [{low}, {high}]"
         )
-    out = np.clip(arr, 0.0, 1.0)
-    return float(out) if np.ndim(values) == 0 else out
+    out = arr.clip(0.0, 1.0)
+    return float(out) if out.ndim == 0 else out

@@ -26,12 +26,17 @@ has shapes (n + 1, y, z), the lower end (n, y + 1, z + 1).  One
 interval state (:func:`dsplim._gamma_ratio._interval_series`) builds
 both from one block of efficiency masses, by
 P(NB(z + 1, p) = j) = P(NB(z, p) = j) (z + j) / z (1 - p), and serves
-both routes to a limit.  On the grid route a channel builds one state
-of both endpoint survivals and their conditioning probability
+both routes to a limit.  The grid route (:func:`_grid_limits`) runs on
+a block of datasets at once: each channel builds one state for all of
+them, of both endpoint survivals and their conditioning probability
 den = P(NB(y, 1/(1+t)) <= n) (:func:`_channel_state`, the only
-endpoint-CDF code): the grid's ladder probe, both endpoint curves and
-the per-end CDFs read it.  Off the series route that state takes den
-from one beta CDF and evaluates each requested end by quadrature.  For
+endpoint-CDF code), and the ladder probe and both endpoint curves of
+every row read it; the trapezoid, CDF and quantile run on all rows at
+once, each row as on its own.  A dataset of :func:`dataset_limits`,
+:func:`dataset_density` or :func:`shared_grid`, and the channel of
+the per-end CDFs, is a block of one row.  Off the series route a
+row's state takes den from one beta CDF and evaluates each requested
+end by quadrature.  For
 one channel with z >= 2 the CDF also has a grid-free closed form in
 the integrals of both endpoint survivals, which
 :func:`ds_upper_limits_batch` inverts for many datasets at once from
@@ -49,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -173,46 +178,94 @@ class PlausibilityDensity:
     normalization: float
 
 
-def _channel_state(ch: ChannelObservation, method="auto", quad=None):
-    """(x, which) -> the endpoint CDFs of one channel at x >= 0: one row
-    per requested end (0 lower, 1 upper; both by default), one value per
-    row at scalar x.  "auto" takes the series when both ends' shapes are
-    on the series route of ``survival(method="auto")``.  There both ends
-    and the conditioning probability den come from one state of
-    :func:`dsplim._gamma_ratio._interval_series`, so a call is one exp
-    block; on the quadrature route den is one beta CDF and each
-    requested end one quadrature survival.
+def _channel_state(n, y, z, t, u, method="auto", quad=None):
+    """One channel over rows of counts (n, y, z) at the scales (t, u):
+    (x, which=(0, 1), rows=all) -> the endpoint CDFs at x >= 0 of shape
+    (rows, points), one row of x per picked row (every row by default),
+    as an array (len(which), rows, points) with one entry per requested
+    end (0 lower, 1 upper).
+
+    "auto" takes the series for the rows where both ends' shapes are on
+    the series route of ``survival(method="auto")``.  Those rows share
+    one state of :func:`dsplim._gamma_ratio._interval_series`, which
+    gives both ends and the conditioning probability den, so a call is
+    one exp block per series length.  On the quadrature route den is one
+    beta CDF per row and each requested end one quadrature survival per
+    row.  Raises NumericalError naming the channel of the first row
+    whose den underflows or whose CDF leaves [0, 1].
     """
+    n, y, z = np.asarray(n), np.asarray(y), np.asarray(z)
+    wb, we = 1.0 / t, 1.0 / u
+
+    def channel(j):
+        return ChannelObservation(n[j].item(), y[j].item(), z[j].item(), t, u)
+
+    def ends(j):  # the shapes and scales of row j's lower and upper end
+        nj, yj, zj = n[j].item(), y[j].item(), z[j].item()
+        return [(nj, 1.0, yj + 1, wb, zj + 1, we), (nj + 1, 1.0, yj, wb, zj, we)]
+
     if method == "auto":
-        carried = _series_carries([ch.n + 1, ch.n], [ch.y, ch.y + 1], [ch.z, ch.z + 1])
-        method = "series" if carried.all() else "quadrature"
-    wb, we = 1.0 / ch.t, 1.0 / ch.u
-    # The shapes and scales of the lower and the upper end.
-    ends = [(ch.n, 1.0, ch.y + 1, wb, ch.z + 1, we),
-            (ch.n + 1, 1.0, ch.y, wb, ch.z, we)]
-    if method == "series":
-        with np.errstate(all="ignore"):
-            den, series = _interval_series(*ends[1])
-
-        def survivals(x, which):
-            return series(x)[list(which)]
-
+        series = _series_carries(n + 1, y + 1, z + 1)  # both ends' shapes
     else:
-        den = conditioning_probability(*ends[1][:4])
+        series = np.full(n.shape, method == "series")
+    route = "quadrature" if method == "auto" else method  # of the other rows
+    every = series.all()
+    with np.errstate(all="ignore"):
+        if every:
+            den, survivals = _interval_series(n + 1, 1.0, y, wb, z, we)
+        else:
+            den = np.empty(n.shape)
+            place = np.cumsum(series) - 1  # a series row's row in its state
+            if series.any():
+                den[series], survivals = _interval_series(
+                    n[series] + 1, 1.0, y[series], wb, z[series], we
+                )
+            for j in np.flatnonzero(~series):
+                den[j] = conditioning_probability(*ends(j)[1][:4])
+    if (den < _MIN_CONDITIONING).any():
+        j = np.argmax(den < _MIN_CONDITIONING)
+        raise NumericalError(
+            f"conditioning probability underflows for channel {channel(j)}"
+        )
 
-        def survivals(x, which):
-            return np.array([survival(x, *ends[i], method, quad) for i in which])
-
-    if den < _MIN_CONDITIONING:
-        raise NumericalError(f"conditioning probability underflows for channel {ch}")
-
-    def cdfs(x, which=(0, 1)) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+    def cdfs(x, which=(0, 1), rows=slice(None)) -> np.ndarray:
         with np.errstate(all="ignore"):
-            f = clamp_unit(1.0 - survivals(xs, which) / den)
-        return f[:, 0] if np.ndim(x) == 0 else f
+            if every:
+                surv = survivals(x, rows)
+                surv = surv if len(which) == 2 else surv[list(which)]
+            else:
+                rows = np.arange(n.size)[rows]
+                surv = np.empty((len(which),) + x.shape)
+                on = series[rows]
+                if on.any():
+                    surv[:, on] = survivals(x[on], place[rows[on]])[list(which)]
+                for k in np.flatnonzero(~on):
+                    surv[:, k] = [survival(x[k], *ends(rows[k])[i], route, quad)
+                                  for i in which]
+            f = 1.0 - surv / den[rows, None]
+        try:
+            return clamp_unit(f)
+        except NumericalError:
+            for k, j in enumerate(np.arange(n.size)[rows]):
+                try:
+                    clamp_unit(f[:, k])
+                except NumericalError as exc:
+                    raise NumericalError(f"{exc} for channel {channel(j)}") from None
 
     return cdfs
+
+
+def _one_row(channels):
+    """Channels as one row of the grid route: (1, C, 3) counts, t and u."""
+    counts = np.array([[(ch.n, ch.y, ch.z) for ch in channels]])
+    return counts, [ch.t for ch in channels], [ch.u for ch in channels]
+
+
+def _one_channel(ch: ChannelObservation, x, which, method="auto", quad=None):
+    """The endpoint CDFs of one channel at x (scalar or 1-d), one row per end."""
+    cdfs = _channel_state([ch.n], [ch.y], [ch.z], ch.t, ch.u, method, quad)
+    f = cdfs(np.reshape(x, (1, -1)), which)[:, 0]
+    return f[:, 0] if np.ndim(x) == 0 else f
 
 
 def channel_cdf_lower(
@@ -228,7 +281,7 @@ def channel_cdf_lower(
     conventions rather than a branch here.  The lower row of
     :func:`_channel_state`.
     """
-    return _channel_state(ch, method, quad)(x, (0,))[0]
+    return _one_channel(ch, x, (0,), method, quad)[0]
 
 
 def channel_cdf_upper(
@@ -243,7 +296,7 @@ def channel_cdf_upper(
     information the upper end is infinite and the channel is improper.
     The upper row of :func:`_channel_state`.
     """
-    return _channel_state(ch, method, quad)(x, (1,))[0]
+    return _one_channel(ch, x, (1,), method, quad)[0]
 
 
 def _proper(channels) -> list:
@@ -256,29 +309,68 @@ def _proper(channels) -> list:
     return proper
 
 
-def _grid_knots(channels, states, grid: GridConfig) -> np.ndarray:
-    """The knots of :func:`shared_grid`, probing the upper-end CDF of each
-    proper channel through its state from :func:`_channel_state`."""
-    proper = [(ch, state) for ch, state in zip(channels, states) if ch.z > 0]
-    top = max(math.frexp(HARD_CAP)[1] - 1, 0)
-    ladder = np.ldexp(1.0, np.arange(top + 1))
-    passed = np.array(
-        [state(ladder, (1,))[0] >= 1.0 - grid.tail_eps for _, state in proper]
-    )
-    ok = passed.all(axis=0)
-    if not ok.any():
-        short = [ch for (ch, _), p in zip(proper, passed) if not p[-1]]
+def _channel_states(counts, ts, us) -> list:
+    """One :func:`_channel_state` per channel of the (rows, C, 3) counts."""
+    channels = counts.transpose(1, 2, 0)  # per channel, its n, y and z over the rows
+    return [_channel_state(*chan, t, u) for chan, t, u in zip(channels, ts, us)]
+
+
+@cache
+def _rung_knots(x_max: float, points: int) -> np.ndarray:
+    """The knots up to x_max: half linearly and half logarithmically
+    spaced on (0, x_max], plus x = 0.  Read-only, as it is shared."""
+    k_lin = points // 2
+    k_log = points - k_lin
+    lin = np.linspace(x_max / k_lin, x_max, k_lin)
+    log = np.geomspace(x_max * 1e-9, x_max, k_log)
+    knots = np.unique(np.concatenate([[0.0], lin, log]))
+    knots.flags.writeable = False
+    return knots
+
+
+def _grid_knots(counts, ts, us, states, grid: GridConfig) -> list:
+    """The knots of every row of the (rows, C, 3) counts, probing the
+    upper-end CDF of each channel where its z > 0 through its state from
+    :func:`_channel_states`: a list of (row indices, knots of shape
+    (rows, points)), one entry per knot count.
+
+    A row's x_max is the first rung of the ladder 1, 2, 4, ...,
+    2**k <= HARD_CAP at which all of its proper channels pass.  Raises
+    NumericalError naming the channels of the first row that no rung
+    passes.
+    """
+    ladder = np.ldexp(1.0, np.arange(max(math.frexp(HARD_CAP)[1] - 1, 0) + 1))
+    ok = np.ones((len(counts), ladder.size), dtype=bool)
+    short = np.zeros(counts.shape[:2], dtype=bool)  # still short at the top rung
+    for c, state in enumerate(states):
+        proper = counts[:, c, 2] > 0
+        if proper.all():
+            proper = slice(None)
+        elif not proper.any():
+            continue
+        probe = np.repeat(ladder[None], len(ok[proper]), axis=0)
+        passed = state(probe, (1,), proper)[0] >= 1.0 - grid.tail_eps
+        ok[proper] &= passed
+        short[proper, c] = ~passed[:, -1]
+    found = ok.any(axis=1)
+    if not found.all():
+        j = np.argmin(found)
+        names = [ChannelObservation(*counts[j, c].tolist(), ts[c], us[c])
+                 for c in np.flatnonzero(short[j])]
         raise NumericalError(
             f"grid search exceeded hard_cap={HARD_CAP} before the "
             f"upper-end CDFs reached 1 - tail_eps; still short at "
-            f"x={ladder[-1]:g}: {', '.join(map(str, short))}"
+            f"x={ladder[-1]:g}: {', '.join(map(str, names))}"
         )
-    x_max = float(ladder[np.argmax(ok)])
-    k_lin = grid.points // 2
-    k_log = grid.points - k_lin
-    lin = np.linspace(x_max / k_lin, x_max, k_lin)
-    log = np.geomspace(x_max * 1e-9, x_max, k_log)
-    return np.unique(np.concatenate([[0.0], lin, log]))
+    rung = np.argmax(ok, axis=1).tolist()
+    knots = {r: _rung_knots(ladder[r].item(), grid.points) for r in set(rung)}
+    sizes = sorted({k.size for k in knots.values()})
+    groups = []
+    for size in sizes:
+        rows = [j for j, r in enumerate(rung) if knots[r].size == size]
+        xs = np.array([knots[rung[j]] for j in rows])
+        groups.append((slice(None) if len(sizes) == 1 else np.array(rows), xs))
+    return groups
 
 
 def shared_grid(channels, grid: GridConfig = GridConfig()) -> np.ndarray:
@@ -294,26 +386,105 @@ def shared_grid(channels, grid: GridConfig = GridConfig()) -> np.ndarray:
     no finite grid can capture the evidence, and NumericalError naming
     the channels still short of 1 - tail_eps when no rung passes.
     """
-    proper = _proper(channels)
-    return _grid_knots(proper, [_channel_state(ch) for ch in proper], grid)
+    counts, ts, us = _one_row(_proper(channels))
+    ((_, xs),) = _grid_knots(counts, ts, us, _channel_states(counts, ts, us), grid)
+    return xs[0]
 
 
-def _curves(ch: ChannelObservation, state, xs: np.ndarray) -> ChannelCurves:
-    f_lower, f_upper = state(xs)
-    r = np.maximum(f_lower - f_upper, 0.0)
-    return ChannelCurves(
-        xs=xs, f_lower=f_lower, f_upper=f_upper, r=r, improper=(ch.z == 0)
-    )
+def _gap(f) -> np.ndarray:
+    """r = F_lower - F_upper, floored at 0, from stacked endpoint CDFs."""
+    return np.maximum(f[0] - f[1], 0.0)
+
+
+def _combine(xs, gaps):
+    """Per row of (rows, points) knots xs: the product of the channel
+    gaps (an iterable, taken one at a time), normalized by the trapezoid
+    rule, and its CDF.  Returns (pdf, cdf, normalization); a row without
+    mass has normalization 0."""
+    gaps = iter(gaps)
+    prod = next(gaps)
+    for r in gaps:
+        prod = prod * r
+    dx = xs[:, 1:] - xs[:, :-1]
+    # np.trapezoid's sum, row by row
+    norm = (dx * (prod[:, 1:] + prod[:, :-1]) / 2.0).sum(axis=-1)
+    with np.errstate(all="ignore"):
+        pdf = prod / norm[:, None]
+    cdf = np.zeros_like(xs)
+    np.cumsum(0.5 * (pdf[:, 1:] + pdf[:, :-1]) * dx, axis=-1, out=cdf[:, 1:])
+    return pdf, np.minimum(cdf, 1.0, out=cdf), norm
+
+
+def _quantiles(xs, cdf, quantiles) -> np.ndarray:
+    """Per row of (rows, points) knots and nondecreasing CDF: the smallest
+    s with CDF(s) = q at each quantile, linearly interpolated between
+    knots, as an array (len(quantiles), rows).  Where the CDF is flat at
+    level q the smallest attaining knot is taken."""
+    qs = np.array(quantiles, dtype=float, ndmin=2).T
+    if not ((qs > 0.0) & (qs < 1.0)).all():
+        raise ValueError("quantile must lie strictly inside (0, 1)")
+    # The index searchsorted(cdf, q, side="left") takes in each row.
+    i = (cdf < qs[:, :, None]).sum(axis=-1)
+    points = xs.shape[1]
+    # Flat indices of knot i (the last knot when i == points) and knot i - 1.
+    hi = np.minimum(i, points - 1) + np.arange(0, xs.size, points)
+    x0, x1, c0, c1 = xs.take(hi - 1), xs.take(hi), cdf.take(hi - 1), cdf.take(hi)
+    with np.errstate(all="ignore"):
+        inner = np.where(c1 == c0, x1, x0 + (qs - c0) / (c1 - c0) * (x1 - x0))
+    return np.where(i == 0, xs[:, 0], np.where(i == points, xs[:, -1], inner))
+
+
+def _grid_limits(counts, ts, us, quantiles, grid: GridConfig) -> np.ndarray:
+    """Grid-route upper limits of many datasets of C channels: ``counts``
+    holds one row (n_1, y_1, z_1, ..., n_C, y_C, z_C) per dataset, and
+    ``ts``, ``us`` the C channels' scales.  Returns an array (len(quantiles),
+    rows), +inf for a row whose channels all have z == 0.
+
+    Each channel builds one state for all rows, which the ladder probe
+    and both endpoint curves reuse, and its curves are folded into the
+    product one channel at a time; the trapezoid, CDF and quantile run
+    on all rows at once, each row as on its own, so a row's limits do
+    not depend on the rows beside it.  Raises NumericalError naming the
+    first row that has none.
+    """
+    counts = counts.reshape(len(counts), len(ts), 3)
+    if counts.min(initial=0) < 0:
+        raise ValueError("counts must be nonnegative integers")
+    out = np.full((len(quantiles), len(counts)), math.inf)
+    bounded = np.flatnonzero(counts[:, :, 2].any(axis=1))
+    counts = counts[bounded]
+    if not len(counts):
+        return out
+    states = _channel_states(counts, ts, us)
+    for rows, xs in _grid_knots(counts, ts, us, states, grid):
+        _, cdf, norm = _combine(xs, (_gap(state(xs, rows=rows)) for state in states))
+        if not (norm > 0).all():
+            row = counts[np.arange(len(counts))[rows][np.argmin(norm > 0)]].tolist()
+            names = ", ".join(str(ChannelObservation(*ch, t, u))
+                              for ch, t, u in zip(row, ts, us))
+            raise NumericalError(
+                f"combined commonality product has zero mass for {names}"
+            )
+        out[:, bounded[rows]] = _quantiles(xs, cdf, quantiles)
+    return out
 
 
 def _dataset_curves(channels, grid: GridConfig):
-    """The shared grid and every channel's curves on it, from one
-    :func:`_channel_state` per channel that the grid's ladder probe and
-    both endpoint curves reuse."""
+    """The shared grid and every channel's curves on it, from one state
+    per channel that the ladder probe and both curves reuse: one row of
+    the grid route."""
     _proper(channels)
-    states = [_channel_state(ch) for ch in channels]
-    xs = _grid_knots(channels, states, grid)
-    return xs, [_curves(ch, state, xs) for ch, state in zip(channels, states)]
+    counts, ts, us = _one_row(channels)
+    states = _channel_states(counts, ts, us)
+    ((_, xs),) = _grid_knots(counts, ts, us, states, grid)
+    curves = [state(xs)[:, 0] for state in states]
+    return xs[0], [_curves(xs[0], f, ch.z == 0) for ch, f in zip(channels, curves)]
+
+
+def _curves(xs, f, improper: bool) -> ChannelCurves:
+    return ChannelCurves(
+        xs=xs, f_lower=f[0], f_upper=f[1], r=_gap(f), improper=improper
+    )
 
 
 def channel_curves(
@@ -329,7 +500,7 @@ def channel_curves(
     """
     if xs is None:
         return _dataset_curves([ch], grid)[1][0]
-    return _curves(ch, _channel_state(ch), xs)
+    return _curves(xs, _one_channel(ch, xs, (0, 1)), ch.z == 0)
 
 
 def combine_channels(curves) -> PlausibilityDensity:
@@ -337,7 +508,8 @@ def combine_channels(curves) -> PlausibilityDensity:
 
     All curves must share one knot grid (the dataset pipeline
     guarantees this); the product is then exact at the knots and
-    independent of channel order.
+    independent of channel order.  One row of the grid route's
+    combination.
     """
     curves = list(curves)
     if not curves:
@@ -350,17 +522,12 @@ def combine_channels(curves) -> PlausibilityDensity:
         raise UnboundedLimit(
             "all channels have z == 0: the combined density does not exist"
         )
-    prod = np.ones_like(xs)
-    for c in curves:
-        prod = prod * c.r
-    norm = float(np.trapezoid(prod, xs))
-    if not norm > 0:
+    pdf, cdf, norm = _combine(xs[None], [c.r[None] for c in curves])
+    if not norm[0] > 0:
         raise NumericalError("combined commonality product has zero mass")
-    pdf = prod / norm
-    steps = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(xs)
-    cdf = np.concatenate([[0.0], np.cumsum(steps)])
-    cdf = np.minimum(cdf, 1.0)
-    return PlausibilityDensity(xs=xs, pdf=pdf, cdf=cdf, normalization=norm)
+    return PlausibilityDensity(
+        xs=xs, pdf=pdf[0], cdf=cdf[0], normalization=float(norm[0])
+    )
 
 
 def dataset_density(
@@ -377,26 +544,17 @@ def upper_limit(density: PlausibilityDensity, q: float) -> float:
     When the CDF is flat at level q the smallest attaining knot is
     returned (the conservative, shorter limit).
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError("quantile must lie strictly inside (0, 1)")
-    cdf, xs = density.cdf, density.xs
-    i = int(np.searchsorted(cdf, q, side="left"))
-    if i == 0:
-        return float(xs[0])
-    if i >= len(xs):
-        return float(xs[-1])
-    c0, c1 = cdf[i - 1], cdf[i]
-    if c1 == c0:
-        return float(xs[i])
-    return float(xs[i - 1] + (q - c0) / (c1 - c0) * (xs[i] - xs[i - 1]))
+    return float(_quantiles(density.xs[None], density.cdf[None], [q])[0, 0])
 
 
 def dataset_limits(
     dataset: Dataset, quantiles, grid: GridConfig = GridConfig()
 ) -> list[float]:
-    """Upper limits of one dataset at each requested quantile."""
-    density = dataset_density(dataset, grid)
-    return [upper_limit(density, q) for q in quantiles]
+    """Upper limits of one dataset at each requested quantile: the one-row
+    :func:`_grid_limits`."""
+    _proper(dataset.channels)
+    quantiles = list(quantiles)
+    return _grid_limits(*_one_row(dataset.channels), quantiles, grid)[:, 0].tolist()
 
 
 # Relative bracket width at which ds_upper_limits_batch stops a limit.

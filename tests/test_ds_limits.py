@@ -24,6 +24,7 @@ from dsplim.ds_limits import (
     shared_grid,
     upper_limit,
 )
+from dsplim.evalharness import _row_limits, make_ds_method
 from dsplim.sampling import RngHandle
 from dsplim.specfun import QuadratureConfig
 from oracles import mc_channel_cdfs
@@ -363,15 +364,15 @@ class TestPerEndCdfs:
     )
     def test_rows_of_the_state(self, counts):
         ch = ChannelObservation(*counts)
-        state = ds_limits._channel_state(ch)
+        state = ds_limits._channel_state([ch.n], [ch.y], [ch.z], ch.t, ch.u)
         for method in ("auto", "series"):
-            rows = state(self.XS)
+            rows = state(self.XS[None])[:, 0]
             assert np.array_equal(channel_cdf_lower(ch, self.XS, method), rows[0])
             assert np.array_equal(channel_cdf_upper(ch, self.XS, method), rows[1])
             # A matrix product sums a single point in another order than
             # many, so scalar x is compared with the state at scalar x.
             for x in self.XS:
-                lower, upper = state(x)
+                lower, upper = state(np.array([[x]]))[:, 0, 0]
                 assert channel_cdf_lower(ch, x, method) == lower
                 assert channel_cdf_upper(ch, x, method) == upper
 
@@ -464,3 +465,109 @@ class TestValidation:
     def test_dataset_needs_channels(self):
         with pytest.raises(ValueError):
             Dataset(())
+
+
+def _block_limits(counts, ts, us, grid=GridConfig()):
+    """Grid-route limits at q = 0.9 and 0.99 of rows of counts, one block."""
+    return ds_limits._grid_limits(np.asarray(counts), ts, us, (0.9, 0.99), grid)
+
+
+class TestBatchedGridRoute:
+    """The grid route on a block of rows, one state per channel for all of
+    them (ds_limits._grid_limits), gives every row the bits it has alone
+    and in dataset_limits, whatever rows sit beside it."""
+
+    # (channels (n, y, z, t, u), limits at q = 0.9 and 0.99 as float.hex),
+    # pinned from the per-dataset grid route this block route replaced.
+    PINNED = [
+        ([(3, 1, 1, 3.3, 10.0)], ("0x1.4b83096a18a06p+29", "0x1.aac2768e22f6fp+31")),
+        ([(0, 0, 1, 3.3, 10.0)], ("0x1.41d2bc8c051fcp+27", "0x1.a97effd55c217p+29")),
+        ([(17, 4, 1, 1.2, 15.0)], ("0x1.45e098442a5ecp+32", "0x1.aa0731166cd9fp+34")),
+        ([(40, 6, 1, 5.0, 50.0)], ("0x1.4be6c48b23516p+35", "0x1.aacf4aabfe025p+37")),
+        ([(9, 2, 0, 3.3, 10.0), (4, 1, 1, 3.3, 10.0)],
+         ("0x1.63548a10a6306p+30", "0x1.adbb25274e1f5p+32")),
+        ([(12, 5, 3, 3.3, 10.0), (30, 9, 1, 1.0, 30.0)],
+         ("0x1.2710dabbe4676p+9", "0x1.808077a3b86e7p+10")),
+        ([(12, 5, 3, 3.3, 10.0), (30, 9, 1, 1.0, 30.0), (4, 2, 0, 2.0, 20.0),
+          (8, 3, 6, 4.0, 40.0)], ("0x1.60ca92b25b0c8p+7", "0x1.234ca55ed0e4fp+8")),
+        ([(2, 0, 1, 0.3, 2.0), (5, 1, 1, 0.3, 2.0), (1, 3, 2, 0.3, 2.0),
+          (7, 2, 0, 0.3, 2.0)], ("0x1.08b817d4503b4p+3", "0x1.83ffa9d9e9b3cp+4")),
+    ]
+
+    @pytest.mark.parametrize("channels, pinned", PINNED)
+    def test_pinned_bits(self, channels, pinned):
+        want = [float.fromhex(v) for v in pinned]
+        dataset = Dataset(tuple(ChannelObservation(*ch) for ch in channels))
+        assert dataset_limits(dataset, (0.9, 0.99)) == want
+        counts = [[v for ch in channels for v in ch[:3]]]
+        ts, us = [ch[3] for ch in channels], [ch[4] for ch in channels]
+        assert _block_limits(counts, ts, us)[:, 0].tolist() == want
+
+    # About 8 s on a 2-core host.
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_row_bits_alone_beside_others_and_in_any_split(self, data):
+        n_channels = data.draw(st.sampled_from([1, 2, 4]))
+        scales = st.lists(st.sampled_from([0.3, 1.2, 3.3, 5.0, 15.0]),
+                          min_size=n_channels, max_size=n_channels)
+        ts, us = data.draw(scales), data.draw(scales)
+        # Counts near 1000 make a row's (2, count) x (count, knots) product
+        # large enough for BLAS to take another kernel: a short row padded
+        # to a long row's length would show there.
+        n = st.integers(0, 40) | st.integers(0, 40) | st.integers(900, 1100)
+        channel = st.tuples(n, st.integers(0, 12), st.integers(0, 3))
+        rows = data.draw(st.lists(
+            st.lists(channel, min_size=n_channels, max_size=n_channels).map(
+                lambda chans: [v for ch in chans for v in ch]),
+            min_size=2, max_size=5))
+        kept, alone = [], []
+        for row in rows:
+            try:
+                alone.append(_block_limits([row], ts, us)[:, 0])
+            except NumericalError:  # no limits; test_hard_cap_row_fails_alone covers it
+                continue
+            kept.append(row)
+            chans = zip(*[iter(row)] * 3, ts, us)
+            dataset = Dataset(tuple(ChannelObservation(*ch, t, u) for *ch, t, u in chans))
+            if any(row[2::3]):
+                assert dataset_limits(dataset, (0.9, 0.99)) == alone[-1].tolist()
+            else:
+                assert np.all(alone[-1] == math.inf)
+                with pytest.raises(UnboundedLimit):
+                    dataset_limits(dataset, (0.9, 0.99))
+        if len(kept) < 2:
+            return
+        counts, want = np.array(kept), np.array(alone).T
+        assert _block_limits(counts, ts, us).tobytes() == want.tobytes()
+        split = data.draw(st.integers(1, len(counts) - 1))
+        halves = [_block_limits(part, ts, us) for part in np.split(counts, [split])]
+        assert np.concatenate(halves, axis=1).tobytes() == want.tobytes()
+        assert _block_limits(counts[::-1], ts, us).tobytes() == want[:, ::-1].tobytes()
+
+    def test_rows_whose_grids_hold_different_knot_counts(self):
+        # At 200 points some rungs' linear and log knots coincide: these
+        # rows' grids hold 199, 200 and 198 knots, and run as separate
+        # groups of one block.
+        grid = GridConfig(points=200)
+        counts = np.array([(0, 0, 1), (0, 0, 2), (24, 0, 4), (0, 5, 1), (27, 5, 4),
+                           (3, 2, 0)])
+        sizes = {shared_grid([ChannelObservation(*row, 1.2, 15.0)], grid).size
+                 for row in counts[:5]}
+        assert sizes == {198, 199, 200}
+        together = _block_limits(counts, [1.2], [15.0], grid)
+        for k in range(len(counts)):
+            alone = _block_limits(counts[k : k + 1], [1.2], [15.0], grid)
+            assert alone.tobytes() == together[:, k : k + 1].tobytes()
+
+    def test_hard_cap_row_fails_alone(self):
+        # (120, 11, 1) at t = 5, u = 50 reaches no rung of the ladder.
+        counts = np.array([(3, 1, 1), (120, 11, 1), (40, 6, 1), (9, 2, 0), (7, 3, 1)])
+        with pytest.raises(NumericalError, match="still short at"):
+            _block_limits(counts[1:2], [5.0], [50.0])
+        limits, failures = _row_limits(make_ds_method(), counts, 5.0, 50.0, (0.9, 0.99))
+        assert list(failures) == [1]
+        assert "ChannelObservation(n=120, y=11, z=1, t=5.0, u=50.0)" in failures[1]
+        assert np.isnan(limits[:, 1]).all() and np.isinf(limits[:, 3]).all()
+        for k in (0, 2, 3, 4):
+            alone = _block_limits(counts[k : k + 1], [5.0], [50.0])
+            assert limits[:, k : k + 1].tobytes() == alone.tobytes()

@@ -139,6 +139,26 @@ class TestRowLimits:
         assert workers == [3]
         assert serial[0].tobytes() == pooled[0].tobytes() and serial[1] == pooled[1]
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            np.random.default_rng(3).integers(0, 6, (500, 3)),
+            np.random.default_rng(4).integers(0, 4, (300, 12)),  # (N, 3C), C = 4
+            np.array([[7, 0, 2]]),
+            np.empty((0, 6), dtype=int),
+            2**53 - np.random.default_rng(5).integers(0, 3, (200, 3)),
+            np.array([[2**53, 5, 1], [2**53 - 1, 5, 1], [2**53, 5, 1], [0, 2**53, 1]]),
+        ],
+        ids=["random", "multichannel", "one-row", "no-rows", "near-2**53", "2**53-ties"],
+    )
+    def test_distinct_rows_match_np_unique(self, counts):
+        distinct, inverse = evalharness._distinct_rows(counts)
+        want, want_inverse = np.unique(counts, axis=0, return_inverse=True)
+        assert distinct.dtype == counts.dtype
+        assert np.array_equal(distinct, want) and distinct.shape == want.shape
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
+        assert np.array_equal(distinct[inverse], counts)
+
     def test_no_failure_is_one_call_per_block(self):
         method = _FailingMethod()
         limits, failures = _row_limits(method, self.COUNTS, 3.3, 10.0, (0.9,))

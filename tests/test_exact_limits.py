@@ -214,14 +214,13 @@ class TestRouting:
 
     def test_conditioning_underflow_row_takes_the_exact_route(self, monkeypatch):
         seen = []
-        real = evalharness.dataset_limits
+        real = evalharness._grid_limits
 
-        def counting(dataset, quantiles, grid):
-            (ch,) = dataset.channels
-            seen.append((ch.n, ch.y, ch.z))
-            return real(dataset, quantiles, grid)
+        def counting(counts, *args):
+            seen.extend(map(tuple, counts.tolist()))
+            return real(counts, *args)
 
-        monkeypatch.setattr(evalharness, "dataset_limits", counting)
+        monkeypatch.setattr(evalharness, "_grid_limits", counting)
         counts = np.array([(3, 2, 5), (3, 2000, 5)])
         lims = make_ds_method()(counts[:1], 0.1, 10.0, (0.9,))
         assert seen == [] and np.isfinite(lims).all()

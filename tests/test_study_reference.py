@@ -160,22 +160,21 @@ def _ref_credibility_limit(ch, cfg, q, n_samples, rng, rel_tol=1e-6):
 
 
 def _count_ds_rows(monkeypatch):
-    """Record the (n, y, z) of every dataset_limits call and of every row
-    handed to ds_upper_limits_batch."""
+    """Record the (n, y, z) of every row handed to the grid route and to
+    ds_upper_limits_batch."""
     grid_rows, batch_rows = [], []
-    real_grid = evalharness.dataset_limits
+    real_grid = evalharness._grid_limits
     real_exact = evalharness.ds_upper_limits_batch
 
-    def counting_grid(dataset, quantiles, grid):
-        (ch,) = dataset.channels
-        grid_rows.append((ch.n, ch.y, ch.z))
-        return real_grid(dataset, quantiles, grid)
+    def counting_grid(counts, *args):
+        grid_rows.extend(map(tuple, counts.tolist()))
+        return real_grid(counts, *args)
 
     def counting_exact(ns, ys, zs, *args):
         batch_rows.extend(zip(ns.tolist(), ys.tolist(), zs.tolist()))
         return real_exact(ns, ys, zs, *args)
 
-    monkeypatch.setattr(evalharness, "dataset_limits", counting_grid)
+    monkeypatch.setattr(evalharness, "_grid_limits", counting_grid)
     monkeypatch.setattr(evalharness, "ds_upper_limits_batch", counting_exact)
     return grid_rows, batch_rows
 
