@@ -230,15 +230,13 @@ def _prepared_series(kn, wn, kb, wb, ke, we, repeats=1):
 def _interval_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
     """Both ends of a belief interval from one x-free state: the upper end
     (kn, kb, ke) and the lower end (kn - 1, kb + 1, ke + 1) on shared
-    scales.  Returns den = P(A >= B) of the upper end and
-    (x, rows=all) -> the survivals of the lower end (row 0) and the
-    upper end (row 1), or with ``integrated`` (ke >= 2) their integrals
-    over [0, x].  Shapes, ``repeats`` and errstate as for
-    :func:`_prepared_series`; an end with numerator shape 0 is 0.  With
-    per-row shapes, x of shape (rows, points) instead gives every row
-    its own points, and ``rows`` picks the state rows that x's rows
-    belong to (all by default); scalar shapes are one such row, at every
-    point of x.
+    scales.  Returns den = P(A >= B) of the upper end and x -> the
+    survivals of the lower end (row 0) and the upper end (row 1), or
+    with ``integrated`` (ke >= 2) their integrals over [0, x].  Shapes,
+    ``repeats`` and errstate as for :func:`_prepared_series`; an end
+    with numerator shape 0 is 0.  With per-row shapes, x of shape
+    (rows, points) instead gives every row its own points; scalar
+    shapes are one row.
 
     The ends differ by one unit of shape in each gamma, and
     P(NB(e + 1, p) = j) = P(NB(e, p) = j) (e + j) / e (1 - p).  So one
@@ -262,7 +260,6 @@ def _interval_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
     those of the row alone, whatever the rows beside it.  Each such
     block holds at most _SERIES_TERMS terms.
     """
-    one_row = np.ndim(kn) == 0
     kn, kb, ke = _series_shapes(kn, wn, kb, wb, ke, we).reshape(3, -1)
     if integrated and np.min(ke) < 2:
         raise ValueError("integrated survival requires ke >= 2")
@@ -282,11 +279,12 @@ def _interval_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
     edges = [weight[0], factors] if integrated else []
     x_free = [e_shape, _log_binomials(e_shape, count), ke > 0, den]
     x_free += [weight[:, 0], weight[:, 1], *edges]
-    e_shape, log_binom_e, lifted, den = x_free[:4]
+    log_binom_e, lifted = x_free[1:3]
     if repeats > 1:
         x_free = [np.repeat(a, repeats, axis=-1) for a in x_free]
-    uniform = count == 1 or kn.min() == count  # every row's own series length is count
-    stacked = []  # the weights as (rows, 2, count), made by the first grid pass
+    # Made by the first grid pass: the rows' arrays for one block, or per
+    # series length its rows and their arrays.
+    whole, groups = [], []
 
     def finish(sums, odds, lift, den, totals=None, factors=None):
         # sums has rows: the lower end, the upper end.
@@ -304,40 +302,46 @@ def _interval_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
         return finish(np.array([_row_sums(lower, nb_e), _row_sums(upper, nb_e)]),
                       odds, lift, d, *rest)
 
-    def block(x, at, length):
-        # Rows ``at`` of one series length, each row's product by itself:
-        # each row's (2, count) weights are contiguous, so matmul takes BLAS.
-        if not stacked:
-            stacked.append(np.ascontiguousarray(weight.transpose(2, 1, 0)))
-        odds, nb_e = _efficiency_block(
-            x, log_binom_e[:length, at], e_shape[at, None], wn, we
-        )
-        sums = np.matmul(stacked[0][at, :, :length], nb_e.transpose(1, 0, 2))
-        edge = [a[:, at, None] for a in edges] if integrated else ()
-        return finish(sums.transpose(1, 0, 2), odds, lifted[at, None], den[at, None],
-                      *edge)
+    def rows_first(at, length):
+        # The x-free arrays of rows ``at``, rows first: each row's
+        # (2, length) weights are contiguous, so matmul takes BLAS.
+        arrays = [weight[:length, :, at].transpose(2, 1, 0),
+                  log_binom_e[:length, at].T, e_shape[at, None], lifted[at, None],
+                  den[at, None], *(a[:, at, None].transpose(1, 0, 2) for a in edges)]
+        return [np.ascontiguousarray(a) for a in arrays]
 
-    def grid(x, rows):
-        if uniform and x.size * count <= _SERIES_TERMS:
-            return block(x, rows, count)
+    def block(x, weights, log_binom, e, lift, d, *edge):
+        odds, nb_e = _efficiency_block(x, log_binom.T, e, wn, we)
+        sums = np.matmul(weights, nb_e.transpose(1, 0, 2)).transpose(1, 0, 2)
+        return finish(sums, odds, lift, d, *(a.transpose(1, 0, 2) for a in edge))
+
+    own = np.maximum(kn, 1).astype(int)  # each row's own series length
+
+    def grid(x):
+        if own.min() == count and x.size * count <= _SERIES_TERMS:
+            # One series length and one block: the rows as they are, with
+            # no gather.  This keeps a one-row call at par.
+            if not whole:
+                whole.extend(rows_first(slice(None), count))
+            return block(x, *whole)
+        if not groups:
+            for length in np.unique(own).tolist():
+                at = np.flatnonzero(own == length)
+                groups.append((at, rows_first(at, length)))
         out = np.empty((2,) + x.shape)
-        at = np.arange(kn.size)[rows]
-        own = np.maximum(kn[rows], 1).astype(int)  # each row's own series length
-        for length in np.unique(own):
-            group = np.flatnonzero(own == length)
-            step = max(1, _SERIES_TERMS // (length * x.shape[1]))
-            for part in np.split(group, range(step, group.size, step)):
-                out[:, part] = block(x[part], at[part], length)
+        for at, rowwise in groups:
+            step = max(1, _SERIES_TERMS // (rowwise[0].shape[-1] * x.shape[1]))
+            for first in range(0, at.size, step):
+                part = slice(first, first + step)
+                out[:, at[part]] = block(x[at[part]], *(a[part] for a in rowwise))
         return out
 
-    def values(x, rows=slice(None)) -> np.ndarray:
-        if one_row:
-            return grid(np.reshape(x, (1, -1)), rows)[:, 0]
+    def values(x) -> np.ndarray:
         if np.ndim(x) == 2:
-            return grid(np.asarray(x, dtype=float), rows)
+            return grid(np.asarray(x, dtype=float))
         return pairs(x)
 
-    return (den[0] if one_row else x_free[3]), values
+    return x_free[3], values
 
 
 def survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
@@ -350,8 +354,11 @@ def survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
 def integrated_survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
     """Exact J(x) = int_0^x P(A > B + v*E) dv for integer shapes, ke >= 2,
     shapes as for :func:`survival_series`: the upper row of the
-    integrated :func:`_interval_series`.  J(inf) = c * E[(kn - B)^+] /
-    (ke - 1) with c = wn / we and B ~ NB(kb, pb)."""
+    integrated :func:`_interval_series`, one row per point of x.
+    J(inf) = c * E[(kn - B)^+] / (ke - 1) with c = wn / we and
+    B ~ NB(kb, pb)."""
+    x = np.ravel(np.asarray(x, dtype=float))
+    kn, kb, ke = np.broadcast_arrays(kn, kb, ke, x)[:3]
     with np.errstate(all="ignore"):
         return _interval_series(kn, wn, kb, wb, ke, we, integrated=True)[1](x)[1]
 

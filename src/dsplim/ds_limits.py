@@ -27,8 +27,8 @@ interval state (:func:`dsplim._gamma_ratio._interval_series`) builds
 both from one block of efficiency masses, by
 P(NB(z + 1, p) = j) = P(NB(z, p) = j) (z + j) / z (1 - p), and serves
 both routes to a limit.  The grid route (:func:`_grid_limits`) runs on
-a block of datasets at once: each channel builds one state for all of
-them, of both endpoint survivals and their conditioning probability
+a block of datasets at once: each channel builds one state for a chunk
+of them, of both endpoint survivals and their conditioning probability
 den = P(NB(y, 1/(1+t)) <= n) (:func:`_channel_state`, the only
 endpoint-CDF code), and the ladder probe and both endpoint curves of
 every row read it; the trapezoid, CDF and quantile run on all rows at
@@ -59,6 +59,7 @@ from functools import cache, partial
 import numpy as np
 
 from ._gamma_ratio import (
+    _SERIES_TERMS,
     NumericalError,
     _interval_series,
     _series_carries,
@@ -180,10 +181,10 @@ class PlausibilityDensity:
 
 def _channel_state(n, y, z, t, u, method="auto", quad=None):
     """One channel over rows of counts (n, y, z) at the scales (t, u):
-    (x, which=(0, 1), rows=all) -> the endpoint CDFs at x >= 0 of shape
-    (rows, points), one row of x per picked row (every row by default),
-    as an array (len(which), rows, points) with one entry per requested
-    end (0 lower, 1 upper).
+    (x, which=(0, 1)) -> the endpoint CDFs at x >= 0 of shape (rows,
+    points), one row of x per row of counts, as an array (len(which),
+    rows, points) with one entry per requested end: which is (0,) for
+    the lower end, (1,) for the upper end or (0, 1).
 
     "auto" takes the series for the rows where both ends' shapes are on
     the series route of ``survival(method="auto")``.  Those rows share
@@ -209,46 +210,39 @@ def _channel_state(n, y, z, t, u, method="auto", quad=None):
     else:
         series = np.full(n.shape, method == "series")
     route = "quadrature" if method == "auto" else method  # of the other rows
-    every = series.all()
+    off = np.flatnonzero(~series)
     with np.errstate(all="ignore"):
-        if every:
-            den, survivals = _interval_series(n + 1, 1.0, y, wb, z, we)
+        if off.size < n.size:  # a row is on the series route
+            # A row off it holds the shapes (1, 0, 0) in the state, and
+            # takes its den and CDFs from the quadrature route instead.
+            kn, kb, ke = np.where(series, [n + 1, y, z], [[1], [0], [0]])
+            den, survivals = _interval_series(kn, 1.0, kb, wb, ke, we)
+            den = den.copy()
         else:
             den = np.empty(n.shape)
-            place = np.cumsum(series) - 1  # a series row's row in its state
-            if series.any():
-                den[series], survivals = _interval_series(
-                    n[series] + 1, 1.0, y[series], wb, z[series], we
-                )
-            for j in np.flatnonzero(~series):
-                den[j] = conditioning_probability(*ends(j)[1][:4])
+        for j in off:
+            den[j] = conditioning_probability(*ends(j)[1][:4])
     if (den < _MIN_CONDITIONING).any():
         j = np.argmax(den < _MIN_CONDITIONING)
         raise NumericalError(
             f"conditioning probability underflows for channel {channel(j)}"
         )
 
-    def cdfs(x, which=(0, 1), rows=slice(None)) -> np.ndarray:
+    def cdfs(x, which=(0, 1)) -> np.ndarray:
         with np.errstate(all="ignore"):
-            if every:
-                surv = survivals(x, rows)
-                surv = surv if len(which) == 2 else surv[list(which)]
+            if off.size < n.size:
+                surv = survivals(x)[which[0] : which[-1] + 1]
             else:
-                rows = np.arange(n.size)[rows]
                 surv = np.empty((len(which),) + x.shape)
-                on = series[rows]
-                if on.any():
-                    surv[:, on] = survivals(x[on], place[rows[on]])[list(which)]
-                for k in np.flatnonzero(~on):
-                    surv[:, k] = [survival(x[k], *ends(rows[k])[i], route, quad)
-                                  for i in which]
-            f = 1.0 - surv / den[rows, None]
+            for j in off:
+                surv[:, j] = [survival(x[j], *ends(j)[i], route, quad) for i in which]
+            f = 1.0 - surv / den[:, None]
         try:
             return clamp_unit(f)
         except NumericalError:
-            for k, j in enumerate(np.arange(n.size)[rows]):
+            for j in range(n.size):
                 try:
-                    clamp_unit(f[:, k])
+                    clamp_unit(f[:, j])
                 except NumericalError as exc:
                     raise NumericalError(f"{exc} for channel {channel(j)}") from None
 
@@ -330,9 +324,10 @@ def _rung_knots(x_max: float, points: int) -> np.ndarray:
 
 def _grid_knots(counts, ts, us, states, grid: GridConfig) -> list:
     """The knots of every row of the (rows, C, 3) counts, probing the
-    upper-end CDF of each channel where its z > 0 through its state from
-    :func:`_channel_states`: a list of (row indices, knots of shape
-    (rows, points)), one entry per knot count.
+    upper-end CDF of each channel through its state from
+    :func:`_channel_states` at every row, and reading it where z > 0: a
+    list of (row indices, knots of shape (rows, points)), one entry per
+    knot count.
 
     A row's x_max is the first rung of the ladder 1, 2, 4, ...,
     2**k <= HARD_CAP at which all of its proper channels pass.  Raises
@@ -340,18 +335,16 @@ def _grid_knots(counts, ts, us, states, grid: GridConfig) -> list:
     passes.
     """
     ladder = np.ldexp(1.0, np.arange(max(math.frexp(HARD_CAP)[1] - 1, 0) + 1))
-    ok = np.ones((len(counts), ladder.size), dtype=bool)
+    probe = np.repeat(ladder[None], len(counts), axis=0)
+    ok = np.ones(probe.shape, dtype=bool)
     short = np.zeros(counts.shape[:2], dtype=bool)  # still short at the top rung
     for c, state in enumerate(states):
         proper = counts[:, c, 2] > 0
-        if proper.all():
-            proper = slice(None)
-        elif not proper.any():
+        if not proper.any():
             continue
-        probe = np.repeat(ladder[None], len(ok[proper]), axis=0)
-        passed = state(probe, (1,), proper)[0] >= 1.0 - grid.tail_eps
-        ok[proper] &= passed
-        short[proper, c] = ~passed[:, -1]
+        passed = state(probe, (1,))[0] >= 1.0 - grid.tail_eps
+        ok &= passed | ~proper[:, None]
+        short[:, c] = proper & ~passed[:, -1]
     found = ok.any(axis=1)
     if not found.all():
         j = np.argmin(found)
@@ -364,12 +357,10 @@ def _grid_knots(counts, ts, us, states, grid: GridConfig) -> list:
         )
     rung = np.argmax(ok, axis=1).tolist()
     knots = {r: _rung_knots(ladder[r].item(), grid.points) for r in set(rung)}
-    sizes = sorted({k.size for k in knots.values()})
     groups = []
-    for size in sizes:
+    for size in sorted({k.size for k in knots.values()}):
         rows = [j for j, r in enumerate(rung) if knots[r].size == size]
-        xs = np.array([knots[rung[j]] for j in rows])
-        groups.append((slice(None) if len(sizes) == 1 else np.array(rows), xs))
+        groups.append((np.array(rows), np.array([knots[rung[j]] for j in rows])))
     return groups
 
 
@@ -440,33 +431,49 @@ def _grid_limits(counts, ts, us, quantiles, grid: GridConfig) -> np.ndarray:
     ``ts``, ``us`` the C channels' scales.  Returns an array (len(quantiles),
     rows), +inf for a row whose channels all have z == 0.
 
-    Each channel builds one state for all rows, which the ladder probe
-    and both endpoint curves reuse, and its curves are folded into the
-    product one channel at a time; the trapezoid, CDF and quantile run
-    on all rows at once, each row as on its own, so a row's limits do
-    not depend on the rows beside it.  Raises NumericalError naming the
-    first row that has none.
+    The rows run in chunks: a channel's state holds x-free arrays of
+    2 * max(n + 1) * rows terms, which a chunk keeps within
+    _SERIES_TERMS.  Each channel builds one state for a chunk, which the
+    ladder probe and both endpoint curves reuse, and its curves are
+    folded into the product one channel at a time; the trapezoid, CDF
+    and quantile run on all rows at once, each row as on its own, so a
+    row's limits do not depend on the rows beside it.  Raises
+    NumericalError naming the first row that has none.
     """
     counts = counts.reshape(len(counts), len(ts), 3)
     if counts.min(initial=0) < 0:
         raise ValueError("counts must be nonnegative integers")
     out = np.full((len(quantiles), len(counts)), math.inf)
     bounded = np.flatnonzero(counts[:, :, 2].any(axis=1))
-    counts = counts[bounded]
-    if not len(counts):
-        return out
-    states = _channel_states(counts, ts, us)
-    for rows, xs in _grid_knots(counts, ts, us, states, grid):
-        _, cdf, norm = _combine(xs, (_gap(state(xs, rows=rows)) for state in states))
-        if not (norm > 0).all():
-            row = counts[np.arange(len(counts))[rows][np.argmin(norm > 0)]].tolist()
-            names = ", ".join(str(ChannelObservation(*ch, t, u))
-                              for ch, t, u in zip(row, ts, us))
-            raise NumericalError(
-                f"combined commonality product has zero mass for {names}"
-            )
-        out[:, bounded[rows]] = _quantiles(xs, cdf, quantiles)
+    step = max(1, _SERIES_TERMS // (2 * (int(counts[:, :, 0].max(initial=0)) + 1)))
+    for first in range(0, len(bounded), step):
+        chunk = bounded[first : first + step]
+        out[:, chunk] = _chunk_limits(counts[chunk], ts, us, quantiles, grid)
     return out
+
+
+def _chunk_limits(counts, ts, us, quantiles, grid: GridConfig) -> np.ndarray:
+    """The limits of :func:`_grid_limits` on (rows, C, 3) counts, every
+    row with a channel of z > 0, from one state per channel.  Where the
+    rows' grids hold different knot counts, the rows of each count run
+    as a chunk of their own."""
+    states = _channel_states(counts, ts, us)
+    groups = _grid_knots(counts, ts, us, states, grid)
+    if len(groups) > 1:
+        out = np.empty((len(quantiles), len(counts)))
+        for rows, _ in groups:
+            out[:, rows] = _chunk_limits(counts[rows], ts, us, quantiles, grid)
+        return out
+    ((_, xs),) = groups
+    _, cdf, norm = _combine(xs, (_gap(state(xs)) for state in states))
+    if not (norm > 0).all():
+        row = counts[np.argmin(norm > 0)].tolist()
+        names = ", ".join(str(ChannelObservation(*ch, t, u))
+                          for ch, t, u in zip(row, ts, us))
+        raise NumericalError(
+            f"combined commonality product has zero mass for {names}"
+        )
+    return _quantiles(xs, cdf, quantiles)
 
 
 def _dataset_curves(channels, grid: GridConfig):

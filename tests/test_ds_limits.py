@@ -571,3 +571,30 @@ class TestBatchedGridRoute:
         for k in (0, 2, 3, 4):
             alone = _block_limits(counts[k : k + 1], [5.0], [50.0])
             assert limits[:, k : k + 1].tobytes() == alone.tobytes()
+
+    def test_large_n_row_bounds_its_chunk(self, monkeypatch):
+        # One row of n = 19999 among 150 small rows: the block runs in
+        # chunks of 2**22 // 40000 = 104 rows, so that no channel state
+        # holds more than _SERIES_TERMS terms in an x-free array
+        # (2 * max(n + 1) * rows), and every row keeps the bits it has
+        # alone.
+        rng = np.random.default_rng(1)
+        small = rng.integers(0, [20, 8, 3, 20, 8, 3], size=(150, 6))
+        small[:, 5] += 1  # every row bounded
+        counts = np.insert(small, 75, [3, 1, 1, 19999, 16000, 300], axis=0)
+        ts, us = [1.2, 1.2], [15.0, 15.0]
+        chunks = []
+        channel_states = ds_limits._channel_states
+
+        def record(chunk, *args):
+            chunks.append(chunk)
+            return channel_states(chunk, *args)
+
+        monkeypatch.setattr(ds_limits, "_channel_states", record)
+        limits = _block_limits(counts, ts, us)
+        assert [len(chunk) for chunk in chunks] == [104, 47]
+        for chunk in chunks:
+            assert 2 * (chunk[:, :, 0].max() + 1) * len(chunk) <= _gamma_ratio._SERIES_TERMS
+        for k in (0, 75, 150):
+            alone = _block_limits(counts[k : k + 1], ts, us)
+            assert limits[:, k : k + 1].tobytes() == alone.tobytes()

@@ -63,7 +63,8 @@ class TestIntegratedSurvival:
             got = per_row[1](x)
             for i, (kn_i, kb_i, ke_i) in enumerate(self.SHAPES):
                 shared = _interval_series(kn_i, 1.0, kb_i, 1 / t, ke_i, 1 / u, True)
-                np.testing.assert_allclose(got[:, rows == i], shared[1](xs), rtol=1e-13)
+                want = shared[1](xs[None])[:, 0]  # one row, at every point of xs
+                np.testing.assert_allclose(got[:, rows == i], want, rtol=1e-13)
 
     def test_needs_ke_at_least_two(self):
         with pytest.raises(ValueError, match="ke >= 2"):

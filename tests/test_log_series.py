@@ -256,7 +256,7 @@ def test_integrated_survival_series_against_scipy(kn, kb, ke, t, u, xs):
         # The interval state's lower row, (kn - 1, kb + 1, ke + 1) summed
         # from the upper end's block, to the same share of its own J(inf).
         with np.errstate(all="ignore"):
-            got = _interval_series(*shapes, integrated=True)[1](xs)[0]
+            got = _interval_series(*shapes, integrated=True)[1](xs[None])[0, 0]
         lower = (kn - 1, 1.0, kb + 1, 1.0 / t, ke + 1, 1.0 / u)
         scale = max(nb_convolution_integral(math.inf, *lower), np.finfo(float).tiny)
         want = [nb_convolution_integral(x, *lower) for x in xs]
