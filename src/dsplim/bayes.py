@@ -23,6 +23,7 @@ common scale cancels from its CDF; the shape-only update with scales
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -187,24 +188,27 @@ def bayes_upper_limits_batch(
     zs,
     t: float,
     u: float,
-    prior: PriorConfig,
+    prior: PriorConfig | Sequence[PriorConfig],
     quantiles,
     rel_tol: float = 1e-8,
 ) -> np.ndarray:
     """Upper limits for many single-channel datasets at once.
 
-    Returns an array of shape (len(quantiles), len(ns)), solved per
-    (dataset, quantile) pair by :func:`_posterior_limits` on the
-    posterior shapes (n + a_n, y + a_b, z + a_e).  Each pair's
-    trajectory depends on that pair alone, so results are identical
-    under any re-batching and equal :func:`bayes_upper_limit`.  Raises
-    NumericalError naming the first row whose posterior mass on s >= 0
-    underflows, or when a limit exceeds the bracket cap.
+    ``prior`` is one PriorConfig for every row or a sequence of one per
+    row.  Returns an array of shape (len(quantiles), len(ns)), solved
+    per (dataset, quantile) pair by :func:`_posterior_limits` on the
+    posterior shapes (n + a_n, y + a_b, z + a_e) of the row's prior.
+    Each pair's trajectory depends on that pair alone, so results are
+    identical under any re-batching and equal :func:`bayes_upper_limit`.
+    Raises NumericalError naming the first row whose posterior mass on
+    s >= 0 underflows, or when a limit exceeds the bracket cap.
     """
     ns, ys, zs = (np.asarray(a, dtype=int) for a in (ns, ys, zs))
 
     def name_row(j):
         return f"row (n, y, z) = ({ns[j]}, {ys[j]}, {zs[j]})"
 
-    shapes = (ns + prior.a_n, ys + prior.a_b, zs + prior.a_e)
+    priors = [prior] if isinstance(prior, PriorConfig) else prior
+    a_n, a_b, a_e = np.array([(p.a_n, p.a_b, p.a_e) for p in priors]).reshape(-1, 3).T
+    shapes = (ns + a_n, ys + a_b, zs + a_e)
     return _posterior_limits(*shapes, t, u, quantiles, rel_tol, name_row)

@@ -130,9 +130,10 @@ class CredibilityConfig:
 # not on the other rows passed with it.  A row without limits makes the
 # call raise NumericalError or IntegrationError.
 
-# Most distinct rows handed to a method in one call.  The rows arrive
-# sorted by n, so a block's Bayes batch runs a series only about as long
-# as its own largest kn.
+# Most distinct rows, or distinct Bayes posteriors of a study, handed to
+# a method in one call; one worker takes them in blocks of this size.
+# The rows arrive sorted by their first count, so a block's Bayes batch
+# runs a series only about as long as its own largest kn.
 _BLOCK_ROWS = 1024
 
 
@@ -163,6 +164,12 @@ def _bayes_limits_of_counts(counts, t, u, quantiles, prior: PriorConfig) -> np.n
     return bayes_upper_limits_batch(ns, ys, zs, t, u, prior, quantiles)
 
 
+def _posterior_limits_of_pairs(pairs, t, u, quantiles, priors) -> np.ndarray:
+    """Limits of (n, y, z, k) rows, each under its own prior ``priors[k]``."""
+    ns, ys, zs, ks = pairs.T
+    return bayes_upper_limits_batch(ns, ys, zs, t, u, [priors[k] for k in ks], quantiles)
+
+
 def make_ds_method(grid: GridConfig = GridConfig()):
     """Belief-interval limit method; +inf where the limit is unbounded.
 
@@ -184,13 +191,11 @@ def make_bayes_method(prior: PriorConfig | str):
     return partial(_bayes_limits_of_counts, prior=prior)
 
 
-def _parallel_map(fn, items, threads: int):
-    # No more workers than cores: a pool forks all of them on the first submit.
-    threads = min(threads, os.cpu_count() or 1)
-    if threads <= 1:
+def _parallel_map(fn, items, workers: int):
+    if workers <= 1:
         return [fn(item) for item in items]
-    chunk = max(1, len(items) // (4 * threads))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    chunk = max(1, len(items) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
 
 
@@ -215,8 +220,8 @@ def _block_limits(block, method, t, u, quantiles):
 
 
 def _distinct_rows(counts):
-    """The distinct rows of a 2-d int array in lexicographic order, and
-    the index of each input row among them: np.unique(counts, axis=0,
+    """The distinct rows of a 2-d array in lexicographic order, and the
+    index of each input row among them: np.unique(counts, axis=0,
     return_inverse=True) by one lexsort over the columns and a
     neighbour-difference mask, without a structured-dtype sort."""
     order = np.lexsort(counts.T[::-1])
@@ -228,6 +233,44 @@ def _distinct_rows(counts):
     return ranked[new], inverse
 
 
+def _distinct_limits(method, rows, t, u, quantiles, threads: int):
+    """Limits of each of the distinct ``rows``, of shape (len(quantiles),
+    len(rows)), and {row: error message} for the rows whose limits failed
+    (NaN in the array).
+
+    The rows are cut into contiguous blocks of at most _BLOCK_ROWS rows,
+    and into at least 4 blocks per worker when a pool runs, with no more
+    workers than cores; the blocks are mapped over the workers.  A block
+    that raises is halved inside its worker until its failing rows stand
+    alone (:func:`_block_limits`).  Since each row's limits depend on
+    that row alone, the result is the same for any worker count.
+    """
+    if not len(rows):
+        return np.empty((len(quantiles), 0)), {}
+    # No more workers than cores: a pool forks all of them on the first submit.
+    workers = min(threads, os.cpu_count() or 1)
+    n_blocks = -(-len(rows) // _BLOCK_ROWS)
+    if workers > 1:
+        n_blocks = max(n_blocks, 4 * workers)
+    blocks = np.array_split(rows, min(n_blocks, len(rows)))
+    task = partial(_block_limits, method=method, t=t, u=u, quantiles=tuple(quantiles))
+    results = _parallel_map(task, blocks, workers)
+    limits = np.concatenate([lims for lims, _ in results], axis=1)
+    messages, start = {}, 0
+    for block, (_, block_failures) in zip(blocks, results):
+        messages.update((start + j, message) for j, message in block_failures.items())
+        start += len(block)
+    return limits, messages
+
+
+def _scattered(limits, messages, inverse):
+    """The limits and {distinct row: message} of distinct rows, scattered
+    to the input rows, whose distinct rows ``inverse`` gives: the input
+    rows' limits and {input row: message}, in input order."""
+    failed = np.flatnonzero(np.isin(inverse, list(messages)))
+    return limits[:, inverse], {int(row): messages[inverse[row]] for row in failed}
+
+
 def _row_limits(method, counts, t, u, quantiles, threads: int = 1):
     """Limits of every row of the (N, 3C) ``counts``, evaluating each
     distinct row once: an array of shape (len(quantiles), len(counts)),
@@ -235,39 +278,28 @@ def _row_limits(method, counts, t, u, quantiles, threads: int = 1):
     (NaN in the array), in input order.
 
     The distinct rows (:func:`_distinct_rows`, in lexicographic order, so
-    sorted by the first channel's n) are cut into at least 4 * threads
-    contiguous blocks of at most _BLOCK_ROWS rows, mapped over the
-    workers, and scattered back to the input order.  A
-    block that raises is halved inside its worker until its failing rows
-    stand alone (:func:`_block_limits`).  Since each row's limits depend
-    on that row alone, the result is the same for any worker count.
+    sorted by the first channel's n) go through :func:`_distinct_limits`,
+    and their limits are scattered back to the input order.
     """
     distinct, inverse = _distinct_rows(np.asarray(counts, dtype=int))
-    if not len(distinct):
-        return np.empty((len(quantiles), 0)), {}
-    n_blocks = max(4 * threads, -(-len(distinct) // _BLOCK_ROWS))
-    blocks = np.array_split(distinct, min(n_blocks, len(distinct)))
-    task = partial(_block_limits, method=method, t=t, u=u, quantiles=tuple(quantiles))
-    results = _parallel_map(task, blocks, threads)
-    limits = np.concatenate([lims for lims, _ in results], axis=1)
-    messages, start = {}, 0  # distinct row -> message
-    for block, (_, block_failures) in zip(blocks, results):
-        messages.update((start + j, message) for j, message in block_failures.items())
-        start += len(block)
-    failed = np.flatnonzero(np.isin(inverse, list(messages)))
-    return limits[:, inverse], {int(row): messages[inverse[row]] for row in failed}
+    limits, messages = _distinct_limits(method, distinct, t, u, quantiles, threads)
+    return _scattered(limits, messages, inverse)
 
 
-def _study_limits(method, counts, t, u, quantiles, threads):
-    """:func:`_row_limits` for a study, which needs every row's limits:
-    a failing row raises one NumericalError naming the first such row in
-    input order, its counts and its error."""
-    limits, failures = _row_limits(method, counts, t, u, quantiles, threads)
+def _checked(counts, limits, failures):
+    """``limits`` of a study, which needs every row's limits: a failing
+    row raises one NumericalError naming the first such row in input
+    order, its counts and its error."""
     if failures:
         row, message = next(iter(failures.items()))
         n, y, z = np.asarray(counts)[row].tolist()
         raise NumericalError(f"study row {row}, (n, y, z) = ({n}, {y}, {z}): {message}")
     return limits
+
+
+def _study_limits(method, counts, t, u, quantiles, threads):
+    """:func:`_row_limits` for a study, through :func:`_checked`."""
+    return _checked(counts, *_row_limits(method, counts, t, u, quantiles, threads))
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +551,40 @@ class StudyResult:
         return rows
 
 
+def _preset_limits(presets, distinct, inverse, t, u, quantiles, threads) -> dict:
+    """{preset: (limits, failures)} of the study rows ``distinct[inverse]``
+    under each Bayes preset, as :func:`_row_limits` gives them for
+    ``make_bayes_method(preset)``, solving each distinct posterior once.
+
+    A row and preset give the posterior shapes (n + a_n, y + a_b, z +
+    a_e), so B2 at (n, y, z) is B1 at (n + 1, y + 1, z + 1).  The
+    (preset, row) pairs, preset-major in ``presets`` order, are deduped
+    by their shapes, and each distinct posterior is solved once through
+    :func:`_distinct_limits` for its first pair.  A preset's first
+    failing row in input order is then that pair itself, since an
+    earlier preset sharing its posterior would fail first, so its error
+    names the same counts as on the preset's own path.
+    """
+    if not presets:
+        return {}
+    priors = tuple(prior_preset(m) for m in presets)
+    shapes = np.array([(p.a_n, p.a_b, p.a_e) for p in priors])
+    posteriors = (distinct + shapes[:, None, :]).reshape(-1, 3)
+    unique, pair_of = _distinct_rows(posteriors)
+    first = np.full(len(unique), len(posteriors))
+    np.minimum.at(first, pair_of, np.arange(len(posteriors)))
+    rows = len(distinct)
+    pairs = np.column_stack([distinct[first % rows], first // rows])
+    method = partial(_posterior_limits_of_pairs, priors=priors)
+    limits, messages = _distinct_limits(
+        method, pairs, float(t), float(u), quantiles, threads
+    )
+    return {
+        m: _scattered(limits, messages, pair_of[k * rows + inverse])
+        for k, m in enumerate(presets)
+    }
+
+
 def simulate_study(
     t: float,
     u: float,
@@ -532,13 +598,19 @@ def simulate_study(
     grid: GridConfig = GridConfig(),
     threads: int = 1,
 ) -> StudyResult:
-    """Generate ``reps`` datasets at each s, apply every method to the
-    same datasets, and record per-s coverage of the resulting limits.
+    """Generate ``reps`` datasets at each s, apply every method ("ds" or
+    a prior preset name) to the same datasets, and record per-s coverage
+    of the resulting limits.
 
     Coverage uses the strict event s < limit.  Each s value owns an
     independent random stream keyed by its grid index, so results do
-    not depend on scheduling or the worker count.  Each method
-    evaluates every distinct (n, y, z) of the whole study once.
+    not depend on scheduling or the worker count.  The study's rows are
+    deduped once; DS evaluates every distinct (n, y, z) once, and the
+    Bayes presets solve every distinct posterior (n + a_n, y + a_b,
+    z + a_e) once, shared among the presets (:func:`_preset_limits`):
+    at most two worker maps per study.  A failing row raises one
+    NumericalError naming the first failing row in input order of the
+    first failing method in ``methods`` order.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -554,11 +626,16 @@ def simulate_study(
         draws.append(np.stack([ns, ys, zs], axis=1))
     counts = np.concatenate(draws)
 
+    distinct, inverse = _distinct_rows(counts)
+    presets = [m for m in methods if m != "ds"]
+    results = _preset_limits(presets, distinct, inverse, t, u, quantiles, threads)
+    if "ds" in methods:
+        ds = _distinct_limits(make_ds_method(grid), distinct, t, u, quantiles, threads)
+        results["ds"] = _scattered(*ds, inverse)
     coverage = {}
     limits = {}
     for m in methods:
-        method = make_ds_method(grid) if m == "ds" else make_bayes_method(m)
-        lims = _study_limits(method, counts, t, u, quantiles, threads)
+        lims = _checked(counts, *results[m])
         for qi, q in enumerate(quantiles):
             lim = lims[qi].reshape(s_grid.size, reps)
             limits[(m, q)] = lim

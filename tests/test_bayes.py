@@ -208,6 +208,17 @@ class TestUpperLimitQuantile:
             alone = bayes_upper_limits_batch(*row[:, None], 3.3, 10.0, prior, (0.9,))
             assert alone[0, 0] == together[0, j]
 
+    def test_prior_per_row_keeps_bits(self):
+        # One prior per row, with a non-integer prior that takes quadrature:
+        # each row's limits are those it gets alone under its prior.
+        rows = np.array([(0, 3, 3), (2, 0, 4), (5, 1, 8), (19, 12, 12), (4, 3, 9)])
+        priors = [prior_preset(name) for name in ("B1", "B2", "upper", "lower")]
+        priors.append(PriorConfig(1.5, 1.0, 1.0))
+        mixed = bayes_upper_limits_batch(*rows.T, 3.3, 10.0, priors, (0.9, 0.99))
+        for j, prior in enumerate(priors):
+            alone = bayes_upper_limits_batch(*rows[j, :, None], 3.3, 10.0, prior, (0.9, 0.99))
+            assert mixed[:, j].tobytes() == alone[:, 0].tobytes()
+
     def test_conditioning_probability_only_on_the_quadrature_route(self, monkeypatch):
         calls = []
 

@@ -1,12 +1,17 @@
 """Coverage estimators, credibility, study machinery, length quantiles."""
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
 
 from dsplim._gamma_ratio import NumericalError
 from dsplim.bayes import (
+    PriorConfig,
+    bayes_upper_limits_batch,
     bayes_posterior_cdf,
     conjugate_posteriors,
     prior_preset,
@@ -28,7 +33,7 @@ from dsplim.evalharness import (
 )
 from dsplim import evalharness
 from dsplim.evalharness import _credibility_curve, _posterior_nuisance_draws, _row_limits
-from dsplim.sampling import RngHandle
+from dsplim.sampling import RngHandle, derive_stream_id
 from oracles import bisection_root, mc_credibility
 
 TASK1B = dict(t=3.3, u=10.0, truth_nuisance=(0.1, 0.3))
@@ -72,14 +77,38 @@ class _FailingMethod:
         return np.tile(code, (len(quantiles), 1))
 
 
+@pytest.fixture
+def stub_pool(monkeypatch):
+    """Patch a pool into ``evalharness`` that records its worker count and
+    runs in this process, so no process starts; yields the counts."""
+    workers = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(evalharness, "ProcessPoolExecutor", Pool)
+    return workers
+
+
 class TestRowLimits:
     COUNTS = np.array([(n, n % 5, 3) for n in range(64)])
 
     def test_failing_row_is_isolated_by_halving(self):
         method = _FailingMethod(0, {37})
         limits, failures = _row_limits(method, self.COUNTS, 3.3, 10.0, (0.9, 0.99))
-        # 4 blocks of 16 rows; 16 -> 8 -> 4 -> 2 -> 1 adds 2 calls per halving
-        assert len(method.blocks) <= 4 + 2 * 4
+        # one block of 64 rows at one worker; 64 -> 32 -> ... -> 1 adds 2
+        # calls per halving
+        assert len(method.blocks) <= 1 + 2 * 6
         assert failures == {37: "stub failure at (37, 2, 3)"}
         assert np.isnan(limits[:, 37]).all()
         ok = np.arange(64) != 37
@@ -115,29 +144,21 @@ class TestRowLimits:
             i for i, row in enumerate(counts) if row[0] in fails
         ]
 
-    def test_workers_capped_at_cores(self, monkeypatch):
-        # A stub pool records its worker count and runs in this process.
-        workers = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(evalharness, "ProcessPoolExecutor", Pool)
+    def test_workers_capped_at_cores(self, stub_pool, monkeypatch):
         monkeypatch.setattr(evalharness.os, "cpu_count", lambda: 3)
         serial = _row_limits(_FailingMethod(0, {37}), self.COUNTS, 3.3, 10.0, (0.9,))
         pooled = _row_limits(_FailingMethod(0, {37}), self.COUNTS, 3.3, 10.0, (0.9,), 5000)
-        assert workers == [3]
+        assert stub_pool == [3]
         assert serial[0].tobytes() == pooled[0].tobytes() and serial[1] == pooled[1]
+
+    @pytest.mark.parametrize("cores, threads, blocks", [(3, 5000, 12), (2, 2, 8), (2, 64, 8)])
+    def test_blocks_follow_the_capped_workers(self, stub_pool, monkeypatch,
+                                              cores, threads, blocks):
+        # 4 blocks per worker once a pool runs, with no more workers than cores
+        monkeypatch.setattr(evalharness.os, "cpu_count", lambda: cores)
+        method = _FailingMethod()
+        _row_limits(method, self.COUNTS, 3.3, 10.0, (0.9,), threads)
+        assert stub_pool == [min(cores, threads)] and len(method.blocks) == blocks
 
     @pytest.mark.parametrize(
         "counts",
@@ -162,7 +183,11 @@ class TestRowLimits:
     def test_no_failure_is_one_call_per_block(self):
         method = _FailingMethod()
         limits, failures = _row_limits(method, self.COUNTS, 3.3, 10.0, (0.9,))
-        assert failures == {} and len(method.blocks) == 4
+        assert failures == {} and len(method.blocks) == 1
+        big = np.array([(n, 0, 3) for n in range(2 * evalharness._BLOCK_ROWS + 1)])
+        method = _FailingMethod()
+        _row_limits(method, big, 3.3, 10.0, (0.9,))
+        assert [len(block) for block in method.blocks] == [683, 683, 683]
         assert _row_limits(method, np.empty((0, 3), int), 3.3, 10.0, (0.9,))[1] == {}
 
 
@@ -380,6 +405,115 @@ class TestSimulateStudy:
             f"study row {first}, (n, y, z) = ({n}, {y}, {z}): "
             f"stub failure at ({n}, {y}, {z})"
         }
+
+
+SMALL_STUDY = dict(t=3.3, u=10.0, eps=0.1, b=0.3, s_grid=np.arange(5.0, 26.0), reps=20)
+PAPER_STUDY = dict(t=33.0, u=100.0, eps=1.0, b=3.0, s_grid=np.arange(0.0, 41.0, 4.0), reps=10)
+PRESETS = ("B1", "B2", "upper", "lower")
+
+
+def _study_counts(t, u, eps, b, s_grid, reps, seed):
+    """The (n, y, z) rows simulate_study draws, in its input order."""
+    draws = []
+    for idx, s in enumerate(s_grid):
+        gen = RngHandle(seed, derive_stream_id("simulate", idx)).generator
+        draws.append(np.stack([gen.poisson(eps * s + b, reps), gen.poisson(t * b, reps),
+                               gen.poisson(u * eps, reps)], axis=1))
+    return np.concatenate(draws)
+
+
+def _posteriors(counts, presets):
+    """Each (row, preset) pair's posterior shapes, as tuples."""
+    return [tuple(row + np.array([p.a_n, p.a_b, p.a_e]))
+            for p in map(prior_preset, presets) for row in counts]
+
+
+class _StubBatch:
+    """Stands in for ``bayes_upper_limits_batch``: limits encode each
+    row's posterior shapes as kn * 1e6 + kb * 1e3 + ke, and a call raises
+    naming the first row whose shapes are in ``failing``."""
+
+    def __init__(self, failing):
+        self.failing = set(failing)
+
+    def __call__(self, ns, ys, zs, t, u, prior, quantiles):
+        priors = [prior] * len(ns) if isinstance(prior, PriorConfig) else prior
+        shapes = [(n + p.a_n, y + p.a_b, z + p.a_e)
+                  for n, y, z, p in zip(ns, ys, zs, priors)]
+        for n, y, z, shape in zip(ns, ys, zs, shapes):
+            if shape in self.failing:
+                raise NumericalError(f"stub failure at ({n}, {y}, {z})")
+        code = np.array([kn * 1e6 + kb * 1e3 + ke for kn, kb, ke in shapes])
+        return np.tile(code, (len(quantiles), 1))
+
+
+class TestStudyPlan:
+    """simulate_study dedupes its rows once and solves each distinct Bayes
+    posterior once, with the limits and errors of one method at a time."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("study", [SMALL_STUDY, PAPER_STUDY], ids=["small", "paper"])
+    def test_each_method_as_alone(self, study, threads):
+        quantiles = (0.9, 0.99)
+        res = simulate_study(**study, seed=5, quantiles=quantiles, threads=threads)
+        counts = _study_counts(**study, seed=5)
+        if study is SMALL_STUDY:  # repeats, z = 0 and 1 rows, shared posteriors
+            assert len(set(map(tuple, counts))) < len(counts)
+            assert {0, 1} <= set(counts[:, 2])
+            assert len(set(_posteriors(counts, PRESETS))) < len(
+                _posteriors(np.unique(counts, axis=0), PRESETS))
+        t, u = study["t"], study["u"]
+        for m in res.methods:
+            method = make_ds_method() if m == "ds" else make_bayes_method(m)
+            alone, failures = _row_limits(method, counts, t, u, quantiles, threads)
+            assert failures == {}
+            for qi, q in enumerate(quantiles):
+                assert res.limits[(m, q)].reshape(-1).tobytes() == alone[qi].tobytes()
+
+    def test_one_solve_per_distinct_posterior(self, monkeypatch):
+        solved = []
+
+        def batch(ns, ys, zs, t, u, prior, quantiles):
+            solved.extend((n + p.a_n, y + p.a_b, z + p.a_e)
+                          for n, y, z, p in zip(ns, ys, zs, prior))
+            return bayes_upper_limits_batch(ns, ys, zs, t, u, prior, quantiles)
+
+        monkeypatch.setattr(evalharness, "bayes_upper_limits_batch", batch)
+        simulate_study(**SMALL_STUDY, seed=5, methods=PRESETS)
+        counts = _study_counts(**SMALL_STUDY, seed=5)
+        assert sorted(solved) == sorted(set(_posteriors(counts, PRESETS)))
+
+    @pytest.mark.parametrize("methods", [PRESETS, ("lower", "B2", "upper", "B1")])
+    def test_failing_posterior_is_named(self, monkeypatch, methods):
+        # The twin of TestSimulateStudy.test_failing_row_is_named for the
+        # presets: a failing posterior shared by B1 and B2, and the largest
+        # posterior of `upper`.  The error is the one the presets' own paths
+        # raise, one method at a time in ``methods`` order.
+        kw = dict(SMALL_STUDY, seed=9, methods=methods, quantiles=(0.9,))
+        counts = _study_counts(**SMALL_STUDY, seed=9)
+        rows = set(map(tuple, counts.tolist()))
+        lo = min(r for r in rows if (r[0] + 1, r[1] + 1, r[2] + 1) in rows)
+        shared = (lo[0] + 2, lo[1] + 2, lo[2] + 2)  # B2 at lo, B1 at lo + 1
+        upper_max = max((r[0] + 2, r[1] + 1, r[2] + 1) for r in rows)
+        monkeypatch.setattr(evalharness, "bayes_upper_limits_batch",
+                            _StubBatch({shared, upper_max}))
+        want = None
+        for m in methods:
+            try:
+                evalharness._study_limits(make_bayes_method(m), counts, 3.3, 10.0, (0.9,), 1)
+            except NumericalError as exc:
+                want = str(exc)
+                break
+        assert want is not None
+        # workers inherit the stub by fork
+        monkeypatch.setattr(evalharness, "ProcessPoolExecutor", partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        messages = set()
+        for threads in (1, 2):
+            with pytest.raises(NumericalError) as err:
+                simulate_study(**kw, threads=threads)
+            messages.add(str(err.value))
+        assert messages == {want}
 
 
 class TestNuisanceTruth:
