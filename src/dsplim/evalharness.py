@@ -19,6 +19,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 
@@ -191,12 +192,46 @@ def make_bayes_method(prior: PriorConfig | str):
     return partial(_bayes_limits_of_counts, prior=prior)
 
 
+# The process's one worker pool and its worker count (see _parallel_map).
+_pool = None
+_pool_workers = 0
+
+
+def _shutdown_pool():
+    """Shut the worker pool down and join its workers, if one runs; the
+    next pooled call forks a new one."""
+    global _pool, _pool_workers
+    pool, _pool, _pool_workers = _pool, None, 0
+    if pool is not None:
+        pool.shutdown()
+
+
 def _parallel_map(fn, items, workers: int):
-    if workers <= 1:
+    """``[fn(item) for item in items]``, on a pool of ``workers``
+    processes when ``workers`` > 1 and there is more than one item.
+
+    The process keeps one pool: it is forked at the first pooled call and
+    reused by every later call with the same worker count.  A call with
+    another count shuts the old pool down before the new one forks, so no
+    executor thread is alive at a fork.  A map that raises
+    BrokenProcessPool (a worker died) drops the pool and re-raises; the
+    next call forks a fresh one.  At interpreter exit, concurrent.futures
+    joins the workers.  Workers see module state as it was when the pool
+    forked, not as it is at later calls.  Nothing in dsplim calls this
+    from more than one thread, so the pool has no lock.
+    """
+    global _pool, _pool_workers
+    if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    if _pool_workers != workers:
+        _shutdown_pool()
+        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
     chunk = max(1, len(items) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+    try:
+        return list(_pool.map(fn, items, chunksize=chunk))
+    except BrokenProcessPool:
+        _shutdown_pool()
+        raise
 
 
 def _block_limits(block, method, t, u, quantiles):
@@ -240,10 +275,13 @@ def _distinct_limits(method, rows, t, u, quantiles, threads: int):
 
     The rows are cut into contiguous blocks of at most _BLOCK_ROWS rows,
     and into at least 4 blocks per worker when a pool runs, with no more
-    workers than cores; the blocks are mapped over the workers.  A block
-    that raises is halved inside its worker until its failing rows stand
-    alone (:func:`_block_limits`).  Since each row's limits depend on
-    that row alone, the result is the same for any worker count.
+    workers than cores; the blocks are mapped over the process's one
+    worker pool, forked at the first pooled call and reused by later
+    ones (:func:`_parallel_map`), and a single block is evaluated in
+    this process.  A block that raises is halved inside its worker until
+    its failing rows stand alone (:func:`_block_limits`).  Since each
+    row's limits depend on that row alone, the result is the same for
+    any worker count.
     """
     if not len(rows):
         return np.empty((len(quantiles), 0)), {}

@@ -2,8 +2,16 @@
 
 import math
 import multiprocessing
+import multiprocessing.connection
+import os
+import signal
+import subprocess
+import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,18 +88,20 @@ class _FailingMethod:
 @pytest.fixture
 def stub_pool(monkeypatch):
     """Patch a pool into ``evalharness`` that records its worker count and
-    runs in this process, so no process starts; yields the counts."""
+    runs in this process, so no process starts; yields the counts.  The
+    patched class's ``log`` records each start and shutdown in order."""
     workers = []
 
     class Pool:
+        log = []  # ("start" or "shutdown", worker count), in call order
+
         def __init__(self, max_workers):
             workers.append(max_workers)
+            self.max_workers = max_workers
+            self.log.append(("start", max_workers))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self):
+            self.log.append(("shutdown", self.max_workers))
 
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
@@ -189,6 +199,93 @@ class TestRowLimits:
         _row_limits(method, big, 3.3, 10.0, (0.9,))
         assert [len(block) for block in method.blocks] == [683, 683, 683]
         assert _row_limits(method, np.empty((0, 3), int), 3.3, 10.0, (0.9,))[1] == {}
+
+
+class TestWorkerPool:
+    """One worker pool per process, forked at the first pooled call."""
+
+    COUNTS = TestRowLimits.COUNTS
+
+    def test_one_block_runs_in_process(self, stub_pool, monkeypatch):
+        monkeypatch.setattr(evalharness.os, "cpu_count", lambda: 2)
+        method = _FailingMethod()
+        limits, _ = _row_limits(method, np.repeat(self.COUNTS[:1], 5, axis=0),
+                                3.3, 10.0, (0.9,), 2)
+        assert stub_pool == [] and method.blocks == [self.COUNTS[:1].tolist()]
+        assert (limits == 3.0).all()
+
+    def test_pool_is_reused_at_one_worker_count(self, stub_pool, monkeypatch):
+        monkeypatch.setattr(evalharness.os, "cpu_count", lambda: 2)
+        for threads in (2, 2, 64):  # 64 threads are capped at the 2 cores
+            _row_limits(_FailingMethod(), self.COUNTS, 3.3, 10.0, (0.9,), threads)
+        assert stub_pool == [2]
+        monkeypatch.setattr(evalharness.os, "cpu_count", lambda: 3)
+        _row_limits(_FailingMethod(), self.COUNTS, 3.3, 10.0, (0.9,), 3)
+        _row_limits(_FailingMethod(), self.COUNTS, 3.3, 10.0, (0.9,), 1)
+        assert evalharness.ProcessPoolExecutor.log == [
+            ("start", 2), ("shutdown", 2), ("start", 3)]
+
+    def test_methods_share_one_pool_and_keep_their_bits(self, monkeypatch):
+        monkeypatch.setattr(evalharness.os, "cpu_count", lambda: 2)
+        counts = np.indices((8, 4, 4)).reshape(3, -1).T  # z = 0, 1 and z >= 2 rows
+        methods = [make_ds_method(), make_bayes_method("B1"), make_ds_method()]
+        pools = []
+        for method in methods:
+            serial, serial_failures = _row_limits(method, counts, 3.3, 10.0, (0.9, 0.99))
+            pooled, pooled_failures = _row_limits(method, counts, 3.3, 10.0, (0.9, 0.99), 2)
+            assert serial.tobytes() == pooled.tobytes()
+            assert serial_failures == pooled_failures == {}
+            pools.append(evalharness._pool)
+        assert pools[0] is not None and pools == [pools[0]] * 3
+
+    def test_killed_worker_breaks_one_call(self, monkeypatch):
+        monkeypatch.setattr(evalharness.os, "cpu_count", lambda: 2)
+        method = _FailingMethod(0, {37})
+        want, want_failures = _row_limits(method, self.COUNTS, 3.3, 10.0, (0.9,))
+        _row_limits(method, self.COUNTS, 3.3, 10.0, (0.9,), 2)
+        pool = evalharness._pool
+        victim = multiprocessing.active_children()[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        assert multiprocessing.connection.wait([victim.sentinel], timeout=10)
+        # Wait for the pool's own thread to see the death; a map submitted
+        # before it does could still finish on the other worker.
+        deadline = time.monotonic() + 10
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with pytest.raises(BrokenProcessPool):
+            _row_limits(method, self.COUNTS, 3.3, 10.0, (0.9,), 2)
+        assert evalharness._pool is None
+        got, failures = _row_limits(method, self.COUNTS, 3.3, 10.0, (0.9,), 2)
+        assert evalharness._pool not in (None, pool)
+        assert got.tobytes() == want.tobytes() and failures == want_failures
+
+    def test_workers_end_with_their_process(self):
+        script = (
+            "import multiprocessing\n"
+            "from dsplim import evalharness\n"
+            "for _ in range(2):\n"
+            "    assert evalharness._parallel_map(abs, [-1, -2, -3], 2) == [1, 2, 3]\n"
+            "print(*(p.pid for p in multiprocessing.active_children()))\n"
+        )
+        src = str(Path(evalharness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2
+
+        def running(pid):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+            return True
+
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids))
 
 
 class TestCoverageEnumerate:
