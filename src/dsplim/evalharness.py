@@ -25,7 +25,6 @@ from functools import partial
 
 import numpy as np
 from scipy import special as sp
-from scipy import stats
 
 from ._gamma_ratio import NumericalError
 from .bayes import PriorConfig, bayes_upper_limits_batch, prior_preset
@@ -254,11 +253,43 @@ def _block_limits(block, method, t, u, quantiles):
     return np.concatenate([head, tail], axis=1), head_failures | tail_failures
 
 
+def _packed_key(counts):
+    """Each row of an integer ``counts`` as one int64, mixed-radix with
+    the first column most significant, so keys sort as the rows do
+    lexicographically, and the radices; None when a count is negative or
+    the keys could overflow int64."""
+    if not (np.issubdtype(counts.dtype, np.signedinteger) and counts.size
+            and counts.min() >= 0):
+        return None
+    radices = [high + 1 for high in counts.max(axis=0).tolist()]
+    if math.prod(radices) > np.iinfo(np.int64).max:
+        return None
+    key = counts[:, 0].astype(np.int64)
+    for column, radix in zip(counts.T[1:], radices[1:]):
+        key *= radix
+        key += column
+    return key, radices
+
+
 def _distinct_rows(counts):
     """The distinct rows of a 2-d array in lexicographic order, and the
     index of each input row among them: np.unique(counts, axis=0,
-    return_inverse=True) by one lexsort over the columns and a
-    neighbour-difference mask, without a structured-dtype sort."""
+    return_inverse=True) without a structured-dtype sort.
+
+    Rows of nonnegative integers whose column ranges fit one int64 key
+    (:func:`_packed_key`) are deduped by np.unique of their keys, and the
+    distinct rows decoded from the distinct keys; any other array takes
+    one lexsort over the columns and a neighbour-difference mask.
+    """
+    packed = _packed_key(counts)
+    if packed is not None:
+        key, radices = packed
+        keys, inverse = np.unique(key, return_inverse=True)
+        distinct = np.empty((len(keys), counts.shape[1]), dtype=counts.dtype)
+        for j in range(counts.shape[1] - 1, 0, -1):
+            keys, distinct[:, j] = np.divmod(keys, radices[j])
+        distinct[:, 0] = keys
+        return distinct, inverse
     order = np.lexsort(counts.T[::-1])
     ranked = counts[order]
     new = np.ones(len(counts), dtype=bool)
@@ -306,7 +337,7 @@ def _scattered(limits, messages, inverse):
     to the input rows, whose distinct rows ``inverse`` gives: the input
     rows' limits and {input row: message}, in input order."""
     failed = np.flatnonzero(np.isin(inverse, list(messages)))
-    return limits[:, inverse], {int(row): messages[inverse[row]] for row in failed}
+    return limits.take(inverse, axis=1), {int(row): messages[inverse[row]] for row in failed}
 
 
 def _row_limits(method, counts, t, u, quantiles, threads: int = 1):
@@ -351,9 +382,14 @@ def _poisson_pmf(ks: np.ndarray, rate: float) -> np.ndarray:
 
 
 def _poisson_box_max(rate: float, tail_eps: float) -> int:
+    """The least k with P(Pois(rate) <= k) >= 1 - tail_eps, by the rule
+    of scipy.stats.poisson.ppf: k = ceil(pdtrik(q, rate)), less one when
+    the Poisson CDF at k - 1 already reaches q."""
     if rate == 0.0:
         return 0
-    return int(stats.poisson.ppf(1.0 - tail_eps, rate))
+    q = 1.0 - tail_eps
+    k = math.ceil(sp.pdtrik(q, rate))
+    return k - 1 if k > 0 and sp.pdtr(k - 1, rate) >= q else k
 
 
 def coverage_enumerate(
@@ -607,6 +643,8 @@ def _preset_limits(presets, distinct, inverse, t, u, quantiles, threads) -> dict
         return {}
     priors = tuple(prior_preset(m) for m in presets)
     shapes = np.array([(p.a_n, p.a_b, p.a_e) for p in priors])
+    if np.array_equal(shapes, shapes.round()):  # every preset: int posteriors, one packed key
+        shapes = shapes.astype(int)
     posteriors = (distinct + shapes[:, None, :]).reshape(-1, 3)
     unique, pair_of = _distinct_rows(posteriors)
     first = np.full(len(unique), len(posteriors))

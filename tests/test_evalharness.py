@@ -15,6 +15,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from dsplim._gamma_ratio import NumericalError
 from dsplim.bayes import (
@@ -112,6 +115,12 @@ def stub_pool(monkeypatch):
 
 class TestRowLimits:
     COUNTS = np.array([(n, n % 5, 3) for n in range(64)])
+    # int posteriors of the four presets, as _preset_limits builds them
+    INT_POSTERIORS = (np.random.default_rng(6).poisson((40, 99, 100), (2000, 3))
+                      + np.array([(1, 1, 1), (2, 2, 2), (2, 1, 1), (1, 2, 2)])[:, None, :]
+                      ).reshape(-1, 3)
+    # 65**12 > 2**63: the packed key would overflow, so the lexsort runs
+    KEY_OVERFLOW = np.random.default_rng(7).integers(0, 2**6 + 1, (400, 12))
 
     def test_failing_row_is_isolated_by_halving(self):
         method = _FailingMethod(0, {37})
@@ -179,8 +188,11 @@ class TestRowLimits:
             np.empty((0, 6), dtype=int),
             2**53 - np.random.default_rng(5).integers(0, 3, (200, 3)),
             np.array([[2**53, 5, 1], [2**53 - 1, 5, 1], [2**53, 5, 1], [0, 2**53, 1]]),
+            INT_POSTERIORS,
+            KEY_OVERFLOW,
         ],
-        ids=["random", "multichannel", "one-row", "no-rows", "near-2**53", "2**53-ties"],
+        ids=["random", "multichannel", "one-row", "no-rows", "near-2**53", "2**53-ties",
+             "int-posteriors", "key-overflow"],
     )
     def test_distinct_rows_match_np_unique(self, counts):
         distinct, inverse = evalharness._distinct_rows(counts)
@@ -189,6 +201,10 @@ class TestRowLimits:
         assert np.array_equal(distinct, want) and distinct.shape == want.shape
         assert np.array_equal(inverse, want_inverse.reshape(-1))
         assert np.array_equal(distinct[inverse], counts)
+
+    def test_packed_key_only_where_it_fits(self):
+        assert evalharness._packed_key(self.INT_POSTERIORS) is not None
+        assert evalharness._packed_key(self.KEY_OVERFLOW) is None
 
     def test_no_failure_is_one_call_per_block(self):
         method = _FailingMethod()
@@ -329,6 +345,44 @@ class TestCoverageEnumerate:
         assert rep.truncation_bound == pytest.approx(3e-9)
         assert rep.mode == "enumeration"
         assert np.all(rep.std_err == 0.0)
+
+
+class TestPoissonBoxMax:
+    @settings(max_examples=300, deadline=None)
+    @given(rate=st.floats(0.0, 1e3, exclude_min=True),
+           tail_eps=st.floats(1e-15, 0.5))
+    def test_equals_scipy_poisson_ppf(self, rate, tail_eps):
+        want = int(stats.poisson.ppf(1.0 - tail_eps, rate))
+        assert evalharness._poisson_box_max(rate, tail_eps) == want
+
+    def test_rate_zero_is_zero(self):
+        assert evalharness._poisson_box_max(0.0, 1e-10) == 0
+        assert int(stats.poisson.ppf(1.0 - 1e-10, 0.0)) == 0
+
+    def test_criterion4_box(self):
+        # the acceptance enumeration: s in [5, 25], (eps, b) = (0.1, 0.3)
+        rows = []
+
+        def method(counts, t, u, quantiles):
+            rows.append(counts)
+            return np.ones((len(quantiles), len(counts)))
+
+        coverage_enumerate(method, s_grid=np.arange(5.0, 26.0), q=0.9,
+                           tail_eps=1e-10, **TASK1B)
+        box = np.concatenate(rows).max(axis=0) + 1
+        assert box.tolist() == [20, 13, 13]
+
+
+def test_cli_imports_without_scipy_stats():
+    script = ("import sys\n"
+              "import dsplim.cli\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n")
+    src = str(Path(evalharness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestCoverageImportance:
