@@ -74,6 +74,11 @@ _SERIES_MAX_SHAPE = 20_000
 # 2**22 terms keep each of its arrays near 32 MB.
 _SERIES_TERMS = 1 << 22
 
+# A grid block's log-pmf below this is an exact 0 mass instead of its exp:
+# numpy's exp leaves its fast path between -707 and -708, and e**-707 is
+# about 1e-307.
+_LOG_PMF_FLOOR = -707.0
+
 # CDF values may stray outside [0, 1] by quadrature noise up to this
 # slack and are clamped; larger excursions indicate a numerical failure.
 CLAMP_SLACK = 1e-9
@@ -88,9 +93,14 @@ def _validate(kn, wn, kb, wb, ke, we) -> np.ndarray:
     shapes = np.array([kn, kb, ke], dtype=float)
     if shapes.min() < 0:
         raise ValueError("gamma shapes must be >= 0")
-    if min(wn, wb, we) <= 0:
+    if min(wn, *(w.min() if _per_row(w) else w for w in (wb, we))) <= 0:
         raise ValueError("gamma scales must be positive")
     return shapes
+
+
+def _per_row(w) -> bool:
+    """Whether a scale is one value per row rather than a shared scalar."""
+    return isinstance(w, np.ndarray) and w.ndim > 0
 
 
 def _is_integral(shapes: np.ndarray) -> np.ndarray:
@@ -100,7 +110,10 @@ def _is_integral(shapes: np.ndarray) -> np.ndarray:
 def _series_carries(kn, kb, ke) -> np.ndarray:
     """Per shape triple: whether survival(method="auto") takes the series
     route, i.e. all three shapes are integers up to _SERIES_MAX_SHAPE."""
-    shapes = np.array([kn, kb, ke], dtype=float)
+    shapes = np.array([kn, kb, ke])
+    if shapes.dtype.kind in "iu":  # integers already
+        return (shapes <= _SERIES_MAX_SHAPE).all(axis=0)
+    shapes = shapes.astype(float)
     return (_is_integral(shapes) & (shapes <= _SERIES_MAX_SHAPE)).all(axis=0)
 
 
@@ -113,17 +126,15 @@ def _log_binomials(r, count: int) -> np.ndarray:
     return np.concatenate([np.zeros((1,) + np.shape(r)), np.cumsum(steps, axis=0)])
 
 
-def _nb_pmf_block(log_binom, r, log_p, log_q) -> np.ndarray:
-    """Negative binomial pmf values at 0..count-1 with log_binom from
-    :func:`_log_binomials` (r, count), log_p = log p and log_q = log(1 - p).
+def _nb_log_pmf(log_binom, r, log_p, log_q) -> np.ndarray:
+    """Negative binomial log-pmf values i * log_p + log_binom + r * log_q
+    at i = 0..count-1 with log_binom from :func:`_log_binomials` (r,
+    count), log_p = log p and log_q = log(1 - p).
 
     The result has shape (count,) + the broadcast shape of r and the
-    logs.  Each value is exponentiated once from its log-pmf
-    i * log_p + log_binom + r * log_q, so no mass below count is lost to
-    an underflowing start value (1 - p)**r.  r == 0 is the exact point
-    mass at 0, also at p == 1.  The log-pmf is summed in place in the
-    one array it returns: a second temporary of the block's size costs
-    as much as the exp.
+    logs.  r == 0 is the exact point mass at 0, also at p == 1.  The
+    log-pmf is summed in place in the one array it returns: a second
+    temporary of the block's size costs as much as the exp.
     """
     count = len(log_binom)
     r_log_q = np.where(r == 0, 0.0, r * log_q)
@@ -134,7 +145,31 @@ def _nb_pmf_block(log_binom, r, log_p, log_q) -> np.ndarray:
     np.multiply(i, log_p, out=log_pmf[1:])
     log_pmf += log_binom.reshape(lead + np.shape(r))
     log_pmf += r_log_q
-    return np.exp(log_pmf, out=log_pmf)
+    return log_pmf
+
+
+def _nb_pmf_block(log_binom, r, log_p, log_q, floored=False) -> np.ndarray:
+    """Negative binomial pmf values at 0..count-1, each exponentiated once,
+    in place, from its :func:`_nb_log_pmf` (same arguments and shape), so
+    no mass below count is lost to an underflowing start value
+    (1 - p)**r.
+
+    With ``floored``, a log-pmf below _LOG_PMF_FLOOR gives an exact 0
+    without the exp, which leaves its fast path there: for the smallest
+    normal results, the subnormal ones and those that underflow to 0.
+    Each zeroed mass is below
+    e**-707, about 1e-307, so the floor moves a sum of count masses with
+    weights at most w by less than count * w * 1e-307 in absolute terms.
+    """
+    log_pmf = _nb_log_pmf(log_binom, r, log_p, log_q)
+    if not floored:
+        return np.exp(log_pmf, out=log_pmf)
+    low = log_pmf < _LOG_PMF_FLOOR
+    # The floor itself is on exp's fast path; a masked exp costs more.
+    np.copyto(log_pmf, _LOG_PMF_FLOOR, where=low)
+    np.exp(log_pmf, out=log_pmf)
+    np.copyto(log_pmf, 0.0, where=low)
+    return log_pmf
 
 
 def _row_sums(a, b) -> np.ndarray:
@@ -156,17 +191,28 @@ def _nonnegative(x) -> np.ndarray:
     return x
 
 
+def _log_odds(wn, w):
+    """(log p, log(1 - p)) of p = w / (wn + w) from math.log1p of the
+    scales' ratios: floats for a scalar w, else arrays shaped like w,
+    each entry as its scale gives it alone."""
+    if not _per_row(w):
+        return -math.log1p(wn / w), -math.log1p(w / wn)
+    scales, at = np.unique(w, return_inverse=True)
+    log_p, log_q = np.array([_log_odds(wn, v) for v in scales.tolist()]).T
+    return log_p[at], log_q[at]
+
+
 def _background_block(kb, wn, wb, count: int) -> np.ndarray:
     """NB(kb, pb) masses at 0..count-1, pb = wb / (wn + wb), with log pb
-    and log(1 - pb) taken from the scales."""
-    return _nb_pmf_block(
-        _log_binomials(kb, count), kb, -math.log1p(wn / wb), -math.log1p(wb / wn)
-    )
+    and log(1 - pb) taken from the scales (:func:`_log_odds`)."""
+    return _nb_pmf_block(_log_binomials(kb, count), kb, *_log_odds(wn, wb))
 
 
 def _series_shapes(kn, wn, kb, wb, ke, we) -> np.ndarray:
     """The shapes as one (3, ...) array of integers, for the series route."""
     shapes = _validate(kn, wn, kb, wb, ke, we)
+    if np.result_type(kn, kb, ke).kind in "iu":  # integers already
+        return shapes
     if not _is_integral(shapes).all():
         raise ValueError("series route requires integer shapes")
     return np.rint(shapes)
@@ -180,11 +226,13 @@ def _lagged(cdf, last):
     return cdf[index] * (lag >= 0)
 
 
-def _efficiency_block(x, log_binom, shape, wn, we):
+def _efficiency_block(x, log_binom, shape, wn, we, floored=False):
     """(odds, NB(shape, pe(x)) masses at 0..count-1) at each x >= 0, where
-    pe(x) = x * we / (wn + x * we) has the odds x * we / wn."""
+    pe(x) = x * we / (wn + x * we) has the odds x * we / wn; ``floored``
+    as for :func:`_nb_pmf_block`."""
     odds = _nonnegative(x) * we / wn
-    return odds, _nb_pmf_block(log_binom, shape, -np.log1p(1.0 / odds), -np.log1p(odds))
+    log_p, log_q = -np.log1p(1.0 / odds), -np.log1p(odds)
+    return odds, _nb_pmf_block(log_binom, shape, log_p, log_q, floored)
 
 
 def _prepared_series(kn, wn, kb, wb, ke, we, repeats=1):
@@ -236,7 +284,9 @@ def _interval_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
     ``repeats`` and errstate as for :func:`_prepared_series`; an end
     with numerator shape 0 is 0.  With per-row shapes, x of shape
     (rows, points) instead gives every row its own points; scalar
-    shapes are one row.
+    shapes are one row.  wb and we are shared scalars or, with per-row
+    shapes, one per row; a row's values are those it has alone on its
+    own scales.
 
     The ends differ by one unit of shape in each gamma, and
     P(NB(e + 1, p) = j) = P(NB(e, p) = j) (e + j) / e (1 - p).  So one
@@ -258,11 +308,25 @@ def _interval_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
     (count, points) block, over the rows whose own series length
     count = max(kn, 1) is the same: every row's block and product are
     those of the row alone, whatever the rows beside it.  Each such
-    block holds at most _SERIES_TERMS terms.
+    block holds at most _SERIES_TERMS terms.  A block of survivals is
+    built with the floor of :func:`_nb_pmf_block` when one of its rows
+    may reach it: as log C(e + i - 1, i) >= 0, a row's log-pmf is at
+    least (count - 1) log p at its smallest positive x plus e log q at
+    its largest x, and the floor is taken when either term is below
+    half of it, so whenever their sum is.  The limits on the knots that
+    this gives are x-free, so a pass tests only a row's first two and
+    last knots.  A floored mass is below e**-707, about 1e-307, and each
+    end's weights are at most count, so the floor moves a survival by
+    less than count**2 * 1e-307 (4e-299 at the series shape bound).  The
+    grid route divides by den >= 1e-250, so a CDF moves by less than
+    4e-49: no limit of the grid route has moved by it.
     """
     kn, kb, ke = _series_shapes(kn, wn, kb, wb, ke, we).reshape(3, -1)
     if integrated and np.min(ke) < 2:
         raise ValueError("integrated survival requires ke >= 2")
+    per_row = _per_row(we)  # one efficiency scale per row
+    if per_row:
+        wb, we = np.ravel(wb), np.ravel(we)
     count = max(int(kn.max()), 1)
     e_shape = ke - 1.0 if integrated else np.maximum(ke, 1.0)
     # Axis 1 holds the ends: the lower (kn - 1, kb + 1), then the upper (kn, kb).
@@ -282,6 +346,7 @@ def _interval_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
     log_binom_e, lifted = x_free[1:3]
     if repeats > 1:
         x_free = [np.repeat(a, repeats, axis=-1) for a in x_free]
+    we_pairs = np.repeat(we, repeats) if per_row else we
     # Made by the first grid pass: the rows' arrays for one block, or per
     # series length its rows and their arrays.
     whole, groups = [], []
@@ -298,7 +363,7 @@ def _interval_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
 
     def pairs(x):
         e, log_binom, lift, d, lower, upper, *rest = x_free
-        odds, nb_e = _efficiency_block(x, log_binom, e, wn, we)
+        odds, nb_e = _efficiency_block(x, log_binom, e, wn, we_pairs)
         return finish(np.array([_row_sums(lower, nb_e), _row_sums(upper, nb_e)]),
                       odds, lift, d, *rest)
 
@@ -310,20 +375,44 @@ def _interval_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
                   den[at, None], *(a[:, at, None].transpose(1, 0, 2) for a in edges)]
         return [np.ascontiguousarray(a) for a in arrays]
 
-    def block(x, weights, log_binom, e, lift, d, *edge):
-        odds, nb_e = _efficiency_block(x, log_binom.T, e, wn, we)
+    def scale(at):  # the efficiency scale of rows ``at``, per row or shared
+        return we[at, None] if per_row else we
+
+    def block(x, we, floored, weights, log_binom, e, lift, d, *edge):
+        odds, nb_e = _efficiency_block(x, log_binom.T, e, wn, we, floored)
         sums = np.matmul(weights, nb_e.transpose(1, 0, 2)).transpose(1, 0, 2)
         return finish(sums, odds, lift, d, *(a.transpose(1, 0, 2) for a in edge))
 
     own = np.maximum(kn, 1).astype(int)  # each row's own series length
+    one_block = own.min() == count  # every row has the same series length
+    limits = []  # made by the first grid pass: per row, the knots of floor_reached
+
+    def floor_reached(x):
+        # Per row: whether its block can hold a log-pmf below the floor,
+        # from its smallest positive and its largest knot where the knots
+        # ascend and the rows' first knots are all 0 or all positive, as
+        # on the grid route.  On other knots the gate can miss, which
+        # costs time but moves no value.  The integrals keep every mass:
+        # the floor's bound is on survivals.
+        if integrated:
+            return np.zeros(len(x), dtype=bool)
+        if not limits:
+            # Half the floor in either term, (count - 1) log p or e log q,
+            # is reached below the first or above the second knot limit.
+            half = -0.5 * _LOG_PMF_FLOOR
+            limits.extend([wn / we / np.expm1(half / (own - 1.0)),
+                           wn / we * np.expm1(half / e_shape)])
+        low = x[:, 1 if x[0, 0] == 0 and x.shape[1] > 1 else 0]
+        return (low < limits[0]) | (x[:, -1] > limits[1])
 
     def grid(x):
-        if own.min() == count and x.size * count <= _SERIES_TERMS:
+        reach = floor_reached(x)
+        if one_block and x.size * count <= _SERIES_TERMS:
             # One series length and one block: the rows as they are, with
             # no gather.  This keeps a one-row call at par.
             if not whole:
                 whole.extend(rows_first(slice(None), count))
-            return block(x, *whole)
+            return block(x, scale(slice(None)), reach.any(), *whole)
         if not groups:
             for length in np.unique(own).tolist():
                 at = np.flatnonzero(own == length)
@@ -333,7 +422,9 @@ def _interval_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
             step = max(1, _SERIES_TERMS // (rowwise[0].shape[-1] * x.shape[1]))
             for first in range(0, at.size, step):
                 part = slice(first, first + step)
-                out[:, at[part]] = block(x[at[part]], *(a[part] for a in rowwise))
+                rows = at[part]
+                out[:, rows] = block(x[rows], scale(rows), reach[rows].any(),
+                                     *(a[part] for a in rowwise))
         return out
 
     def values(x) -> np.ndarray:

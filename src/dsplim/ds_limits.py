@@ -27,14 +27,14 @@ interval state (:func:`dsplim._gamma_ratio._interval_series`) builds
 both from one block of efficiency masses, by
 P(NB(z + 1, p) = j) = P(NB(z, p) = j) (z + j) / z (1 - p), and serves
 both routes to a limit.  The grid route (:func:`_grid_limits`) runs on
-a block of datasets at once: each channel builds one state for a chunk
-of them, of both endpoint survivals and their conditioning probability
-den = P(NB(y, 1/(1+t)) <= n) (:func:`_channel_state`, the only
-endpoint-CDF code), and the ladder probe and both endpoint curves of
-every row read it; the trapezoid, CDF and quantile run on all rows at
-once, each row as on its own.  A dataset of :func:`dataset_limits`,
-:func:`dataset_density` or :func:`shared_grid`, and the channel of
-the per-end CDFs, is a block of one row.  Off the series route a
+a block of datasets at once: each chunk of them builds one state over
+all its channels, of both endpoint survivals and their conditioning
+probability den = P(NB(y, 1/(1+t)) <= n) (:func:`_channel_state`, the
+only endpoint-CDF code), and the ladder probe and both endpoint curves
+of every row and channel read it; the trapezoid, CDF and quantile run
+on all rows at once, each row as on its own.  A dataset of
+:func:`dataset_limits`, :func:`dataset_density` or :func:`shared_grid`,
+and the channel of the per-end CDFs, is a block of one row.  Off the series route a
 row's state takes den from one beta CDF and evaluates each requested
 end by quadrature.  For
 one channel with z >= 2 the CDF also has a grid-free closed form in
@@ -179,30 +179,39 @@ class PlausibilityDensity:
     normalization: float
 
 
-def _channel_state(n, y, z, t, u, method="auto", quad=None):
-    """One channel over rows of counts (n, y, z) at the scales (t, u):
-    (x, which=(0, 1)) -> the endpoint CDFs at x >= 0 of shape (rows,
-    points), one row of x per row of counts, as an array (len(which),
-    rows, points) with one entry per requested end: which is (0,) for
-    the lower end, (1,) for the upper end or (0, 1).
+def _channel_state(counts, ts, us, method="auto", quad=None):
+    """The C channels of rows of counts (rows, C, 3), channel c on the
+    scales (ts[c], us[c]): (xs, which=(0, 1)) -> the endpoint CDFs at
+    xs >= 0 of shape (rows, points), whose row of knots a row's channels
+    share, as an array (len(which), C, rows, points) with one entry per
+    requested end: which is (0,) for the lower end, (1,) for the upper
+    end or (0, 1).
 
-    "auto" takes the series for the rows where both ends' shapes are on
-    the series route of ``survival(method="auto")``.  Those rows share
-    one state of :func:`dsplim._gamma_ratio._interval_series`, which
-    gives both ends and the conditioning probability den, so a call is
-    one exp block per series length.  On the quadrature route den is one
-    beta CDF per row and each requested end one quadrature survival per
-    row.  Raises NumericalError naming the channel of the first row
-    whose den underflows or whose CDF leaves [0, 1].
+    "auto" takes the series for the channel rows where both ends' shapes
+    are on the series route of ``survival(method="auto")``.  Those share
+    one state of :func:`dsplim._gamma_ratio._interval_series` over all C
+    channels, each on its own scales, which gives both ends and the
+    conditioning probability den, so a call is one exp block per series
+    length; one channel keeps its scales shared.  On the quadrature
+    route den is one beta CDF per channel row and each requested end one
+    quadrature survival per channel row.  Raises NumericalError naming
+    the channel of the first channel row whose den underflows or whose
+    CDF leaves [0, 1].
     """
-    n, y, z = np.asarray(n), np.asarray(y), np.asarray(z)
-    wb, we = 1.0 / t, 1.0 / u
+    rows, n_channels = counts.shape[:2]
+    # One entry per channel row, channel by channel: row j is of channel j // rows.
+    n, y, z = counts.transpose(2, 1, 0).reshape(3, -1)
+    wb, we = 1.0 / ts[0], 1.0 / us[0]
+    if n_channels > 1:
+        wb, we = 1.0 / np.repeat(ts, rows), 1.0 / np.repeat(us, rows)
 
     def channel(j):
-        return ChannelObservation(n[j].item(), y[j].item(), z[j].item(), t, u)
+        c = j // rows
+        return ChannelObservation(n[j].item(), y[j].item(), z[j].item(), ts[c], us[c])
 
-    def ends(j):  # the shapes and scales of row j's lower and upper end
+    def ends(j):  # the shapes and scales of channel row j's lower and upper end
         nj, yj, zj = n[j].item(), y[j].item(), z[j].item()
+        wb, we = 1.0 / ts[j // rows], 1.0 / us[j // rows]
         return [(nj, 1.0, yj + 1, wb, zj + 1, we), (nj + 1, 1.0, yj, wb, zj, we)]
 
     if method == "auto":
@@ -213,9 +222,11 @@ def _channel_state(n, y, z, t, u, method="auto", quad=None):
     off = np.flatnonzero(~series)
     with np.errstate(all="ignore"):
         if off.size < n.size:  # a row is on the series route
-            # A row off it holds the shapes (1, 0, 0) in the state, and
-            # takes its den and CDFs from the quadrature route instead.
-            kn, kb, ke = np.where(series, [n + 1, y, z], [[1], [0], [0]])
+            kn, kb, ke = n + 1, y, z
+            if off.size:
+                # A row off it holds the shapes (1, 0, 0) in the state, and
+                # takes its den and CDFs from the quadrature route instead.
+                kn, kb, ke = np.where(series, [kn, kb, ke], [[1], [0], [0]])
             den, survivals = _interval_series(kn, 1.0, kb, wb, ke, we)
             den = den.copy()
         else:
@@ -228,7 +239,8 @@ def _channel_state(n, y, z, t, u, method="auto", quad=None):
             f"conditioning probability underflows for channel {channel(j)}"
         )
 
-    def cdfs(x, which=(0, 1)) -> np.ndarray:
+    def cdfs(xs, which=(0, 1)) -> np.ndarray:
+        x = xs if n_channels == 1 else np.tile(xs, (n_channels, 1))
         with np.errstate(all="ignore"):
             if off.size < n.size:
                 surv = survivals(x)[which[0] : which[-1] + 1]
@@ -238,13 +250,14 @@ def _channel_state(n, y, z, t, u, method="auto", quad=None):
                 surv[:, j] = [survival(x[j], *ends(j)[i], route, quad) for i in which]
             f = 1.0 - surv / den[:, None]
         try:
-            return clamp_unit(f)
+            f = clamp_unit(f)
         except NumericalError:
             for j in range(n.size):
                 try:
                     clamp_unit(f[:, j])
                 except NumericalError as exc:
                     raise NumericalError(f"{exc} for channel {channel(j)}") from None
+        return f.reshape(len(which), n_channels, rows, -1)
 
     return cdfs
 
@@ -257,8 +270,8 @@ def _one_row(channels):
 
 def _one_channel(ch: ChannelObservation, x, which, method="auto", quad=None):
     """The endpoint CDFs of one channel at x (scalar or 1-d), one row per end."""
-    cdfs = _channel_state([ch.n], [ch.y], [ch.z], ch.t, ch.u, method, quad)
-    f = cdfs(np.reshape(x, (1, -1)), which)[:, 0]
+    counts, ts, us = _one_row([ch])
+    f = _channel_state(counts, ts, us, method, quad)(np.reshape(x, (1, -1)), which)[:, 0, 0]
     return f[:, 0] if np.ndim(x) == 0 else f
 
 
@@ -303,12 +316,6 @@ def _proper(channels) -> list:
     return proper
 
 
-def _channel_states(counts, ts, us) -> list:
-    """One :func:`_channel_state` per channel of the (rows, C, 3) counts."""
-    channels = counts.transpose(1, 2, 0)  # per channel, its n, y and z over the rows
-    return [_channel_state(*chan, t, u) for chan, t, u in zip(channels, ts, us)]
-
-
 @cache
 def _rung_knots(x_max: float, points: int) -> np.ndarray:
     """The knots up to x_max: half linearly and half logarithmically
@@ -322,12 +329,11 @@ def _rung_knots(x_max: float, points: int) -> np.ndarray:
     return knots
 
 
-def _grid_knots(counts, ts, us, states, grid: GridConfig) -> list:
+def _grid_knots(counts, ts, us, state, grid: GridConfig) -> list:
     """The knots of every row of the (rows, C, 3) counts, probing the
-    upper-end CDF of each channel through its state from
-    :func:`_channel_states` at every row, and reading it where z > 0: a
-    list of (row indices, knots of shape (rows, points)), one entry per
-    knot count.
+    upper-end CDFs of its channels through their :func:`_channel_state`
+    at every row, and reading them where z > 0: a list of (row indices,
+    knots of shape (rows, points)), one entry per knot count.
 
     A row's x_max is the first rung of the ladder 1, 2, 4, ...,
     2**k <= HARD_CAP at which all of its proper channels pass.  Raises
@@ -336,15 +342,10 @@ def _grid_knots(counts, ts, us, states, grid: GridConfig) -> list:
     """
     ladder = np.ldexp(1.0, np.arange(max(math.frexp(HARD_CAP)[1] - 1, 0) + 1))
     probe = np.repeat(ladder[None], len(counts), axis=0)
-    ok = np.ones(probe.shape, dtype=bool)
-    short = np.zeros(counts.shape[:2], dtype=bool)  # still short at the top rung
-    for c, state in enumerate(states):
-        proper = counts[:, c, 2] > 0
-        if not proper.any():
-            continue
-        passed = state(probe, (1,))[0] >= 1.0 - grid.tail_eps
-        ok &= passed | ~proper[:, None]
-        short[:, c] = proper & ~passed[:, -1]
+    proper = counts[:, :, 2].T > 0  # (C, rows)
+    passed = state(probe, (1,))[0] >= 1.0 - grid.tail_eps
+    ok = (passed | ~proper[:, :, None]).all(axis=0)
+    short = (proper & ~passed[:, :, -1]).T  # still short at the top rung
     found = ok.any(axis=1)
     if not found.all():
         j = np.argmin(found)
@@ -378,7 +379,7 @@ def shared_grid(channels, grid: GridConfig = GridConfig()) -> np.ndarray:
     the channels still short of 1 - tail_eps when no rung passes.
     """
     counts, ts, us = _one_row(_proper(channels))
-    ((_, xs),) = _grid_knots(counts, ts, us, _channel_states(counts, ts, us), grid)
+    ((_, xs),) = _grid_knots(counts, ts, us, _channel_state(counts, ts, us), grid)
     return xs[0]
 
 
@@ -431,21 +432,22 @@ def _grid_limits(counts, ts, us, quantiles, grid: GridConfig) -> np.ndarray:
     ``ts``, ``us`` the C channels' scales.  Returns an array (len(quantiles),
     rows), +inf for a row whose channels all have z == 0.
 
-    The rows run in chunks: a channel's state holds x-free arrays of
-    2 * max(n + 1) * rows terms, which a chunk keeps within
-    _SERIES_TERMS.  Each channel builds one state for a chunk, which the
-    ladder probe and both endpoint curves reuse, and its curves are
-    folded into the product one channel at a time; the trapezoid, CDF
-    and quantile run on all rows at once, each row as on its own, so a
-    row's limits do not depend on the rows beside it.  Raises
-    NumericalError naming the first row that has none.
+    The rows run in chunks: a chunk's state holds x-free arrays of
+    2 * max(n + 1) * rows * C terms, which a chunk keeps within
+    _SERIES_TERMS.  Each chunk builds one state over all C channels,
+    which the ladder probe and both endpoint curves reuse, and the
+    channels' curves are folded into the product one channel at a time;
+    the trapezoid, CDF and quantile run on all rows at once, each row as
+    on its own, so a row's limits do not depend on the rows beside it.
+    Raises NumericalError naming the first row that has none.
     """
     counts = counts.reshape(len(counts), len(ts), 3)
     if counts.min(initial=0) < 0:
         raise ValueError("counts must be nonnegative integers")
     out = np.full((len(quantiles), len(counts)), math.inf)
     bounded = np.flatnonzero(counts[:, :, 2].any(axis=1))
-    step = max(1, _SERIES_TERMS // (2 * (int(counts[:, :, 0].max(initial=0)) + 1)))
+    terms = 2 * (int(counts[:, :, 0].max(initial=0)) + 1) * len(ts)
+    step = max(1, _SERIES_TERMS // terms)
     for first in range(0, len(bounded), step):
         chunk = bounded[first : first + step]
         out[:, chunk] = _chunk_limits(counts[chunk], ts, us, quantiles, grid)
@@ -454,18 +456,18 @@ def _grid_limits(counts, ts, us, quantiles, grid: GridConfig) -> np.ndarray:
 
 def _chunk_limits(counts, ts, us, quantiles, grid: GridConfig) -> np.ndarray:
     """The limits of :func:`_grid_limits` on (rows, C, 3) counts, every
-    row with a channel of z > 0, from one state per channel.  Where the
-    rows' grids hold different knot counts, the rows of each count run
-    as a chunk of their own."""
-    states = _channel_states(counts, ts, us)
-    groups = _grid_knots(counts, ts, us, states, grid)
+    row with a channel of z > 0, from one state of all their channels.
+    Where the rows' grids hold different knot counts, the rows of each
+    count run as a chunk of their own."""
+    state = _channel_state(counts, ts, us)
+    groups = _grid_knots(counts, ts, us, state, grid)
     if len(groups) > 1:
         out = np.empty((len(quantiles), len(counts)))
         for rows, _ in groups:
             out[:, rows] = _chunk_limits(counts[rows], ts, us, quantiles, grid)
         return out
     ((_, xs),) = groups
-    _, cdf, norm = _combine(xs, (_gap(state(xs)) for state in states))
+    _, cdf, norm = _combine(xs, map(_gap, state(xs).swapaxes(0, 1)))
     if not (norm > 0).all():
         row = counts[np.argmin(norm > 0)].tolist()
         names = ", ".join(str(ChannelObservation(*ch, t, u))
@@ -478,13 +480,13 @@ def _chunk_limits(counts, ts, us, quantiles, grid: GridConfig) -> np.ndarray:
 
 def _dataset_curves(channels, grid: GridConfig):
     """The shared grid and every channel's curves on it, from one state
-    per channel that the ladder probe and both curves reuse: one row of
-    the grid route."""
+    of all channels that the ladder probe and both curves reuse: one row
+    of the grid route."""
     _proper(channels)
     counts, ts, us = _one_row(channels)
-    states = _channel_states(counts, ts, us)
-    ((_, xs),) = _grid_knots(counts, ts, us, states, grid)
-    curves = [state(xs)[:, 0] for state in states]
+    state = _channel_state(counts, ts, us)
+    ((_, xs),) = _grid_knots(counts, ts, us, state, grid)
+    curves = state(xs)[:, :, 0].swapaxes(0, 1)
     return xs[0], [_curves(xs[0], f, ch.z == 0) for ch, f in zip(channels, curves)]
 
 
@@ -540,8 +542,8 @@ def combine_channels(curves) -> PlausibilityDensity:
 def dataset_density(
     dataset: Dataset, grid: GridConfig = GridConfig()
 ) -> PlausibilityDensity:
-    """One state per channel -> shared grid -> channel curves -> combined
-    normalized density."""
+    """One state of all channels -> shared grid -> channel curves ->
+    combined normalized density."""
     return combine_channels(_dataset_curves(dataset.channels, grid)[1])
 
 

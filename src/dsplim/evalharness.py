@@ -178,7 +178,7 @@ def make_ds_method(grid: GridConfig = GridConfig()):
     affect them; every other row (several channels, z <= 1, or a shape
     above the series bound) takes the grid route on ``grid``, all of a
     call's such rows in one :func:`dsplim.ds_limits._grid_limits`, which
-    builds one state per channel for all of them.  Either way a row's
+    builds one state of all channels per chunk of them.  Either way a row's
     limits are those :func:`dataset_limits` gives it alone.
     """
     return partial(_ds_limits_of_counts, grid=grid)

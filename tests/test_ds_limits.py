@@ -254,23 +254,30 @@ def counts(monkeypatch):
 
 
 class TestEvaluationCount:
-    """One state per channel, which the ladder probe and both endpoint
-    curves share; no per-end survival and no conditioning probability on
-    the series route."""
+    """One state for all channels of a chunk, which the ladder probe and
+    both endpoint curves share; no per-end survival and no conditioning
+    probability on the series route."""
 
     IMPROPER = ChannelObservation(2, 3, 0, 3.3, 10.0)
     HEAVY = ChannelObservation(12, 2, 1, 3.3, 100.0)
 
-    def test_dataset_density_one_state_per_channel(self, counts):
+    def test_dataset_density_one_state_for_all_channels(self, counts):
         dataset_density(Dataset((TASK1A, self.IMPROPER, self.HEAVY, TASK1B)))
         assert counts == {
-            "_interval_series": 4, "survival": 0, "conditioning_probability": 0
+            "_interval_series": 1, "survival": 0, "conditioning_probability": 0
         }
 
-    def test_shared_grid_one_state_per_proper_channel(self, counts):
+    def test_shared_grid_one_state_for_the_proper_channels(self, counts):
         shared_grid([TASK1A, self.IMPROPER, self.HEAVY, TASK1B])
         assert counts == {
-            "_interval_series": 3, "survival": 0, "conditioning_probability": 0
+            "_interval_series": 1, "survival": 0, "conditioning_probability": 0
+        }
+
+    def test_block_one_state_per_chunk(self, counts):
+        rows = np.array([[3, 1, 1, 12, 2, 1], [40, 6, 1, 0, 0, 2], [9, 2, 0, 4, 1, 1]])
+        _block_limits(rows, [3.3, 1.2], [10.0, 100.0])
+        assert counts == {
+            "_interval_series": 1, "survival": 0, "conditioning_probability": 0
         }
 
     def test_channel_curves_one_state(self, counts):
@@ -351,6 +358,72 @@ class TestIntervalState:
         assert counts["conditioning_probability"] == 1
 
 
+class TestOneStatePerChunk:
+    """All C channels of a chunk share one state, each channel row on its
+    own scales, and every channel row keeps the bits it has alone."""
+
+    # About 3 s on a 2-core host.
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_channel_rows_keep_their_one_row_bits(self, data):
+        n_channels = data.draw(st.integers(2, 4))
+        channel = st.tuples(st.integers(0, 300), st.integers(0, 60), st.integers(0, 40),
+                            st.sampled_from([0.3, 1.2, 3.3, 25.0]),
+                            st.sampled_from([2.0, 10.0, 15.0, 150.0]))
+        chans = data.draw(st.lists(channel, min_size=n_channels, max_size=n_channels))
+        rows = data.draw(st.integers(1, 3))
+        counts = np.array([[ch[:3] for ch in chans]] * rows)
+        counts[:, :, 0] += np.arange(rows)[:, None]  # rows of other counts
+        ts, us = [ch[3] for ch in chans], [ch[4] for ch in chans]
+        xs = np.stack([ds_limits._rung_knots(2.0 ** (8 + 4 * k), 64) for k in range(rows)])
+        probe = np.geomspace(1.0, 2.0**39, 40 * rows).reshape(rows, 40)
+        try:
+            state = ds_limits._channel_state(counts, ts, us)
+        except NumericalError:  # a den below _MIN_CONDITIONING
+            return
+        for x in (xs, probe):
+            together = state(x)
+            for c in range(n_channels):
+                alone = ds_limits._channel_state(counts[:, c : c + 1], ts[c : c + 1],
+                                                 us[c : c + 1])(x)[:, 0]
+                assert together[:, c].tobytes() == alone.tobytes()
+
+    def test_one_series_length_on_other_scales(self):
+        # Every channel row has n = 250, so the state runs one block with
+        # one efficiency scale per row; its probe and curves take the floor.
+        counts = np.array([[(250, 3, 40), (250, 90, 180), (250, 0, 1)]])
+        ts, us = [1.2, 25.0, 3.3], [15.0, 150.0, 10.0]
+        state = ds_limits._channel_state(counts, ts, us)
+        x = np.array([ds_limits._rung_knots(2.0**12, 512)])
+        for c in range(3):
+            alone = ds_limits._channel_state(counts[:, c : c + 1], ts[c : c + 1], us[c : c + 1])
+            assert state(x)[:, c].tobytes() == alone(x)[:, 0].tobytes()
+
+    def test_off_series_channel_beside_series_channels(self, monkeypatch):
+        # With the series bound at 8, the middle channel takes quadrature
+        # on its own scales while the others share the series state.
+        monkeypatch.setattr(_gamma_ratio, "_SERIES_MAX_SHAPE", 8)
+        counts = np.array([[(3, 1, 2), (12, 2, 3), (5, 0, 1)]])
+        ts, us = [3.3, 1.2, 25.0], [10.0, 15.0, 150.0]
+        x = np.array([[0.0, 0.5, 2.0, 8.0, 40.0]])
+        together = ds_limits._channel_state(counts, ts, us)(x)
+        for c in range(3):
+            alone = ds_limits._channel_state(counts[:, c : c + 1], ts[c : c + 1], us[c : c + 1])
+            assert together[:, c].tobytes() == alone(x)[:, 0].tobytes()
+
+    def test_error_names_the_failing_channel_and_its_scales(self):
+        # (0, 5000, 1) at t = 0.05 has a den near 0.048**5001.
+        counts = np.array([[(3, 1, 1), (0, 5000, 1), (2, 2, 2)]])
+        with pytest.raises(NumericalError, match=r"conditioning probability underflows "
+                           r"for channel ChannelObservation\(n=0, y=5000, z=1, "
+                           r"t=0.05, u=20.0\)"):
+            ds_limits._channel_state(counts, [3.3, 0.05, 1.2], [10.0, 20.0, 15.0])
+        rows = np.array([[3, 1, 1, 0, 5000, 1, 2, 2, 2]])
+        limits, failures = _row_limits(make_ds_method(), rows, [3.3, 0.05, 1.2],
+                                       [10.0, 20.0, 15.0], (0.9,))
+        assert "n=0, y=5000, z=1, t=0.05, u=20.0" in failures[0]
+
+
 class TestPerEndCdfs:
     """channel_cdf_lower / channel_cdf_upper are the rows of the channel
     state, bit for bit, on the series route."""
@@ -364,15 +437,15 @@ class TestPerEndCdfs:
     )
     def test_rows_of_the_state(self, counts):
         ch = ChannelObservation(*counts)
-        state = ds_limits._channel_state([ch.n], [ch.y], [ch.z], ch.t, ch.u)
+        state = ds_limits._channel_state(np.array([[counts[:3]]]), [ch.t], [ch.u])
         for method in ("auto", "series"):
-            rows = state(self.XS[None])[:, 0]
+            rows = state(self.XS[None])[:, 0, 0]
             assert np.array_equal(channel_cdf_lower(ch, self.XS, method), rows[0])
             assert np.array_equal(channel_cdf_upper(ch, self.XS, method), rows[1])
             # A matrix product sums a single point in another order than
             # many, so scalar x is compared with the state at scalar x.
             for x in self.XS:
-                lower, upper = state(np.array([[x]]))[:, 0, 0]
+                lower, upper = state(np.array([[x]]))[:, 0, 0, 0]
                 assert channel_cdf_lower(ch, x, method) == lower
                 assert channel_cdf_upper(ch, x, method) == upper
 
@@ -492,6 +565,13 @@ class TestBatchedGridRoute:
           (8, 3, 6, 4.0, 40.0)], ("0x1.60ca92b25b0c8p+7", "0x1.234ca55ed0e4fp+8")),
         ([(2, 0, 1, 0.3, 2.0), (5, 1, 1, 0.3, 2.0), (1, 3, 2, 0.3, 2.0),
           (7, 2, 0, 0.3, 2.0)], ("0x1.08b817d4503b4p+3", "0x1.83ffa9d9e9b3cp+4")),
+        # Heavy rows of the kind that set the `limits` benchmark's p99:
+        # their probe and curve blocks take the exp floor of the grid
+        # route, pinned from the route before that floor.
+        ([(123, 7, 7, 1.2, 15.0), (284, 14, 53, 6.0, 60.0), (240, 42, 140, 25.0, 150.0),
+          (236, 27, 127, 50.0, 200.0)], ("0x1.554aa9ee1e2e1p+8", "0x1.71649e3a71036p+8")),
+        ([(236, 5, 19, 1.2, 15.0), (16, 2, 3, 6.0, 60.0), (238, 67, 137, 25.0, 150.0),
+          (287, 102, 187, 50.0, 200.0)], ("0x1.366fd02c498b6p+8", "0x1.524992f978eacp+8")),
     ]
 
     @pytest.mark.parametrize("channels, pinned", PINNED)
@@ -573,28 +653,29 @@ class TestBatchedGridRoute:
             assert limits[:, k : k + 1].tobytes() == alone.tobytes()
 
     def test_large_n_row_bounds_its_chunk(self, monkeypatch):
-        # One row of n = 19999 among 150 small rows: the block runs in
-        # chunks of 2**22 // 40000 = 104 rows, so that no channel state
-        # holds more than _SERIES_TERMS terms in an x-free array
-        # (2 * max(n + 1) * rows), and every row keeps the bits it has
-        # alone.
+        # One row of n = 19999 among 150 small rows of 2 channels: the
+        # block runs in chunks of 2**22 // (2 * 20000 * 2) = 52 rows, so
+        # that no chunk's state holds more than _SERIES_TERMS terms in an
+        # x-free array (2 * max(n + 1) * rows * C), and every row keeps
+        # the bits it has alone.
         rng = np.random.default_rng(1)
         small = rng.integers(0, [20, 8, 3, 20, 8, 3], size=(150, 6))
         small[:, 5] += 1  # every row bounded
         counts = np.insert(small, 75, [3, 1, 1, 19999, 16000, 300], axis=0)
         ts, us = [1.2, 1.2], [15.0, 15.0]
         chunks = []
-        channel_states = ds_limits._channel_states
+        channel_state = ds_limits._channel_state
 
         def record(chunk, *args):
             chunks.append(chunk)
-            return channel_states(chunk, *args)
+            return channel_state(chunk, *args)
 
-        monkeypatch.setattr(ds_limits, "_channel_states", record)
+        monkeypatch.setattr(ds_limits, "_channel_state", record)
         limits = _block_limits(counts, ts, us)
-        assert [len(chunk) for chunk in chunks] == [104, 47]
+        assert [len(chunk) for chunk in chunks] == [52, 52, 47]
         for chunk in chunks:
-            assert 2 * (chunk[:, :, 0].max() + 1) * len(chunk) <= _gamma_ratio._SERIES_TERMS
+            terms = 2 * (chunk[:, :, 0].max() + 1) * len(chunk) * chunk.shape[1]
+            assert terms <= _gamma_ratio._SERIES_TERMS
         for k in (0, 75, 150):
             alone = _block_limits(counts[k : k + 1], ts, us)
             assert limits[:, k : k + 1].tobytes() == alone.tobytes()

@@ -15,10 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import nbinom
 
+import dsplim._gamma_ratio as _gamma_ratio
+import dsplim.ds_limits as ds_limits
 from dsplim._gamma_ratio import (
+    _LOG_PMF_FLOOR,
     NumericalError,
     _interval_series,
     _log_binomials,
+    _nb_log_pmf,
     _nb_pmf_block,
     integrated_survival_series,
     survival_series,
@@ -101,6 +105,88 @@ class TestBlock:
     def test_survival_past_start_underflow(self):
         got = timed(survival_series, 1.0, 5001, 1.0, 0, 1.0, 5000, 1.0)[0]
         assert abs(got - nbinom.cdf(5000, 5000, 0.5)) < 1e-10
+
+
+class TestExpFloor:
+    """The grid route's efficiency blocks give an exact 0 for a log-pmf
+    below _LOG_PMF_FLOOR, where numpy's exp leaves its fast path, and
+    every other mass as np.exp gives it.  A floored mass is below
+    e**-707, so a survival moves by less than count**2 * e**-707; the
+    grid route divides by den >= _MIN_CONDITIONING = 1e-250, and its
+    CDFs keep their bits."""
+
+    # About 4 s on a 2-core host.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 1000),
+        y=st.integers(0, 300),
+        z=st.integers(0, 300),
+        t=st.floats(0.05, 50.0),
+        u=st.floats(0.05, 200.0),
+        rung=st.integers(0, 39),
+    )
+    @example(n=1000, y=0, z=300, t=1.0, u=10.0, rung=39)
+    @example(n=284, y=14, z=53, t=6.0, u=60.0, rung=12)
+    @example(n=0, y=0, z=1, t=3.3, u=10.0, rung=30)
+    def test_floored_block_and_state(self, n, y, z, t, u, rung):
+        # The grid's knots: x = 0, then from 1e-9 * x_max up to x_max.
+        xs = ds_limits._rung_knots(2.0**rung, 64)
+        e = max(z, 1.0)
+        with np.errstate(all="ignore"):
+            odds = xs / u
+            args = (_log_binomials(e, n + 1), e, -np.log1p(1.0 / odds), -np.log1p(odds))
+            log_pmf = _nb_log_pmf(*args)
+            floored = _nb_pmf_block(*args, floored=True)
+        keep = log_pmf >= _LOG_PMF_FLOOR
+        assert floored[keep].tobytes() == np.exp(log_pmf[keep]).tobytes()
+        assert np.all(floored[~keep] == 0.0)
+
+        def state_values():
+            with np.errstate(all="ignore"):
+                den, values = _interval_series(n + 1, 1.0, y, 1 / t, z, 1 / u)
+                surv = values(xs[None])
+            counts = np.array([[(n, y, z)]])
+            if den < ds_limits._MIN_CONDITIONING:
+                return surv, None
+            return surv, ds_limits._channel_state(counts, [t], [u])(xs[None])
+
+        surv, cdfs = state_values()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_gamma_ratio, "_LOG_PMF_FLOOR", -math.inf)
+            want, want_cdfs = state_values()
+        assert np.all(np.abs(surv - want) <= (n + 1) ** 2 * math.exp(_LOG_PMF_FLOOR))
+        above = want >= ds_limits._MIN_CONDITIONING
+        assert surv[above].tobytes() == want[above].tobytes()
+        if cdfs is not None:
+            assert cdfs.tobytes() == want_cdfs.tobytes()
+
+    @pytest.mark.parametrize(
+        "row, floored",
+        [((284, 14, 53, 6.0, 60.0), True), ((300, 5, 2, 3.3, 10.0), True),
+         ((12, 5, 3, 3.3, 10.0), False), ((0, 0, 1, 3.3, 10.0), False)],
+    )
+    def test_gate_takes_the_floor_where_it_is_reached(self, row, floored, monkeypatch):
+        # On these rows' own knots a grid block is floored exactly when it
+        # holds a finite log-pmf below the floor; the -inf entries at
+        # x = 0 give 0 either way.
+        seen = []
+        block = _gamma_ratio._nb_pmf_block
+
+        def record(log_binom, r, log_p, log_q, floored=False):
+            if np.ndim(log_p) == 2:  # an efficiency block of the grid
+                log_pmf = _nb_log_pmf(log_binom, r, log_p, log_q)
+                seen.append((floored, np.isfinite(log_pmf[log_pmf < _LOG_PMF_FLOOR]).any()))
+            return block(log_binom, r, log_p, log_q, floored)
+
+        n, y, z, t, u = row
+        xs = ds_limits.shared_grid([ChannelObservation(*row)])
+        monkeypatch.setattr(_gamma_ratio, "_nb_pmf_block", record)
+        with np.errstate(all="ignore"):
+            _interval_series(n + 1, 1.0, y, 1 / t, z, 1 / u)[1](xs[None])
+            assert seen == [(floored, floored)]
+            # The integrals keep every mass.
+            _interval_series(n + 1, 1.0, y, 1 / t, z + 1, 1 / u, True)[1](xs[None])
+        assert not seen[1][0]
 
 
 @pytest.mark.parametrize("row", ROWS, ids=str)
