@@ -33,13 +33,15 @@ of its background CDF.  The quadrature state
 (:func:`_quadrature_state`) has the same form, den from one
 :func:`conditioning_probability` per row, so a root search takes either.
 
-One interval state (:func:`_interval_series`) serves both routes of the
-DS limits.  The two ends of a belief interval, (kn, kb, ke) and
+The two ends of a belief interval, (kn, kb, ke) and
 (kn - 1, kb + 1, ke + 1), share one block of masses, as
-P(NB(r + 1, p) = j) = P(NB(r, p) = j) (r + j) / r (1 - p).  It gives
-their survivals at each row's own points for the grid route, on a
-block of rows at once, and for ke >= 2 their integrals over [0, x] at
-one point per row for the grid-free single-channel limits.
+P(NB(r + 1, p) = j) = P(NB(r, p) = j) (r + j) / r (1 - p), and one
+build of their x-free background weights (:func:`_interval_weights`).
+Each route of the DS limits has its own interval state on them:
+:func:`_interval_series` gives both survivals at each row's own points
+for the grid route, on a block of rows at once, and
+:func:`_interval_integrals` gives, for ke >= 2, both integrals over
+[0, x] at one point per row for the grid-free single-channel limits.
 :func:`series_roots` inverts per-row states for many rows at once, by
 superlinear bracketed steps on log-tail residuals from a start that
 :func:`quantile_start` estimates per row; the grid-free DS limits and
@@ -275,164 +277,152 @@ def _prepared_series(kn, wn, kb, wb, ke, we, repeats=1):
     return den, values
 
 
-def _interval_series(kn, wn, kb, wb, ke, we, integrated=False, repeats=1):
-    """Both ends of a belief interval from one x-free state: the upper end
-    (kn, kb, ke) and the lower end (kn - 1, kb + 1, ke + 1) on shared
-    scales.  Returns den = P(A >= B) of the upper end and x -> the
-    survivals of the lower end (row 0) and the upper end (row 1), or
-    with ``integrated`` (ke >= 2) their integrals over [0, x].  Shapes,
-    ``repeats`` and errstate as for :func:`_prepared_series`; an end
-    with numerator shape 0 is 0.  With per-row shapes, x of shape
-    (rows, points) instead gives every row its own points; scalar
-    shapes are one row.  wb and we are shared scalars or, with per-row
-    shapes, one per row; a row's values are those it has alone on its
-    own scales.
-
-    The ends differ by one unit of shape in each gamma, and
-    P(NB(e + 1, p) = j) = P(NB(e, p) = j) (e + j) / e (1 - p).  So one
-    block of masses of K ~ NB(e, pe(x)) serves both ends: the lower end's
-    weights take the factor (e + j) / e and its sums 1 - pe(x) =
-    1 / (1 + x we / wn).  The survivals take e = ke and the weights of
-    :func:`_prepared_series`; at ke == 0, E is the constant 0, so the
-    block at e = 1 is the lower end's and the upper survival is den.  The
-    integrals take e = ke - 1: on each end's shapes, with c = wn / we,
-    K' ~ NB(ke - 1, pe(x)) and h(k) = E[min(k, (kn - B')^+)], the weight
-    g(k) = h(kn) - h(k) = sum_{k <= j < kn} P(B' <= kn - 1 - j) gives
-
-        J(x) = c / (ke - 1) * E[h(min(K', kn))]
-             = c / (ke - 1) * [g(0) - sum_{k < kn} P(K' = k) * g(k)],
-
-    so J(inf) = c * g(0) / (ke - 1).  A pass at one point per row
-    contracts each end by one :func:`_row_sums`.  Points per row are
-    contracted by one stacked matmul of the (2, count) weights with the
-    (count, points) block, over the rows whose own series length
-    count = max(kn, 1) is the same: every row's block and product are
-    those of the row alone, whatever the rows beside it.  Each such
-    block holds at most _SERIES_TERMS terms.  A block of survivals is
-    built with the floor of :func:`_nb_pmf_block` when one of its rows
-    may reach it: as log C(e + i - 1, i) >= 0, a row's log-pmf is at
-    least (count - 1) log p at its smallest positive x plus e log q at
-    its largest x, and the floor is taken when either term is below
-    half of it, so whenever their sum is.  The limits on the knots that
-    this gives are x-free, so a pass tests only a row's first two and
-    last knots.  A floored mass is below e**-707, about 1e-307, and each
-    end's weights are at most count, so the floor moves a survival by
-    less than count**2 * 1e-307 (4e-299 at the series shape bound).  The
-    grid route divides by den >= 1e-250, so a CDF moves by less than
-    4e-49: no limit of the grid route has moved by it.
-    """
-    kn, kb, ke = _series_shapes(kn, wn, kb, wb, ke, we).reshape(3, -1)
-    if integrated and np.min(ke) < 2:
-        raise ValueError("integrated survival requires ke >= 2")
-    per_row = _per_row(we)  # one efficiency scale per row
-    if per_row:
-        wb, we = np.ravel(wb), np.ravel(we)
+def _interval_weights(kn, wn, kb, wb):
+    """The x-free background weights of both ends of a belief interval,
+    the lower end (kn - 1, kb + 1) and the upper end (kn, kb), for 1-d
+    shapes: returns count = max(kn, 1), the weights of
+    :func:`_prepared_series` as one (count, 2, rows) array, the lower end
+    first, and den = P(A >= B) of the upper end."""
     count = max(int(kn.max()), 1)
-    e_shape = ke - 1.0 if integrated else np.maximum(ke, 1.0)
-    # Axis 1 holds the ends: the lower (kn - 1, kb + 1), then the upper (kn, kb).
     cdf_b = np.cumsum(_background_block(np.array([kb + 1.0, kb]), wn, wb, count), axis=0)
     weight = _lagged(cdf_b, np.array([kn - 2.0, kn - 1.0]))
     # Rounding can lift a CDF that sums to 1 just above it.
-    den = np.minimum(weight[0, 1], 1.0)
-    if integrated:
-        weight = np.cumsum(weight[::-1], axis=0)[::-1]  # g, summed from the top
-        factors = wn / we / np.array([ke, e_shape])
-    j = np.arange(count)[:, None]
-    weight[:, 0] *= np.where(ke > 0, (e_shape + j) / e_shape, 1.0)
-    # Per end, g(0) = h(kn) and c / (ke - 1) at the end's own ke.
-    edges = [weight[0], factors] if integrated else []
-    x_free = [e_shape, _log_binomials(e_shape, count), ke > 0, den]
-    x_free += [weight[:, 0], weight[:, 1], *edges]
-    log_binom_e, lifted = x_free[1:3]
-    if repeats > 1:
-        x_free = [np.repeat(a, repeats, axis=-1) for a in x_free]
-    we_pairs = np.repeat(we, repeats) if per_row else we
-    # Made by the first grid pass: the rows' arrays for one block, or per
-    # series length its rows and their arrays.
-    whole, groups = [], []
+    return count, weight, np.minimum(weight[0, 1], 1.0)
 
-    def finish(sums, odds, lift, den, totals=None, factors=None):
-        # sums has rows: the lower end, the upper end.
+
+def _interval_series(kn, wn, kb, wb, ke, we):
+    """Both ends of a belief interval from one x-free state, for the grid
+    route: the upper end (kn, kb, ke) and the lower end (kn - 1, kb + 1,
+    ke + 1) on shared scales.  Returns den = P(A >= B) of the upper end
+    and x -> the survivals of the lower end (row 0) and the upper end
+    (row 1) at x of shape (rows, points), every row at its own points.
+    Shapes are shared scalars (one row) or one per row; wb and we are
+    shared scalars or, with per-row shapes, one per row, and a row's
+    values are those it has alone on its own scales.  Errstate as for
+    :func:`_prepared_series`; an end with numerator shape 0 is 0.
+
+    The ends differ by one unit of shape in each gamma, and
+    P(NB(e + 1, p) = j) = P(NB(e, p) = j) (e + j) / e (1 - p).  So one
+    block of masses of K ~ NB(e, pe(x)) at e = ke serves both ends: the
+    lower end's weights take the factor (e + j) / e and its sums
+    1 - pe(x) = 1 / (1 + x we / wn).  At ke == 0, E is the constant 0, so
+    the block at e = 1 is the lower end's and the upper survival is den.
+
+    The state is built for the rows grouped by their own series length
+    count = max(kn, 1), each group's x-free arrays rows first, and a pass
+    contracts each group by one stacked matmul of the (2, count) weights
+    with the (count, points) block: every row's block and product are
+    those of the row alone, whatever the rows beside it.  Each block holds
+    at most _SERIES_TERMS terms.  A block is built with the floor of
+    :func:`_nb_pmf_block` when one of its rows may reach it: as
+    log C(e + i - 1, i) >= 0, a row's log-pmf is at least (count - 1) log p
+    at its smallest positive x plus e log q at its largest x, and the floor
+    is taken when either term is below half of it, so whenever their sum
+    is.  The limits on the knots that this gives are x-free, so a pass
+    tests only a row's first two and last knots: where the knots ascend
+    and the rows' first knots are all 0 or all positive, as on the grid
+    route.  On other knots the gate can miss, which costs time but moves
+    no value.  A floored mass is below e**-707, about 1e-307, and each
+    end's weights are at most count, so the floor moves a survival by less
+    than count**2 * 1e-307 (4e-299 at the series shape bound).  The grid
+    route divides by den >= 1e-250, so a CDF moves by less than 4e-49: no
+    limit of the grid route has moved by it.
+    """
+    kn, kb, ke = _series_shapes(kn, wn, kb, wb, ke, we).reshape(3, -1)
+    per_row = _per_row(we)  # one efficiency scale per row
+    if per_row:
+        wb, we = np.ravel(wb), np.ravel(we)
+    count, weight, den = _interval_weights(kn, wn, kb, wb)
+    e_shape, lift = np.maximum(ke, 1.0), ke > 0
+    weight[:, 0] *= np.where(lift, (e_shape + np.arange(count)[:, None]) / e_shape, 1.0)
+    log_binom = _log_binomials(e_shape, count)
+    own = np.maximum(kn, 1).astype(int)  # each row's own series length
+    # Half the floor in either term, (count - 1) log p or e log q, is
+    # reached below the first or above the second knot limit.
+    half = -0.5 * _LOG_PMF_FLOOR
+    below = wn / we / np.expm1(half / (own - 1.0))
+    above = wn / we * np.expm1(half / e_shape)
+    # Per series length: its rows (None for all rows) and their x-free
+    # arrays, rows first, so each row's (2, length) weights are contiguous
+    # and matmul takes BLAS.
+    lengths = np.unique(own).tolist()
+    groups = []
+    for length in lengths:
+        at = None if len(lengths) == 1 else np.flatnonzero(own == length)
+        rows = slice(None) if at is None else at
+        arrays = [weight[:length, :, rows].transpose(2, 1, 0), log_binom[:length, rows].T,
+                  e_shape[rows, None], lift[rows, None], den[rows, None]]
+        groups.append((at, [np.ascontiguousarray(a) for a in arrays]))
+
+    def block(x, we, floored, weights, log_binom, e, lift, den):
+        # Both ends' survivals of some rows of a group at their knots x.
+        # A function of its own, so a block's masses are freed before the
+        # next block's are made.
+        odds, nb_e = _efficiency_block(x, log_binom.T, e, wn, we, floored)
+        sums = np.matmul(weights, nb_e.transpose(1, 0, 2)).transpose(1, 0, 2)
         np.divide(sums[0], 1.0 + odds, out=sums[0], where=lift)
-        if integrated:
-            return (totals - sums) * factors
         # Rounding can lift a survival that sums to 1 just above it.
         np.minimum(sums, 1.0, out=sums)
         np.copyto(sums[1], den, where=~lift)
         return sums
 
-    def pairs(x):
-        e, log_binom, lift, d, lower, upper, *rest = x_free
-        odds, nb_e = _efficiency_block(x, log_binom, e, wn, we_pairs)
-        return finish(np.array([_row_sums(lower, nb_e), _row_sums(upper, nb_e)]),
-                      odds, lift, d, *rest)
-
-    def rows_first(at, length):
-        # The x-free arrays of rows ``at``, rows first: each row's
-        # (2, length) weights are contiguous, so matmul takes BLAS.
-        arrays = [weight[:length, :, at].transpose(2, 1, 0),
-                  log_binom_e[:length, at].T, e_shape[at, None], lifted[at, None],
-                  den[at, None], *(a[:, at, None].transpose(1, 0, 2) for a in edges)]
-        return [np.ascontiguousarray(a) for a in arrays]
-
-    def scale(at):  # the efficiency scale of rows ``at``, per row or shared
-        return we[at, None] if per_row else we
-
-    def block(x, we, floored, weights, log_binom, e, lift, d, *edge):
-        odds, nb_e = _efficiency_block(x, log_binom.T, e, wn, we, floored)
-        sums = np.matmul(weights, nb_e.transpose(1, 0, 2)).transpose(1, 0, 2)
-        return finish(sums, odds, lift, d, *(a.transpose(1, 0, 2) for a in edge))
-
-    own = np.maximum(kn, 1).astype(int)  # each row's own series length
-    one_block = own.min() == count  # every row has the same series length
-    limits = []  # made by the first grid pass: per row, the knots of floor_reached
-
-    def floor_reached(x):
-        # Per row: whether its block can hold a log-pmf below the floor,
-        # from its smallest positive and its largest knot where the knots
-        # ascend and the rows' first knots are all 0 or all positive, as
-        # on the grid route.  On other knots the gate can miss, which
-        # costs time but moves no value.  The integrals keep every mass:
-        # the floor's bound is on survivals.
-        if integrated:
-            return np.zeros(len(x), dtype=bool)
-        if not limits:
-            # Half the floor in either term, (count - 1) log p or e log q,
-            # is reached below the first or above the second knot limit.
-            half = -0.5 * _LOG_PMF_FLOOR
-            limits.extend([wn / we / np.expm1(half / (own - 1.0)),
-                           wn / we * np.expm1(half / e_shape)])
+    def values(x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
         low = x[:, 1 if x[0, 0] == 0 and x.shape[1] > 1 else 0]
-        return (low < limits[0]) | (x[:, -1] > limits[1])
-
-    def grid(x):
-        reach = floor_reached(x)
-        if one_block and x.size * count <= _SERIES_TERMS:
-            # One series length and one block: the rows as they are, with
-            # no gather.  This keeps a one-row call at par.
-            if not whole:
-                whole.extend(rows_first(slice(None), count))
-            return block(x, scale(slice(None)), reach.any(), *whole)
-        if not groups:
-            for length in np.unique(own).tolist():
-                at = np.flatnonzero(own == length)
-                groups.append((at, rows_first(at, length)))
+        reach = (low < below) | (x[:, -1] > above)
         out = np.empty((2,) + x.shape)
-        for at, rowwise in groups:
-            step = max(1, _SERIES_TERMS // (rowwise[0].shape[-1] * x.shape[1]))
-            for first in range(0, at.size, step):
+        for at, arrays in groups:
+            step = max(1, _SERIES_TERMS // (arrays[0].shape[-1] * x.shape[1]))
+            for first in range(0, len(arrays[0]), step):
                 part = slice(first, first + step)
-                rows = at[part]
-                out[:, rows] = block(x[rows], scale(rows), reach[rows].any(),
-                                     *(a[part] for a in rowwise))
+                rows = part if at is None else at[part]
+                out[:, rows] = block(x[rows], we[rows, None] if per_row else we,
+                                     reach[rows].any(), *(a[part] for a in arrays))
         return out
 
-    def values(x) -> np.ndarray:
-        if np.ndim(x) == 2:
-            return grid(np.asarray(x, dtype=float))
-        return pairs(x)
+    return den, values
 
-    return x_free[3], values
+
+def _interval_integrals(kn, wn, kb, wb, ke, we, repeats=1):
+    """The integrals over [0, x] of both ends' survivals of
+    :func:`_interval_series`, for ke >= 2, at one point per (row,
+    repeat), for the grid-free limits.  Shapes, ``repeats`` and errstate
+    as for :func:`_prepared_series`; the scales are shared scalars.
+    Returns den = P(A >= B) of the upper end and x -> the integrals of
+    the lower end (row 0) and the upper end (row 1).
+
+    A pass is one block of masses of K' ~ NB(ke - 1, pe(x)), which serves
+    both ends as in :func:`_interval_series`.  On each end's shapes, with
+    c = wn / we and h(k) = E[min(k, (kn - B')^+)], the weight
+    g(k) = h(kn) - h(k) = sum_{k <= j < kn} P(B' <= kn - 1 - j) gives
+
+        J(x) = c / (ke - 1) * E[h(min(K', kn))]
+             = c / (ke - 1) * [g(0) - sum_{k < kn} P(K' = k) * g(k)],
+
+    so J(inf) = c * g(0) / (ke - 1).  Each end is contracted by one
+    :func:`_row_sums`.
+    """
+    kn, kb, ke = _series_shapes(kn, wn, kb, wb, ke, we).reshape(3, -1)
+    if np.min(ke) < 2:
+        raise ValueError("integrated survival requires ke >= 2")
+    count, weight, den = _interval_weights(kn, wn, kb, wb)
+    e_shape = ke - 1.0
+    weight = np.cumsum(weight[::-1], axis=0)[::-1]  # g, summed from the top
+    weight[:, 0] *= (e_shape + np.arange(count)[:, None]) / e_shape
+    # Per end, g(0) = h(kn) and c / (ke - 1) at the end's own ke.
+    x_free = [e_shape, _log_binomials(e_shape, count), weight[:, 0], weight[:, 1],
+              weight[0], wn / we / np.array([ke, e_shape]), den]
+    if repeats > 1:
+        x_free = [np.repeat(a, repeats, axis=-1) for a in x_free]
+    e_shape, log_binom, lower, upper, totals, factors, den = x_free
+
+    def values(x) -> np.ndarray:
+        odds, nb_e = _efficiency_block(x, log_binom, e_shape, wn, we)
+        sums = np.array([_row_sums(lower, nb_e), _row_sums(upper, nb_e)])
+        sums[0] /= 1.0 + odds
+        return (totals - sums) * factors
+
+    return den, values
 
 
 def survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
@@ -445,13 +435,13 @@ def survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
 def integrated_survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
     """Exact J(x) = int_0^x P(A > B + v*E) dv for integer shapes, ke >= 2,
     shapes as for :func:`survival_series`: the upper row of the
-    integrated :func:`_interval_series`, one row per point of x.
+    :func:`_interval_integrals`, one row per point of x.
     J(inf) = c * E[(kn - B)^+] / (ke - 1) with c = wn / we and
     B ~ NB(kb, pb)."""
     x = np.ravel(np.asarray(x, dtype=float))
     kn, kb, ke = np.broadcast_arrays(kn, kb, ke, x)[:3]
     with np.errstate(all="ignore"):
-        return _interval_series(kn, wn, kb, wb, ke, we, integrated=True)[1](x)[1]
+        return _interval_integrals(kn, wn, kb, wb, ke, we)[1](x)[1]
 
 
 def _trigamma(x) -> np.ndarray:
@@ -495,7 +485,7 @@ def series_roots(shapes, t, u, quantiles, rel_tol, residual, state=_prepared_ser
     most _SERIES_TERMS series terms per array; a chunk builds one
     ``state`` for its rows, whose x-free arrays a row's quantiles share:
     the survival of :func:`_prepared_series` by default, the integrals of
-    ``partial(_interval_series, integrated=True)``, or the survival of
+    :func:`_interval_integrals`, or the survival of
     :func:`_quadrature_state`.  Per chunk, ``residual(values, den, rows,
     qs)`` gets the pairs' row indices and quantiles and that state: its
     ``values``, x -> each pair's value at its x ((2, pairs) rows of the

@@ -423,6 +423,19 @@ def _int_at_least(low: int):
     return count
 
 
+def _finite(positive: bool):
+    """A finite float, > 0 if ``positive`` and >= 0 otherwise."""
+    def value(text: str) -> float:
+        v = float(text)
+        if not (math.isfinite(v) and (v > 0 if positive else v >= 0)):
+            raise argparse.ArgumentTypeError(
+                f"must be {'positive' if positive else 'nonnegative'} and finite"
+            )
+        return v
+
+    return value
+
+
 def _threads_value(flag: int | None) -> int:
     """Worker processes: --threads, else DSPLIM_THREADS, else 1; 0 means
     every core."""
@@ -475,10 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "--seed", "--method", "--quantiles", *_GRID, "--threads")
     p.add_argument("--mode", choices=("enumerate", "importance"),
                    default="importance")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--u", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--t", type=_finite(True), required=True)
+    p.add_argument("--u", type=_finite(True), required=True)
+    p.add_argument("--eps", type=_finite(False), required=True)
+    p.add_argument("--b", type=_finite(False), required=True)
     p.add_argument("--s-grid", type=_parse_s_grid, default="0:25:0.25")
     p.add_argument("--samples", type=_int_at_least(2), default=10000,
                    help="importance-sampling draws (>= 2 for a standard error)")
@@ -496,10 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("simulate", "coverage simulation study", "--output", "--seed",
                 "--quantiles", *_GRID, "--threads")
-    p.add_argument("--t", type=float, default=33.0)
-    p.add_argument("--u", type=float, default=100.0)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=3.0)
+    p.add_argument("--t", type=_finite(True), default=33.0)
+    p.add_argument("--u", type=_finite(True), default=100.0)
+    p.add_argument("--eps", type=_finite(False), default=1.0)
+    p.add_argument("--b", type=_finite(False), default=3.0)
     p.add_argument("--s-grid", type=_parse_s_grid, default="0:40:0.25")
     p.add_argument("--reps", type=int, default=10000)
     p.add_argument("--methods", type=_parse_methods, default="ds,B1,B2,upper,lower")

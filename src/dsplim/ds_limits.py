@@ -22,17 +22,18 @@ transform) density is f(x) proportional to the product of the r_i(x),
 normalized on a shared grid; upper limits are quantiles of its CDF.
 
 The two ends differ by one unit of shape in each gamma: the upper end
-has shapes (n + 1, y, z), the lower end (n, y + 1, z + 1).  One
-interval state (:func:`dsplim._gamma_ratio._interval_series`) builds
-both from one block of efficiency masses, by
-P(NB(z + 1, p) = j) = P(NB(z, p) = j) (z + j) / z (1 - p), and serves
-both routes to a limit.  The grid route (:func:`_grid_limits`) runs on
-a block of datasets at once: each chunk of them builds one state over
-all its channels, of both endpoint survivals and their conditioning
-probability den = P(NB(y, 1/(1+t)) <= n) (:func:`_channel_state`, the
-only endpoint-CDF code), and the ladder probe and both endpoint curves
-of every row and channel read it; the trapezoid, CDF and quantile run
-on all rows at once, each row as on its own.  A dataset of
+has shapes (n + 1, y, z), the lower end (n, y + 1, z + 1).  An
+interval state builds both from one block of efficiency masses, by
+P(NB(z + 1, p) = j) = P(NB(z, p) = j) (z + j) / z (1 - p).  The grid
+route (:func:`_grid_limits`) runs on a block of datasets at once: each
+chunk of them builds one state over all its channels
+(:func:`dsplim._gamma_ratio._interval_series`), of both endpoint
+survivals and their conditioning probability den = P(NB(y, 1/(1+t))
+<= n) (:func:`_channel_state`, the only endpoint-CDF code), and the
+ladder probe and both endpoint curves of every row and channel read
+it.  Every grid holds exactly ``points`` knots, so a chunk's knots are
+one (rows, points) array, and the trapezoid, CDF and quantile run on
+all its rows at once, each row as on its own.  A dataset of
 :func:`dataset_limits`, :func:`dataset_density` or :func:`shared_grid`,
 and the channel of the per-end CDFs, is a block of one row.  Off the series route a
 row's state takes den from one beta CDF and evaluates each requested
@@ -40,7 +41,7 @@ end by quadrature.  For
 one channel with z >= 2 the CDF also has a grid-free closed form in
 the integrals of both endpoint survivals, which
 :func:`ds_upper_limits_batch` inverts for many datasets at once from
-the integrated interval state, one per dataset;
+their interval integrals (:func:`dsplim._gamma_ratio._interval_integrals`);
 :func:`dsplim.evalharness.make_ds_method` takes every such row there.
 
 A channel with z == 0 carries no information about the efficiency, so
@@ -54,13 +55,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
 from ._gamma_ratio import (
     _SERIES_TERMS,
     NumericalError,
+    _interval_integrals,
     _interval_series,
     _series_carries,
     clamp_unit,
@@ -139,8 +141,11 @@ class GridConfig:
     The grid upper end x_max is the smallest power of two on the ladder
     1, 2, 4, ..., 2**k <= HARD_CAP at which every proper channel has
     F_upper(x_max) >= 1 - tail_eps.  HARD_CAP is the module constant
-    1e12, the same for every grid.  The knots are half linearly and half
-    logarithmically spaced on (0, x_max], plus x = 0.
+    1e12, the same for every grid.  A grid holds exactly ``points``
+    knots: x = 0, points // 2 linearly spaced on (0, x_max] and the rest
+    logarithmically spaced on [1e-9 x_max, x_max).  Where a linear and a
+    log knot coincide both stay, as a zero-width trapezoid panel that
+    adds no mass.
     """
 
     points: int = 512
@@ -218,7 +223,6 @@ def _channel_state(counts, ts, us, method="auto", quad=None):
         series = _series_carries(n + 1, y + 1, z + 1)  # both ends' shapes
     else:
         series = np.full(n.shape, method == "series")
-    route = "quadrature" if method == "auto" else method  # of the other rows
     off = np.flatnonzero(~series)
     with np.errstate(all="ignore"):
         if off.size < n.size:  # a row is on the series route
@@ -247,7 +251,8 @@ def _channel_state(counts, ts, us, method="auto", quad=None):
             else:
                 surv = np.empty((len(which),) + x.shape)
             for j in off:
-                surv[:, j] = [survival(x[j], *ends(j)[i], route, quad) for i in which]
+                surv[:, j] = [survival(x[j], *ends(j)[i], "quadrature", quad)
+                              for i in which]
             f = 1.0 - surv / den[:, None]
         try:
             f = clamp_unit(f)
@@ -318,22 +323,24 @@ def _proper(channels) -> list:
 
 @cache
 def _rung_knots(x_max: float, points: int) -> np.ndarray:
-    """The knots up to x_max: half linearly and half logarithmically
-    spaced on (0, x_max], plus x = 0.  Read-only, as it is shared."""
+    """Exactly ``points`` nondecreasing knots from 0 to x_max: x = 0, then
+    points // 2 linearly spaced on (0, x_max] and the rest logarithmically
+    spaced on [1e-9 x_max, x_max), sorted together.  Where a linear and a
+    log knot coincide both stay, as a zero-width trapezoid panel.
+    Read-only, as it is shared."""
     k_lin = points // 2
-    k_log = points - k_lin
     lin = np.linspace(x_max / k_lin, x_max, k_lin)
-    log = np.geomspace(x_max * 1e-9, x_max, k_log)
-    knots = np.unique(np.concatenate([[0.0], lin, log]))
+    log = np.geomspace(x_max * 1e-9, x_max, points - k_lin)
+    knots = np.sort(np.concatenate([[0.0], lin, log[:-1]]))
     knots.flags.writeable = False
     return knots
 
 
-def _grid_knots(counts, ts, us, state, grid: GridConfig) -> list:
-    """The knots of every row of the (rows, C, 3) counts, probing the
-    upper-end CDFs of its channels through their :func:`_channel_state`
-    at every row, and reading them where z > 0: a list of (row indices,
-    knots of shape (rows, points)), one entry per knot count.
+def _grid_knots(counts, ts, us, state, grid: GridConfig) -> np.ndarray:
+    """The knots of every row of the (rows, C, 3) counts, as one array
+    (rows, grid.points), probing the upper-end CDFs of its channels
+    through their :func:`_channel_state` at every row, and reading them
+    where z > 0.
 
     A row's x_max is the first rung of the ladder 1, 2, 4, ...,
     2**k <= HARD_CAP at which all of its proper channels pass.  Raises
@@ -356,17 +363,13 @@ def _grid_knots(counts, ts, us, state, grid: GridConfig) -> list:
             f"upper-end CDFs reached 1 - tail_eps; still short at "
             f"x={ladder[-1]:g}: {', '.join(map(str, names))}"
         )
-    rung = np.argmax(ok, axis=1).tolist()
-    knots = {r: _rung_knots(ladder[r].item(), grid.points) for r in set(rung)}
-    groups = []
-    for size in sorted({k.size for k in knots.values()}):
-        rows = [j for j, r in enumerate(rung) if knots[r].size == size]
-        groups.append((np.array(rows), np.array([knots[rung[j]] for j in rows])))
-    return groups
+    x_max = ladder[np.argmax(ok, axis=1)].tolist()
+    return np.array([_rung_knots(x, grid.points) for x in x_max])
 
 
 def shared_grid(channels, grid: GridConfig = GridConfig()) -> np.ndarray:
-    """Evaluation knots shared by every channel of a dataset.
+    """Evaluation knots shared by every channel of a dataset: exactly
+    grid.points of them, coincident knots kept (see :class:`GridConfig`).
 
     x_max is the first rung of the power-of-two ladder 1, 2, 4, ...,
     2**k <= HARD_CAP (1e12, see :class:`GridConfig`) at which every
@@ -379,8 +382,7 @@ def shared_grid(channels, grid: GridConfig = GridConfig()) -> np.ndarray:
     the channels still short of 1 - tail_eps when no rung passes.
     """
     counts, ts, us = _one_row(_proper(channels))
-    ((_, xs),) = _grid_knots(counts, ts, us, _channel_state(counts, ts, us), grid)
-    return xs[0]
+    return _grid_knots(counts, ts, us, _channel_state(counts, ts, us), grid)[0]
 
 
 def _gap(f) -> np.ndarray:
@@ -435,8 +437,9 @@ def _grid_limits(counts, ts, us, quantiles, grid: GridConfig) -> np.ndarray:
     The rows run in chunks: a chunk's state holds x-free arrays of
     2 * max(n + 1) * rows * C terms, which a chunk keeps within
     _SERIES_TERMS.  Each chunk builds one state over all C channels,
-    which the ladder probe and both endpoint curves reuse, and the
-    channels' curves are folded into the product one channel at a time;
+    which the ladder probe and both endpoint curves on the chunk's one
+    (rows, points) array of knots reuse, and the channels' curves are
+    folded into the product one channel at a time;
     the trapezoid, CDF and quantile run on all rows at once, each row as
     on its own, so a row's limits do not depend on the rows beside it.
     Raises NumericalError naming the first row that has none.
@@ -449,33 +452,20 @@ def _grid_limits(counts, ts, us, quantiles, grid: GridConfig) -> np.ndarray:
     terms = 2 * (int(counts[:, :, 0].max(initial=0)) + 1) * len(ts)
     step = max(1, _SERIES_TERMS // terms)
     for first in range(0, len(bounded), step):
-        chunk = bounded[first : first + step]
-        out[:, chunk] = _chunk_limits(counts[chunk], ts, us, quantiles, grid)
+        rows = bounded[first : first + step]
+        chunk = counts[rows]
+        state = _channel_state(chunk, ts, us)
+        xs = _grid_knots(chunk, ts, us, state, grid)
+        _, cdf, norm = _combine(xs, map(_gap, state(xs).swapaxes(0, 1)))
+        if not (norm > 0).all():
+            row = chunk[np.argmin(norm > 0)].tolist()
+            names = ", ".join(str(ChannelObservation(*ch, t, u))
+                              for ch, t, u in zip(row, ts, us))
+            raise NumericalError(
+                f"combined commonality product has zero mass for {names}"
+            )
+        out[:, rows] = _quantiles(xs, cdf, quantiles)
     return out
-
-
-def _chunk_limits(counts, ts, us, quantiles, grid: GridConfig) -> np.ndarray:
-    """The limits of :func:`_grid_limits` on (rows, C, 3) counts, every
-    row with a channel of z > 0, from one state of all their channels.
-    Where the rows' grids hold different knot counts, the rows of each
-    count run as a chunk of their own."""
-    state = _channel_state(counts, ts, us)
-    groups = _grid_knots(counts, ts, us, state, grid)
-    if len(groups) > 1:
-        out = np.empty((len(quantiles), len(counts)))
-        for rows, _ in groups:
-            out[:, rows] = _chunk_limits(counts[rows], ts, us, quantiles, grid)
-        return out
-    ((_, xs),) = groups
-    _, cdf, norm = _combine(xs, map(_gap, state(xs).swapaxes(0, 1)))
-    if not (norm > 0).all():
-        row = counts[np.argmin(norm > 0)].tolist()
-        names = ", ".join(str(ChannelObservation(*ch, t, u))
-                          for ch, t, u in zip(row, ts, us))
-        raise NumericalError(
-            f"combined commonality product has zero mass for {names}"
-        )
-    return _quantiles(xs, cdf, quantiles)
 
 
 def _dataset_curves(channels, grid: GridConfig):
@@ -485,7 +475,7 @@ def _dataset_curves(channels, grid: GridConfig):
     _proper(channels)
     counts, ts, us = _one_row(channels)
     state = _channel_state(counts, ts, us)
-    ((_, xs),) = _grid_knots(counts, ts, us, state, grid)
+    xs = _grid_knots(counts, ts, us, state, grid)
     curves = state(xs)[:, :, 0].swapaxes(0, 1)
     return xs[0], [_curves(xs[0], f, ch.z == 0) for ch, f in zip(channels, curves)]
 
@@ -588,10 +578,10 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
 
         G(X) = (J_up(X) - J_lo(X)) / (J_up(inf) - J_lo(inf)),
 
-    and the conditioning probability cancels.  Both come from one
-    integrated interval state per row
-    (:func:`dsplim._gamma_ratio._interval_series` on (n+1, y, z)), J(inf)
-    from its x-free background sums alone.  Every row must be one of
+    and the conditioning probability cancels.  Both come from the
+    interval integrals of the rows
+    (:func:`dsplim._gamma_ratio._interval_integrals` on (n+1, y, z)), J(inf)
+    from their x-free background sums alone.  Every row must be one of
     :func:`exact_rows`.  G(X) = q is solved per (dataset, quantile) pair
     by :func:`dsplim._gamma_ratio.series_roots` on the log of the mass
     above X, to a relative width of _EXACT_REL_TOL, so each limit is
@@ -622,6 +612,5 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
         start = quantile_start(ns[rows] + 1, ys[rows], zs[rows] - 1, t, u, qs)
         return start, lambda x: log_target - np.log(np.maximum(norm - mass(x), 0.0))
 
-    state = partial(_interval_series, integrated=True)
-    shapes = (ns + 1, ys, zs)
-    return series_roots(shapes, t, u, quantiles, _EXACT_REL_TOL, residual, state)
+    return series_roots((ns + 1, ys, zs), t, u, quantiles, _EXACT_REL_TOL, residual,
+                        _interval_integrals)

@@ -642,9 +642,8 @@ def _preset_limits(presets, distinct, inverse, t, u, quantiles, threads) -> dict
     if not presets:
         return {}
     priors = tuple(prior_preset(m) for m in presets)
-    shapes = np.array([(p.a_n, p.a_b, p.a_e) for p in priors])
-    if np.array_equal(shapes, shapes.round()):  # every preset: int posteriors, one packed key
-        shapes = shapes.astype(int)
+    # Every preset's shapes are integers: int posteriors, one packed key.
+    shapes = np.array([(p.a_n, p.a_b, p.a_e) for p in priors], dtype=int)
     posteriors = (distinct + shapes[:, None, :]).reshape(-1, 3)
     unique, pair_of = _distinct_rows(posteriors)
     first = np.full(len(unique), len(posteriors))

@@ -126,6 +126,20 @@ def mc_credibility(limit, n, y, z, t, u, b_prior, e_prior, n_draws, rng):
     return num / den
 
 
+def conditioning_mass(kn: int, kb: int, t: float) -> float:
+    """P(A >= B) for A ~ Gamma(kn, 1) and B ~ Gamma(kb, 1/t), kn >= 1:
+    the regularized incomplete beta I_{t/(1+t)}(kb, kn), as
+    B / (A + B) on the unit scale is Beta(kb, kn).  Summed to 50 digits
+    by mpmath from the exact value of t, then rounded; 1 at kb == 0."""
+    import mpmath
+
+    if kb == 0:
+        return 1.0
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        return float(mpmath.betainc(kb, kn, 0, t / (1 + t), regularized=True))
+
+
 def _nb_law(r: int, success: float, ks: np.ndarray):
     """pmf and survival function of NB(r) at ks by scipy (its CDF is a
     regularized incomplete beta), with scipy's success probability

@@ -613,6 +613,39 @@ class TestOptions:
         assert "s-grid must satisfy 0 <= lo <= hi" in capsys.readouterr().err
         assert not out.exists()
 
+    BOX = ["--t", "3.3", "--u", "10", "--eps", "0.1", "--b", "0.3"]
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("enumerate", "--t", "-1", "positive"),
+        ("enumerate", "--u", "inf", "positive"),
+        ("enumerate", "--b", "-0.3", "nonnegative"),
+        ("enumerate", "--t", "nan", "positive"),
+        ("enumerate", "--eps", "-0.1", "nonnegative"),
+        ("importance", "--t", "-1", "positive"),
+        ("importance", "--u", "0", "positive"),
+        ("simulate", "--t", "inf", "positive"),
+        ("simulate", "--eps", "nan", "nonnegative"),
+        ("simulate", "--b", "-inf", "nonnegative"),
+    ])
+    def test_scale_and_truth_flags_rejected(self, tmp_path, capsys, command, flag, value,
+                                            message):
+        # The flag's value follows the valid box, so it is the one parsed last.
+        argv = {"simulate": ["simulate", "--reps", "1"]}.get(
+            command, ["coverage", "--mode", command, *self.BOX])
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"{flag}={value}", "--output", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be {message} and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_efficiency_accepted(self, tmp_path):
+        out = tmp_path / "out.csv"
+        argv = ["coverage", "--mode", "enumerate", *self.BOX, "--eps", "0",
+                "--s-grid", "5:6:1", "--quantiles", "0.9"]
+        assert main([*argv, "--output", str(out)]) == 0
+        assert out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--s-grid", "0:1:1e-15", "--reps", "1"],
         ["simulate", "--s-grid", "0:40:1e-320", "--reps", "1"],

@@ -228,6 +228,18 @@ class TestGridLadder:
         with pytest.raises(NumericalError):
             shared_grid([ch])
 
+    def test_every_rung_holds_exactly_points_knots(self):
+        # Where a linear and a log knot coincide (at 200 points on some
+        # rungs) both stay, as a zero-width panel, so every grid of a
+        # GridConfig holds the same knot count.  About 2 s on a 2-core host.
+        ladder = np.ldexp(1.0, np.arange(math.frexp(ds_limits.HARD_CAP)[1])).tolist()
+        for points in [*range(16, 1025), 4096, 16384]:
+            for x_max in ladder:
+                # Uncached: the ladder times these point counts would fill the cache.
+                xs = ds_limits._rung_knots.__wrapped__(x_max, GridConfig(points).points)
+                assert xs.size == points and xs[0] == 0.0 and xs[-1] == x_max
+                assert (np.diff(xs) >= 0.0).all()
+
     def test_cap_below_one_still_checks_rung_one(self, monkeypatch):
         monkeypatch.setattr(ds_limits, "HARD_CAP", 0.5)
         easy = ChannelObservation(0, 0, 200, 1.0, 1.0)
@@ -624,16 +636,18 @@ class TestBatchedGridRoute:
         assert np.concatenate(halves, axis=1).tobytes() == want.tobytes()
         assert _block_limits(counts[::-1], ts, us).tobytes() == want[:, ::-1].tobytes()
 
-    def test_rows_whose_grids_hold_different_knot_counts(self):
+    def test_rows_whose_grids_hold_coincident_knots(self):
         # At 200 points some rungs' linear and log knots coincide: these
-        # rows' grids hold 199, 200 and 198 knots, and run as separate
-        # groups of one block.
+        # rows' grids keep both as a zero-width panel (one on the rung
+        # 2**31, two on 2**15, none on 2**18), hold 200 knots each and run
+        # in one block.
         grid = GridConfig(points=200)
         counts = np.array([(0, 0, 1), (0, 0, 2), (24, 0, 4), (0, 5, 1), (27, 5, 4),
                            (3, 2, 0)])
-        sizes = {shared_grid([ChannelObservation(*row, 1.2, 15.0)], grid).size
-                 for row in counts[:5]}
-        assert sizes == {198, 199, 200}
+        grids = [shared_grid([ChannelObservation(*row, 1.2, 15.0)], grid)
+                 for row in counts[:5]]
+        assert [xs.size for xs in grids] == [200] * 5
+        assert [int((np.diff(xs) == 0).sum()) for xs in grids] == [1, 0, 2, 1, 2]
         together = _block_limits(counts, [1.2], [15.0], grid)
         for k in range(len(counts)):
             alone = _block_limits(counts[k : k + 1], [1.2], [15.0], grid)

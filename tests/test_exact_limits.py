@@ -2,7 +2,6 @@
 and the grid-free batch that the studies use for rows with z >= 2."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from scipy.stats import nbinom
 from dsplim import evalharness
 from dsplim._gamma_ratio import (
     NumericalError,
-    _interval_series,
+    _interval_integrals,
     _prepared_series,
     integrated_survival_series,
     survival_series,
@@ -51,7 +50,7 @@ class TestIntegratedSurvival:
             assert g == pytest.approx(want, rel=1e-11, abs=1e-13 * u)
 
     def test_per_row_shapes_match_shared_shapes(self):
-        # Both rows of the integrated interval state: the lower end
+        # Both rows of the interval integrals: the lower end
         # (kn - 1, kb + 1, ke + 1) and the upper end (kn, kb, ke).
         t, u = SMALL
         xs = np.array([0.5, 4.0, 30.0, math.inf])
@@ -59,12 +58,55 @@ class TestIntegratedSurvival:
         rows = np.repeat(np.arange(kn.size), xs.size)
         x = np.tile(xs, kn.size)
         with np.errstate(all="ignore"):
-            per_row = _interval_series(kn[rows], 1.0, kb[rows], 1 / t, ke[rows], 1 / u, True)
+            per_row = _interval_integrals(kn[rows], 1.0, kb[rows], 1 / t, ke[rows], 1 / u)
             got = per_row[1](x)
             for i, (kn_i, kb_i, ke_i) in enumerate(self.SHAPES):
-                shared = _interval_series(kn_i, 1.0, kb_i, 1 / t, ke_i, 1 / u, True)
-                want = shared[1](xs[None])[:, 0]  # one row, at every point of xs
+                shared = _interval_integrals(kn_i, 1.0, kb_i, 1 / t, ke_i, 1 / u,
+                                             repeats=xs.size)
+                want = shared[1](xs)  # one row, repeated at every point of xs
                 np.testing.assert_allclose(got[:, rows == i], want, rtol=1e-13)
+
+    # Per row (kn, kb, ke) at t = 3.3, u = 10: den and both ends'
+    # integrals at x = 0.5, 4, 30 and inf as float.hex, pinned from the
+    # integrated mode of the one interval state these integrals split from.
+    PINNED = [
+        ((1, 0, 3), "0x1.0000000000000p+0",
+         ["0x0.0p+0"] * 4,
+         ["0x1.dc02526e4b776p-2", "0x1.397829cbc14e6p+1", "0x1.2c00000000000p+2",
+          "0x1.4000000000000p+2"]),
+        ((6, 4, 5), "0x1.fc7e7fb15da05p-1",
+         ["0x1.e87edeb6597c0p-2", "0x1.a7eb31dcd8e37p+1", "0x1.bb20c9cd6e666p+2",
+          "0x1.c0c5b3e1fe268p+2"],
+         ["0x1.fb7d10199ac60p-2", "0x1.e540687464d1ep+1", "0x1.6b617ba2c64c1p+3",
+          "0x1.7f4a61d86c556p+3"]),
+        ((21, 3, 7), "0x1.ffffffffef3a9p-1",
+         ["0x1.fffffffd1d2b7p-2", "0x1.ffffd12233d48p+1", "0x1.737e02eded376p+4",
+          "0x1.ad6fee44bc13ep+4"],
+         ["0x1.ffffffffe1c56p-2", "0x1.fffffc2d3b893p+1", "0x1.9c9d831c6c750p+4",
+          "0x1.0be0f83e0fa9cp+5"]),
+        ((44, 90, 101), "0x1.fcc6e87039fe6p-1",
+         ["0x1.ef31a8408f377p-2", "0x1.875ac17e434d8p+0", "0x1.8780434c42d1ap+0",
+          "0x1.8780434c42d1ap+0"],
+         ["0x1.f5271ca4acbe0p-2", "0x1.ac3f3ae5fa60ap+0", "0x1.ac87bbdce134cp+0",
+          "0x1.ac87bbdce134cp+0"]),
+        ((300, 2, 2), "0x1.ffffffffffffep-1",
+         ["0x1.0000000001800p-1", "0x1.0000000000180p+2", "0x1.e000000000190p+4",
+          "0x1.749d1745d1745p+10"],
+         ["0x1.0000000000400p-1", "0x1.0000000000180p+2", "0x1.dfffffffffc40p+4",
+          "0x1.763e0f83e0f84p+11"]),
+    ]
+
+    def test_pinned_bits(self):
+        t, u = SMALL
+        xs = np.array([0.5, 4.0, 30.0, math.inf])
+        kn, kb, ke = np.array([shapes for shapes, *_ in self.PINNED]).T
+        with np.errstate(all="ignore"):
+            den, integrals = _interval_integrals(kn, 1.0, kb, 1 / t, ke, 1 / u, xs.size)
+            got = integrals(np.tile(xs, kn.size))
+        for i, (_, den_i, lower, upper) in enumerate(self.PINNED):
+            assert den[4 * i : 4 * i + 4].tolist() == [float.fromhex(den_i)] * 4
+            row = got[:, 4 * i : 4 * i + 4].tolist()
+            assert row == [[float.fromhex(v) for v in end] for end in (lower, upper)]
 
     def test_needs_ke_at_least_two(self):
         with pytest.raises(ValueError, match="ke >= 2"):
@@ -141,14 +183,14 @@ class TestBitwiseIndependence:
         # to share its x-free arrays, keeps the bits it has alone, and so
         # does its conditioning probability P(A >= B): every value of the
         # single-end survival, or both rows (lower end, upper end) of the
-        # integrated interval state.
+        # interval integrals.
         t, u = PAPER
         kn = np.array([3.0, 40.0, 1.0, 300.0, 17.0, 0.0])
         kb = np.array([0.0, 90.0, 5.0, 2.0, 33.0, 4.0])
         ke = np.array([2.0, 100.0, 7.0, 9.0, 2.0, 3.0])
         x = np.array([0.0, 3.0, math.inf, 50.0, 1e4, 0.7])
         shapes = (kn, 1.0, kb, 1 / t, ke, 1 / u)
-        state = partial(_interval_series, integrated=True) if integrated else _prepared_series
+        state = _interval_integrals if integrated else _prepared_series
         with np.errstate(all="ignore"):
             den, series = state(*shapes)
             together = np.reshape(series(x), (-1, kn.size))

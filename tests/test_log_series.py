@@ -20,6 +20,7 @@ import dsplim.ds_limits as ds_limits
 from dsplim._gamma_ratio import (
     _LOG_PMF_FLOOR,
     NumericalError,
+    _interval_integrals,
     _interval_series,
     _log_binomials,
     _nb_log_pmf,
@@ -173,7 +174,7 @@ class TestExpFloor:
         block = _gamma_ratio._nb_pmf_block
 
         def record(log_binom, r, log_p, log_q, floored=False):
-            if np.ndim(log_p) == 2:  # an efficiency block of the grid
+            if np.ndim(log_p) > 0:  # an efficiency block
                 log_pmf = _nb_log_pmf(log_binom, r, log_p, log_q)
                 seen.append((floored, np.isfinite(log_pmf[log_pmf < _LOG_PMF_FLOOR]).any()))
             return block(log_binom, r, log_p, log_q, floored)
@@ -185,7 +186,7 @@ class TestExpFloor:
             _interval_series(n + 1, 1.0, y, 1 / t, z, 1 / u)[1](xs[None])
             assert seen == [(floored, floored)]
             # The integrals keep every mass.
-            _interval_series(n + 1, 1.0, y, 1 / t, z + 1, 1 / u, True)[1](xs[None])
+            _interval_integrals(n + 1, 1.0, y, 1 / t, z + 1, 1 / u, repeats=xs.size)[1](xs)
         assert not seen[1][0]
 
 
@@ -342,7 +343,7 @@ def test_integrated_survival_series_against_scipy(kn, kb, ke, t, u, xs):
         # The interval state's lower row, (kn - 1, kb + 1, ke + 1) summed
         # from the upper end's block, to the same share of its own J(inf).
         with np.errstate(all="ignore"):
-            got = _interval_series(*shapes, integrated=True)[1](xs[None])[0, 0]
+            got = _interval_integrals(*shapes, repeats=xs.size)[1](xs)[0]
         lower = (kn - 1, 1.0, kb + 1, 1.0 / t, ke + 1, 1.0 / u)
         scale = max(nb_convolution_integral(math.inf, *lower), np.finfo(float).tiny)
         want = [nb_convolution_integral(x, *lower) for x in xs]
