@@ -342,16 +342,13 @@ def _interval_series(kn, wn, kb, wb, ke, we):
     half = -0.5 * _LOG_PMF_FLOOR
     below = wn / we / np.expm1(half / (own - 1.0))
     above = wn / we * np.expm1(half / e_shape)
-    # Per series length: its rows (None for all rows) and their x-free
-    # arrays, rows first, so each row's (2, length) weights are contiguous
-    # and matmul takes BLAS.
-    lengths = np.unique(own).tolist()
+    # Per series length: its rows and their x-free arrays, rows first, so
+    # each row's (2, length) weights are contiguous and matmul takes BLAS.
     groups = []
-    for length in lengths:
-        at = None if len(lengths) == 1 else np.flatnonzero(own == length)
-        rows = slice(None) if at is None else at
-        arrays = [weight[:length, :, rows].transpose(2, 1, 0), log_binom[:length, rows].T,
-                  e_shape[rows, None], lift[rows, None], den[rows, None]]
+    for length in np.unique(own).tolist():
+        at = np.flatnonzero(own == length)
+        arrays = [weight[:length, :, at].transpose(2, 1, 0), log_binom[:length, at].T,
+                  e_shape[at, None], lift[at, None], den[at, None]]
         groups.append((at, [np.ascontiguousarray(a) for a in arrays]))
 
     def block(x, we, floored, weights, log_binom, e, lift, den):
@@ -375,7 +372,7 @@ def _interval_series(kn, wn, kb, wb, ke, we):
             step = max(1, _SERIES_TERMS // (arrays[0].shape[-1] * x.shape[1]))
             for first in range(0, len(arrays[0]), step):
                 part = slice(first, first + step)
-                rows = part if at is None else at[part]
+                rows = at[part]
                 out[:, rows] = block(x[rows], we[rows, None] if per_row else we,
                                      reach[rows].any(), *(a[part] for a in arrays))
         return out

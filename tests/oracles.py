@@ -128,16 +128,20 @@ def mc_credibility(limit, n, y, z, t, u, b_prior, e_prior, n_draws, rng):
 
 def conditioning_mass(kn: int, kb: int, t: float) -> float:
     """P(A >= B) for A ~ Gamma(kn, 1) and B ~ Gamma(kb, 1/t), kn >= 1:
-    the regularized incomplete beta I_{t/(1+t)}(kb, kn), as
-    B / (A + B) on the unit scale is Beta(kb, kn).  Summed to 50 digits
-    by mpmath from the exact value of t, then rounded; 1 at kb == 0."""
-    import mpmath
-
+    the regularized incomplete beta I_x(kb, kn) at x = t / (1 + t), as
+    B / (A + B) on the unit scale is Beta(kb, kn).  For integer shapes,
+    with m = kb + kn - 1 and t = p / q exactly,
+    I_x(kb, kn) = sum_{kb <= j <= m} C(m, j) x^j (1 - x)^(m - j)
+                = sum_j C(m, j) p^j q^(m - j) / (p + q)^m,
+    a ratio of integers summed exactly and rounded once; 1 at kb == 0."""
     if kb == 0:
         return 1.0
-    with mpmath.workdps(50):
-        t = mpmath.mpf(t)
-        return float(mpmath.betainc(kb, kn, 0, t / (1 + t), regularized=True))
+    (p, q), m = t.as_integer_ratio(), kb + kn - 1
+    total, term = 0, 1  # term = C(m, j) q^(m - j)
+    for j in range(m, kb - 1, -1):  # Horner in p, from the top term down
+        total = total * p + term
+        term = term * j * q // (m - j + 1)
+    return total * p**kb / (p + q) ** m
 
 
 def _nb_law(r: int, success: float, ks: np.ndarray):

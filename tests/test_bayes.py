@@ -244,8 +244,9 @@ class TestUpperLimitQuantile:
 # The series den sums log-pmf terms of order 1e3, so at shapes near 600
 # it carries up to about 1.5e-12 relative error; a CDF divides the
 # survival by the den of its own state, whose background sums it shares.
-# The oracle is a 50-digit value: scipy's betainc is 3.3e-12 off it at
-# the example below, deep in the tail, where the series den is 1e-14 off.
+# The oracle is the exact sum, rounded once: scipy's betainc is 3.3e-12
+# off it at the example below, deep in the tail, where the series den is
+# 1e-14 off.
 @settings(max_examples=200, deadline=None)
 @given(
     rows=st.lists(

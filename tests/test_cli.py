@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 
+import numpy as np
 import pytest
 
 from dsplim.bayes import bayes_upper_limits_batch, prior_preset
@@ -316,6 +317,20 @@ class TestCurvesCommand:
             assert [float(r[2]) for r in comb] == density.xs.tolist()
             assert [float(r[6]) for r in comb] == density.pdf.tolist()
             assert [float(r[7]) for r in comb] == density.cdf.tolist()
+
+    def test_coincident_knots_repeat_an_x_row(self, tmp_path):
+        # At 200 points the grid of (27, 5, 4) at t = 1.2, u = 15 keeps two
+        # coincident knot pairs as zero-width panels, so the CSV holds 200
+        # rows per channel and per combined curve, two of them at a
+        # repeated x.
+        inp = _write_input(tmp_path, "channels 1\nscales 1.2 15\n27 5 4\n")
+        out = str(tmp_path / "curves.csv")
+        assert main(["curves", "--input", inp, "--output", out, "--grid-points", "200"]) == 0
+        rows = _read_csv(out)[1:]
+        for channel in ("0", "combined"):
+            xs = np.array([float(r[2]) for r in rows if r[1] == channel])
+            assert xs.size == 200
+            assert np.all(np.diff(xs) >= 0) and int((np.diff(xs) == 0).sum()) == 2
 
     def test_failed_dataset_keeps_the_other_datasets(self, tmp_path, capsys):
         inp = _write_input(tmp_path, "channels 1\nscales 1 1e8\n5 2 40\n0 0 1\n")
