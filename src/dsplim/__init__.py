@@ -34,7 +34,6 @@ from .evalharness import (
     CredibilityConfig,
     EnumerationTooLarge,
     NoPosteriorMass,
-    NuisanceTruth,
     StudyResult,
     coverage_enumerate,
     coverage_importance,
@@ -45,28 +44,13 @@ from .evalharness import (
     make_ds_method,
     simulate_study,
 )
-from .poisson_dsm import (
-    ARandomIntervalLaw,
-    commonality,
-    sample_interval,
-    singleton_plausibility,
-)
-from .sampling import (
-    DEFAULT_SEED,
-    RngHandle,
-    derive_stream_id,
-    sample_exponential,
-    sample_gamma,
-    sample_poisson,
-)
+from .sampling import DEFAULT_SEED, RngHandle, derive_stream_id
 from .specfun import (
     IntegrationError,
     QuadratureConfig,
     beta_cdf,
     beta_pdf,
-    gamma_cdf,
     integrate,
-    log_gamma,
 )
 
 __version__ = "0.1.0"

@@ -61,7 +61,6 @@ the substitution g = alpha * v.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy.special import betaincinv, digamma, ndtri
@@ -429,18 +428,6 @@ def survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
         return _prepared_series(kn, wn, kb, wb, ke, we)[1](x)
 
 
-def integrated_survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
-    """Exact J(x) = int_0^x P(A > B + v*E) dv for integer shapes, ke >= 2,
-    shapes as for :func:`survival_series`: the upper row of the
-    :func:`_interval_integrals`, one row per point of x.
-    J(inf) = c * E[(kn - B)^+] / (ke - 1) with c = wn / we and
-    B ~ NB(kb, pb)."""
-    x = np.ravel(np.asarray(x, dtype=float))
-    kn, kb, ke = np.broadcast_arrays(kn, kb, ke, x)[:3]
-    with np.errstate(all="ignore"):
-        return _interval_integrals(kn, wn, kb, wb, ke, we)[1](x)[1]
-
-
 def _trigamma(x) -> np.ndarray:
     """psi'(x) for x > 0, to about 1e-8 relative: the recurrence
     psi'(x) = psi'(x + 1) + 1 / x**2 up to y = x + 6, then the asymptotic
@@ -541,9 +528,7 @@ def _inner_breakpoints(alpha, kn, wn, kb, wb, ke) -> np.ndarray:
     return pts
 
 
-def survival_quadrature(
-    x: float, kn, wn, kb, wb, ke, we, quad: QuadratureConfig
-) -> float:
+def survival_quadrature(x: float, kn, wn, kb, wb, ke, we) -> float:
     """Beta-CDF evaluation of P(A > B + x*E) at one point x >= 0, for
     shapes and scales that :func:`survival` has checked."""
     if kn == 0 or math.isinf(x):
@@ -564,7 +549,9 @@ def survival_quadrature(
             )
 
         pts = _inner_breakpoints(alpha, kn, wn, kb, wb, ke)
-        piece_cfg = replace(quad, abs_tol=quad.abs_tol / max(len(pts) - 1, 1))
+        # The default tolerances, the absolute one shared among the pieces.
+        pieces = max(len(pts) - 1, 1)
+        piece_cfg = QuadratureConfig(abs_tol=QuadratureConfig.abs_tol / pieces)
         inner = sum(
             integrate(integrand, float(a), float(b), piece_cfg)
             for a, b in zip(pts[:-1], pts[1:])
@@ -572,17 +559,7 @@ def survival_quadrature(
     return min(max(head - inner, 0.0), 1.0)
 
 
-def survival(
-    x,
-    kn,
-    wn,
-    kb,
-    wb,
-    ke,
-    we,
-    method: str = "auto",
-    quad: QuadratureConfig | None = None,
-):
+def survival(x, kn, wn, kb, wb, ke, we, method: str = "auto"):
     """P(A > B + x*E); x may be a scalar or an array, the shapes shared
     scalars or one per point of x.
 
@@ -596,10 +573,9 @@ def survival(
         out = survival_series(x, kn, wn, kb, wb, ke, we)
     elif method == "quadrature":
         _validate(kn, wn, kb, wb, ke, we)
-        quad = quad or QuadratureConfig()
         points = np.transpose(np.broadcast_arrays(_nonnegative(x), kn, kb, ke)).tolist()
         out = np.array(
-            [survival_quadrature(v, a, wn, b, wb, e, we, quad) for v, a, b, e in points]
+            [survival_quadrature(v, a, wn, b, wb, e, we) for v, a, b, e in points]
         )
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -614,7 +590,7 @@ def conditioning_probability(kn, wn, kb, wb) -> float:
     return beta_cdf(wn / (wn + wb), kb, kn)
 
 
-def _quadrature_state(kn, wn, kb, wb, ke, we, repeats=1, quad=None):
+def _quadrature_state(kn, wn, kb, wb, ke, we, repeats=1):
     """The quadrature route, for any positive shapes, in the state form of
     :func:`_prepared_series` (shapes and ``repeats`` likewise): den, one
     :func:`conditioning_probability` per row, and x -> the survival at x."""
@@ -623,7 +599,7 @@ def _quadrature_state(kn, wn, kb, wb, ke, we, repeats=1, quad=None):
     kn, kb, ke = np.repeat(shapes, repeats, axis=1)
 
     def values(x) -> np.ndarray:
-        return survival(x, kn, wn, kb, wb, ke, we, "quadrature", quad)
+        return survival(x, kn, wn, kb, wb, ke, we, "quadrature")
 
     return np.repeat(den, repeats), values
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from ._gamma_ratio import (
     series_roots,
 )
 from .ds_limits import ChannelObservation
-from .specfun import QuadratureConfig
 
 __all__ = [
     "PriorConfig",
@@ -108,19 +106,13 @@ def conjugate_posteriors(ch: ChannelObservation, prior: PriorConfig) -> GammaPos
     )
 
 
-def bayes_posterior_cdf(
-    post: GammaPosteriors,
-    x,
-    method: str = "auto",
-    quad: QuadratureConfig | None = None,
-):
+def bayes_posterior_cdf(post: GammaPosteriors, x, method: str = "auto"):
     """Posterior CDF of the signal at x >= 0 (scalar or array), on the
     route ``survival(method)`` takes."""
     (kn, wn), (kb, wb), (ke, we) = post.ln, post.lb, post.le
     if method == "auto":
         method = "series" if _series_carries(kn, kb, ke) else "quadrature"
-    states = {"series": _prepared_series,
-              "quadrature": partial(_quadrature_state, quad=quad)}
+    states = {"series": _prepared_series, "quadrature": _quadrature_state}
     if method not in states:
         raise ValueError(f"unknown method {method!r}")
     with np.errstate(all="ignore"):

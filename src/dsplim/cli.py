@@ -9,8 +9,9 @@ Format (self-describing header, ``#`` comments allowed):
 
 All CSV output uses '.' decimals, 17 significant digits, LF line
 endings, and a fixed header row.  Exit codes: 0 success, 2 parse or
-validation error, 3 numerical failure (for ``limits``: some row has
-status ``failed``; for ``credibility``: some row has an empty
+validation error, or arrays too large to allocate (``--reps`` or
+``--samples`` beyond memory), 3 numerical failure (for ``limits``: some
+row has status ``failed``; for ``credibility``: some row has an empty
 ``credibility`` field; for ``curves``: some dataset has no rows), 4
 unbounded-only results.
 """
@@ -51,7 +52,6 @@ from .evalharness import (
 from .sampling import DEFAULT_SEED, RngHandle, derive_stream_id
 from .specfun import IntegrationError
 
-FORMAT_VERSION = "dsplim/1"
 METHODS = ("ds", "bayes:B1", "bayes:B2", "bayes:upper", "bayes:lower")
 # Most points an --s-grid may hold; the paper's study uses 161.
 S_GRID_MAX_POINTS = 100_000
@@ -139,24 +139,6 @@ def parse_dataset_file(stream) -> list[Dataset]:
     if not datasets:
         raise DatasetFormatError("no dataset rows found", lines[-1][0])
     return datasets
-
-
-def write_dataset_file(datasets, stream) -> None:
-    """Emit datasets in dsplim/1 form (all must share the scale header)."""
-    datasets = list(datasets)
-    if not datasets:
-        raise ValueError("nothing to write")
-    scales = [(ch.t, ch.u) for ch in datasets[0].channels]
-    for ds in datasets:
-        if [(ch.t, ch.u) for ch in ds.channels] != scales:
-            raise ValueError("all datasets in one file must share scales")
-    stream.write(f"# {FORMAT_VERSION}\n")
-    stream.write(f"channels {len(scales)}\n")
-    for t, u in scales:
-        stream.write(f"scales {_fmt(t)} {_fmt(u)}\n")
-    for ds in datasets:
-        row = " ".join(f"{ch.n} {ch.y} {ch.z}" for ch in ds.channels)
-        stream.write(row + "\n")
 
 
 def _fmt(value) -> str:
@@ -557,7 +539,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](_to_config(args))
-    except (DatasetFormatError, ValueError, OSError, EnumerationTooLarge) as exc:
+    except (DatasetFormatError, ValueError, OSError, EnumerationTooLarge,
+            MemoryError) as exc:
         print(f"dsplim: error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationError, NumericalError, NoPosteriorMass) as exc:

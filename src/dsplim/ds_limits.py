@@ -3,8 +3,8 @@
 A channel observes a main count n ~ Pois(eps*s + b) together with
 subsidiary counts y ~ Pois(t*b) and z ~ Pois(u*eps) that pin down the
 background b and efficiency eps.  Each of the three counts brackets
-its rate by an a-random interval (see :mod:`dsplim.poisson_dsm`); the
-implied interval for the signal s, truncated to s >= 0, has endpoints
+its rate by an a-random interval; the implied interval for the signal
+s, truncated to s >= 0, has endpoints
 
     S_lower = (N_lower - Y_upper / t) / (Z_upper / u),
     S_upper = (N_upper - Y_lower / t) / (Z_lower / u),
@@ -71,7 +71,6 @@ from ._gamma_ratio import (
     series_roots,
     survival,
 )
-from .specfun import QuadratureConfig
 
 __all__ = [
     "ChannelObservation",
@@ -184,7 +183,7 @@ class PlausibilityDensity:
     normalization: float
 
 
-def _channel_state(counts, ts, us, method="auto", quad=None):
+def _channel_state(counts, ts, us, method="auto"):
     """The C channels of rows of counts (rows, C, 3), channel c on the
     scales (ts[c], us[c]): (xs, which=(0, 1)) -> the endpoint CDFs at
     xs >= 0 of shape (rows, points), whose row of knots a row's channels
@@ -251,8 +250,7 @@ def _channel_state(counts, ts, us, method="auto", quad=None):
             else:
                 surv = np.empty((len(which),) + x.shape)
             for j in off:
-                surv[:, j] = [survival(x[j], *ends(j)[i], "quadrature", quad)
-                              for i in which]
+                surv[:, j] = [survival(x[j], *ends(j)[i], "quadrature") for i in which]
             f = 1.0 - surv / den[:, None]
         try:
             f = clamp_unit(f)
@@ -273,19 +271,14 @@ def _one_row(channels):
     return counts, [ch.t for ch in channels], [ch.u for ch in channels]
 
 
-def _one_channel(ch: ChannelObservation, x, which, method="auto", quad=None):
+def _one_channel(ch: ChannelObservation, x, which, method="auto"):
     """The endpoint CDFs of one channel at x (scalar or 1-d), one row per end."""
     counts, ts, us = _one_row([ch])
-    f = _channel_state(counts, ts, us, method, quad)(np.reshape(x, (1, -1)), which)[:, 0, 0]
+    f = _channel_state(counts, ts, us, method)(np.reshape(x, (1, -1)), which)[:, 0, 0]
     return f[:, 0] if np.ndim(x) == 0 else f
 
 
-def channel_cdf_lower(
-    ch: ChannelObservation,
-    x,
-    method: str = "auto",
-    quad: QuadratureConfig | None = None,
-):
+def channel_cdf_lower(ch: ChannelObservation, x, method: str = "auto"):
     """CDF of the truncated interval's lower end at x (scalar or array).
 
     With n == 0 the lower end is pinned at 0 and the CDF is 1
@@ -293,22 +286,17 @@ def channel_cdf_lower(
     conventions rather than a branch here.  The lower row of
     :func:`_channel_state`.
     """
-    return _one_channel(ch, x, (0,), method, quad)[0]
+    return _one_channel(ch, x, (0,), method)[0]
 
 
-def channel_cdf_upper(
-    ch: ChannelObservation,
-    x,
-    method: str = "auto",
-    quad: QuadratureConfig | None = None,
-):
+def channel_cdf_upper(ch: ChannelObservation, x, method: str = "auto"):
     """CDF of the interval's upper end at x (scalar or array).
 
     Identically 0 for finite x when z == 0: with no efficiency
     information the upper end is infinite and the channel is improper.
     The upper row of :func:`_channel_state`.
     """
-    return _one_channel(ch, x, (1,), method, quad)[0]
+    return _one_channel(ch, x, (1,), method)[0]
 
 
 def _proper(channels) -> list:

@@ -40,7 +40,6 @@ from .sampling import DEFAULT_SEED, RngHandle, derive_stream_id
 from .specfun import IntegrationError, solve_monotone
 
 __all__ = [
-    "NuisanceTruth",
     "CoverageReport",
     "CredibilityConfig",
     "StudyResult",
@@ -65,23 +64,6 @@ class NoPosteriorMass(RuntimeError):
     """The credibility denominator underflowed; no posterior mass remains."""
 
 
-@dataclass(frozen=True)
-class NuisanceTruth:
-    """True (s, eps, b) driving a coverage calculation."""
-
-    s: float
-    eps: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if self.s < 0 or self.b < 0 or self.eps <= 0:
-            raise ValueError("require s >= 0, b >= 0, eps > 0")
-
-    def rates(self, t: float, u: float) -> tuple[float, float, float]:
-        """(mu, nu, rho) = (eps*s + b, t*b, u*eps)."""
-        return self.eps * self.s + self.b, t * self.b, u * self.eps
-
-
 @dataclass
 class CoverageReport:
     s_grid: np.ndarray
@@ -102,9 +84,12 @@ class CredibilityConfig:
     e_prior: tuple[float, float]
 
     def __post_init__(self) -> None:
-        for mean, sd in (self.b_prior, self.e_prior):
-            if mean <= 0 or sd <= 0:
-                raise ValueError("prior means and sds must be positive")
+        for name, (mean, sd) in (("b", self.b_prior), ("eps", self.e_prior)):
+            if not (0 < mean < math.inf and 0 < sd < math.inf):
+                raise ValueError(
+                    f"the {name} prior's mean and sd must be positive and finite,"
+                    f" got {mean}:{sd}"
+                )
 
     @staticmethod
     def _shape_scale(mean: float, sd: float) -> tuple[float, float]:
@@ -178,8 +163,10 @@ def make_ds_method(grid: GridConfig = GridConfig()):
     affect them; every other row (several channels, z <= 1, or a shape
     above the series bound) takes the grid route on ``grid``, all of a
     call's such rows in one :func:`dsplim.ds_limits._grid_limits`, which
-    builds one state of all channels per chunk of them.  Either way a row's
-    limits are those :func:`dataset_limits` gives it alone.
+    builds one state of all channels per chunk of them.  A row of the grid
+    route gets the limits :func:`dataset_limits` gives it alone; an exact
+    row gets those of :func:`ds_upper_limits_batch`, which differ from the
+    grid's :func:`dataset_limits` by the grid's error.
     """
     return partial(_ds_limits_of_counts, grid=grid)
 

@@ -1,9 +1,9 @@
-"""Deterministic, stream-splittable random variate generation.
+"""Deterministic, stream-splittable random streams.
 
-Monte Carlo oracles and the evaluation harness need reproducibility
-that survives parallel scheduling: every work item (dataset, channel,
-simulation cell) draws from its own stream, derived from the user seed
-plus a stable content hash of the task coordinates.  Two handles with
+The evaluation harness needs reproducibility that survives parallel
+scheduling: every work item (dataset, channel, simulation cell) draws
+from its own stream, derived from the user seed plus a stable content
+hash of the task coordinates.  Two handles with
 the same (seed, stream_id) always produce the same variates; distinct
 stream_ids give statistically independent PCG64 streams.
 """
@@ -58,36 +58,3 @@ class RngHandle:
     def split(self, kind: str, *indices: int) -> "RngHandle":
         """Fresh handle for a sub-task, independent of this one."""
         return RngHandle(self.seed, derive_stream_id(kind, *indices))
-
-
-def sample_exponential(rng: RngHandle, scale: float, size=None):
-    """Draw from Expo(scale) (mean = scale)."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    out = rng.generator.exponential(scale, size=size)
-    return float(out) if size is None else out
-
-
-def sample_gamma(rng: RngHandle, shape: float, scale: float, size=None):
-    """Draw from Gamma(shape, scale); shape == 0 returns exactly 0."""
-    if shape < 0:
-        raise ValueError("shape must be >= 0")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if shape == 0:
-        return 0.0 if size is None else np.zeros(size)
-    out = rng.generator.gamma(shape, scale, size=size)
-    return float(out) if size is None else out
-
-
-def sample_poisson(rng: RngHandle, rate: float, size=None):
-    """Draw from Pois(rate); rate == 0 returns 0.
-
-    numpy's generator uses inversion at small rates and an exact
-    (approximation-free) transformed-rejection sampler at large ones,
-    so arbitrarily large rates stay exact.
-    """
-    if rate < 0:
-        raise ValueError("rate must be >= 0")
-    out = rng.generator.poisson(rate, size=size)
-    return int(out) if size is None else out

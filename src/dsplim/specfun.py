@@ -1,15 +1,14 @@
 """Special functions, one-dimensional quadrature and root bracketing.
 
-Everything downstream (interval laws, channel CDFs, posterior CDFs,
-coverage weights) is built from the regularized incomplete gamma and
-beta functions plus a deterministic quadrature rule; every quantile
-search (posterior, batched posterior, grid-free DS, credibility) is
-one call of :func:`solve_monotone`, which widens a bracket outward from
-a start each caller estimates from its own row.  The functions here wrap
-scipy.special for the nondegenerate cases and add the degenerate shape
-conventions this package relies on:
+The quadrature route of the channel and posterior CDFs is built from
+the regularized incomplete beta function plus a deterministic
+quadrature rule; every quantile search (posterior, batched posterior,
+grid-free DS, credibility) is one call of :func:`solve_monotone`, which
+widens a bracket outward from a start each caller estimates from its
+own row.  The beta functions here wrap scipy.special for the
+nondegenerate cases and add the degenerate shape conventions this
+package relies on:
 
-* gamma shape 0   -> point mass at 0 (CDF identically 1 for x >= 0)
 * beta a = 0      -> point mass at 0 (CDF identically 1 on [0, 1])
 * beta b = 0      -> point mass at 1 (CDF 0 on [0, 1), jump to 1 at 1)
 
@@ -48,36 +47,6 @@ class QuadratureConfig:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-
-
-def log_gamma(x):
-    """Natural log of the Gamma function for x > 0.
-
-    Relative error is at the scipy.special.gammaln level
-    (better than 1e-13 across [1e-3, 1e6]).
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("log_gamma requires x > 0")
-    out = sp.gammaln(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def gamma_cdf(shape, scale, x):
-    """Regularized lower incomplete gamma P(shape, x / scale).
-
-    CDF at x of a Gamma(shape, scale) variate.  shape == 0 denotes a
-    point mass at 0, so the result is 1 for every x >= 0.
-    """
-    shape = np.asarray(shape, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(shape < 0) or np.any(x < 0):
-        raise ValueError("gamma_cdf requires shape >= 0 and x >= 0")
-    if scale <= 0:
-        raise ValueError("gamma_cdf requires scale > 0")
-    out = np.where(shape == 0, 1.0, sp.gammainc(np.maximum(shape, 1e-300), x / scale))
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def beta_pdf(x, a, b):

@@ -8,6 +8,7 @@ never through the code paths under test.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,3 +204,100 @@ def bisection_root(reached, rel_tol: float = 1e-12, cap: float = 1e15) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def sample_exponential(rng, scale: float, size=None):
+    """Draw from Expo(scale) (mean = scale) on the stream of an RngHandle."""
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    out = rng.generator.exponential(scale, size=size)
+    return float(out) if size is None else out
+
+
+def sample_gamma(rng, shape: float, scale: float, size=None):
+    """Draw from Gamma(shape, scale); shape == 0 returns exactly 0."""
+    if shape < 0:
+        raise ValueError("shape must be >= 0")
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    if shape == 0:
+        return 0.0 if size is None else np.zeros(size)
+    out = rng.generator.gamma(shape, scale, size=size)
+    return float(out) if size is None else out
+
+
+# The Poisson belief-interval model.  Observing a count k from a Poisson
+# process with unknown rate L brackets the rate between the k-th and
+# (k+1)-th transition times of a unit-rate process: the lower endpoint is
+# Gamma(k) distributed (0 exactly when k == 0) and the gap to the upper
+# endpoint is an independent unit exponential.  A count observed at a
+# known scale t (a Pois(t*L) count) brackets L by the same interval
+# divided by t, which is what the ``scale`` field expresses.  The DS
+# limits are built on this model in closed form; these first-definition
+# functionals check it.
+
+
+@dataclass(frozen=True)
+class ARandomIntervalLaw:
+    """Joint law of the interval (lower, upper) bounding a Poisson rate.
+
+    count is the observed k; scale is 1 for a plain Poisson count and
+    1/t for a count observed through Pois(t * rate).  The lower
+    endpoint is Gamma(count, scale) with the count == 0 degenerate-at-
+    zero convention; the gap (upper - lower) is an independent
+    Expo(scale).
+    """
+
+    count: int
+    scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.count < 0 or self.count != int(self.count):
+            raise ValueError("count must be a nonnegative integer")
+        if not self.scale > 0:
+            raise ValueError("scale must be positive")
+
+
+def commonality(law: ARandomIntervalLaw, lo: float, hi: float) -> float:
+    """P(lower <= lo and upper >= hi): the mass on intervals containing
+    [lo, hi], equal to (1/k!) (lo/scale)^k e^{-hi/scale}.
+
+    Computed in the log domain so large counts do not overflow the
+    factorial.
+    """
+    if lo < 0 or hi < lo:
+        raise ValueError("commonality requires 0 <= lo <= hi")
+    k = law.count
+    u = lo / law.scale
+    v = hi / law.scale
+    if k == 0:
+        return math.exp(-v)
+    if u == 0.0:
+        return 0.0
+    return math.exp(k * math.log(u) - v - math.lgamma(k + 1))
+
+
+def singleton_plausibility(law: ARandomIntervalLaw, lam: float) -> float:
+    """Probability that the random interval covers the single rate lam.
+
+    Identical to ``commonality(law, lam, lam)``; also expressible as
+    F_lower(lam) - F_upper(lam), the gap between the endpoint CDFs.
+    Each plausibility curve integrates to ``scale``.
+    """
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
+    return commonality(law, lam, lam)
+
+
+def sample_interval(law: ARandomIntervalLaw, rng) -> tuple[float, float]:
+    """Draw one (lower, upper) interval from the law."""
+    lo = sample_gamma(rng, float(law.count), law.scale)
+    hi = lo + sample_exponential(rng, law.scale)
+    return lo, hi
+
+
+def sample_intervals(law: ARandomIntervalLaw, rng, size: int):
+    """Vectorized sample_interval for Monte Carlo work."""
+    lo = sample_gamma(rng, float(law.count), law.scale, size=size)
+    hi = lo + sample_exponential(rng, law.scale, size=size)
+    return lo, hi

@@ -41,7 +41,7 @@ from dsplim.evalharness import (
     make_ds_method,
     simulate_study,
 )
-from dsplim.poisson_dsm import ARandomIntervalLaw, sample_intervals, singleton_plausibility
+from oracles import ARandomIntervalLaw, sample_intervals, singleton_plausibility
 from dsplim.sampling import RngHandle
 from oracles import mc_channel_cdfs, mc_posterior_ratio_cdf
 

@@ -18,7 +18,6 @@ from dsplim.bayes import (
 )
 from dsplim.ds_limits import ChannelObservation, Dataset, channel_cdf_lower, dataset_limits
 from dsplim.sampling import RngHandle
-from dsplim.specfun import QuadratureConfig
 from oracles import bisection_root, conditioning_mass, mc_posterior_ratio_cdf
 
 CH = ChannelObservation(5, 10, 100, 33.0, 100.0)
@@ -98,12 +97,11 @@ class TestPosteriorCdf:
         assert np.all(np.abs(est - exact) <= 4 * se + 1e-9)
 
     def test_series_vs_quadrature(self):
-        quad = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
         for prior in ("B1", "B2", "upper", "lower"):
             post = conjugate_posteriors(CH, prior_preset(prior))
             xs = np.array([0.0, 0.4, 2.0, 9.0, 25.0])
             a = bayes_posterior_cdf(post, xs, method="series")
-            b = bayes_posterior_cdf(post, xs, method="quadrature", quad=quad)
+            b = bayes_posterior_cdf(post, xs, method="quadrature")
             np.testing.assert_allclose(a, b, atol=5e-10)
 
     def test_noninteger_shapes_use_quadrature(self):

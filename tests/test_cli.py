@@ -14,7 +14,6 @@ from dsplim.cli import (
     build_parser,
     main,
     parse_dataset_file,
-    write_dataset_file,
 )
 from dsplim.ds_limits import (
     ChannelObservation,
@@ -86,13 +85,6 @@ class TestParse:
         assert err.value.line == 3
         with pytest.raises(ValueError, match="positive and finite"):
             ChannelObservation(1, 2, 3, *map(float, scales.split()))
-
-    def test_round_trip(self):
-        datasets = parse_dataset_file(io.StringIO(GOOD))
-        out = io.StringIO()
-        write_dataset_file(datasets, out)
-        again = parse_dataset_file(io.StringIO(out.getvalue()))
-        assert again == datasets
 
 
 def _write_input(tmp_path, text, name="data.txt"):
@@ -461,6 +453,19 @@ class TestCredibilityCommand:
             main(["credibility", "--input", inp, "--output", out, "--samples", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "option, value, name",
+        [("--b-prior", "nan:0.3", "b"), ("--e-prior", "inf:0.1", "eps"),
+         ("--b-prior", "3:inf", "b")],
+    )
+    def test_nonfinite_prior_rejected(self, tmp_path, capsys, option, value, name):
+        inp = _write_input(tmp_path, GOOD)
+        out = str(tmp_path / "cred.csv")
+        rc = main(["credibility", "--input", inp, "--output", out, option, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"dsplim: error: the {name} prior's mean and sd must be positive" in err
+
     def test_no_posterior_mass_is_a_numerical_failure(self, tmp_path, capsys):
         inp = _write_input(tmp_path, "channels 1\nscales 1 100\n0 0 100\n")
         out = str(tmp_path / "cred.csv")
@@ -698,6 +703,20 @@ class TestOptions:
         # a --threads flag overrides the variable
         assert main(["limits", "--input", inp, "--output", str(out),
                      "--threads", "1"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--s-grid", "20:20:1", "--methods", "B1", "--reps"],
+        ["coverage", "--mode", "importance", "--t", "3.3", "--u", "10", "--eps", "0.1",
+         "--b", "0.3", "--s-grid", "5:6:1", "--quantiles", "0.9", "--samples"],
+        ["credibility", "--input", "{input}", "--samples"],
+    ], ids=["simulate", "coverage-importance", "credibility"])
+    def test_allocation_failure_exits_2(self, tmp_path, capsys, argv):
+        # 10**17 draws need 711 PiB, past any address space, so numpy
+        # raises before it allocates.
+        inp = _write_input(tmp_path, GOOD)
+        argv = [inp if a == "{input}" else a for a in argv]
+        assert main([*argv, str(10**17), "--output", str(tmp_path / "out.csv")]) == 2
+        assert "dsplim: error: Unable to allocate" in capsys.readouterr().err
 
 
 class TestCsvFormatting:

@@ -26,7 +26,6 @@ from dsplim.ds_limits import (
 )
 from dsplim.evalharness import _row_limits, make_ds_method
 from dsplim.sampling import RngHandle
-from dsplim.specfun import QuadratureConfig
 from oracles import mc_channel_cdfs
 
 TASK1A = ChannelObservation(5, 10, 100, 33.0, 100.0)
@@ -80,10 +79,9 @@ class TestRouteAgreement:
     )
     def test_lower_and_upper(self, ch):
         xs = np.array([0.0, 0.05, 0.5, 2.0, 8.0, 20.0])
-        quad = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
         for fn in (channel_cdf_lower, channel_cdf_upper):
             a = fn(ch, xs, method="series")
-            b = fn(ch, xs, method="quadrature", quad=quad)
+            b = fn(ch, xs, method="quadrature")
             np.testing.assert_allclose(a, b, atol=5e-10)
 
 

@@ -32,7 +32,6 @@ from dsplim.evalharness import (
     CredibilityConfig,
     EnumerationTooLarge,
     NoPosteriorMass,
-    NuisanceTruth,
     coverage_enumerate,
     coverage_importance,
     credibility,
@@ -665,19 +664,6 @@ class TestStudyPlan:
                 simulate_study(**kw, threads=threads)
             messages.add(str(err.value))
         assert messages == {want}
-
-
-class TestNuisanceTruth:
-    def test_rates(self):
-        truth = NuisanceTruth(s=10.0, eps=0.1, b=0.3)
-        mu, nu, rho = truth.rates(3.3, 10.0)
-        assert mu == pytest.approx(1.3)
-        assert nu == pytest.approx(0.99)
-        assert rho == pytest.approx(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NuisanceTruth(s=-1.0, eps=1.0, b=0.0)
 
 
 class TestLengthQuantiles:

@@ -13,7 +13,6 @@ from dsplim._gamma_ratio import (
     NumericalError,
     _interval_integrals,
     _prepared_series,
-    integrated_survival_series,
     survival_series,
 )
 from dsplim.ds_limits import (
@@ -44,7 +43,8 @@ class TestIntegratedSurvival:
     @pytest.mark.parametrize("t,u", [SMALL, PAPER])
     def test_against_quadrature(self, kn, kb, ke, t, u):
         xs = np.array([0.0, 0.3 * u, u, 7.0 * u, 300.0 * u, math.inf])
-        got = integrated_survival_series(xs, kn, 1.0, kb, 1.0 / t, ke, 1.0 / u)
+        with np.errstate(all="ignore"):
+            got = _interval_integrals(kn, 1.0, kb, 1.0 / t, ke, 1.0 / u, xs.size)[1](xs)[1]
         for x, g in zip(xs, got):
             want = _quad_integral(x, kn, kb, ke, t, u)
             assert g == pytest.approx(want, rel=1e-11, abs=1e-13 * u)
@@ -110,7 +110,7 @@ class TestIntegratedSurvival:
 
     def test_needs_ke_at_least_two(self):
         with pytest.raises(ValueError, match="ke >= 2"):
-            integrated_survival_series([1.0], 3, 1.0, 2, 0.5, 1, 0.1)
+            _interval_integrals(3, 1.0, 2, 0.5, 1, 0.1)
 
     @pytest.mark.parametrize("t,u", [SMALL, PAPER, (1e-17, 10.0)])
     def test_total_from_the_background_block(self, t, u):
@@ -119,13 +119,15 @@ class TestIntegratedSurvival:
         # B ~ NB(kb, 1 / (1 + t)), summed here from scipy's nbinom.
         kn, kb, ke = (np.array(c, dtype=float) for c in zip(*self.SHAPES))
         x = np.full(kn.size, math.inf)
-        rows = integrated_survival_series(x, kn, 1.0, kb, 1 / t, ke, 1 / u)
+        with np.errstate(all="ignore"):
+            rows = _interval_integrals(kn, 1.0, kb, 1 / t, ke, 1 / u)[1](x)[1]
         for i, (kn_i, kb_i, ke_i) in enumerate(self.SHAPES):
             b = np.arange(kn_i)
             pmf = nbinom.pmf(b, kb_i, t / (1.0 + t)) if kb_i else (b == 0)
             want = u * np.sum((kn_i - b) * pmf) / (ke_i - 1)
             scales = (kn_i, 1.0, kb_i, 1 / t, ke_i, 1 / u)
-            shared = integrated_survival_series([math.inf], *scales)
+            with np.errstate(all="ignore"):
+                shared = _interval_integrals(*scales)[1](np.array([math.inf]))[1]
             assert shared[0] == pytest.approx(want, rel=1e-12)
             assert rows[i] == pytest.approx(want, rel=1e-12)
 
@@ -254,6 +256,31 @@ class TestRouting:
         assert np.array_equal(coarse[2:], fine[2:])
         exact = ds_upper_limits_batch(*counts[2:].T, t, u, (0.9,))[0]
         assert np.array_equal(coarse[2:], exact)
+
+    def test_exact_rows_take_the_batch_and_other_rows_dataset_limits(self):
+        # dataset_limits always takes the grid, so an exact row's limit
+        # differs from it: 174.3607 / 449.3289 against 174.8909 / 450.1045
+        # at (20, 7, 4).
+        t, u, qs = 3.3, 10.0, (0.9, 0.99)
+        counts = np.array([(20, 7, 4), (9, 1, 6), (3, 2, 1), (12, 0, 1)])
+        got = make_ds_method()(counts, t, u, qs)
+        exact = exact_rows(*counts.T)
+        assert exact.tolist() == [True, True, False, False]
+        batch = ds_upper_limits_batch(*counts[exact].T, t, u, qs)
+        assert np.array_equal(got[:, exact], batch)
+        grid = [dataset_limits(Dataset([ChannelObservation(*row, t, u)]), qs)
+                for row in counts.tolist()]
+        assert np.array_equal(got[:, ~exact], np.transpose(grid)[:, ~exact])
+        assert got[:, 0] == pytest.approx([174.3607, 449.3289], abs=1e-4)
+        assert grid[0] == pytest.approx([174.8909, 450.1045], abs=1e-4)
+        # Rows of several channels all take the grid route.
+        ts, us = (3.3, 5.0), (10.0, 20.0)
+        counts = np.array([(20, 7, 4, 3, 2, 5), (4, 1, 3, 9, 1, 6)])
+        got = make_ds_method()(counts, ts, us, qs)
+        for row, lims in zip(counts.tolist(), got.T.tolist()):
+            channels = [ChannelObservation(*row[3 * c : 3 * c + 3], ts[c], us[c])
+                        for c in range(2)]
+            assert lims == dataset_limits(Dataset(channels), qs)
 
     def test_conditioning_underflow_row_takes_the_exact_route(self, monkeypatch):
         seen = []

@@ -25,7 +25,6 @@ from dsplim._gamma_ratio import (
     _log_binomials,
     _nb_log_pmf,
     _nb_pmf_block,
-    integrated_survival_series,
     survival_series,
 )
 from dsplim.bayes import (
@@ -333,7 +332,8 @@ def test_survival_series_against_scipy(kn, kb, ke, t, u, xs):
 def test_integrated_survival_series_against_scipy(kn, kb, ke, t, u, xs):
     xs = np.sort(xs)
     shapes = (kn, 1.0, kb, 1.0 / t, ke, 1.0 / u)
-    got = integrated_survival_series(xs, *shapes)
+    with np.errstate(all="ignore"):
+        got = _interval_integrals(*shapes, repeats=xs.size)[1](xs)[1]
     scale = max(nb_convolution_integral(math.inf, *shapes), np.finfo(float).tiny)
     want = [nb_convolution_integral(x, *shapes) for x in xs]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10 * scale)

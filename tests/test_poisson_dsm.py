@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from dsplim.poisson_dsm import (
+from dsplim.sampling import RngHandle
+from dsplim.specfun import QuadratureConfig, integrate
+from oracles import (
     ARandomIntervalLaw,
     commonality,
+    mc_interval_commonality,
+    poisson_tail_gamma_cdf,
     sample_interval,
     sample_intervals,
     singleton_plausibility,
 )
-from dsplim.sampling import RngHandle
-from dsplim.specfun import QuadratureConfig, gamma_cdf, integrate
-from oracles import mc_interval_commonality
 
 
 class TestCommonality:
@@ -68,7 +69,9 @@ class TestSingletonPlausibility:
     def test_equals_cdf_difference(self):
         for k, scale, lam in [(0, 1.0, 0.9), (3, 1.0, 2.0), (7, 0.25, 1.3)]:
             law = ARandomIntervalLaw(k, scale)
-            gap = gamma_cdf(k, scale, lam) - gamma_cdf(k + 1, scale, lam)
+            gap = poisson_tail_gamma_cdf(k, lam / scale) - poisson_tail_gamma_cdf(
+                k + 1, lam / scale
+            )
             assert singleton_plausibility(law, lam) == pytest.approx(gap, abs=1e-14)
 
     def test_against_interval_sampling_oracle(self):

@@ -20,69 +20,10 @@ from dsplim.specfun import (
     QuadratureConfig,
     beta_cdf,
     beta_pdf,
-    gamma_cdf,
     integrate,
-    log_gamma,
     solve_monotone,
 )
-from oracles import binomial_sum_beta_cdf, bisection_root, poisson_tail_gamma_cdf
-
-
-class TestLogGamma:
-    def test_trivial_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
-
-    def test_relative_accuracy_against_lgamma(self):
-        for x in [1e-3, 0.1, 1.5, 17.0, 1234.5, 1e6]:
-            assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-13)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-2.0)
-
-
-class TestGammaCdf:
-    def test_exponential_case(self):
-        assert gamma_cdf(1.0, 1.0, 1.0) == pytest.approx(1 - math.exp(-1), rel=1e-13)
-
-    def test_degenerate_shape_zero(self):
-        assert gamma_cdf(0.0, 1.0, 0.5) == 1.0
-        assert gamma_cdf(0.0, 1.0, 0.0) == 1.0
-
-    def test_against_series_oracle(self):
-        # frozen from poisson_tail_gamma_cdf(5, 5.0)
-        assert gamma_cdf(5.0, 1.0, 5.0) == pytest.approx(0.5595067149347877, rel=1e-12)
-
-    def test_poisson_tail_identity_sweep(self):
-        for k in (1, 2, 7, 20):
-            for x in (0.0, 0.3, 2.0, 9.5, 40.0):
-                assert gamma_cdf(k, 1.0, x) == pytest.approx(
-                    poisson_tail_gamma_cdf(k, x), abs=1e-12
-                )
-
-    def test_scale_and_monotonicity(self):
-        xs = np.linspace(0.0, 30.0, 200)
-        vals = gamma_cdf(4.0, 2.0, xs)
-        assert np.all(np.diff(vals) >= 0)
-        assert gamma_cdf(4.0, 2.0, 10.0) == pytest.approx(
-            gamma_cdf(4.0, 1.0, 5.0), rel=1e-13
-        )
-        # nonincreasing in shape at fixed x
-        shapes = np.arange(1.0, 30.0)
-        v = gamma_cdf(shapes, 1.0, 7.0)
-        assert np.all(np.diff(v) <= 0)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            gamma_cdf(-1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            gamma_cdf(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            gamma_cdf(1.0, 1.0, -1.0)
+from oracles import binomial_sum_beta_cdf, bisection_root
 
 
 class TestBetaCdf:
