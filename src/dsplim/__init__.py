@@ -39,18 +39,11 @@ from .evalharness import (
     coverage_importance,
     credibility,
     credibility_limit,
-    length_quantiles,
     make_bayes_method,
     make_ds_method,
     simulate_study,
 )
 from .sampling import DEFAULT_SEED, RngHandle, derive_stream_id
-from .specfun import (
-    IntegrationError,
-    QuadratureConfig,
-    beta_cdf,
-    beta_pdf,
-    integrate,
-)
+from .specfun import IntegrationError, beta_cdf, beta_pdf
 
 __version__ = "0.1.0"

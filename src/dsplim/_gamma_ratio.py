@@ -54,8 +54,11 @@ every Bayes limit are its two callers.
     alpha = wn / (wn + x * we),
     q(g)  = wb / (wb + wn * (1 - g / alpha)),
 
-with the inner integral computed by the adaptive Simpson rule after
-the substitution g = alpha * v.
+with the inner integral computed after the substitution g = alpha * v
+by one call of scipy's QUADPACK (adaptive Gauss-Kronrod with
+extrapolation, Piessens et al. 1983), seeded with the breakpoints of
+:func:`_inner_breakpoints`; a failure it reports raises
+:class:`~dsplim.specfun.IntegrationError`.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ import math
 import numpy as np
 from scipy.special import betaincinv, digamma, ndtri
 
-from .specfun import QuadratureConfig, beta_cdf, beta_pdf, integrate, solve_monotone
+from .specfun import IntegrationError, beta_cdf, beta_pdf, solve_monotone
 
 # Above this shape the O(kn) series is slower than quadrature, so "auto"
 # falls back to quadrature.
@@ -79,6 +82,13 @@ _SERIES_TERMS = 1 << 22
 # numpy's exp leaves its fast path between -707 and -708, and e**-707 is
 # about 1e-307.
 _LOG_PMF_FLOOR = -707.0
+
+# QUADPACK's tolerances on the inner integral of the quadrature route,
+# |error| <= max(_QUAD_ABS_TOL, _QUAD_REL_TOL * |integral|), and its
+# subinterval budget per piece between two of its breakpoints.
+_QUAD_REL_TOL = 1e-9
+_QUAD_ABS_TOL = 1e-12
+_QUAD_PIECE_LIMIT = 16
 
 # CDF values may stray outside [0, 1] by quadrature noise up to this
 # slack and are clamped; larger excursions indicate a numerical failure.
@@ -548,14 +558,23 @@ def survival_quadrature(x: float, kn, wn, kb, wb, ke, we) -> float:
                 beta_cdf(q, ke + kn, kb) * beta_pdf(alpha * v, ke, kn) * alpha
             )
 
+        # Imported here: scipy.integrate nearly doubles the import time of
+        # dsplim.cli, which every command and benchmark setup pays, while
+        # only rows off the series route reach this line.
+        from scipy import integrate
+
         pts = _inner_breakpoints(alpha, kn, wn, kb, wb, ke)
-        # The default tolerances, the absolute one shared among the pieces.
-        pieces = max(len(pts) - 1, 1)
-        piece_cfg = QuadratureConfig(abs_tol=QuadratureConfig.abs_tol / pieces)
-        inner = sum(
-            integrate(integrand, float(a), float(b), piece_cfg)
-            for a, b in zip(pts[:-1], pts[1:])
+        inner, _, info, *failure = integrate.quad(
+            integrand, 0.0, 1.0, points=pts[1:-1],
+            epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL,
+            limit=_QUAD_PIECE_LIMIT * (pts.size - 1), full_output=1,
         )
+        if failure:
+            raise IntegrationError(
+                f"QUADPACK failed on the inner integral at x = {x!r}, shapes "
+                f"({kn!r}, {kb!r}, {ke!r}) after {info['neval']} evaluations: "
+                + " ".join(failure[0].split())
+            )
     return min(max(head - inner, 0.0), 1.0)
 
 

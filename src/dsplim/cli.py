@@ -397,12 +397,14 @@ def _parse_pair(text: str) -> tuple[float, float]:
 
 
 def _int_at_least(low: int):
-    def count(text: str) -> int:
+    # argparse names the type by its __name__ when int() fails: "invalid
+    # integer value".
+    def integer(text: str) -> int:
         if int(text) < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}")
         return int(text)
 
-    return count
+    return integer
 
 
 def _finite(positive: bool):
@@ -434,7 +436,7 @@ def _threads_value(flag: int | None) -> int:
 _SHARED = {
     "--input": dict(required=True, help="dsplim/1 dataset file"),
     "--output": dict(required=True, help="CSV output path"),
-    "--seed": dict(type=int, default=DEFAULT_SEED),
+    "--seed": dict(type=_int_at_least(0), default=DEFAULT_SEED),
     "--method": dict(default="ds", choices=METHODS),
     "--quantiles": dict(type=_parse_quantiles, default=(0.90, 0.99)),
     "--grid-points": dict(type=int, default=512),

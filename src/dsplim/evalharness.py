@@ -1,4 +1,4 @@
-"""Coverage, credibility, length, and simulation-study machinery.
+"""Coverage, credibility and simulation-study machinery.
 
 Coverage C(s) is the probability, under the generating model at true
 signal s, that a method's reported upper limit exceeds s (strictly).
@@ -52,7 +52,6 @@ __all__ = [
     "credibility",
     "credibility_limit",
     "simulate_study",
-    "length_quantiles",
 ]
 
 
@@ -709,21 +708,3 @@ def simulate_study(
         coverage=coverage,
         limits=limits,
     )
-
-
-# ---------------------------------------------------------------------------
-# interval length
-
-
-def length_quantiles(limits, probs) -> list[float]:
-    """Nearest-rank (lower) empirical quantiles of the limit values."""
-    values = np.sort(np.asarray(limits, dtype=float))
-    if values.size == 0:
-        raise ValueError("limits must be nonempty")
-    out = []
-    for p in probs:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("probabilities must lie in [0, 1]")
-        rank = max(1, math.ceil(p * values.size))
-        out.append(float(values[rank - 1]))
-    return out

@@ -1,13 +1,13 @@
-"""Special functions, one-dimensional quadrature and root bracketing.
+"""Special functions, the quadrature route's error and root bracketing.
 
 The quadrature route of the channel and posterior CDFs is built from
-the regularized incomplete beta function plus a deterministic
-quadrature rule; every quantile search (posterior, batched posterior,
-grid-free DS, credibility) is one call of :func:`solve_monotone`, which
-widens a bracket outward from a start each caller estimates from its
-own row.  The beta functions here wrap scipy.special for the
-nondegenerate cases and add the degenerate shape conventions this
-package relies on:
+the regularized incomplete beta function and its density, integrated
+by scipy's QUADPACK (in :mod:`dsplim._gamma_ratio`); every quantile
+search (posterior, batched posterior, grid-free DS, credibility) is one
+call of :func:`solve_monotone`, which widens a bracket outward from a
+start each caller estimates from its own row.  The beta functions here
+wrap scipy.special for the nondegenerate cases and add the degenerate
+shape conventions this package relies on:
 
 * beta a = 0      -> point mass at 0 (CDF identically 1 on [0, 1])
 * beta b = 0      -> point mass at 1 (CDF 0 on [0, 1), jump to 1 at 1)
@@ -18,35 +18,12 @@ evaluate without branching in callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 from scipy import special as sp
 
 
 class IntegrationError(RuntimeError):
-    """Quadrature failed to meet tolerance within the subdivision budget."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances of the adaptive Simpson rule in :func:`integrate`.
-
-    rel_tol / abs_tol: the integral estimate I satisfies
-    |I - true| <= max(abs_tol, rel_tol * |I|) for smooth integrands.
-    max_subdivisions bounds the number of interval splits.
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2**16
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+    """The quadrature route's integral reported that it missed its tolerance."""
 
 
 def beta_pdf(x, a, b):
@@ -102,57 +79,6 @@ def _check_beta_args(x, a, b) -> None:
     x = np.asarray(x, dtype=float)
     if np.any(x < 0) or np.any(x > 1):
         raise ValueError("beta argument must lie in [0, 1]")
-
-
-def integrate(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cfg: QuadratureConfig = QuadratureConfig(),
-) -> float:
-    """Integrate f over [lo, hi] by adaptive composite Simpson.
-
-    Iterative, with an explicit interval stack and local error control.
-    Deterministic: identical inputs produce bitwise-identical results.
-
-    Raises IntegrationError when the subdivision budget is exhausted
-    before the tolerance is met.
-    """
-    if lo > hi:
-        raise ValueError("integrate requires lo <= hi")
-    if lo == hi:
-        return 0.0
-    flo, fhi = f(lo), f(hi)
-    mid = 0.5 * (lo + hi)
-    fmid = f(mid)
-    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-    tol0 = max(cfg.abs_tol, cfg.rel_tol * abs(whole))
-
-    total = 0.0
-    splits = 0
-    # stack entries: (a, b, fa, fm, fb, simpson_estimate, local_tol)
-    stack = [(lo, hi, flo, fmid, fhi, whole, tol0)]
-    while stack:
-        a, b, fa, fm, fb, s_whole, tol = stack.pop()
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        s_left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        s_right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = (s_left + s_right - s_whole) / 15.0
-        if abs(err) <= tol or (b - a) <= abs(m) * 1e-15:
-            total += s_left + s_right + err
-            continue
-        splits += 1
-        if splits > cfg.max_subdivisions:
-            raise IntegrationError(
-                f"adaptive Simpson did not converge within "
-                f"{cfg.max_subdivisions} subdivisions on [{lo}, {hi}]"
-            )
-        half = 0.5 * tol
-        stack.append((a, m, fa, flm, fm, s_left, half))
-        stack.append((m, b, fm, frm, fb, s_right, half))
-    return total
 
 
 # The solver's valid range: a start is clipped into [BRACKET_FLOOR,

@@ -145,7 +145,7 @@ def conditioning_mass(kn: int, kb: int, t: float) -> float:
     return total * p**kb / (p + q) ** m
 
 
-def _nb_law(r: int, success: float, ks: np.ndarray):
+def _nb_law(r: float, success: float, ks: np.ndarray):
     """pmf and survival function of NB(r) at ks by scipy (its CDF is a
     regularized incomplete beta), with scipy's success probability
     ``success`` = 1 - p; r == 0 is the point mass at 0 and success == 0
@@ -160,8 +160,9 @@ def _nb_law(r: int, success: float, ks: np.ndarray):
 
 
 def nb_convolution_survival(x, kn, wn, kb, wb, ke, we) -> float:
-    """P(A > B + x E) for integer shapes as the negative binomial
-    convolution sum_{m < kn} P(NB(kb, pb) = m) P(NB(ke, pe) <= kn - 1 - m),
+    """P(A > B + x E) for an integer kn and any real kb, ke >= 0 (the
+    gamma-Poisson mixture) as the negative binomial convolution
+    sum_{m < kn} P(NB(kb, pb) = m) P(NB(ke, pe) <= kn - 1 - m),
     pb = wb / (wn + wb), pe = x we / (wn + x we), with the success
     probabilities 1 - p taken from the scales, never from a rounded p."""
     if kn == 0:

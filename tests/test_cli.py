@@ -689,6 +689,24 @@ class TestOptions:
         assert "--threads: must be an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, message", [
+        ("-1", "must be an integer >= 0"), ("2.5", "invalid integer value: '2.5'"),
+    ])
+    @pytest.mark.parametrize("command", ["coverage", "credibility", "simulate"])
+    def test_bad_seed_rejected(self, tmp_path, capsys, command, value, message):
+        # rejected while parsing, so credibility computes no limit first
+        argv = {
+            "coverage": ["coverage", "--mode", "importance", *self.BOX],
+            "credibility": ["credibility", "--input", _write_input(tmp_path, GOOD)],
+            "simulate": ["simulate", "--reps", "1"],
+        }[command]
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", value, "--output", str(out)])
+        assert exc.value.code == 2
+        assert f"argument --seed: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
     def test_bad_threads_variable_is_named(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("DSPLIM_THREADS", value)

@@ -36,7 +36,6 @@ from dsplim.evalharness import (
     coverage_importance,
     credibility,
     credibility_limit,
-    length_quantiles,
     make_bayes_method,
     make_ds_method,
     simulate_study,
@@ -667,31 +666,17 @@ class TestStudyPlan:
 
 
 class TestLengthQuantiles:
-    def test_constant_sequence(self):
-        assert length_quantiles([4.2] * 10, [0.1, 0.5, 0.99]) == [4.2, 4.2, 4.2]
-
     def test_lower_prior_intervals_shorter_than_ds(self):
         # one batch, two methods: the conservative-prior method should
-        # produce shorter upper limits in the median
+        # produce shorter upper limits in the median (the nearest-rank,
+        # lower one)
         res = simulate_study(
             33.0, 100.0, 1.0, 3.0, [25.0], reps=150, methods=("ds", "lower"),
             seed=11,
         )
-        ds_med = length_quantiles(res.limits[("ds", 0.9)][0], [0.5])[0]
-        lo_med = length_quantiles(res.limits[("lower", 0.9)][0], [0.5])[0]
+        ds_med = np.quantile(res.limits[("ds", 0.9)][0], 0.5, method="inverted_cdf")
+        lo_med = np.quantile(res.limits[("lower", 0.9)][0], 0.5, method="inverted_cdf")
         assert lo_med <= ds_med
-
-    def test_nearest_rank_lower(self):
-        assert length_quantiles([1.0, 2.0, 3.0, 4.0], [0.5]) == [2.0]
-        assert length_quantiles([4.0, 1.0, 3.0, 2.0], [0.25, 0.75, 1.0]) == [
-            1.0,
-            3.0,
-            4.0,
-        ]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            length_quantiles([], [0.5])
 
 
 class TestMethodFactories:

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from dsplim.sampling import RngHandle
-from dsplim.specfun import QuadratureConfig, integrate
 from oracles import (
     ARandomIntervalLaw,
     commonality,
@@ -83,11 +83,13 @@ class TestSingletonPlausibility:
         assert abs(est - exact) < 4 * se
 
     def test_curve_integrates_to_scale(self):
-        cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-12)
         for k, scale in [(0, 1.0), (4, 1.0), (2, 0.5), (3, 2.0)]:
             law = ARandomIntervalLaw(k, scale)
             hi = scale * (k + 60.0)
-            mass = integrate(lambda x: singleton_plausibility(law, x), 0.0, hi, cfg)
+            mass, _ = integrate.quad(
+                lambda x: singleton_plausibility(law, x), 0.0, hi,
+                epsabs=1e-12, epsrel=1e-10,
+            )
             assert mass == pytest.approx(scale, abs=1e-8 * max(1.0, scale))
 
     def test_scaling_consistency(self):

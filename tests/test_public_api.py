@@ -1,9 +1,13 @@
-"""The names ``import dsplim`` exports and the modules the package holds.
+"""The names ``import dsplim`` exports, the modules the package holds,
+and the scipy modules its command line imports.
 
-Both sets are pinned, so a removed name stays removed and a new export
+The sets are pinned, so a removed name stays removed and a new export
 is a deliberate edit here.
 """
 
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -21,12 +25,11 @@ EXPORTS = {
     # dsplim.evalharness
     "CoverageReport", "CredibilityConfig", "EnumerationTooLarge", "NoPosteriorMass",
     "StudyResult", "coverage_enumerate", "coverage_importance", "credibility",
-    "credibility_limit", "length_quantiles", "make_bayes_method", "make_ds_method",
-    "simulate_study",
+    "credibility_limit", "make_bayes_method", "make_ds_method", "simulate_study",
     # dsplim.sampling
     "DEFAULT_SEED", "RngHandle", "derive_stream_id",
     # dsplim.specfun
-    "IntegrationError", "QuadratureConfig", "beta_cdf", "beta_pdf", "integrate",
+    "IntegrationError", "beta_cdf", "beta_pdf",
     # dsplim._gamma_ratio
     "NumericalError",
 }
@@ -50,3 +53,19 @@ def test_exported_names():
 def test_package_modules():
     package = Path(dsplim.__file__).parent
     assert {path.stem for path in package.glob("*.py")} == MODULES
+
+
+def test_cli_import_leaves_out_slow_scipy_modules():
+    # scipy.integrate and scipy.stats each cost a large share of the
+    # command line's start-up, which every command pays; the quadrature
+    # route imports scipy.integrate when it first runs.
+    code = (
+        "import sys, dsplim.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))"
+    )
+    src = str(Path(dsplim.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
