@@ -199,7 +199,7 @@ def cmd_limits(args) -> int:
             rows.append((ds.label, *blank, "unbounded"))
         else:
             rows.append((ds.label, *map(float, lims), "ok"))
-    header = ["dataset_id"] + [f"limit_{q:g}" for q in args.quantiles] + ["status"]
+    header = ["dataset_id"] + [f"limit_{q!r}" for q in args.quantiles] + ["status"]
     _write_csv(args.output, header, rows)
     statuses = {row[-1] for row in rows}
     if "failed" in statuses:

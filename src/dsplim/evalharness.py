@@ -115,9 +115,10 @@ class CredibilityConfig:
 # call raise NumericalError or IntegrationError.
 
 # Most distinct rows, or distinct Bayes posteriors of a study, handed to
-# a method in one call; one worker takes them in blocks of this size.
-# The rows arrive sorted by their first count, so a block's Bayes batch
-# runs a series only about as long as its own largest kn.
+# a method in one call; the rows are cut into blocks of this size at any
+# worker count, with at least one block per worker.  The rows arrive
+# sorted by their first count, so a block's Bayes batch runs a series
+# only about as long as its own largest kn.
 _BLOCK_ROWS = 1024
 
 
@@ -191,9 +192,20 @@ def _shutdown_pool():
         pool.shutdown()
 
 
+def _mapped(fn, items):
+    """``[fn(item) for item in items]``: one worker's share as one pool task."""
+    return [fn(item) for item in items]
+
+
 def _parallel_map(fn, items, workers: int):
     """``[fn(item) for item in items]``, on a pool of ``workers``
     processes when ``workers`` > 1 and there is more than one item.
+
+    The pool gets one task per worker: task k of w = ``workers`` holds
+    items k, k + w, k + 2w, ..., and the results come back in item order.
+    Items whose cost rises along the list (blocks of rows sorted by n) so
+    spread evenly over the workers, and each worker pays the pool's
+    per-task overhead once a call.
 
     The process keeps one pool: it is forked at the first pooled call and
     reused by every later call with the same worker count.  A call with
@@ -211,12 +223,16 @@ def _parallel_map(fn, items, workers: int):
     if _pool_workers != workers:
         _shutdown_pool()
         _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
-    chunk = max(1, len(items) // (4 * workers))
+    shares = [items[k::workers] for k in range(min(workers, len(items)))]
     try:
-        return list(_pool.map(fn, items, chunksize=chunk))
+        share_results = list(_pool.map(partial(_mapped, fn), shares))
     except BrokenProcessPool:
         _shutdown_pool()
         raise
+    results = [None] * len(items)
+    for k, share in enumerate(share_results):
+        results[k::workers] = share
+    return results
 
 
 def _block_limits(block, method, t, u, quantiles):
@@ -291,22 +307,20 @@ def _distinct_limits(method, rows, t, u, quantiles, threads: int):
     (NaN in the array).
 
     The rows are cut into contiguous blocks of at most _BLOCK_ROWS rows,
-    and into at least 4 blocks per worker when a pool runs, with no more
-    workers than cores; the blocks are mapped over the process's one
-    worker pool, forked at the first pooled call and reused by later
-    ones (:func:`_parallel_map`), and a single block is evaluated in
-    this process.  A block that raises is halved inside its worker until
-    its failing rows stand alone (:func:`_block_limits`).  Since each
-    row's limits depend on that row alone, the result is the same for
-    any worker count.
+    and into at least one block per worker, with no more workers than
+    cores.  The blocks are mapped over the process's one worker pool,
+    forked at the first pooled call and reused by later ones, as one
+    task per worker that holds every w-th block (:func:`_parallel_map`);
+    a single block is evaluated in this process.  A block that raises
+    is halved inside its worker until its failing rows stand alone
+    (:func:`_block_limits`).  Since each row's limits depend on that row
+    alone, the result is the same for any worker count.
     """
     if not len(rows):
         return np.empty((len(quantiles), 0)), {}
     # No more workers than cores: a pool forks all of them on the first submit.
     workers = min(threads, os.cpu_count() or 1)
-    n_blocks = -(-len(rows) // _BLOCK_ROWS)
-    if workers > 1:
-        n_blocks = max(n_blocks, 4 * workers)
+    n_blocks = max(-(-len(rows) // _BLOCK_ROWS), workers)
     blocks = np.array_split(rows, min(n_blocks, len(rows)))
     task = partial(_block_limits, method=method, t=t, u=u, quantiles=tuple(quantiles))
     results = _parallel_map(task, blocks, workers)

@@ -110,6 +110,19 @@ class TestLimitsCommand:
         assert rows[1][3] == "ok"
         assert float(rows[1][1]) < float(rows[1][2])
 
+    def test_limit_columns_named_by_shortest_repr(self, tmp_path):
+        # {q:g} would name the last three columns "limit_1"
+        inp = _write_input(tmp_path, GOOD)
+        out = str(tmp_path / "limits.csv")
+        quantiles = "0.9,0.99999,0.9999999,0.999999999"
+        assert main(["limits", "--input", inp, "--output", out,
+                     "--quantiles", quantiles]) == 0
+        assert _read_csv(out)[0] == ["dataset_id"] + [
+            f"limit_{q}" for q in quantiles.split(",")] + ["status"]
+        assert main(["limits", "--input", inp, "--output", out]) == 0
+        with open(out, "rb") as f:
+            assert f.readline() == b"dataset_id,limit_0.9,limit_0.99,status\n"
+
     def test_unbounded_only_exit_code(self, tmp_path):
         inp = _write_input(tmp_path, "channels 1\nscales 3.3 10\n5 2 0\n")
         out = str(tmp_path / "limits.csv")

@@ -90,11 +90,13 @@ class _FailingMethod:
 def stub_pool(monkeypatch):
     """Patch a pool into ``evalharness`` that records its worker count and
     runs in this process, so no process starts; yields the counts.  The
-    patched class's ``log`` records each start and shutdown in order."""
+    patched class's ``log`` records each start and shutdown in order, and
+    its ``maps`` the items and chunksize of each map."""
     workers = []
 
     class Pool:
         log = []  # ("start" or "shutdown", worker count), in call order
+        maps = []  # (list of the items, chunksize) of each map, in call order
 
         def __init__(self, max_workers):
             workers.append(max_workers)
@@ -105,6 +107,8 @@ def stub_pool(monkeypatch):
             self.log.append(("shutdown", self.max_workers))
 
         def map(self, fn, items, chunksize=1):
+            items = list(items)
+            self.maps.append((items, chunksize))
             return map(fn, items)
 
     monkeypatch.setattr(evalharness, "ProcessPoolExecutor", Pool)
@@ -168,14 +172,38 @@ class TestRowLimits:
         assert stub_pool == [3]
         assert serial[0].tobytes() == pooled[0].tobytes() and serial[1] == pooled[1]
 
-    @pytest.mark.parametrize("cores, threads, blocks", [(3, 5000, 12), (2, 2, 8), (2, 64, 8)])
+    @pytest.mark.parametrize("cores, threads", [(3, 5000), (2, 2), (2, 64)])
     def test_blocks_follow_the_capped_workers(self, stub_pool, monkeypatch,
-                                              cores, threads, blocks):
-        # 4 blocks per worker once a pool runs, with no more workers than cores
+                                              cores, threads):
+        # one block per _BLOCK_ROWS rows and at least one per worker, with
+        # no more workers than cores: 64 rows make one block per worker
         monkeypatch.setattr(evalharness.os, "cpu_count", lambda: cores)
         method = _FailingMethod()
         _row_limits(method, self.COUNTS, 3.3, 10.0, (0.9,), threads)
-        assert stub_pool == [min(cores, threads)] and len(method.blocks) == blocks
+        workers = min(cores, threads)
+        blocks = max(-(-len(self.COUNTS) // evalharness._BLOCK_ROWS), workers)
+        assert stub_pool == [workers] and len(method.blocks) == blocks == workers
+
+    def test_bitwise_equal_at_several_blocks_per_worker(self):
+        # 5,123 distinct rows make 6 blocks, 3 per worker of 2; the failing
+        # rows fall in 5 of them, on both workers
+        distinct = np.array([(n, n % 7, 3) for n in range(5 * evalharness._BLOCK_ROWS + 3)])
+        counts = np.concatenate([distinct, distinct[::-97]])
+        fails = [10, 1000, 2000, 3000, 3001, 5122]
+        blocks = np.array_split(distinct[:, 0], 6)
+        assert [k for k, block in enumerate(blocks)
+                if np.isin(block, fails).any()] == [0, 1, 2, 3, 5]
+
+        def run(threads):
+            method = _FailingMethod(0, fails)
+            return _row_limits(method, counts, 3.3, 10.0, (0.9, 0.99), threads)
+
+        (serial, serial_failures), (pooled, pooled_failures) = run(1), run(2)
+        assert serial.tobytes() == pooled.tobytes()
+        assert serial_failures == pooled_failures
+        assert sorted(serial_failures) == [
+            i for i, row in enumerate(counts) if row[0] in fails
+        ]
 
     @pytest.mark.parametrize(
         "counts",
@@ -227,6 +255,28 @@ class TestWorkerPool:
                                 3.3, 10.0, (0.9,), 2)
         assert stub_pool == [] and method.blocks == [self.COUNTS[:1].tolist()]
         assert (limits == 3.0).all()
+
+    @pytest.mark.parametrize("workers, n_items", [(2, 4), (2, 5), (3, 7), (3, 2)])
+    def test_one_task_per_worker_in_item_order(self, stub_pool, workers, n_items):
+        items = [-k for k in range(n_items)]
+        assert evalharness._parallel_map(abs, items, workers) == list(range(n_items))
+        (tasks, chunksize), = evalharness.ProcessPoolExecutor.maps
+        assert chunksize == 1
+        assert tasks == [items[k::workers] for k in range(min(workers, n_items))]
+
+    def test_interleaved_blocks_come_back_in_block_order(self, stub_pool, monkeypatch):
+        # 5 blocks on 2 workers: one task of blocks 0, 2, 4 and one of 1, 3
+        monkeypatch.setattr(evalharness.os, "cpu_count", lambda: 2)
+        counts = np.array([(n, n % 5, 3) for n in range(4 * evalharness._BLOCK_ROWS + 1)])
+        method = _FailingMethod()
+        limits, failures = _row_limits(method, counts, 3.3, 10.0, (0.9,), 2)
+        blocks = [block.tolist() for block in np.array_split(counts, 5)]
+        (tasks, _), = evalharness.ProcessPoolExecutor.maps
+        assert [[block.tolist() for block in task] for task in tasks] == [
+            blocks[0::2], blocks[1::2]]
+        assert method.blocks == blocks[0::2] + blocks[1::2]
+        code = counts[:, 0] * 1e6 + counts[:, 1] * 1e3 + counts[:, 2]
+        assert failures == {} and limits.tobytes() == code[None, :].tobytes()
 
     def test_pool_is_reused_at_one_worker_count(self, stub_pool, monkeypatch):
         monkeypatch.setattr(evalharness.os, "cpu_count", lambda: 2)
