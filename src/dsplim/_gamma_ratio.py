@@ -25,7 +25,10 @@ convolution is summed over the masses of NB(ke, pe(x)), each weighted
 by the background CDF P(NB(kb, pb) <= kn - 1 - j), which does not
 depend on x and is built once; a point of x then costs one block of
 masses and one contraction.  The shapes are shared scalars or arrays
-with one row per point of x.  Each block is exponentiated from its
+with one row per point of x.  A batch builds each x-free table once per
+distinct shape (and scale), and each row's column is copied from it: a
+row's weights are a contiguous window of its shape's reversed CDF
+(:func:`_lagged`).  Each block is exponentiated from its
 logarithm, so a start value (1 - p)**r far below the double range
 loses no mass.  Every series state returns its own conditioning
 probability den = P(A >= B) = P(NB(kb, pb) <= kn - 1), the last entry
@@ -229,12 +232,47 @@ def _series_shapes(kn, wn, kb, wb, ke, we) -> np.ndarray:
     return np.rint(shapes)
 
 
-def _lagged(cdf, last):
-    """The weights of a (count, ...) background CDF: cdf[last - j] at
-    j <= last, per row for per-row ``last``, and an exact 0 from there on."""
-    lag = last - np.arange(len(cdf)).reshape((-1,) + (1,) * np.ndim(last))
-    index = (np.maximum(lag, 0).astype(int), *np.indices(lag.shape[1:], sparse=True))
-    return cdf[index] * (lag >= 0)
+def _distinct(values):
+    """The sorted distinct entries of an array and, shaped like it, each
+    entry's index among them."""
+    distinct, at = np.unique(values, return_inverse=True)
+    return distinct, at.reshape(np.shape(values))
+
+
+def _background_cdfs(kb, wn, wb, count: int):
+    """The background CDFs P(NB(kb, pb) <= i) at i = 0..count-1, pb = wb /
+    (wn + wb), as a (count, columns) array, and, shaped like kb, each
+    entry's column: one column per distinct shape on a shared scale wb,
+    and one per entry on per-entry scales (wb broadcast against kb)."""
+    if _per_row(wb):
+        columns, at = kb, np.arange(np.size(kb)).reshape(np.shape(kb))
+    else:
+        columns, at = _distinct(kb)
+    return np.cumsum(_background_block(columns, wn, wb, count), axis=0).reshape(count, -1), at
+
+
+def _lag_table(columns) -> np.ndarray:
+    """The table :func:`_lagged` reads from a (count, columns) array: one
+    row per column, the column reversed and then count + 1 zeros."""
+    count = len(columns)
+    table = np.zeros((columns.shape[1], 2 * count + 1))
+    table[:, :count] = columns[::-1].T
+    return table
+
+
+def _lagged(table, at, last, length: int) -> np.ndarray:
+    """Lagged weights from a :func:`_lag_table` of columns c: c[last - j]
+    at j = 0..length-1 with j <= last and an exact 0 from there on, for
+    column ``at`` and lag ``last`` >= -2, length <= count; an array shaped
+    at.shape + (length,).  Each is the window of its column's reversed row
+    that starts at count - 1 - last, copied whole."""
+    rows, width = table.shape
+    step = table.strides[1]
+    # A strided view of the table; the ndarray constructor builds it in a
+    # fraction of the time of as_strided or sliding_window_view.
+    windows = np.ndarray((rows, width - length + 1, length), table.dtype, table, 0,
+                         (table.strides[0], step, step))
+    return windows[at, width // 2 - 1 - last]
 
 
 def _efficiency_block(x, log_binom, shape, wn, we, floored=False):
@@ -251,7 +289,9 @@ def _prepared_series(kn, wn, kb, wb, ke, we, repeats=1):
     on x built once: returns den = P(A >= B) = P(B' <= kn - 1), per row
     for per-row shapes, and x -> survival at x.  Shapes as for
     :func:`survival_series`; with per-row shapes, x must have ``repeats``
-    consecutive entries per row, which share the row's x-free arrays.
+    consecutive entries per row: ``repeats`` repeats each row's 1-d
+    indices into the tables, and each entry gets its own column of the
+    x-free arrays, gathered from them.
     The caller runs both this and the returned function under
     ``np.errstate(all="ignore")``: log(0), 0 * inf and 1 / x at x = 0 or
     subnormal x warn.
@@ -262,21 +302,30 @@ def _prepared_series(kn, wn, kb, wb, ke, we, repeats=1):
 
         survival(x) = sum_{j < kn} P(E' = j) * P(B' <= kn - 1 - j).
 
-    Per-row weights are exact zeros from the row's kn on, so the terms a
-    longer row pads a batch with add +0.0 and a row's values do not
-    depend on the rows beside it.  den is the first weight, which the
-    survival at x = 0 equals exactly.
+    The background CDFs and the efficiency log binomials are built once
+    per distinct shape (:func:`_background_cdfs`, :func:`_distinct`), and
+    each point's column of weights and log binomials is copied from them,
+    the weights by :func:`_lagged` and one transposing copy: both arrays
+    are C-contiguous (count, points), as a pass's block of masses is, so
+    a pass runs on contiguous memory.  Per-row weights are exact zeros
+    from the row's kn on, so the terms a longer row pads a batch with add
+    +0.0 and a row's values do not depend on the rows beside it.  den is
+    the first weight, which the survival at x = 0 equals exactly.
     """
-    kn, kb, ke = _series_shapes(kn, wn, kb, wb, ke, we)
+    shapes = _series_shapes(kn, wn, kb, wb, ke, we)
+    kn, kb, ke = shapes.reshape(3, -1)
     count = max(int(kn.max()), 1)
-    weight = _lagged(np.cumsum(_background_block(kb, wn, wb, count), axis=0), kn - 1)
+    cdf, at_b = _background_cdfs(kb, wn, wb, count)
+    e_shapes, at_e = _distinct(ke)
+    at_b, at_e, last = (np.repeat(a, repeats) for a in (at_b, at_e, kn.astype(int) - 1))
+    weight = np.ascontiguousarray(_lagged(_lag_table(cdf), at_b, last, count).T)
     # Rounding can lift a CDF that sums to 1 just above it.
     den = np.minimum(weight[0], 1.0)
-    x_free = [weight, ke, _log_binomials(ke, count), den]
-    if repeats > 1:
-        x_free = [np.repeat(a, repeats, axis=-1) for a in x_free]
-    weight, ke, log_binom_e, den = x_free
-    contract = _row_sums if kn.ndim else np.matmul
+    ke, log_binom_e = e_shapes[at_e], np.take(_log_binomials(e_shapes, count), at_e, axis=1)
+    contract = _row_sums
+    if shapes.ndim == 1:  # shared scalar shapes
+        weight, ke, log_binom_e, den = weight[:, 0], ke[0], log_binom_e[:, 0], den[0]
+        contract = np.matmul
 
     def values(x) -> np.ndarray:
         nb_e = _efficiency_block(x, log_binom_e, ke, wn, we)[1]
@@ -286,17 +335,23 @@ def _prepared_series(kn, wn, kb, wb, ke, we, repeats=1):
     return den, values
 
 
-def _interval_weights(kn, wn, kb, wb):
+def _interval_weights(kn, wn, kb, wb, cumulative=False):
     """The x-free background weights of both ends of a belief interval,
     the lower end (kn - 1, kb + 1) and the upper end (kn, kb), for 1-d
-    shapes: returns count = max(kn, 1), the weights of
-    :func:`_prepared_series` as one (count, 2, rows) array, the lower end
-    first, and den = P(A >= B) of the upper end."""
+    shapes.  Returns count = max(kn, 1); the :func:`_lag_table` of the
+    background CDFs of :func:`_background_cdfs`, of their cumulative sums
+    with ``cumulative``; each end's column and lag (2, rows), the lower
+    end first, from which :func:`_lagged` gives the weights of
+    :func:`_prepared_series`; and den = P(A >= B) of the upper end."""
     count = max(int(kn.max()), 1)
-    cdf_b = np.cumsum(_background_block(np.array([kb + 1.0, kb]), wn, wb, count), axis=0)
-    weight = _lagged(cdf_b, np.array([kn - 2.0, kn - 1.0]))
+    cdf, at = _background_cdfs(np.array([kb + 1.0, kb]), wn, wb, count)
+    last = kn.astype(int) - np.array([[2], [1]])
+    table = _lag_table(cdf)
     # Rounding can lift a CDF that sums to 1 just above it.
-    return count, weight, np.minimum(weight[0, 1], 1.0)
+    den = np.minimum(table[at[1], count - 1 - last[1]], 1.0)
+    if cumulative:
+        table = _lag_table(np.cumsum(cdf, axis=0))
+    return count, table, at, last, den
 
 
 def _interval_series(kn, wn, kb, wb, ke, we):
@@ -317,7 +372,10 @@ def _interval_series(kn, wn, kb, wb, ke, we):
     1 - pe(x) = 1 / (1 + x we / wn).  At ke == 0, E is the constant 0, so
     the block at e = 1 is the lower end's and the upper survival is den.
 
-    The state is built for the rows grouped by their own series length
+    The background CDFs are built once per distinct shape on a shared
+    scale wb, and once per channel row on per-row scales; one
+    :func:`_lagged` gather gives every row's weights of both ends.  The
+    state is built for the rows grouped by their own series length
     count = max(kn, 1), each group's x-free arrays rows first, and a pass
     contracts each group by one stacked matmul of the (2, count) weights
     with the (count, points) block: every row's block and product are
@@ -341,10 +399,12 @@ def _interval_series(kn, wn, kb, wb, ke, we):
     per_row = _per_row(we)  # one efficiency scale per row
     if per_row:
         wb, we = np.ravel(wb), np.ravel(we)
-    count, weight, den = _interval_weights(kn, wn, kb, wb)
+    count, table, at_b, last, den = _interval_weights(kn, wn, kb, wb)
     e_shape, lift = np.maximum(ke, 1.0), ke > 0
-    weight[:, 0] *= np.where(lift, (e_shape + np.arange(count)[:, None]) / e_shape, 1.0)
-    log_binom = _log_binomials(e_shape, count)
+    weight = _lagged(table, at_b.T, last.T, count)
+    e = e_shape[:, None]
+    weight[:, 0] *= np.where(lift[:, None], (e + np.arange(count)) / e, 1.0)
+    log_binom = _log_binomials(e_shape, count).T
     own = np.maximum(kn, 1).astype(int)  # each row's own series length
     # Half the floor in either term, (count - 1) log p or e log q, is
     # reached below the first or above the second knot limit.
@@ -356,9 +416,8 @@ def _interval_series(kn, wn, kb, wb, ke, we):
     groups = []
     for length in np.unique(own).tolist():
         at = np.flatnonzero(own == length)
-        arrays = [weight[:length, :, at].transpose(2, 1, 0), log_binom[:length, at].T,
-                  e_shape[at, None], lift[at, None], den[at, None]]
-        groups.append((at, [np.ascontiguousarray(a) for a in arrays]))
+        groups.append((at, [weight[at, :, :length], log_binom[at, :length], e[at],
+                            lift[at, None], den[at, None]]))
 
     def block(x, we, floored, weights, log_binom, e, lift, den):
         # Both ends' survivals of some rows of a group at their knots x.
@@ -394,8 +453,9 @@ def _interval_integrals(kn, wn, kb, wb, ke, we, repeats=1):
     :func:`_interval_series`, for ke >= 2, at one point per (row,
     repeat), for the grid-free limits.  Shapes, ``repeats`` and errstate
     as for :func:`_prepared_series`; the scales are shared scalars.
-    Returns den = P(A >= B) of the upper end and x -> the integrals of
-    the lower end (row 0) and the upper end (row 1).
+    Returns den = P(A >= B) of the upper end, x -> the integrals of the
+    lower end (row 0) and the upper end (row 1), and those integrals at
+    x = inf, J(inf), from the x-free sums alone.
 
     A pass is one block of masses of K' ~ NB(ke - 1, pe(x)), which serves
     both ends as in :func:`_interval_series`.  On each end's shapes, with
@@ -405,22 +465,32 @@ def _interval_integrals(kn, wn, kb, wb, ke, we, repeats=1):
         J(x) = c / (ke - 1) * E[h(min(K', kn))]
              = c / (ke - 1) * [g(0) - sum_{k < kn} P(K' = k) * g(k)],
 
-    so J(inf) = c * g(0) / (ke - 1).  Each end is contracted by one
-    :func:`_row_sums`.
+    so J(inf) = c * g(0) / (ke - 1).  With C the cumulative sum of the
+    background CDF, g(k) = C[kn - 1 - k]: the weights are the lagged
+    cumulative CDF (:func:`_interval_weights`), built once per distinct
+    shape, and added in the order of a reversed cumulative sum of the
+    lagged CDF, so they are those sums bit for bit.  At x = inf every
+    mass of K' is exactly 0, so a pass there gives exactly the J(inf)
+    returned.  Each end is contracted by one :func:`_row_sums`.
     """
     kn, kb, ke = _series_shapes(kn, wn, kb, wb, ke, we).reshape(3, -1)
     if np.min(ke) < 2:
         raise ValueError("integrated survival requires ke >= 2")
-    count, weight, den = _interval_weights(kn, wn, kb, wb)
+    count, table, at_b, last, den = _interval_weights(kn, wn, kb, wb, cumulative=True)
     e_shape = ke - 1.0
-    weight = np.cumsum(weight[::-1], axis=0)[::-1]  # g, summed from the top
-    weight[:, 0] *= (e_shape + np.arange(count)[:, None]) / e_shape
+    ratio = (e_shape + np.arange(count)[:, None]) / e_shape
+    e_shapes, at_e = _distinct(e_shape)
+    at_b, last, at_e, ke, den = (
+        np.repeat(a, repeats, axis=-1) for a in (at_b, last, at_e, ke, den)
+    )
+    lower, upper = (np.ascontiguousarray(_lagged(table, at, lag, count).T)
+                    for at, lag in zip(at_b, last))
+    by_row = lower.reshape(count, -1, repeats)  # a view: each row's points side by side
+    by_row *= ratio[:, :, None]
+    e_shape = e_shapes[at_e]
+    log_binom = np.take(_log_binomials(e_shapes, count), at_e, axis=1)
     # Per end, g(0) = h(kn) and c / (ke - 1) at the end's own ke.
-    x_free = [e_shape, _log_binomials(e_shape, count), weight[:, 0], weight[:, 1],
-              weight[0], wn / we / np.array([ke, e_shape]), den]
-    if repeats > 1:
-        x_free = [np.repeat(a, repeats, axis=-1) for a in x_free]
-    e_shape, log_binom, lower, upper, totals, factors, den = x_free
+    totals, factors = np.array([lower[0], upper[0]]), wn / we / np.array([ke, e_shape])
 
     def values(x) -> np.ndarray:
         odds, nb_e = _efficiency_block(x, log_binom, e_shape, wn, we)
@@ -428,7 +498,7 @@ def _interval_integrals(kn, wn, kb, wb, ke, we, repeats=1):
         sums[0] /= 1.0 + odds
         return (totals - sums) * factors
 
-    return den, values
+    return den, values, totals * factors
 
 
 def survival_series(x, kn, wn, kb, wb, ke, we) -> np.ndarray:
@@ -477,18 +547,21 @@ def series_roots(shapes, t, u, quantiles, rel_tol, residual, state=_prepared_ser
     ``shapes`` has shape (3, rows): a triple (kn, kb, ke) per row on the
     scales (1, 1/t, 1/u).  The (row, quantile) pairs run in chunks of at
     most _SERIES_TERMS series terms per array; a chunk builds one
-    ``state`` for its rows, whose x-free arrays a row's quantiles share:
-    the survival of :func:`_prepared_series` by default, the integrals of
+    ``state`` for its rows with ``repeats`` = the number of quantiles,
+    so that each pair has its own column of the x-free arrays, copied from
+    tables built once per distinct shape: the survival of
+    :func:`_prepared_series` by default, the integrals of
     :func:`_interval_integrals`, or the survival of
     :func:`_quadrature_state`.  Per chunk, ``residual(values, den, rows,
-    qs)`` gets the pairs' row indices and quantiles and that state: its
-    ``values``, x -> each pair's value at its x ((2, pairs) rows of the
-    lower and upper end for the interval state), and ``den``, each pair's
-    P(A >= B).  It returns each pair's start (from
+    qs, *more)`` gets the pairs' row indices and quantiles and that state:
+    its ``values``, x -> each pair's value at its x ((2, pairs) rows of the
+    lower and upper end for the interval state), ``den``, each pair's
+    P(A >= B), and whatever more the state returns (the interval
+    integrals at x = inf).  It returns each pair's start (from
     :func:`quantile_start`) and x -> residuals, >= 0 from each pair's root
     on, which :func:`dsplim.specfun.solve_monotone` solves to ``rel_tol``
     from those starts; so a root does not depend on the rows chunked with
-    it.
+    it.  No quantiles give a (0, rows) array.
     """
     quantiles = np.asarray(quantiles, dtype=float)
     if not np.all((quantiles > 0.0) & (quantiles < 1.0)):
@@ -501,14 +574,14 @@ def series_roots(shapes, t, u, quantiles, rel_tol, residual, state=_prepared_ser
     # An array holds count terms per pair, and the interval state's x-free
     # arrays 2 * count per row, one count per end.
     step = max(1, _SERIES_TERMS // (max(nq, 2) * int(kn.max(initial=0)) + 1))
-    for first in range(0, kn.size, step):
+    for first in range(0, kn.size if nq else 0, step):
         block = np.arange(first, min(first + step, kn.size))
         with np.errstate(all="ignore"):
-            den, values = state(
+            den, values, *more = state(
                 kn[block], 1.0, kb[block], 1.0 / t, ke[block], 1.0 / u, repeats=nq
             )
             start, pairs = residual(
-                values, den, np.repeat(block, nq), np.tile(quantiles, block.size)
+                values, den, np.repeat(block, nq), np.tile(quantiles, block.size), *more
             )
             found = solve_monotone(pairs, start, rel_tol, NumericalError)
         roots[:, block] = found.reshape(-1, nq).T

@@ -37,7 +37,7 @@ from ._gamma_ratio import (
     quantile_start,
     series_roots,
 )
-from .ds_limits import ChannelObservation
+from .ds_limits import ChannelObservation, _batch_counts
 
 __all__ = [
     "PriorConfig",
@@ -192,15 +192,23 @@ def bayes_upper_limits_batch(
     posterior shapes (n + a_n, y + a_b, z + a_e) of the row's prior.
     Each pair's trajectory depends on that pair alone, so results are
     identical under any re-batching and equal :func:`bayes_upper_limit`.
-    Raises NumericalError naming the first row whose posterior mass on
-    s >= 0 underflows, or when a limit exceeds the bracket cap.
+    No quantiles give a (0, rows) array.  Raises NumericalError naming the
+    first row whose posterior mass on s >= 0 underflows, or when a limit
+    exceeds the bracket cap; ValueError on a count that is not a
+    nonnegative integer (:func:`dsplim.ds_limits._batch_counts`) or a prior
+    sequence whose length is not the number of rows.
     """
-    ns, ys, zs = (np.asarray(a, dtype=int) for a in (ns, ys, zs))
+    ns, ys, zs = _batch_counts(ns, ys, zs)
 
     def name_row(j):
         return f"row (n, y, z) = ({ns[j]}, {ys[j]}, {zs[j]})"
 
-    priors = [prior] if isinstance(prior, PriorConfig) else prior
+    priors = [prior] if isinstance(prior, PriorConfig) else list(prior)
+    if not isinstance(prior, PriorConfig) and len(priors) != ns.size:
+        raise ValueError(
+            f"a prior sequence needs one prior per row: {len(priors)} priors "
+            f"for {ns.size} rows"
+        )
     a_n, a_b, a_e = np.array([(p.a_n, p.a_b, p.a_e) for p in priors]).reshape(-1, 3).T
     shapes = (ns + a_n, ys + a_b, zs + a_e)
     return _posterior_limits(*shapes, t, u, quantiles, rel_tol, name_row)

@@ -548,6 +548,21 @@ def dataset_limits(
 _EXACT_REL_TOL = 1e-10
 
 
+def _batch_counts(ns, ys, zs) -> list[np.ndarray]:
+    """The counts (n, y, z) of a batch of single-channel rows as integer
+    arrays.  Raises ValueError, as :class:`ChannelObservation` does, on a
+    count that is not a nonnegative integer."""
+    counts = []
+    for name, values in zip("nyz", (ns, ys, zs)):
+        values = np.asarray(values)
+        whole = values.dtype.kind in "biu" or np.all(np.isfinite(values)
+                                                      & (np.rint(values) == values))
+        if not whole or np.any(values < 0):
+            raise ValueError(f"count {name} must be a nonnegative integer")
+        counts.append(values.astype(int))
+    return counts
+
+
 def exact_rows(ns, ys, zs) -> np.ndarray:
     """Single-channel rows :func:`ds_upper_limits_batch` can take: z >= 2
     and both endpoint shape triples on the series route of
@@ -577,18 +592,20 @@ def ds_upper_limits_batch(ns, ys, zs, t: float, u: float, quantiles) -> np.ndarr
     quantile guess of the shapes (n + 1, y, z - 1): G's tail decays one
     power of X slower than the upper-end survival, and at (0, 0, z) the
     limit is u * ((1 - q)**(-1 / (z - 1)) - 1).  Raises NumericalError
-    naming the first row whose mass J_up(inf) - J_lo(inf) underflows.
+    naming the first row whose mass J_up(inf) - J_lo(inf) underflows,
+    and ValueError on a count that is not a nonnegative integer
+    (:func:`_batch_counts`).  No quantiles give a (0, rows) array.
     """
-    ns, ys, zs = (np.asarray(a, dtype=int) for a in (ns, ys, zs))
+    ns, ys, zs = _batch_counts(ns, ys, zs)
     if not exact_rows(ns, ys, zs).all():
         raise ValueError("rows must be exact_rows: z >= 2 and series shapes")
 
-    def residual(integrals, _den, rows, qs):
+    def residual(integrals, _den, rows, qs, at_infinity):
         def mass(x):  # J_up(x) - J_lo(x)
             lower, upper = integrals(x)
             return upper - lower
 
-        norm = mass(np.full(rows.size, np.inf))  # the unnormalized mass of every pair
+        norm = at_infinity[1] - at_infinity[0]  # the unnormalized mass of every pair
         if not np.all(norm > 0):
             j = rows[np.argmin(norm > 0)]
             raise NumericalError(

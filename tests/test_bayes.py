@@ -160,6 +160,37 @@ class TestUpperLimitQuantile:
         with pytest.raises(ValueError, match="quantile|scales"):
             bayes_upper_limits_batch([5], [10], [100], t, 100.0, prior_preset("B1"), (q,))
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_prior_sequence_needs_one_prior_per_row(self, rows):
+        # Two priors for one row gave two limits of shape (1, 2), and for
+        # three rows numpy's bare broadcast error.
+        priors = [prior_preset("B1"), prior_preset("B2")]
+        with pytest.raises(ValueError, match=f"2 priors for {rows} rows"):
+            bayes_upper_limits_batch([3] * rows, [1] * rows, [10] * rows, 3.3, 10.0, priors,
+                                     (0.9,))
+
+    @pytest.mark.parametrize(
+        "counts", [([3.5], [1], [10]), ([3], [1.2], [10]), ([3], [1], [-1]),
+                   ([float("nan")], [1], [10]), ([3], [float("inf")], [10])],
+    )
+    def test_batch_rejects_counts_that_are_not_nonnegative_integers(self, counts):
+        # n = 3.5 was cast to 3 and gave the limit of (3, 1, 10).
+        with pytest.raises(ValueError, match="must be a nonnegative integer"):
+            bayes_upper_limits_batch(*counts, 3.3, 10.0, prior_preset("B1"), (0.9,))
+
+    def test_batch_takes_integral_float_counts(self):
+        prior = prior_preset("B1")
+        want = bayes_upper_limits_batch([3, 4], [1, 0], [10, 7], 3.3, 10.0, prior, (0.9,))
+        got = bayes_upper_limits_batch([3.0, 4.0], [1.0, 0.0], [10.0, 7.0], 3.3, 10.0, prior,
+                                       (0.9,))
+        assert np.array_equal(got, want)
+
+    def test_batch_without_quantiles(self):
+        # An empty quantile list raised numpy's reshape error.
+        got = bayes_upper_limits_batch([3, 4], [1, 1], [10, 12], 3.3, 10.0, prior_preset("B1"),
+                                       ())
+        assert got.shape == (0, 2)
+
     def test_batch_takes_quadrature_above_series_bound(self, monkeypatch):
         # With the bound patched to 8, (4, 3, 9) has ke = 10 above it and
         # takes the quadrature state; the other rows stay on the series.

@@ -101,12 +101,15 @@ class TestIntegratedSurvival:
         xs = np.array([0.5, 4.0, 30.0, math.inf])
         kn, kb, ke = np.array([shapes for shapes, *_ in self.PINNED]).T
         with np.errstate(all="ignore"):
-            den, integrals = _interval_integrals(kn, 1.0, kb, 1 / t, ke, 1 / u, xs.size)
+            den, integrals, at_infinity = _interval_integrals(kn, 1.0, kb, 1 / t, ke, 1 / u,
+                                                              xs.size)
             got = integrals(np.tile(xs, kn.size))
         for i, (_, den_i, lower, upper) in enumerate(self.PINNED):
             assert den[4 * i : 4 * i + 4].tolist() == [float.fromhex(den_i)] * 4
             row = got[:, 4 * i : 4 * i + 4].tolist()
             assert row == [[float.fromhex(v) for v in end] for end in (lower, upper)]
+            inf = at_infinity[:, 4 * i : 4 * i + 4].tolist()
+            assert inf == [[float.fromhex(end[-1])] * 4 for end in (lower, upper)]
 
     def test_needs_ke_at_least_two(self):
         with pytest.raises(ValueError, match="ke >= 2"):
@@ -185,29 +188,66 @@ class TestBitwiseIndependence:
         # to share its x-free arrays, keeps the bits it has alone, and so
         # does its conditioning probability P(A >= B): every value of the
         # single-end survival, or both rows (lower end, upper end) of the
-        # interval integrals.
+        # interval integrals.  Rows 1 and 6 share kb and ke, and so do rows
+        # 4 and 7, so they share the columns of the x-free tables; row 8's
+        # kb + 1 is row 1's kb, so the lower end of one row shares the upper
+        # end's column of another; rows 2 and 5, kn = 1 and kn = 0, have
+        # the lower-end lags -1 and -2.
         t, u = PAPER
-        kn = np.array([3.0, 40.0, 1.0, 300.0, 17.0, 0.0])
-        kb = np.array([0.0, 90.0, 5.0, 2.0, 33.0, 4.0])
-        ke = np.array([2.0, 100.0, 7.0, 9.0, 2.0, 3.0])
-        x = np.array([0.0, 3.0, math.inf, 50.0, 1e4, 0.7])
+        kn = np.array([3.0, 40.0, 1.0, 300.0, 17.0, 0.0, 12.0, 5.0, 8.0])
+        kb = np.array([0.0, 90.0, 4.0, 2.0, 33.0, 4.0, 90.0, 33.0, 89.0])
+        ke = np.array([2.0, 100.0, 3.0, 9.0, 2.0, 3.0, 100.0, 2.0, 7.0])
+        x = np.array([0.0, 3.0, math.inf, 50.0, 1e4, 0.7, 60.0, 2.5, 8.0])
         shapes = (kn, 1.0, kb, 1 / t, ke, 1 / u)
         state = _interval_integrals if integrated else _prepared_series
         with np.errstate(all="ignore"):
-            den, series = state(*shapes)
+            den, series, *_ = state(*shapes)
             together = np.reshape(series(x), (-1, kn.size))
-            den_2, series_2 = state(*shapes, repeats=2)
-            repeated = np.reshape(series_2(np.repeat(x, 2)), (-1, 2 * kn.size))
+            repeated = {}
+            for repeats in (2, 3):
+                den_r, series_r, *_ = state(*shapes, repeats=repeats)
+                values = series_r(np.repeat(x, repeats))
+                repeated[repeats] = den_r, np.reshape(values, (-1, repeats * kn.size))
             for i in range(kn.size):
                 one = (kn[i : i + 1], 1.0, kb[i : i + 1], 1 / t, ke[i : i + 1], 1 / u)
-                den_1, series_1 = state(*one)
+                den_1, series_1, *_ = state(*one)
                 alone = np.reshape(series_1(x[i : i + 1]), -1)
                 assert np.array_equal(alone, together[:, i])
-                assert np.array_equal(alone, repeated[:, 2 * i])
-                assert np.array_equal(alone, repeated[:, 2 * i + 1])
-                assert den_1[0] == den[i] == den_2[2 * i] == den_2[2 * i + 1]
+                assert den_1[0] == den[i]
+                for repeats, (den_r, values) in repeated.items():
+                    for k in range(repeats * i, repeats * i + repeats):
+                        assert np.array_equal(alone, values[:, k])
+                        assert den_r[k] == den[i]
         # kn = 0: A is the constant 0
         assert np.all(together[:, 5] == 0.0) and den[5] == 0.0
+
+    @pytest.mark.parametrize("repeats", [1, 2])
+    def test_mass_at_infinity_from_the_x_free_sums(self, repeats, monkeypatch):
+        # ds_upper_limits_batch normalises by J_up(inf) - J_lo(inf), which
+        # the interval integrals hand out from their x-free sums: bit for
+        # bit their pass at x = inf, and so are the limits it gives.
+        from dsplim import ds_limits
+
+        t, u = PAPER
+        ns = np.array([0, 3, 40, 1, 17, 61, 5, 23, 0, 120])
+        ys = np.array([0, 90, 100, 5, 33, 80, 10, 60, 120, 2])
+        zs = np.array([2, 3, 100, 7, 2, 95, 100, 77, 4, 50])
+        with np.errstate(all="ignore"):
+            _, integrals, at_infinity = _interval_integrals(
+                ns + 1.0, 1.0, ys, 1 / t, zs, 1 / u, repeats=repeats
+            )
+            passed = integrals(np.full(ns.size * repeats, math.inf))
+        assert np.array_equal(at_infinity, passed)
+        assert np.array_equal(at_infinity[1] - at_infinity[0], passed[1] - passed[0])
+
+        def pass_at_infinity(*args, repeats=1):  # the mass from a pass at x = inf
+            den, values, _ = _interval_integrals(*args, repeats=repeats)
+            return den, values, values(np.full(args[0].size * repeats, math.inf))
+
+        qs = (0.9, 0.99)
+        want = ds_upper_limits_batch(ns, ys, zs, t, u, qs)
+        monkeypatch.setattr(ds_limits, "_interval_integrals", pass_at_infinity)
+        assert np.array_equal(ds_upper_limits_batch(ns, ys, zs, t, u, qs), want)
 
     def test_term_budget_keeps_bits(self, monkeypatch):
         import dsplim._gamma_ratio as gamma_ratio
@@ -245,6 +285,21 @@ class TestRouting:
             ds_upper_limits_batch([3], [2], [20000], 3.3, 10.0, (0.9,))
         with pytest.raises(ValueError, match="quantile"):
             ds_upper_limits_batch([3], [2], [4], 3.3, 10.0, (1.0,))
+
+    @pytest.mark.parametrize(
+        "counts", [([3.9], [1.2], [5.7]), ([3], [1], [5.5]), ([-1], [1], [5]),
+                   ([3], [float("nan")], [5]), ([3], [1], [float("inf")])],
+    )
+    def test_batch_rejects_counts_that_are_not_nonnegative_integers(self, counts):
+        # (3.9, 1.2, 5.7) was cast to (3, 1, 5) and gave that row's limit.
+        with pytest.raises(ValueError, match="must be a nonnegative integer"):
+            ds_upper_limits_batch(*counts, 3.3, 10.0, (0.9,))
+        got = ds_upper_limits_batch([3.0], [1.0], [5.0], 3.3, 10.0, (0.9,))
+        assert np.array_equal(got, ds_upper_limits_batch([3], [1], [5], 3.3, 10.0, (0.9,)))
+
+    def test_batch_without_quantiles(self):
+        # An empty quantile list raised an IndexError.
+        assert ds_upper_limits_batch([3, 4], [1, 1], [5, 6], 3.3, 10.0, ()).shape == (0, 2)
 
     def test_grid_affects_only_rows_below_z2(self):
         t, u = SMALL
