@@ -5,9 +5,10 @@ the regularized incomplete beta function and its density, integrated
 by scipy's QUADPACK (in :mod:`dsplim._gamma_ratio`); every quantile
 search (posterior, batched posterior, grid-free DS, credibility) is one
 call of :func:`solve_monotone`, which widens a bracket outward from a
-start each caller estimates from its own row.  The beta functions here
-wrap scipy.special for the nondegenerate cases and add the degenerate
-shape conventions this package relies on:
+start each caller estimates from its own row and closes it by weighted
+false-position steps.  The beta functions here wrap scipy.special for
+the nondegenerate cases and add the degenerate shape conventions this
+package relies on:
 
 * beta a = 0      -> point mass at 0 (CDF identically 1 on [0, 1])
 * beta b = 0      -> point mass at 1 (CDF 0 on [0, 1), jump to 1 at 1)
@@ -87,7 +88,7 @@ def _check_beta_args(x, a, b) -> None:
 BRACKET_FLOOR = 1e-15
 BRACKET_CAP = 1e15
 # The bracket's widening factor squares on every pass up to this bound:
-# wider steps leave brackets in which the Illinois steps crawl.
+# wider steps leave brackets in which the false-position steps crawl.
 _MAX_GROWTH = 16.0
 
 
@@ -104,14 +105,18 @@ def solve_monotone(residual, start, rel_tol: float, error: type[Exception]):
     eight widening passes.  A lower end below BRACKET_FLOOR becomes 0,
     where nothing is known; ``error`` is raised when the residual is
     still negative at BRACKET_CAP.  Inside the bracket each element
-    takes Illinois false-position steps (Dowell and Jarratt 1971), kept
-    at least rel_tol / 4 * hi inside the bracket, and the bracket
-    midpoint where the secant point is not a number (no residual known
-    at 0, or +inf at hi).  Once an element has taken as many steps as
-    bisection of its bracket needs, it bisects.  It stops once hi - lo
-    <= rel_tol * max(hi, 1e-300) and returns its bracket midpoint, so
-    each element's steps and root depend on that element and its start
-    alone.
+    takes false-position steps, kept at least rel_tol / 4 * hi inside
+    the bracket, and the bracket midpoint where the secant point is not
+    a number (no residual known at 0, or +inf at hi).  Where the same
+    end moves twice in a row, the kept end's residual is scaled by the
+    Anderson-Bjorck weight 1 - f / f_replaced (Anderson and Bjorck
+    1973), floored at the 1/2 of the Illinois method (Dowell and Jarratt
+    1971): the bare weight nears 0, and its steps crawl, where the
+    residual is flat below the root.  Once an element has taken as many
+    steps as bisection of its bracket needs, it bisects.  It stops once
+    hi - lo <= rel_tol * max(hi, 1e-300) and returns its bracket
+    midpoint, so each element's steps and root depend on that element
+    and its start alone.
     """
     x = np.nan_to_num(np.asarray(start, dtype=float), nan=1.0)
     x = np.clip(x, BRACKET_FLOOR, BRACKET_CAP)
@@ -144,9 +149,14 @@ def solve_monotone(residual, start, rel_tol: float, error: type[Exception]):
         up = f >= 0
         down = active & ~up
         up &= active
-        # Illinois: halve the residual of an end kept twice in a row.
-        np.multiply(f_lo, 0.5, out=f_lo, where=up & (side > 0))
-        np.multiply(f_hi, 0.5, out=f_hi, where=down & (side < 0))
+        # Anderson-Bjorck: where the same end moves twice in a row, scale
+        # the kept end's residual by 1 - f / (the replaced end's residual),
+        # floored at Illinois's 1/2 (NaN, from inf / inf or 0 / 0, too).
+        with np.errstate(divide="ignore", invalid="ignore"):
+            keep_lo = np.fmax(1.0 - f / f_hi, 0.5)
+            keep_hi = np.fmax(1.0 - f / f_lo, 0.5)
+        np.multiply(f_lo, keep_lo, out=f_lo, where=up & (side > 0))
+        np.multiply(f_hi, keep_hi, out=f_hi, where=down & (side < 0))
         np.copyto(hi, x, where=up)
         np.copyto(f_hi, f, where=up)
         np.copyto(lo, x, where=down)

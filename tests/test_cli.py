@@ -3,6 +3,7 @@
 import argparse
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from dsplim.ds_limits import (
     dataset_density,
     ds_upper_limits_batch,
 )
+from oracles import bisection_root, nb_convolution_integral
 
 GOOD = """# example file
 channels 1
@@ -759,5 +761,16 @@ class TestCsvFormatting:
         assert b"\r" not in raw
         text = raw.decode()
         value = text.splitlines()[1].split(",")[1]
-        assert float(value) == pytest.approx(9.226124729926541, rel=1e-15)
+        assert float(value) == pytest.approx(9.226124729925155, rel=1e-15)
         assert len(value.replace(".", "").lstrip("0")) >= 15
+        # The pinned bits are the solver's; the value itself is the 0.9
+        # root of G(x) of (5, 10, 100) at t = 33, u = 100, bisected on
+        # scipy's negative binomial sums.
+        def mass(x):
+            up = nb_convolution_integral(x, 6, 1.0, 10, 1 / 33, 100, 1 / 100)
+            lo = nb_convolution_integral(x, 5, 1.0, 11, 1 / 33, 101, 1 / 100)
+            return up - lo
+
+        total = mass(math.inf)
+        root = bisection_root(lambda x: mass(x) / total >= 0.9)
+        assert float(value) == pytest.approx(root, rel=1e-10)

@@ -320,7 +320,7 @@ class TestCredibility:
         calls.clear()
         got = credibility_limit(CRED_CH, CRED_CFG, 0.9, 10_000, RngHandle(37))
         # P(n + 1, b) once, then one pass per residual: from the start
-        # n + 1 = 6, 3 passes bracket the root and 5 false-position steps
+        # n + 1 = 6, 3 passes bracket the root and 4 false-position steps
         # close it, where bisection took 23 passes
-        assert len(calls) == 1 + 8
+        assert len(calls) == 1 + 7
         assert got == pytest.approx(want, rel=1e-6)
