@@ -28,27 +28,30 @@ masses and one contraction.  The shapes are shared scalars or arrays
 with one row per point of x.  A batch builds each x-free table once per
 distinct shape (and scale), and each row's column is copied from it: a
 row's weights are a contiguous window of its shape's reversed CDF
-(:func:`_lagged`).  Each block is exponentiated from its
-logarithm, so a start value (1 - p)**r far below the double range
-loses no mass.  Every series state returns its own conditioning
-probability den = P(A >= B) = P(NB(kb, pb) <= kn - 1), the last entry
-of its background CDF.  The quadrature state
+(:func:`_lagged`).  Each block is exponentiated from its logarithm, so
+a start value (1 - p)**r far below the double range loses no mass; the
+grid route's blocks clamp the logarithm at _LOG_PMF_FLOOR first
+(:func:`_interval_series`).  Every series state returns its own
+conditioning probability den = P(A >= B) = P(NB(kb, pb) <= kn - 1), the
+last entry of its background CDF.  The quadrature state
 (:func:`_quadrature_state`) has the same form, den from one
 :func:`conditioning_probability` per row, so a root search takes either.
 
 The two ends of a belief interval, (kn, kb, ke) and
 (kn - 1, kb + 1, ke + 1), share one block of masses, as
 P(NB(r + 1, p) = j) = P(NB(r, p) = j) (r + j) / r (1 - p), and one
-build of their x-free background weights (:func:`_interval_weights`).
-Each route of the DS limits has its own interval state on them:
-:func:`_interval_series` gives both survivals at each row's own points
-for the grid route, on a block of rows at once, and
-:func:`_interval_integrals` gives, for ke >= 2, both integrals over
-[0, x] at one point per row for the grid-free single-channel limits.
-:func:`series_roots` inverts per-row states for many rows at once, by
-superlinear bracketed steps on log-tail residuals from a start that
-:func:`quantile_start` estimates per row; the grid-free DS limits and
-every Bayes limit are its two callers.
+build of their x-free background CDFs (:func:`_interval_weights`).
+Each route of the DS limits has its own interval state on them, with
+its own lag table: :func:`_interval_series` gives both survivals at
+each row's own points for the grid route, on a block of rows at once,
+from the CDFs, and :func:`_interval_integrals` gives, for ke >= 2, both
+integrals over [0, x] at one point per row for the grid-free
+single-channel limits, from their cumulative sums.
+:func:`series_roots` inverts per-row states for many (row, quantile)
+pairs at once, one shape triple per pair, by superlinear bracketed
+steps on log-tail residuals from a start that :func:`quantile_start`
+estimates per pair; the grid-free DS limits and every Bayes limit are
+its two callers.
 
 "quadrature" (any positive real shapes).  The beta-CDF form
 
@@ -81,7 +84,7 @@ _SERIES_MAX_SHAPE = 20_000
 # 2**22 terms keep each of its arrays near 32 MB.
 _SERIES_TERMS = 1 << 22
 
-# A grid block's log-pmf below this is an exact 0 mass instead of its exp:
+# The grid route clamps its blocks' log-pmf at this floor before the exp:
 # numpy's exp leaves its fast path between -707 and -708, and e**-707 is
 # about 1e-307.
 _LOG_PMF_FLOOR = -707.0
@@ -162,28 +165,13 @@ def _nb_log_pmf(log_binom, r, log_p, log_q) -> np.ndarray:
     return log_pmf
 
 
-def _nb_pmf_block(log_binom, r, log_p, log_q, floored=False) -> np.ndarray:
+def _nb_pmf_block(log_binom, r, log_p, log_q) -> np.ndarray:
     """Negative binomial pmf values at 0..count-1, each exponentiated once,
     in place, from its :func:`_nb_log_pmf` (same arguments and shape), so
     no mass below count is lost to an underflowing start value
-    (1 - p)**r.
-
-    With ``floored``, a log-pmf below _LOG_PMF_FLOOR gives an exact 0
-    without the exp, which leaves its fast path there: for the smallest
-    normal results, the subnormal ones and those that underflow to 0.
-    Each zeroed mass is below
-    e**-707, about 1e-307, so the floor moves a sum of count masses with
-    weights at most w by less than count * w * 1e-307 in absolute terms.
-    """
+    (1 - p)**r."""
     log_pmf = _nb_log_pmf(log_binom, r, log_p, log_q)
-    if not floored:
-        return np.exp(log_pmf, out=log_pmf)
-    low = log_pmf < _LOG_PMF_FLOOR
-    # The floor itself is on exp's fast path; a masked exp costs more.
-    np.copyto(log_pmf, _LOG_PMF_FLOOR, where=low)
-    np.exp(log_pmf, out=log_pmf)
-    np.copyto(log_pmf, 0.0, where=low)
-    return log_pmf
+    return np.exp(log_pmf, out=log_pmf)
 
 
 def _row_sums(a, b) -> np.ndarray:
@@ -275,26 +263,21 @@ def _lagged(table, at, last, length: int) -> np.ndarray:
     return windows[at, width // 2 - 1 - last]
 
 
-def _efficiency_block(x, log_binom, shape, wn, we, floored=False):
-    """(odds, NB(shape, pe(x)) masses at 0..count-1) at each x >= 0, where
-    pe(x) = x * we / (wn + x * we) has the odds x * we / wn; ``floored``
-    as for :func:`_nb_pmf_block`."""
+def _efficiency_block(x, log_binom, shape, wn, we):
+    """(odds, the :func:`_nb_log_pmf` of NB(shape, pe(x)) at 0..count-1) at
+    each x >= 0, where pe(x) = x * we / (wn + x * we) has the odds
+    x * we / wn.  The caller exponentiates the log-pmf in place."""
     odds = _nonnegative(x) * we / wn
-    log_p, log_q = -np.log1p(1.0 / odds), -np.log1p(odds)
-    return odds, _nb_pmf_block(log_binom, shape, log_p, log_q, floored)
+    return odds, _nb_log_pmf(log_binom, shape, -np.log1p(1.0 / odds), -np.log1p(odds))
 
 
-def _prepared_series(kn, wn, kb, wb, ke, we, repeats=1):
+def _prepared_series(kn, wn, kb, wb, ke, we):
     """The single-end series route with everything that does not depend
     on x built once: returns den = P(A >= B) = P(B' <= kn - 1), per row
     for per-row shapes, and x -> survival at x.  Shapes as for
-    :func:`survival_series`; with per-row shapes, x must have ``repeats``
-    consecutive entries per row: ``repeats`` repeats each row's 1-d
-    indices into the tables, and each entry gets its own column of the
-    x-free arrays, gathered from them.
-    The caller runs both this and the returned function under
-    ``np.errstate(all="ignore")``: log(0), 0 * inf and 1 / x at x = 0 or
-    subnormal x warn.
+    :func:`survival_series`.  The caller runs both this and the returned
+    function under ``np.errstate(all="ignore")``: log(0), 0 * inf and
+    1 / x at x = 0 or subnormal x warn.
 
     With E' ~ NB(ke, pe(x)) and the x-free background CDF of
     B' ~ NB(kb, pb) as weights, a pass is one block of masses and one
@@ -304,10 +287,10 @@ def _prepared_series(kn, wn, kb, wb, ke, we, repeats=1):
 
     The background CDFs and the efficiency log binomials are built once
     per distinct shape (:func:`_background_cdfs`, :func:`_distinct`), and
-    each point's column of weights and log binomials is copied from them,
+    each row's column of weights and log binomials is copied from them,
     the weights by :func:`_lagged` and one transposing copy: both arrays
-    are C-contiguous (count, points), as a pass's block of masses is, so
-    a pass runs on contiguous memory.  Per-row weights are exact zeros
+    are C-contiguous (count, rows), as a pass's block of masses is, so a
+    pass runs on contiguous memory.  Per-row weights are exact zeros
     from the row's kn on, so the terms a longer row pads a batch with add
     +0.0 and a row's values do not depend on the rows beside it.  den is
     the first weight, which the survival at x = 0 equals exactly.
@@ -317,41 +300,38 @@ def _prepared_series(kn, wn, kb, wb, ke, we, repeats=1):
     count = max(int(kn.max()), 1)
     cdf, at_b = _background_cdfs(kb, wn, wb, count)
     e_shapes, at_e = _distinct(ke)
-    at_b, at_e, last = (np.repeat(a, repeats) for a in (at_b, at_e, kn.astype(int) - 1))
-    weight = np.ascontiguousarray(_lagged(_lag_table(cdf), at_b, last, count).T)
+    weight = np.ascontiguousarray(_lagged(_lag_table(cdf), at_b, kn.astype(int) - 1, count).T)
     # Rounding can lift a CDF that sums to 1 just above it.
     den = np.minimum(weight[0], 1.0)
-    ke, log_binom_e = e_shapes[at_e], np.take(_log_binomials(e_shapes, count), at_e, axis=1)
+    log_binom_e = np.take(_log_binomials(e_shapes, count), at_e, axis=1)
     contract = _row_sums
     if shapes.ndim == 1:  # shared scalar shapes
         weight, ke, log_binom_e, den = weight[:, 0], ke[0], log_binom_e[:, 0], den[0]
         contract = np.matmul
 
     def values(x) -> np.ndarray:
-        nb_e = _efficiency_block(x, log_binom_e, ke, wn, we)[1]
+        log_pmf = _efficiency_block(x, log_binom_e, ke, wn, we)[1]
+        nb_e = np.exp(log_pmf, out=log_pmf)
         # Rounding can lift a survival that sums to 1 just above it.
         return np.minimum(contract(weight, nb_e), 1.0)
 
     return den, values
 
 
-def _interval_weights(kn, wn, kb, wb, cumulative=False):
-    """The x-free background weights of both ends of a belief interval,
-    the lower end (kn - 1, kb + 1) and the upper end (kn, kb), for 1-d
-    shapes.  Returns count = max(kn, 1); the :func:`_lag_table` of the
-    background CDFs of :func:`_background_cdfs`, of their cumulative sums
-    with ``cumulative``; each end's column and lag (2, rows), the lower
-    end first, from which :func:`_lagged` gives the weights of
-    :func:`_prepared_series`; and den = P(A >= B) of the upper end."""
+def _interval_weights(kn, wn, kb, wb):
+    """The x-free background CDFs of both ends of a belief interval, the
+    lower end (kn - 1, kb + 1) and the upper end (kn, kb), for 1-d shapes.
+    Returns count = max(kn, 1); the (count, columns) CDFs of
+    :func:`_background_cdfs`; each end's column and lag (2, rows), the
+    lower end first, from which :func:`_lagged` on the CDFs'
+    :func:`_lag_table` gives the weights of :func:`_prepared_series`; and
+    den = P(A >= B) of the upper end, 0 at kn = 0."""
     count = max(int(kn.max()), 1)
     cdf, at = _background_cdfs(np.array([kb + 1.0, kb]), wn, wb, count)
     last = kn.astype(int) - np.array([[2], [1]])
-    table = _lag_table(cdf)
     # Rounding can lift a CDF that sums to 1 just above it.
-    den = np.minimum(table[at[1], count - 1 - last[1]], 1.0)
-    if cumulative:
-        table = _lag_table(np.cumsum(cdf, axis=0))
-    return count, table, at, last, den
+    den = np.minimum(np.where(last[1] < 0, 0.0, cdf[last[1], at[1]]), 1.0)
+    return count, cdf, at, last, den
 
 
 def _interval_series(kn, wn, kb, wb, ke, we):
@@ -380,37 +360,26 @@ def _interval_series(kn, wn, kb, wb, ke, we):
     contracts each group by one stacked matmul of the (2, count) weights
     with the (count, points) block: every row's block and product are
     those of the row alone, whatever the rows beside it.  Each block holds
-    at most _SERIES_TERMS terms.  A block is built with the floor of
-    :func:`_nb_pmf_block` when one of its rows may reach it: as
-    log C(e + i - 1, i) >= 0, a row's log-pmf is at least (count - 1) log p
-    at its smallest positive x plus e log q at its largest x, and the floor
-    is taken when either term is below half of it, so whenever their sum
-    is.  The limits on the knots that this gives are x-free, so a pass
-    tests only a row's first two and last knots: where the knots ascend
-    and the rows' first knots are all 0 or all positive, as on the grid
-    route.  On other knots the gate can miss, which costs time but moves
-    no value.  A floored mass is below e**-707, about 1e-307, and each
-    end's weights are at most count, so the floor moves a survival by less
-    than count**2 * 1e-307 (4e-299 at the series shape bound).  The grid
-    route divides by den >= 1e-250, so a CDF moves by less than 4e-49: no
-    limit of the grid route has moved by it.
+    at most _SERIES_TERMS terms, and its log-pmf is clamped at
+    _LOG_PMF_FLOOR before the exp, which leaves its fast path below it.
+    A clamped mass is e**-707, about 1e-307, where the exp would give less
+    (an exact 0 for a log-pmf of -inf), and each end's weights are at most
+    count, so the clamp moves a survival by less than count**2 * 1e-307
+    (4e-299 at the series shape bound).  The grid route divides by
+    den >= 1e-250, so a CDF moves by less than 4e-49: no limit of the
+    grid route has moved by it.
     """
     kn, kb, ke = _series_shapes(kn, wn, kb, wb, ke, we).reshape(3, -1)
     per_row = _per_row(we)  # one efficiency scale per row
     if per_row:
         wb, we = np.ravel(wb), np.ravel(we)
-    count, table, at_b, last, den = _interval_weights(kn, wn, kb, wb)
+    count, cdf, at_b, last, den = _interval_weights(kn, wn, kb, wb)
     e_shape, lift = np.maximum(ke, 1.0), ke > 0
-    weight = _lagged(table, at_b.T, last.T, count)
+    weight = _lagged(_lag_table(cdf), at_b.T, last.T, count)
     e = e_shape[:, None]
     weight[:, 0] *= np.where(lift[:, None], (e + np.arange(count)) / e, 1.0)
     log_binom = _log_binomials(e_shape, count).T
     own = np.maximum(kn, 1).astype(int)  # each row's own series length
-    # Half the floor in either term, (count - 1) log p or e log q, is
-    # reached below the first or above the second knot limit.
-    half = -0.5 * _LOG_PMF_FLOOR
-    below = wn / we / np.expm1(half / (own - 1.0))
-    above = wn / we * np.expm1(half / e_shape)
     # Per series length: its rows and their x-free arrays, rows first, so
     # each row's (2, length) weights are contiguous and matmul takes BLAS.
     groups = []
@@ -419,11 +388,13 @@ def _interval_series(kn, wn, kb, wb, ke, we):
         groups.append((at, [weight[at, :, :length], log_binom[at, :length], e[at],
                             lift[at, None], den[at, None]]))
 
-    def block(x, we, floored, weights, log_binom, e, lift, den):
+    def block(x, we, weights, log_binom, e, lift, den):
         # Both ends' survivals of some rows of a group at their knots x.
         # A function of its own, so a block's masses are freed before the
         # next block's are made.
-        odds, nb_e = _efficiency_block(x, log_binom.T, e, wn, we, floored)
+        odds, log_pmf = _efficiency_block(x, log_binom.T, e, wn, we)
+        np.maximum(log_pmf, _LOG_PMF_FLOOR, out=log_pmf)
+        nb_e = np.exp(log_pmf, out=log_pmf)
         sums = np.matmul(weights, nb_e.transpose(1, 0, 2)).transpose(1, 0, 2)
         np.divide(sums[0], 1.0 + odds, out=sums[0], where=lift)
         # Rounding can lift a survival that sums to 1 just above it.
@@ -433,8 +404,6 @@ def _interval_series(kn, wn, kb, wb, ke, we):
 
     def values(x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        low = x[:, 1 if x[0, 0] == 0 and x.shape[1] > 1 else 0]
-        reach = (low < below) | (x[:, -1] > above)
         out = np.empty((2,) + x.shape)
         for at, arrays in groups:
             step = max(1, _SERIES_TERMS // (arrays[0].shape[-1] * x.shape[1]))
@@ -442,17 +411,17 @@ def _interval_series(kn, wn, kb, wb, ke, we):
                 part = slice(first, first + step)
                 rows = at[part]
                 out[:, rows] = block(x[rows], we[rows, None] if per_row else we,
-                                     reach[rows].any(), *(a[part] for a in arrays))
+                                     *(a[part] for a in arrays))
         return out
 
     return den, values
 
 
-def _interval_integrals(kn, wn, kb, wb, ke, we, repeats=1):
+def _interval_integrals(kn, wn, kb, wb, ke, we):
     """The integrals over [0, x] of both ends' survivals of
-    :func:`_interval_series`, for ke >= 2, at one point per (row,
-    repeat), for the grid-free limits.  Shapes, ``repeats`` and errstate
-    as for :func:`_prepared_series`; the scales are shared scalars.
+    :func:`_interval_series`, for ke >= 2, at one point per row, for the
+    grid-free limits.  Shapes and errstate as for
+    :func:`_prepared_series`; the scales are shared scalars.
     Returns den = P(A >= B) of the upper end, x -> the integrals of the
     lower end (row 0) and the upper end (row 1), and those integrals at
     x = inf, J(inf), from the x-free sums alone.
@@ -467,33 +436,29 @@ def _interval_integrals(kn, wn, kb, wb, ke, we, repeats=1):
 
     so J(inf) = c * g(0) / (ke - 1).  With C the cumulative sum of the
     background CDF, g(k) = C[kn - 1 - k]: the weights are the lagged
-    cumulative CDF (:func:`_interval_weights`), built once per distinct
-    shape, and added in the order of a reversed cumulative sum of the
-    lagged CDF, so they are those sums bit for bit.  At x = inf every
-    mass of K' is exactly 0, so a pass there gives exactly the J(inf)
-    returned.  Each end is contracted by one :func:`_row_sums`.
+    cumulative sums of the CDFs of :func:`_interval_weights`, built once
+    per distinct shape, and added in the order of a reversed cumulative
+    sum of the lagged CDF, so they are those sums bit for bit.  At
+    x = inf every mass of K' is exactly 0, so a pass there gives exactly
+    the J(inf) returned.  Each end is contracted by one :func:`_row_sums`.
     """
     kn, kb, ke = _series_shapes(kn, wn, kb, wb, ke, we).reshape(3, -1)
     if np.min(ke) < 2:
         raise ValueError("integrated survival requires ke >= 2")
-    count, table, at_b, last, den = _interval_weights(kn, wn, kb, wb, cumulative=True)
-    e_shape = ke - 1.0
-    ratio = (e_shape + np.arange(count)[:, None]) / e_shape
-    e_shapes, at_e = _distinct(e_shape)
-    at_b, last, at_e, ke, den = (
-        np.repeat(a, repeats, axis=-1) for a in (at_b, last, at_e, ke, den)
-    )
+    count, cdf, at_b, last, den = _interval_weights(kn, wn, kb, wb)
+    table = _lag_table(np.cumsum(cdf, axis=0))
     lower, upper = (np.ascontiguousarray(_lagged(table, at, lag, count).T)
                     for at, lag in zip(at_b, last))
-    by_row = lower.reshape(count, -1, repeats)  # a view: each row's points side by side
-    by_row *= ratio[:, :, None]
-    e_shape = e_shapes[at_e]
+    e_shape = ke - 1.0
+    lower *= (e_shape + np.arange(count)[:, None]) / e_shape
+    e_shapes, at_e = _distinct(e_shape)
     log_binom = np.take(_log_binomials(e_shapes, count), at_e, axis=1)
     # Per end, g(0) = h(kn) and c / (ke - 1) at the end's own ke.
     totals, factors = np.array([lower[0], upper[0]]), wn / we / np.array([ke, e_shape])
 
     def values(x) -> np.ndarray:
-        odds, nb_e = _efficiency_block(x, log_binom, e_shape, wn, we)
+        odds, log_pmf = _efficiency_block(x, log_binom, e_shape, wn, we)
+        nb_e = np.exp(log_pmf, out=log_pmf)
         sums = np.array([_row_sums(lower, nb_e), _row_sums(upper, nb_e)])
         sums[0] /= 1.0 + odds
         return (totals - sums) * factors
@@ -545,13 +510,13 @@ def series_roots(shapes, t, u, quantiles, rel_tol, residual, state=_prepared_ser
     (len(quantiles), rows).
 
     ``shapes`` has shape (3, rows): a triple (kn, kb, ke) per row on the
-    scales (1, 1/t, 1/u).  The (row, quantile) pairs run in chunks of at
-    most _SERIES_TERMS series terms per array; a chunk builds one
-    ``state`` for its rows with ``repeats`` = the number of quantiles,
-    so that each pair has its own column of the x-free arrays, copied from
-    tables built once per distinct shape: the survival of
-    :func:`_prepared_series` by default, the integrals of
-    :func:`_interval_integrals`, or the survival of
+    scales (1, 1/t, 1/u), finite and positive.  Each row's triple is
+    repeated once per quantile, and the (row, quantile) pairs run in
+    chunks of at most _SERIES_TERMS series terms per array; a chunk builds
+    one ``state`` on its pairs' triples, so that each pair has its own
+    column of the x-free arrays, copied from tables built once per
+    distinct shape: the survival of :func:`_prepared_series` by default,
+    the integrals of :func:`_interval_integrals`, or the survival of
     :func:`_quadrature_state`.  Per chunk, ``residual(values, den, rows,
     qs, *more)`` gets the pairs' row indices and quantiles and that state:
     its ``values``, x -> each pair's value at its x ((2, pairs) rows of the
@@ -566,26 +531,23 @@ def series_roots(shapes, t, u, quantiles, rel_tol, residual, state=_prepared_ser
     quantiles = np.asarray(quantiles, dtype=float)
     if not np.all((quantiles > 0.0) & (quantiles < 1.0)):
         raise ValueError("quantile must lie strictly inside (0, 1)")
-    if not (t > 0 and u > 0):
-        raise ValueError("scales t and u must be positive")
-    kn, kb, ke = np.asarray(shapes, dtype=float)
-    nq = quantiles.size
-    roots = np.empty((nq, kn.size))
-    # An array holds count terms per pair, and the interval state's x-free
-    # arrays 2 * count per row, one count per end.
-    step = max(1, _SERIES_TERMS // (max(nq, 2) * int(kn.max(initial=0)) + 1))
-    for first in range(0, kn.size if nq else 0, step):
-        block = np.arange(first, min(first + step, kn.size))
+    if not (0 < t < math.inf and 0 < u < math.inf):
+        raise ValueError("scales t and u must be positive and finite")
+    shapes = np.asarray(shapes, dtype=float)
+    rows = shapes.shape[1]
+    kn, kb, ke = np.repeat(shapes, quantiles.size, axis=1)
+    at, qs = np.repeat(np.arange(rows), quantiles.size), np.tile(quantiles, rows)
+    roots = np.empty(kn.size)
+    # The interval state's x-free arrays hold 2 * count terms per pair,
+    # one count per end.
+    step = max(1, _SERIES_TERMS // (2 * int(kn.max(initial=0)) + 1))
+    for first in range(0, kn.size, step):
+        chunk = slice(first, first + step)
         with np.errstate(all="ignore"):
-            den, values, *more = state(
-                kn[block], 1.0, kb[block], 1.0 / t, ke[block], 1.0 / u, repeats=nq
-            )
-            start, pairs = residual(
-                values, den, np.repeat(block, nq), np.tile(quantiles, block.size), *more
-            )
-            found = solve_monotone(pairs, start, rel_tol, NumericalError)
-        roots[:, block] = found.reshape(-1, nq).T
-    return roots
+            den, values, *more = state(kn[chunk], 1.0, kb[chunk], 1.0 / t, ke[chunk], 1.0 / u)
+            start, pairs = residual(values, den, at[chunk], qs[chunk], *more)
+            roots[chunk] = solve_monotone(pairs, start, rel_tol, NumericalError)
+    return roots.reshape(rows, quantiles.size).T
 
 
 _BREAK_LEVELS = np.array(
@@ -682,18 +644,18 @@ def conditioning_probability(kn, wn, kb, wb) -> float:
     return beta_cdf(wn / (wn + wb), kb, kn)
 
 
-def _quadrature_state(kn, wn, kb, wb, ke, we, repeats=1):
+def _quadrature_state(kn, wn, kb, wb, ke, we):
     """The quadrature route, for any positive shapes, in the state form of
-    :func:`_prepared_series` (shapes and ``repeats`` likewise): den, one
+    :func:`_prepared_series` (shapes likewise): den, one
     :func:`conditioning_probability` per row, and x -> the survival at x."""
     shapes = _validate(kn, wn, kb, wb, ke, we).reshape(3, -1)
     den = [conditioning_probability(a, wn, b, wb) for a, b in shapes[:2].T.tolist()]
-    kn, kb, ke = np.repeat(shapes, repeats, axis=1)
+    kn, kb, ke = shapes
 
     def values(x) -> np.ndarray:
         return survival(x, kn, wn, kb, wb, ke, we, "quadrature")
 
-    return np.repeat(den, repeats), values
+    return np.array(den), values
 
 
 def clamp_unit(values):

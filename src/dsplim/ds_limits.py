@@ -54,6 +54,7 @@ channels are all improper has no finite limit and raises
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -151,8 +152,8 @@ class GridConfig:
     tail_eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.points < 16:
-            raise ValueError("points must be >= 16")
+        if not isinstance(self.points, numbers.Integral) or self.points < 16:
+            raise ValueError("points must be an integer >= 16")
         if not (0 < self.tail_eps < 1e-3):
             raise ValueError("tail_eps must lie in (0, 1e-3)")
 

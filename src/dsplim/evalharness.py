@@ -469,6 +469,8 @@ def coverage_importance(
     mean is 1 by construction.  An effective-sample-size column flags
     weight degeneracy far from s_ref.
     """
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2 for a standard error")
     eps, b = truth_nuisance
     s_grid = np.asarray(s_grid, dtype=float)
     if not (s_grid.min() <= s_ref <= s_grid.max()):
@@ -567,7 +569,7 @@ def credibility(
 
     with P the regularized lower incomplete gamma.
     """
-    if limit < 0:
+    if not limit >= 0:  # NaN too
         raise ValueError("limit must be >= 0")
     bs, es = _posterior_nuisance_draws(ch, cfg, n_samples, rng)
     return _credibility_curve(ch.n, bs, es)(limit)
@@ -690,6 +692,8 @@ def simulate_study(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     s_grid = np.asarray(s_grid, dtype=float)
+    if s_grid.size == 0:
+        raise ValueError("s_grid must hold at least one value")
     methods = tuple(methods)
     quantiles = tuple(float(q) for q in quantiles)
     draws = []

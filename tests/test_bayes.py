@@ -1,5 +1,7 @@
 """Conjugate posteriors, the closed-form posterior CDF, and quantiles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,13 @@ from dsplim.bayes import (
     conjugate_posteriors,
     prior_preset,
 )
-from dsplim.ds_limits import ChannelObservation, Dataset, channel_cdf_lower, dataset_limits
+from dsplim.ds_limits import (
+    ChannelObservation,
+    Dataset,
+    channel_cdf_lower,
+    dataset_limits,
+    ds_upper_limits_batch,
+)
 from dsplim.sampling import RngHandle
 from oracles import bisection_root, conditioning_mass, mc_posterior_ratio_cdf
 
@@ -159,6 +167,16 @@ class TestUpperLimitQuantile:
         # the checks of bayes_upper_limit, made before any 1 / t
         with pytest.raises(ValueError, match="quantile|scales"):
             bayes_upper_limits_batch([5], [10], [100], t, 100.0, prior_preset("B1"), (q,))
+
+    @pytest.mark.parametrize("t,u", [(math.inf, 100.0), (33.0, math.inf), (math.nan, 100.0)])
+    def test_batches_reject_scales_that_are_not_finite(self, t, u):
+        # t = inf passed a t > 0 check and failed later, on its gamma
+        # scale 1 / t = 0, with "gamma scales must be positive".
+        message = "scales t and u must be positive and finite"
+        with pytest.raises(ValueError, match=message):
+            bayes_upper_limits_batch([5], [10], [100], t, u, prior_preset("B1"), (0.9,))
+        with pytest.raises(ValueError, match=message):
+            ds_upper_limits_batch([5], [10], [100], t, u, (0.9,))
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_prior_sequence_needs_one_prior_per_row(self, rows):

@@ -145,6 +145,14 @@ class TestCurves:
         with pytest.raises(ValueError):
             GridConfig(tail_eps=0.5)
 
+    @pytest.mark.parametrize("points", [100.5, 512.0])
+    def test_grid_config_needs_an_integer_point_count(self, points):
+        # 100.5 passed the >= 16 check and failed in np.linspace with a
+        # bare TypeError.
+        with pytest.raises(ValueError, match="points must be an integer >= 16"):
+            GridConfig(points=points)
+        assert GridConfig(points=np.int64(64)).points == 64
+
     def test_hard_cap_is_a_hard_error(self):
         # u this large pushes the upper-end tail beyond the cap
         assert ds_limits.HARD_CAP == 1e12

@@ -480,6 +480,14 @@ class TestCoverageImportance:
                 s_ref=20.0, rng=RngHandle(44),
             )
 
+    def test_needs_two_samples(self):
+        # One sample gave NaN standard errors without a word.
+        with pytest.raises(ValueError, match="n_samples must be >= 2"):
+            coverage_importance(
+                _const_method(1.0), s_grid=[5.0, 10.0], q=0.9, n_samples=1,
+                s_ref=5.0, rng=RngHandle(45), **TASK1B
+            )
+
     def test_s_ref_must_be_in_hull(self):
         with pytest.raises(ValueError):
             coverage_importance(
@@ -498,6 +506,11 @@ class TestCredibility:
 
     def test_infinite_limit(self):
         assert credibility(math.inf, CRED_CH, CRED_CFG, 1000, RngHandle(52)) == 1.0
+
+    def test_nan_limit_rejected(self):
+        # A NaN limit passed the limit < 0 check and gave a NaN credibility.
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            credibility(math.nan, CRED_CH, CRED_CFG, 1000, RngHandle(52))
 
     def test_monotone_in_limit_with_shared_draws(self):
         bs, es = _posterior_nuisance_draws(CRED_CH, CRED_CFG, 4000, RngHandle(53))
@@ -530,6 +543,11 @@ class TestCredibility:
 
 
 class TestSimulateStudy:
+    def test_empty_s_grid_rejected(self):
+        # An empty grid died in numpy's concatenate.
+        with pytest.raises(ValueError, match="s_grid"):
+            simulate_study(3.3, 10.0, 0.1, 0.3, [], reps=5, methods=("B1",))
+
     def test_reps_one_degenerate(self):
         res = simulate_study(
             3.3, 10.0, 0.1, 0.3, [2.0, 5.0], reps=1, methods=("ds", "B1"),

@@ -43,8 +43,9 @@ class TestIntegratedSurvival:
     @pytest.mark.parametrize("t,u", [SMALL, PAPER])
     def test_against_quadrature(self, kn, kb, ke, t, u):
         xs = np.array([0.0, 0.3 * u, u, 7.0 * u, 300.0 * u, math.inf])
+        kn_x, kb_x, ke_x = np.repeat([[kn], [kb], [ke]], xs.size, axis=1)  # one per point
         with np.errstate(all="ignore"):
-            got = _interval_integrals(kn, 1.0, kb, 1.0 / t, ke, 1.0 / u, xs.size)[1](xs)[1]
+            got = _interval_integrals(kn_x, 1.0, kb_x, 1.0 / t, ke_x, 1.0 / u)[1](xs)[1]
         for x, g in zip(xs, got):
             want = _quad_integral(x, kn, kb, ke, t, u)
             assert g == pytest.approx(want, rel=1e-11, abs=1e-13 * u)
@@ -61,9 +62,8 @@ class TestIntegratedSurvival:
             per_row = _interval_integrals(kn[rows], 1.0, kb[rows], 1 / t, ke[rows], 1 / u)
             got = per_row[1](x)
             for i, (kn_i, kb_i, ke_i) in enumerate(self.SHAPES):
-                shared = _interval_integrals(kn_i, 1.0, kb_i, 1 / t, ke_i, 1 / u,
-                                             repeats=xs.size)
-                want = shared[1](xs)  # one row, repeated at every point of xs
+                shared = _interval_integrals(kn_i, 1.0, kb_i, 1 / t, ke_i, 1 / u)[1]
+                want = np.hstack([shared(xs[k : k + 1]) for k in range(xs.size)])
                 np.testing.assert_allclose(got[:, rows == i], want, rtol=1e-13)
 
     # Per row (kn, kb, ke) at t = 3.3, u = 10: den and both ends'
@@ -99,11 +99,11 @@ class TestIntegratedSurvival:
     def test_pinned_bits(self):
         t, u = SMALL
         xs = np.array([0.5, 4.0, 30.0, math.inf])
-        kn, kb, ke = np.array([shapes for shapes, *_ in self.PINNED]).T
+        # Each row's shapes once per point of xs.
+        kn, kb, ke = np.repeat([shapes for shapes, *_ in self.PINNED], xs.size, axis=0).T
         with np.errstate(all="ignore"):
-            den, integrals, at_infinity = _interval_integrals(kn, 1.0, kb, 1 / t, ke, 1 / u,
-                                                              xs.size)
-            got = integrals(np.tile(xs, kn.size))
+            den, integrals, at_infinity = _interval_integrals(kn, 1.0, kb, 1 / t, ke, 1 / u)
+            got = integrals(np.tile(xs, kn.size // xs.size))
         for i, (_, den_i, lower, upper) in enumerate(self.PINNED):
             assert den[4 * i : 4 * i + 4].tolist() == [float.fromhex(den_i)] * 4
             row = got[:, 4 * i : 4 * i + 4].tolist()
@@ -184,15 +184,15 @@ class TestBitwiseIndependence:
 
     @pytest.mark.parametrize("integrated", [False, True])
     def test_series_row_beside_longer_rows(self, integrated):
-        # A row padded past its kn in a batch with longer rows, or repeated
-        # to share its x-free arrays, keeps the bits it has alone, and so
-        # does its conditioning probability P(A >= B): every value of the
-        # single-end survival, or both rows (lower end, upper end) of the
-        # interval integrals.  Rows 1 and 6 share kb and ke, and so do rows
-        # 4 and 7, so they share the columns of the x-free tables; row 8's
-        # kb + 1 is row 1's kb, so the lower end of one row shares the upper
-        # end's column of another; rows 2 and 5, kn = 1 and kn = 0, have
-        # the lower-end lags -1 and -2.
+        # A row padded past its kn in a batch with longer rows, or beside
+        # copies of itself that share its columns of the x-free tables,
+        # keeps the bits it has alone, and so does its conditioning
+        # probability P(A >= B): every value of the single-end survival, or
+        # both rows (lower end, upper end) of the interval integrals.  Rows
+        # 1 and 6 share kb and ke, and so do rows 4 and 7, so they share the
+        # columns of the x-free tables; row 8's kb + 1 is row 1's kb, so the
+        # lower end of one row shares the upper end's column of another;
+        # rows 2 and 5, kn = 1 and kn = 0, have the lower-end lags -1 and -2.
         t, u = PAPER
         kn = np.array([3.0, 40.0, 1.0, 300.0, 17.0, 0.0, 12.0, 5.0, 8.0])
         kb = np.array([0.0, 90.0, 4.0, 2.0, 33.0, 4.0, 90.0, 33.0, 89.0])
@@ -205,7 +205,9 @@ class TestBitwiseIndependence:
             together = np.reshape(series(x), (-1, kn.size))
             repeated = {}
             for repeats in (2, 3):
-                den_r, series_r, *_ = state(*shapes, repeats=repeats)
+                copies = (np.repeat(kn, repeats), 1.0, np.repeat(kb, repeats), 1 / t,
+                          np.repeat(ke, repeats), 1 / u)
+                den_r, series_r, *_ = state(*copies)
                 values = series_r(np.repeat(x, repeats))
                 repeated[repeats] = den_r, np.reshape(values, (-1, repeats * kn.size))
             for i in range(kn.size):
@@ -234,15 +236,16 @@ class TestBitwiseIndependence:
         zs = np.array([2, 3, 100, 7, 2, 95, 100, 77, 4, 50])
         with np.errstate(all="ignore"):
             _, integrals, at_infinity = _interval_integrals(
-                ns + 1.0, 1.0, ys, 1 / t, zs, 1 / u, repeats=repeats
+                np.repeat(ns + 1.0, repeats), 1.0, np.repeat(ys, repeats), 1 / t,
+                np.repeat(zs, repeats), 1 / u
             )
             passed = integrals(np.full(ns.size * repeats, math.inf))
         assert np.array_equal(at_infinity, passed)
         assert np.array_equal(at_infinity[1] - at_infinity[0], passed[1] - passed[0])
 
-        def pass_at_infinity(*args, repeats=1):  # the mass from a pass at x = inf
-            den, values, _ = _interval_integrals(*args, repeats=repeats)
-            return den, values, values(np.full(args[0].size * repeats, math.inf))
+        def pass_at_infinity(*args):  # the mass from a pass at x = inf
+            den, values, _ = _interval_integrals(*args)
+            return den, values, values(np.full(args[0].size, math.inf))
 
         qs = (0.9, 0.99)
         want = ds_upper_limits_batch(ns, ys, zs, t, u, qs)

@@ -23,7 +23,6 @@ from dsplim._gamma_ratio import (
     _interval_integrals,
     _interval_series,
     _log_binomials,
-    _nb_log_pmf,
     _nb_pmf_block,
     survival_series,
 )
@@ -107,13 +106,30 @@ class TestBlock:
         assert abs(got - nbinom.cdf(5000, 5000, 0.5)) < 1e-10
 
 
+def _recorded_blocks(monkeypatch):
+    """Patch the efficiency block to record each log-pmf it returns, as
+    (a copy, the array itself): a state exponentiates the array in place,
+    so after a pass it holds the block's masses."""
+    blocks = []
+    efficiency_block = _gamma_ratio._efficiency_block
+
+    def record(*args):
+        odds, log_pmf = efficiency_block(*args)
+        blocks.append((log_pmf.copy(), log_pmf))
+        return odds, log_pmf
+
+    monkeypatch.setattr(_gamma_ratio, "_efficiency_block", record)
+    return blocks
+
+
 class TestExpFloor:
-    """The grid route's efficiency blocks give an exact 0 for a log-pmf
-    below _LOG_PMF_FLOOR, where numpy's exp leaves its fast path, and
-    every other mass as np.exp gives it.  A floored mass is below
-    e**-707, so a survival moves by less than count**2 * e**-707; the
-    grid route divides by den >= _MIN_CONDITIONING = 1e-250, and its
-    CDFs keep their bits."""
+    """The grid route's efficiency blocks clamp a log-pmf below
+    _LOG_PMF_FLOOR, where numpy's exp leaves its fast path, to the floor,
+    and give every other mass as np.exp gives it.  A clamped mass is
+    e**-707 in place of a smaller one, so a survival moves by less than
+    count**2 * e**-707; the grid route divides by den >=
+    _MIN_CONDITIONING = 1e-250, and its CDFs keep their bits.  The
+    integral and Bayes blocks keep every mass."""
 
     # About 4 s on a 2-core host.
     @settings(max_examples=150, deadline=None)
@@ -131,15 +147,6 @@ class TestExpFloor:
     def test_floored_block_and_state(self, n, y, z, t, u, rung):
         # The grid's knots: x = 0, then from 1e-9 * x_max up to x_max.
         xs = ds_limits._rung_knots(2.0**rung, 64)
-        e = max(z, 1.0)
-        with np.errstate(all="ignore"):
-            odds = xs / u
-            args = (_log_binomials(e, n + 1), e, -np.log1p(1.0 / odds), -np.log1p(odds))
-            log_pmf = _nb_log_pmf(*args)
-            floored = _nb_pmf_block(*args, floored=True)
-        keep = log_pmf >= _LOG_PMF_FLOOR
-        assert floored[keep].tobytes() == np.exp(log_pmf[keep]).tobytes()
-        assert np.all(floored[~keep] == 0.0)
 
         def state_values():
             with np.errstate(all="ignore"):
@@ -150,7 +157,13 @@ class TestExpFloor:
                 return surv, None
             return surv, ds_limits._channel_state(counts, [t], [u])(xs[None])
 
-        surv, cdfs = state_values()
+        with pytest.MonkeyPatch.context() as mp:
+            blocks = _recorded_blocks(mp)
+            surv, cdfs = state_values()
+        for log_pmf, masses in blocks:
+            low = log_pmf < _LOG_PMF_FLOOR
+            assert np.all(masses[low] == np.exp(_LOG_PMF_FLOOR))
+            assert masses[~low].tobytes() == np.exp(log_pmf[~low]).tobytes()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_gamma_ratio, "_LOG_PMF_FLOOR", -math.inf)
             want, want_cdfs = state_values()
@@ -161,32 +174,29 @@ class TestExpFloor:
             assert cdfs.tobytes() == want_cdfs.tobytes()
 
     @pytest.mark.parametrize(
-        "row, floored",
+        "row, reached",
         [((284, 14, 53, 6.0, 60.0), True), ((300, 5, 2, 3.3, 10.0), True),
          ((12, 5, 3, 3.3, 10.0), False), ((0, 0, 1, 3.3, 10.0), False)],
     )
-    def test_gate_takes_the_floor_where_it_is_reached(self, row, floored, monkeypatch):
-        # On these rows' own knots a grid block is floored exactly when it
-        # holds a finite log-pmf below the floor; the -inf entries at
-        # x = 0 give 0 either way.
-        seen = []
-        block = _gamma_ratio._nb_pmf_block
-
-        def record(log_binom, r, log_p, log_q, floored=False):
-            if np.ndim(log_p) > 0:  # an efficiency block
-                log_pmf = _nb_log_pmf(log_binom, r, log_p, log_q)
-                seen.append((floored, np.isfinite(log_pmf[log_pmf < _LOG_PMF_FLOOR]).any()))
-            return block(log_binom, r, log_p, log_q, floored)
-
+    def test_integral_and_bayes_blocks_keep_every_mass(self, row, reached, monkeypatch):
+        # On these rows' own knots the grid-free integrals' block and a
+        # Bayes survival's block hold the grid block's log-pmf, which
+        # reaches a finite value below the floor on the first two rows.
+        # Their den has no 1e-250 floor, so neither block is clamped:
+        # every mass is np.exp of its log-pmf, bit for bit.
         n, y, z, t, u = row
         xs = ds_limits.shared_grid([ChannelObservation(*row)])
-        monkeypatch.setattr(_gamma_ratio, "_nb_pmf_block", record)
+        k = xs.size
+        per_point = (np.repeat(n + 1, k), 1.0, np.repeat(y, k), 1 / t,
+                     np.repeat(z + 1, k), 1 / u)
+        blocks = _recorded_blocks(monkeypatch)
         with np.errstate(all="ignore"):
-            _interval_series(n + 1, 1.0, y, 1 / t, z, 1 / u)[1](xs[None])
-            assert seen == [(floored, floored)]
-            # The integrals keep every mass.
-            _interval_integrals(n + 1, 1.0, y, 1 / t, z + 1, 1 / u, repeats=xs.size)[1](xs)
-        assert not seen[1][0]
+            _interval_integrals(*per_point)[1](xs)
+            _gamma_ratio._prepared_series(n + 1, 1.0, y, 1 / t, z, 1 / u)[1](xs)
+        assert len(blocks) == 2
+        for log_pmf, masses in blocks:
+            assert np.isfinite(log_pmf[log_pmf < _LOG_PMF_FLOOR]).any() == reached
+            assert masses.tobytes() == np.exp(log_pmf).tobytes()
 
 
 @pytest.mark.parametrize("row", ROWS, ids=str)
@@ -332,8 +342,11 @@ def test_survival_series_against_scipy(kn, kb, ke, t, u, xs):
 def test_integrated_survival_series_against_scipy(kn, kb, ke, t, u, xs):
     xs = np.sort(xs)
     shapes = (kn, 1.0, kb, 1.0 / t, ke, 1.0 / u)
+    # One shape triple per point of xs.
+    k = xs.size
+    per_point = (np.repeat(kn, k), 1.0, np.repeat(kb, k), 1.0 / t, np.repeat(ke, k), 1.0 / u)
     with np.errstate(all="ignore"):
-        got = _interval_integrals(*shapes, repeats=xs.size)[1](xs)[1]
+        got = _interval_integrals(*per_point)[1](xs)[1]
     scale = max(nb_convolution_integral(math.inf, *shapes), np.finfo(float).tiny)
     want = [nb_convolution_integral(x, *shapes) for x in xs]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10 * scale)
@@ -343,7 +356,7 @@ def test_integrated_survival_series_against_scipy(kn, kb, ke, t, u, xs):
         # The interval state's lower row, (kn - 1, kb + 1, ke + 1) summed
         # from the upper end's block, to the same share of its own J(inf).
         with np.errstate(all="ignore"):
-            got = _interval_integrals(*shapes, repeats=xs.size)[1](xs)[0]
+            got = _interval_integrals(*per_point)[1](xs)[0]
         lower = (kn - 1, 1.0, kb + 1, 1.0 / t, ke + 1, 1.0 / u)
         scale = max(nb_convolution_integral(math.inf, *lower), np.finfo(float).tiny)
         want = [nb_convolution_integral(x, *lower) for x in xs]
